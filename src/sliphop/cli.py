@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import fixedpoint as fp
 from .errors import SlipError
-from .harness import (ALL_PIPELINES, SweepConfig, run_single, run_sweep)
+from .harness import (ALL_PIPELINES, ANALYTIC_TOL, SIM_TOL, _PREWARM,
+                      SweepConfig, run_single, run_sweep)
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
 from .simulate import DEFAULT_CONTROL_DT, DEFAULT_DT
 
@@ -209,11 +210,11 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
                     dt=_get(cfg, "dt", float, DEFAULT_DT),
                     control_dt=_get(cfg, "control_dt", float,
                                     DEFAULT_CONTROL_DT))
-                tol = 1e-6
+                tol = SIM_TOL
             else:
-                return_map, tol = fp.return_map_analytic, 1e-9
+                return_map, tol = fp.return_map_analytic, ANALYTIC_TOL
             result = fp.numeric_fixed_point(return_map, seed, inputs, params,
-                                            tol=tol, prewarm=3,
+                                            tol=tol, prewarm=_PREWARM,
                                             provenance=pipeline)
     except SlipError as err:
         print(json.dumps({"status": type(err).__name__, "phase": err.phase,

@@ -83,19 +83,20 @@ def simulator_return_map(apex: ApexState, inputs: ControlInputs,
 
 def _map_jacobian(return_map: ReturnMap, z: ApexState,
                   inputs: ControlInputs, params: SlipParams,
-                  h_scale: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the apex map at z.
+                  h_scale: float = 1e-6,
+                  ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Central-difference Jacobian of the apex map at z, as rows of floats.
 
     Step h = max(h_scale, h_scale*|z_i|) per component. Raises
     IllConditioned when a difference column is pure noise.
     """
-    z0 = np.array([z.x_dot, z.y])
-    jac = np.empty((2, 2))
+    z0 = (z.x_dot, z.y)
+    cols = []
     for j in range(2):
         h = max(h_scale, h_scale * abs(z0[j]))
-        zp = z0.copy()
+        zp = list(z0)
         zp[j] += h
-        zm = z0.copy()
+        zm = list(z0)
         zm[j] -= h
         pp = return_map(ApexState(*zp), inputs, params)
         pm = return_map(ApexState(*zm), inputs, params)
@@ -106,9 +107,8 @@ def _map_jacobian(return_map: ReturnMap, z: ApexState,
                 f"column {j} difference below noise floor at h = {h:.1e}")
         # divide by the realized step so linear maps come out exact
         denom = zp[j] - zm[j]
-        jac[0, j] = dx / denom
-        jac[1, j] = dy / denom
-    return jac
+        cols.append((dx / denom, dy / denom))
+    return (cols[0][0], cols[1][0]), (cols[0][1], cols[1][1])
 
 
 def stability(return_map: ReturnMap, z_star: ApexState,
@@ -116,9 +116,10 @@ def stability(return_map: ReturnMap, z_star: ApexState,
               h_scale: float = 1e-6) -> tuple[np.ndarray, float, bool]:
     """Return-map Jacobian at a fixed point, its spectral radius, and the
     stability verdict (spectral radius < 1)."""
-    jac = _map_jacobian(return_map, z_star, inputs, params, h_scale)
-    rho = spectral_radius_2x2(jac[0, 0], jac[0, 1], jac[1, 0], jac[1, 1])
-    return jac, float(rho), bool(rho < 1.0)
+    (a, b), (c, d) = _map_jacobian(return_map, z_star, inputs, params,
+                                   h_scale)
+    rho = spectral_radius_2x2(a, b, c, d)
+    return np.array([[a, b], [c, d]]), rho, rho < 1.0
 
 
 def _stability_or_nan(return_map: ReturnMap, z: ApexState,
@@ -249,34 +250,40 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
     points are attracting), which robustifies distant seeds. Raises
     NoConvergence after max_steps, GaitFailure when a map evaluation
     fails and backtracking cannot recover.
-    """
-    z = np.array([seed.x_dot, seed.y])
 
-    def try_eval(zz: np.ndarray) -> np.ndarray | None:
+    The iterate is a pair of Python floats whatever the seed's scalar
+    type; numpy only solves the 2x2 Newton system. A line-search step is
+    accepted when its residual's Euclidean norm falls (or once the step
+    is down to a quarter), and the map value of the accepted candidate
+    is the next iteration's P(z), so no apex point is evaluated twice.
+    """
+    def try_eval(x: float, y: float) -> tuple[float, float] | None:
         try:
-            nxt = return_map(ApexState(zz[0], zz[1]), inputs, params)
+            nxt = return_map(ApexState(x, y), inputs, params)
         except (SlipError, ValueError):
             return None
-        return np.array([nxt.x_dot, nxt.y])
+        return nxt.x_dot, nxt.y
 
+    x, y = float(seed.x_dot), float(seed.y)
     for _ in range(prewarm):
-        nxt = try_eval(z)
+        nxt = try_eval(x, y)
         if nxt is None:
             break
-        z = nxt
+        x, y = nxt
 
+    try:
+        nxt = return_map(ApexState(x, y), inputs, params)
+    except SlipError as err:
+        raise GaitFailure(
+            f"map evaluation failed at z = ({x:.4f}, {y:.4f}): {err}",
+            phase=err.phase) from err
+    mapped = nxt.x_dot, nxt.y  # P(x, y); later set by each accepted step
     steps = 0
     for steps in range(max_steps + 1):
-        try:
-            mapped = return_map(ApexState(z[0], z[1]), inputs, params)
-        except SlipError as err:
-            raise GaitFailure(
-                f"map evaluation failed at z = ({z[0]:.4f}, {z[1]:.4f}): "
-                f"{err}", phase=err.phase) from err
-        residual = np.array([mapped.x_dot - z[0], mapped.y - z[1]])
-        res_norm = float(np.max(np.abs(residual)))
+        rx, ry = mapped[0] - x, mapped[1] - y
+        res_norm = max(abs(rx), abs(ry))
         if res_norm <= tol:
-            z_star = ApexState(z[0], z[1])
+            z_star = ApexState(x, y)
             jac, rho, stable = _stability_or_nan(return_map, z_star,
                                                  inputs, params)
             return FixedPointResult(apex=z_star, touchdown=None,
@@ -286,28 +293,29 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
         if steps == max_steps:
             break
         try:
-            jac_p = _map_jacobian(return_map, ApexState(z[0], z[1]),
-                                  inputs, params)
+            (a, b), (c, d) = _map_jacobian(return_map, ApexState(x, y),
+                                           inputs, params)
         except SlipError as err:
             raise GaitFailure(f"Jacobian evaluation failed: {err}",
                               phase=err.phase) from err
-        jac_f = jac_p - np.eye(2)
         try:
-            step = np.linalg.solve(jac_f, residual)
+            sx, sy = np.linalg.solve([[a - 1.0, b], [c, d - 1.0]],
+                                     [rx, ry]).tolist()
         except np.linalg.LinAlgError as err:
             raise IllConditioned(f"singular Newton system: {err}") from err
+        res_len = math.hypot(rx, ry)
         lam = 1.0
         for _ in range(8):
-            cand = z - lam * step
-            nxt = try_eval(cand)
-            if nxt is not None:
-                new_norm = float(np.linalg.norm(nxt - cand))
-                if new_norm < float(np.linalg.norm(residual)) or lam <= 0.25:
-                    z = cand
-                    break
+            cx, cy = x - lam * sx, y - lam * sy
+            mapped = try_eval(cx, cy)
+            if mapped is not None and (
+                    math.hypot(mapped[0] - cx, mapped[1] - cy) < res_len
+                    or lam <= 0.25):
+                x, y = cx, cy
+                break
             lam *= 0.5
         else:
             raise GaitFailure(
-                f"no acceptable Newton step from z = ({z[0]:.4f}, {z[1]:.4f})")
+                f"no acceptable Newton step from z = ({x:.4f}, {y:.4f})")
     raise NoConvergence(
         f"residual {res_norm:.2e} > {tol:.1e} after {max_steps} Newton steps")

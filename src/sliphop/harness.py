@@ -382,7 +382,6 @@ def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:
             for p in cfg.pipelines},
         "failures": report.failure_counts(),
         "error_stats": [vars(s) for s in report.error_stats],
-        "runtime_s": round(report.runtime_s, 3),
     }
     with open(out_dir / "report.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -169,6 +170,42 @@ class TestNumericFixedPoint:
         assert abs(nxt.x_dot - res.apex.x_dot) <= 1e-6
         assert abs(nxt.y - res.apex.y) <= 1e-6
         assert res.stable and res.spectral_radius < 1.0
+
+    def test_no_apex_point_evaluated_twice(self, params):
+        inputs = ControlInputs(-1.0, 0.5)
+        seed = closed_form_fixed_point(-1.0, 0.5, params).apex
+        seen = []
+
+        def counting_map(apex, inputs, params):
+            seen.append((apex.x_dot, apex.y))
+            return return_map_analytic(apex, inputs, params)
+
+        res = numeric_fixed_point(counting_map, seed, inputs, params,
+                                  tol=1e-9, prewarm=3)
+        assert res.newton_steps == 2
+        assert len(seen) == len(set(seen))
+        # prewarm, P(seed), per step 4 differences and the accepted
+        # candidate, the 4-point stability Jacobian
+        assert len(seen) == 3 + 1 + 5 * res.newton_steps + 4
+
+    @pytest.mark.parametrize("wrap", [
+        lambda x, y: ApexState(np.float64(x), np.float64(y)),
+        lambda x, y: SimpleNamespace(x_dot=np.float64(x), y=np.float64(y)),
+    ])
+    def test_seed_scalar_type_does_not_change_result(self, params, wrap):
+        inputs = ControlInputs(-1.0, 0.5)
+        seed = closed_form_fixed_point(-1.0, 0.5, params).apex
+        want = numeric_fixed_point(return_map_analytic, seed, inputs, params,
+                                   tol=1e-9, prewarm=3)
+        got = numeric_fixed_point(return_map_analytic,
+                                  wrap(seed.x_dot, seed.y), inputs, params,
+                                  tol=1e-9, prewarm=3)
+        assert type(got.apex.x_dot) is float and type(got.apex.y) is float
+        assert got.apex == want.apex
+        assert type(got.residual) is float and got.residual == want.residual
+        assert got.jacobian.dtype == want.jacobian.dtype
+        assert got.jacobian.tobytes() == want.jacobian.tobytes()
+        assert got.newton_steps == want.newton_steps
 
     def test_gait_failure_wraps_map_errors(self, params):
         def broken_map(apex, inputs, params):

@@ -68,11 +68,27 @@ class TestRunSweep:
                            out_dir=str(tmp_path / "b"))
         run_sweep(cfg1)
         run_sweep(cfg2)
-        for name in ("sweep.csv", "errors.csv"):
+        for name in ("sweep.csv", "errors.csv", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
         report = json.loads((tmp_path / "a" / "report.json").read_text())
         assert report["converged_per_pipeline"][CLOSED_FORM] == 4
+
+    def test_outputs_independent_of_worker_count(self, params, tmp_path):
+        for workers in (1, 2):
+            run_sweep(SweepConfig(params=params, p_bar_range=(-1.1, -0.9, 2),
+                                  k_theta_range=(0.45, 0.55, 2),
+                                  pipelines=(CLOSED_FORM, ANALYTIC_NUMERIC),
+                                  workers=workers,
+                                  out_dir=str(tmp_path / f"w{workers}")))
+        for name in ("sweep.csv", "errors.csv", "report.json"):
+            serial = (tmp_path / "w1" / name).read_bytes()
+            parallel = (tmp_path / "w2" / name).read_bytes()
+            if name == "report.json":
+                # the config echo names the worker count; nothing else may
+                assert serial.count(b'"workers": 1') == 1
+                serial = serial.replace(b'"workers": 1', b'"workers": 2')
+            assert serial == parallel
 
     def test_sweep_csv_schema(self, params, tmp_path):
         cfg = SweepConfig(params=params, p_bar_range=(-1.0, -1.0, 1),

@@ -22,12 +22,11 @@ from .errors import (DegenerateQuadratic, DescendingAtLiftoff, FailedLiftoff,
 from .model import (ApexState, ControlInputs, DEFAULT_PARAMS, FlightState,
                     SlipParams, StanceState, flight_to_stance,
                     stance_to_flight)
-from .control import (AoaSolution, PidState, hip_torque, solve_aoa_approx,
+from .control import (AoaSolution, PidState, solve_aoa_approx,
                       solve_aoa_implicit, vertical_energy)
 from .simulate import (HybridTrajectory, StanceSegment, TrajectoryEvent,
                        TrajectorySample, integrate_ascent, integrate_descent,
-                       integrate_stance, return_map_numeric, stance_dynamics,
-                       write_trajectory_csv)
+                       integrate_stance, return_map_numeric, stance_dynamics)
 from .analytic import (StanceFlowCoeffs, StanceMapConstants, flow_coeffs,
                        bottom_time, liftoff_time, liftoff_time_bisect,
                        return_map_analytic, simplified_map_constants,
@@ -36,33 +35,8 @@ from .analytic import (StanceFlowCoeffs, StanceMapConstants, flow_coeffs,
 from .fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM, FixedPointResult,
                          SIMULATOR_NUMERIC, TouchdownFixedPoint,
                          closed_form_fixed_point, energy_speed_constraints,
-                         numeric_fixed_point, quadratic_roots,
-                         simulator_return_map, stability)
-from .harness import (SweepConfig, SweepReport, run_single, run_sweep)
+                         numeric_fixed_point, quadratic_roots, stability)
+from .harness import (SweepConfig, SweepReport, run_single, run_sweep,
+                      simulator_return_map, solve_point, write_trajectory_csv)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ApexState", "ControlInputs", "DEFAULT_PARAMS", "FlightState",
-    "SlipParams", "StanceState", "flight_to_stance", "stance_to_flight",
-    "AoaSolution", "PidState", "hip_torque", "solve_aoa_approx",
-    "solve_aoa_implicit", "vertical_energy",
-    "HybridTrajectory", "StanceSegment", "TrajectoryEvent",
-    "TrajectorySample", "integrate_ascent", "integrate_descent",
-    "integrate_stance", "return_map_numeric", "stance_dynamics",
-    "write_trajectory_csv",
-    "StanceFlowCoeffs", "StanceMapConstants", "flow_coeffs", "bottom_time",
-    "liftoff_time", "liftoff_time_bisect", "return_map_analytic",
-    "simplified_map_constants", "simplified_stance_map", "stance_flow",
-    "stance_map_analytic", "theta_offset",
-    "ANALYTIC_NUMERIC", "CLOSED_FORM", "FixedPointResult",
-    "SIMULATOR_NUMERIC", "TouchdownFixedPoint", "closed_form_fixed_point",
-    "energy_speed_constraints", "numeric_fixed_point", "quadratic_roots",
-    "simulator_return_map", "stability",
-    "SweepConfig", "SweepReport", "run_single", "run_sweep",
-    "SlipError", "TouchdownMismatch", "InsufficientEnergy", "NoConvergence",
-    "NegativeDiscriminant", "DegenerateQuadratic", "UnreachableTouchdown",
-    "DescendingAtLiftoff", "FailedLiftoff", "GroundFault", "Overdamped",
-    "NoLiftoffRoot", "NonpositiveTime", "NoRealFixedPoint", "NonPhysical",
-    "IllConditioned", "GaitFailure",
-]

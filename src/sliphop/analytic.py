@@ -13,7 +13,9 @@ zero of the leg force on that flow, assuming compression and
 decompression take roughly equal time. Freezing the liftoff phase at a
 nominal condition collapses the stance map to an affine map in
 (r_dot_td, theta_td) with constants C1..C4, which is what the
-closed-form fixed points are built on.
+closed-form fixed points are built on. The analytic return map is the
+simulator's hop chain (simulate.compose_return_map) with the quadratic
+angle-of-attack approximation and the closed-form stance map.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .control import solve_aoa_approx, vertical_energy
-from .errors import (NoLiftoffRoot, NonPhysical, NonpositiveTime, Overdamped,
-                     SlipError)
-from .model import (ApexState, ControlInputs, SlipParams, StanceState,
-                    flight_to_stance, stance_to_flight)
-from .simulate import integrate_ascent, integrate_descent
+from .control import solve_aoa_approx
+from .errors import NoLiftoffRoot, NonPhysical, NonpositiveTime, Overdamped
+from .model import ApexState, ControlInputs, SlipParams, StanceState
+from .simulate import compose_return_map
 
 
 @dataclass(frozen=True)
@@ -315,40 +315,17 @@ def simplified_stance_map(td: StanceState, p_bar: float, k_theta: float,
 
 # --- composed analytic apex return map ----------------------------------------
 
-def _tagged(err: SlipError, phase: str) -> SlipError:
-    err.phase = phase
-    return err
+def _stance_map(td: StanceState, inputs: ControlInputs,
+                params: SlipParams) -> StanceState:
+    return stance_map_analytic(td, inputs.p_bar, params)
 
 
 def return_map_analytic(apex: ApexState, inputs: ControlInputs,
                         params: SlipParams) -> ApexState:
     """Apex-to-apex closed-form return map.
 
-    Composes the quadratic angle-of-attack approximation, closed-form
-    descent, the touchdown reset, the closed-form stance map, the
-    liftoff reset and closed-form ascent. Phase errors propagate with
-    the failing phase tagged.
+    compose_return_map with the quadratic angle-of-attack approximation
+    and the closed-form stance map; failures carry their phase.
     """
-    e_v = vertical_energy(apex, params)
-    try:
-        aoa = solve_aoa_approx(apex.x_dot, e_v, inputs.k_theta, params)
-    except SlipError as err:
-        raise _tagged(err, "aoa")
-    theta_td = aoa.theta_td
-    try:
-        f_td = integrate_descent(apex, theta_td, params)
-    except SlipError as err:
-        raise _tagged(err, "descent")
-    try:
-        s_td = flight_to_stance(f_td, theta_td, params)
-    except SlipError as err:
-        raise _tagged(err, "touchdown")
-    try:
-        s_lo = stance_map_analytic(s_td, inputs.p_bar, params)
-    except SlipError as err:
-        raise _tagged(err, "stance")
-    try:
-        f_lo = stance_to_flight(s_lo)
-        return integrate_ascent(f_lo, params)
-    except SlipError as err:
-        raise _tagged(err, "ascent")
+    return compose_return_map(apex, inputs, params, solve_aoa_approx,
+                              _stance_map)

@@ -14,7 +14,6 @@ points failed (or invariant suite failure).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -22,8 +21,8 @@ from pathlib import Path
 
 from . import fixedpoint as fp
 from .errors import SlipError
-from .harness import (ALL_PIPELINES, ANALYTIC_TOL, SIM_TOL, _PREWARM,
-                      SweepConfig, run_single, run_sweep)
+from .harness import (ALL_PIPELINES, SweepConfig, run_single, run_sweep,
+                      solve_point)
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
 from .simulate import DEFAULT_CONTROL_DT, DEFAULT_DT
 
@@ -199,23 +198,11 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
     if pipeline not in ALL_PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     inputs = ControlInputs(p_bar=p_bar, k_theta=k_theta, **_gains_from(cfg))
+    dt = _get(cfg, "dt", float, DEFAULT_DT)
+    control_dt = _get(cfg, "control_dt", float, DEFAULT_CONTROL_DT)
     try:
-        if pipeline == fp.CLOSED_FORM:
-            result = fp.closed_form_fixed_point(p_bar, k_theta, params)
-        else:
-            seed = fp.closed_form_fixed_point(p_bar, k_theta, params).apex
-            if pipeline == fp.SIMULATOR_NUMERIC:
-                return_map = functools.partial(
-                    fp.simulator_return_map,
-                    dt=_get(cfg, "dt", float, DEFAULT_DT),
-                    control_dt=_get(cfg, "control_dt", float,
-                                    DEFAULT_CONTROL_DT))
-                tol = SIM_TOL
-            else:
-                return_map, tol = fp.return_map_analytic, ANALYTIC_TOL
-            result = fp.numeric_fixed_point(return_map, seed, inputs, params,
-                                            tol=tol, prewarm=_PREWARM,
-                                            provenance=pipeline)
+        result = solve_point(pipeline, inputs, params, dt=dt,
+                             control_dt=control_dt)
     except SlipError as err:
         print(json.dumps({"status": type(err).__name__, "phase": err.phase,
                           "message": str(err)}, indent=2, sort_keys=True))

@@ -1,4 +1,4 @@
-"""Touchdown-angle selection and the in-stance angular-momentum controller.
+"""Touchdown-angle selection and the stance controller's state.
 
 The touchdown policy aligns most of the touchdown velocity with the leg
 axis: the commanded angle is theta_td = k_theta * theta_aoa where
@@ -7,7 +7,9 @@ theta_aoa solves the implicit constraint
     theta = Phi(theta) = atan( x_dot / sqrt(2*E_v/m - 2*g*r0*cos(k_theta*theta)) )
 
 with E_v the vertical energy at touchdown. The stance policy is a PID
-plus gravity feed-forward on the angular momentum p_theta = m*r^2*theta_dot.
+plus gravity feed-forward on the angular momentum p_theta = m*r^2*theta_dot;
+it runs inside the stance kernel (simulate._stance_core), which returns
+its final PidState.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InsufficientEnergy, NoConvergence
-from .model import ApexState, ControlInputs, SlipParams, StanceState
+from .model import ApexState, SlipParams
 from .numerics import quadratic_roots
 
 AOA_TOL = 1e-10
@@ -47,12 +49,6 @@ class PidState:
 
     integral: float = 0.0
     p_prev: float = 0.0
-
-    @staticmethod
-    def at_touchdown(td: StanceState, params: SlipParams) -> "PidState":
-        """Fresh per-stance state: zero accumulator, p_prev seeded so the
-        first backward difference is zero."""
-        return PidState(integral=0.0, p_prev=td.angular_momentum(params))
 
 
 def vertical_energy(apex: ApexState, params: SlipParams) -> float:
@@ -166,30 +162,3 @@ def solve_aoa_approx(x_dot: float, e_v: float, k_theta: float,
     theta = _phi(theta0, x_dot, e_v, k_theta, params)
     res = abs(_phi(theta, x_dot, e_v, k_theta, params) - theta)
     return AoaSolution(theta, k_theta * theta, "quadratic-approx", res)
-
-
-def hip_torque(target_p: float, state: StanceState, pid: PidState,
-               gains: ControlInputs, params: SlipParams,
-               dt: float) -> tuple[float, PidState]:
-    """One discrete step of the stance torque law.
-
-        tau = kp*(p_bar - p) + ki*sum(p_bar - p) - kd*p_dot - m*g*r*sin(theta)
-
-    p_dot is a backward difference of p_theta over the control period;
-    the accumulator is a raw error sum (per-sample, not scaled by dt) and
-    is frozen while the output saturates (anti-windup). Returns the
-    torque, clamped to +-tau_max when a limit is set, and the updated
-    controller state.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    p = state.angular_momentum(params)
-    err = target_p - p
-    p_dot = (p - pid.p_prev) / dt
-    feedforward = -params.m * params.g * state.r * math.sin(state.theta)
-    integral = pid.integral + err
-    tau = gains.kp * err + gains.ki * integral - gains.kd * p_dot + feedforward
-    if gains.tau_max is not None and abs(tau) > gains.tau_max:
-        tau = math.copysign(gains.tau_max, tau)
-        integral = pid.integral  # freeze while saturated
-    return tau, PidState(integral=integral, p_prev=p)

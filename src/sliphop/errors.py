@@ -15,9 +15,10 @@ class SlipError(Exception):
     Attributes
     ----------
     phase : str | None
-        Hop phase tag ("aoa", "descent", "touchdown", "stance",
-        "liftoff", "ascent") attached when the error surfaces from a
-        return-map evaluation.
+        Hop phase tag ("aoa", "descent", "touchdown", "stance" or
+        "ascent", which includes the liftoff reset) that
+        simulate.compose_return_map attaches when the error surfaces
+        from a return-map evaluation.
     """
 
     def __init__(self, *args, phase: str | None = None):

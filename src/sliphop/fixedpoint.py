@@ -1,10 +1,12 @@
 """Gait fixed points and their stability.
 
-Three routes to a steady hop: the closed-form quadratic solution of the
-touchdown energy/speed constraints, Newton iteration on the analytic
-return map, and Newton iteration on the full simulator map. Stability
-is the spectral radius of the 2x2 apex return-map Jacobian (central
-finite differences).
+Three routes to a steady hop, named by the pipeline constants: the
+closed-form quadratic solution of the touchdown energy/speed
+constraints, Newton iteration on the analytic return map, and Newton
+iteration on the full simulator map. numeric_fixed_point takes any
+apex return map; harness.solve_point picks each pipeline's map and
+tolerance. Stability is the spectral radius of the 2x2 apex return-map
+Jacobian (central finite differences).
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from .errors import (GaitFailure, IllConditioned, NegativeDiscriminant,
                      NoConvergence, NonPhysical, NoRealFixedPoint, SlipError)
 from .model import ApexState, ControlInputs, SlipParams
 from .numerics import quadratic_roots, spectral_radius_2x2
-from .simulate import DEFAULT_CONTROL_DT, DEFAULT_DT, return_map_numeric
-
-__all__ = [
-    "CLOSED_FORM", "ANALYTIC_NUMERIC", "SIMULATOR_NUMERIC",
-    "TouchdownFixedPoint", "FixedPointResult", "quadratic_roots",
-    "closed_form_fixed_point", "energy_speed_constraints",
-    "numeric_fixed_point", "stability", "simulator_return_map",
-]
 
 CLOSED_FORM = "closed-form"
 ANALYTIC_NUMERIC = "analytic-numeric"
@@ -66,19 +60,6 @@ class FixedPointResult:
     provenance: str
     residual: float
     newton_steps: int = 0
-
-
-def simulator_return_map(apex: ApexState, inputs: ControlInputs,
-                         params: SlipParams, dt: float = DEFAULT_DT,
-                         control_dt: float = DEFAULT_CONTROL_DT) -> ApexState:
-    """Full-simulator return map with trajectory recording disabled.
-
-    Bind dt/control_dt (functools.partial) to use other steps as a
-    ReturnMap.
-    """
-    nxt, _ = return_map_numeric(apex, inputs, params, dt=dt,
-                                control_dt=control_dt, record=False)
-    return nxt
 
 
 def _map_jacobian(return_map: ReturnMap, z: ApexState,

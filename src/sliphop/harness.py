@@ -1,21 +1,24 @@
-"""Batch front end: grid sweeps, single runs, and report/CSV emission.
+"""Batch front end: fixed-point dispatch, grid sweeps, single runs, and
+every output writer.
 
-A sweep evaluates the requested fixed-point pipelines over a
-(p_bar, k_theta) grid, records per-point results or phase-tagged
-failures, and aggregates prediction errors between pipelines (RMS and
-percent RMS of the apex speed and height). Output files are
-deterministic: fixed column order, fixed grid order, 9-significant-
-digit floats.
+solve_point is the one place that maps a pipeline name to its solver,
+return map and tolerance; the sweep and the CLI both call it. A sweep
+evaluates the requested pipelines over a (p_bar, k_theta) grid, records
+per-point results or phase-tagged failures, and aggregates prediction
+errors between pipelines (RMS and percent RMS of the apex speed and
+height). Output files are deterministic: fixed column order, fixed grid
+order, 9-significant-digit floats.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from . import fixedpoint as fp
 from .errors import SlipError
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
 from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, HybridTrajectory,
-                       return_map_numeric, write_trajectory_csv)
+                       return_map_numeric)
 
 ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
 SIM_TOL = 1e-6
@@ -128,34 +131,58 @@ def _fail_status(err: SlipError) -> str:
     return f"{name}@{err.phase}" if err.phase else name
 
 
-def _closed_form_point(cfg: SweepConfig, p_bar: float,
-                       k_theta: float) -> PointOutcome:
-    out = PointOutcome(p_bar, k_theta, fp.CLOSED_FORM)
-    try:
-        out.result = fp.closed_form_fixed_point(p_bar, k_theta, cfg.params)
-    except SlipError as err:
-        out.status = _fail_status(err)
-    return out
+def simulator_return_map(apex: ApexState, inputs: ControlInputs,
+                         params: SlipParams, dt: float = DEFAULT_DT,
+                         control_dt: float = DEFAULT_CONTROL_DT) -> ApexState:
+    """Full-simulator return map with trajectory recording disabled.
+
+    Bind dt/control_dt (functools.partial) to use other steps as a
+    fixedpoint ReturnMap.
+    """
+    return return_map_numeric(apex, inputs, params, dt=dt,
+                              control_dt=control_dt, record=False)[0]
 
 
-def _newton_point(cfg: SweepConfig, p_bar: float, k_theta: float,
-                  pipeline: str, seed: ApexState | None) -> PointOutcome:
-    out = PointOutcome(p_bar, k_theta, pipeline)
+def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
+                seed: ApexState | None = None, dt: float = DEFAULT_DT,
+                control_dt: float = DEFAULT_CONTROL_DT,
+                ) -> fp.FixedPointResult:
+    """The gait fixed point of one pipeline.
+
+    The closed-form pipeline solves the touchdown constraints. The
+    Newton pipelines start from seed (default: the closed-form apex),
+    apply _PREWARM plain map iterations, and converge to ANALYTIC_TOL on
+    the analytic map or to SIM_TOL on the simulator map at
+    dt/control_dt. Raises SlipError when the gait has no fixed point
+    there.
+    """
+    if pipeline not in ALL_PIPELINES:
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    if pipeline == fp.CLOSED_FORM:
+        return fp.closed_form_fixed_point(inputs.p_bar, inputs.k_theta,
+                                          params)
     if seed is None:
-        out.status = "NoSeed"
-        return out
+        seed = fp.closed_form_fixed_point(inputs.p_bar, inputs.k_theta,
+                                          params).apex
     if pipeline == fp.SIMULATOR_NUMERIC:
-        def sim_map(apex, inputs, params):
-            return return_map_numeric(apex, inputs, params, dt=cfg.dt,
-                                      control_dt=cfg.control_dt,
-                                      record=False)[0]
-        return_map, tol = sim_map, SIM_TOL
+        return_map = functools.partial(simulator_return_map, dt=dt,
+                                       control_dt=control_dt)
+        tol = SIM_TOL
     else:
         return_map, tol = fp.return_map_analytic, ANALYTIC_TOL
+    return fp.numeric_fixed_point(return_map, seed, inputs, params, tol=tol,
+                                  prewarm=_PREWARM, provenance=pipeline)
+
+
+def _solve_cell(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
+                seed: ApexState | None = None) -> PointOutcome:
+    out = PointOutcome(inputs.p_bar, inputs.k_theta, pipeline)
+    if seed is None and pipeline != fp.CLOSED_FORM:
+        out.status = "NoSeed"
+        return out
     try:
-        out.result = fp.numeric_fixed_point(
-            return_map, seed, cfg.inputs(p_bar, k_theta), cfg.params,
-            tol=tol, prewarm=_PREWARM, provenance=pipeline)
+        out.result = solve_point(pipeline, inputs, cfg.params, seed,
+                                 dt=cfg.dt, control_dt=cfg.control_dt)
     except SlipError as err:
         out.status = _fail_status(err)
     return out
@@ -172,7 +199,8 @@ def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
     chain: dict[str, ApexState | None] = {fp.ANALYTIC_NUMERIC: None,
                                           fp.SIMULATOR_NUMERIC: None}
     for k_theta in cfg.k_theta_values():
-        closed = _closed_form_point(cfg, p_bar, k_theta)
+        inputs = cfg.inputs(p_bar, k_theta)
+        closed = _solve_cell(cfg, inputs, fp.CLOSED_FORM)
         closed_seed = closed.result.apex if closed.result else None
         if fp.CLOSED_FORM in cfg.pipelines:
             rows.append(closed)
@@ -180,12 +208,10 @@ def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
             if pipeline not in cfg.pipelines:
                 continue
             seed = chain[pipeline] if cfg.seed_chaining else None
-            point = _newton_point(cfg, p_bar, k_theta, pipeline,
-                                  seed or closed_seed)
+            point = _solve_cell(cfg, inputs, pipeline, seed or closed_seed)
             if point.result is None and seed is not None:
                 # chained seed failed; retry once from the closed form
-                point = _newton_point(cfg, p_bar, k_theta, pipeline,
-                                      closed_seed)
+                point = _solve_cell(cfg, inputs, pipeline, closed_seed)
             rows.append(point)
             if point.result is not None:
                 chain[pipeline] = point.result.apex
@@ -321,15 +347,27 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
 # --- deterministic file output ------------------------------------------------
 
 def _fmt(v) -> str:
+    """9 significant digits for floats; "" for None and NaN."""
     if v is None:
         return ""
-    if isinstance(v, float) and math.isnan(v):
-        return ""
+    if isinstance(v, float):
+        return "" if v != v else format(v, ".9g")
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".9g")
     return str(v)
+
+
+def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
+    """Write the 1 kHz sample rows; 9 significant digits, '.' decimal."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(("t", "phase", "r", "r_dot", "theta", "theta_dot",
+                    "x", "y", "x_dot", "y_dot", "tau"))
+        for s in traj.samples:
+            w.writerow((_fmt(s.t), s.phase, _fmt(s.r), _fmt(s.r_dot),
+                        _fmt(s.theta), _fmt(s.theta_dot), _fmt(s.x),
+                        _fmt(s.y), _fmt(s.x_dot), _fmt(s.y_dot),
+                        _fmt(s.torque)))
 
 
 def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:
@@ -367,7 +405,6 @@ def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:
             "k_theta_range": list(cfg.k_theta_range),
             "pipelines": list(cfg.pipelines),
             "seed_chaining": cfg.seed_chaining,
-            "workers": cfg.workers,
             "gains": {"kp": cfg.kp, "ki": cfg.ki, "kd": cfg.kd,
                       "tau_max": cfg.tau_max},
             "dt": cfg.dt,

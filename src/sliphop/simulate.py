@@ -8,9 +8,12 @@ Stance integrates the unsimplified polar dynamics about the toe
 with fixed-step RK4 (default dt = 1e-4 s) under a zero-order-hold
 torque loop (default 1 kHz); liftoff is the upward zero crossing of the
 leg force k*(r - r0) + b*r_dot, localized by bisection. Flight is
-ballistic and handled in closed form. The apex-to-apex return map
-composes touchdown-angle selection, descent, the touchdown reset,
-stance, the liftoff reset and ascent.
+ballistic and handled in closed form. compose_return_map chains
+touchdown-angle selection, descent, the touchdown reset, stance, the
+liftoff reset and ascent into an apex-to-apex map and tags failures with
+their phase; the simulator map (return_map_numeric) and the analytic map
+(analytic.return_map_analytic) differ only in the angle solver and the
+stance map they pass it.
 
 The stance stepper is compiled with numba when available (pure-Python
 fallback otherwise, same code path).
@@ -18,13 +21,14 @@ fallback otherwise, same code path).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .control import PidState, solve_aoa_implicit, vertical_energy
+from .control import (AoaSolution, PidState, solve_aoa_implicit,
+                      vertical_energy)
 from .errors import (DescendingAtLiftoff, FailedLiftoff, GroundFault,
                      NonPhysical, SlipError, UnreachableTouchdown)
 from .model import (ApexState, ControlInputs, FlightState, SlipParams,
@@ -342,9 +346,36 @@ def integrate_ascent(lo: FlightState, params: SlipParams) -> ApexState:
                      y=lo.y + lo.y_dot ** 2 / (2.0 * params.g))
 
 
-def _tagged(err: SlipError, phase: str) -> SlipError:
-    err.phase = phase
-    return err
+def compose_return_map(apex: ApexState, inputs: ControlInputs,
+                       params: SlipParams,
+                       solve_aoa: Callable[..., AoaSolution],
+                       stance_map: Callable[[StanceState, ControlInputs,
+                                             SlipParams], StanceState],
+                       ) -> ApexState:
+    """One hop from apex to apex, the chain every return map shares.
+
+    solve_aoa(x_dot, E_v, k_theta, params) picks the touchdown angle from
+    the vertical energy at apex; descent, the touchdown reset, the
+    liftoff reset and ascent are exact; stance_map(td, inputs, params)
+    takes the touchdown state to the liftoff state. A SlipError from any
+    step propagates with its phase ("aoa", "descent", "touchdown",
+    "stance" or "ascent") set on it.
+    """
+    phase = "aoa"
+    try:
+        theta_td = solve_aoa(apex.x_dot, vertical_energy(apex, params),
+                             inputs.k_theta, params).theta_td
+        phase = "descent"
+        f_td = integrate_descent(apex, theta_td, params)
+        phase = "touchdown"
+        s_td = flight_to_stance(f_td, theta_td, params)
+        phase = "stance"
+        s_lo = stance_map(s_td, inputs, params)
+        phase = "ascent"
+        return integrate_ascent(stance_to_flight(s_lo), params)
+    except SlipError as err:
+        err.phase = phase
+        raise
 
 
 def _flight_samples(t0: float, duration: float, x0: float, x_dot: float,
@@ -371,44 +402,29 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
                        ) -> tuple[ApexState, HybridTrajectory | None]:
     """Apex-to-apex return map of the full simulator.
 
-    Composes the implicit touchdown-angle solver (vertical energy taken
-    at apex), closed-form descent, the touchdown reset, closed-loop
-    stance integration, the liftoff reset and closed-form ascent. Errors
-    from any phase propagate with the failing phase tagged on the
-    exception. With record=True the trajectory (1 kHz samples + event
-    log, absolute time starting at t0, fore-aft position at x0) is
-    returned for diagnostics.
+    compose_return_map with the implicit touchdown-angle solver and
+    closed-loop stance integration at dt/control_dt. With record=True
+    the trajectory (1 kHz samples + event log, absolute time starting at
+    t0, fore-aft position at x0) is returned for diagnostics.
     """
-    e_v = vertical_energy(apex, params)
-    try:
-        aoa = solve_aoa_implicit(apex.x_dot, e_v, inputs.k_theta, params)
-    except SlipError as err:
-        raise _tagged(err, "aoa")
-    theta_td = aoa.theta_td
+    stance = []
 
-    try:
-        t_td = descent_time(apex, theta_td, params)
-        f_td = integrate_descent(apex, theta_td, params)
-    except SlipError as err:
-        raise _tagged(err, "descent")
-    try:
-        s_td = flight_to_stance(f_td, theta_td, params)
-    except SlipError as err:
-        raise _tagged(err, "touchdown")
-    try:
-        s_lo, seg = integrate_stance(s_td, inputs, params, dt=dt,
+    def stance_map(td, inputs, params):
+        s_lo, seg = integrate_stance(td, inputs, params, dt=dt,
                                      control_dt=control_dt)
-    except SlipError as err:
-        raise _tagged(err, "stance")
-    try:
-        f_lo = stance_to_flight(s_lo)
-        t_up = ascent_time(f_lo, params)
-        next_apex = integrate_ascent(f_lo, params)
-    except SlipError as err:
-        raise _tagged(err, "ascent")
+        stance.append((td, s_lo, seg))
+        return s_lo
 
+    next_apex = compose_return_map(apex, inputs, params, solve_aoa_implicit,
+                                   stance_map)
     if not record:
         return next_apex, None
+
+    s_td, s_lo, seg = stance[0]
+    theta_td = s_td.theta
+    t_td = descent_time(apex, theta_td, params)
+    f_lo = stance_to_flight(s_lo)
+    t_up = ascent_time(f_lo, params)
 
     traj = HybridTrajectory()
     sample_dt = control_dt
@@ -421,16 +437,16 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
         "touchdown", t_touch,
         state={"r": s_td.r, "r_dot": s_td.r_dot, "theta": s_td.theta,
                "theta_dot": s_td.theta_dot}))
-    # stance: body moves about the stationary toe
+    # stance: body moves about the stationary toe; tolist() keeps numpy
+    # scalars out of the samples (same values, cheaper to format)
     toe_x = x_td + params.r0 * math.sin(theta_td)
-    for row in seg.samples:
-        t, r, dr, th, dth = row[0], row[1], row[2], row[3], row[4]
+    for t, r, dr, th, dth, tau in seg.samples.tolist():
         c, sn = math.cos(th), math.sin(th)
         traj.samples.append(TrajectorySample(
             t=t_touch + t, phase="stance", r=r, r_dot=dr, theta=th,
             theta_dot=dth, x=toe_x - r * sn, y=r * c,
             x_dot=-dth * r * c - dr * sn, y_dot=-dth * r * sn + dr * c,
-            torque=row[5]))
+            torque=tau))
     if seg.t_bottom is not None:
         traj.events.append(TrajectoryEvent("bottom", t_touch + seg.t_bottom))
     t_lift = t_touch + seg.t_liftoff
@@ -447,25 +463,3 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
         state={"x_dot": next_apex.x_dot, "y": next_apex.y,
                "x": x_lo + f_lo.x_dot * t_up}))
     return next_apex, traj
-
-
-# --- CSV export --------------------------------------------------------------
-
-_CSV_COLUMNS = ("t", "phase", "r", "r_dot", "theta", "theta_dot",
-                "x", "y", "x_dot", "y_dot", "tau")
-
-
-def _fmt(v: float | None) -> str:
-    return "" if v is None else format(v, ".9g")
-
-
-def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
-    """Write the 1 kHz sample rows; 9 significant digits, '.' decimal."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_COLUMNS)
-        for s in traj.samples:
-            w.writerow((_fmt(s.t), s.phase, _fmt(s.r), _fmt(s.r_dot),
-                        _fmt(s.theta), _fmt(s.theta_dot), _fmt(s.x),
-                        _fmt(s.y), _fmt(s.x_dot), _fmt(s.y_dot),
-                        _fmt(s.torque)))

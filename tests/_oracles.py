@@ -1,10 +1,10 @@
 """Independent numerical oracles for the test suite.
 
-These deliberately re-implement integration from scratch (no reuse of
-the package's stepping code) so closed forms and the production
-integrator are checked against a separate path. The linearized-flow
-oracle is JIT compiled when numba is available because it runs at
-dt = 1e-7.
+These deliberately re-implement integration and the stance torque law
+from scratch (no reuse of the package's stepping or control code) so
+closed forms and the production integrator are checked against a
+separate path. The linearized-flow oracle is JIT compiled when numba is
+available because it runs at dt = 1e-7.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from sliphop import ApexState, ControlInputs, PidState, SlipParams, \
-    StanceState, hip_torque
+    StanceState
 
 
 def _taylor_rk4(r, dr, th, m, k, b, r0, g, p_bar, t_end, dt):
@@ -68,6 +68,40 @@ def taylor_flow_oracle(td: StanceState, p_bar: float, params: SlipParams,
                        params.b, params.r0, params.g, p_bar, t_end, dt)
 
 
+def pid_at_touchdown(td: StanceState, params: SlipParams) -> PidState:
+    """Fresh per-stance state: zero accumulator, p_prev seeded so the
+    first backward difference is zero."""
+    return PidState(integral=0.0, p_prev=td.angular_momentum(params))
+
+
+def hip_torque(target_p: float, state: StanceState, pid: PidState,
+               gains: ControlInputs, params: SlipParams,
+               dt: float) -> tuple[float, PidState]:
+    """One discrete step of the stance torque law, written apart from the
+    production stance kernel.
+
+        tau = kp*(p_bar - p) + ki*sum(p_bar - p) - kd*p_dot - m*g*r*sin(theta)
+
+    p_dot is a backward difference of p_theta over the control period;
+    the accumulator is a raw error sum (per-sample, not scaled by dt) and
+    is frozen while the output saturates (anti-windup). Returns the
+    torque, clamped to +-tau_max when a limit is set, and the updated
+    controller state.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    p = state.angular_momentum(params)
+    err = target_p - p
+    p_dot = (p - pid.p_prev) / dt
+    feedforward = -params.m * params.g * state.r * math.sin(state.theta)
+    integral = pid.integral + err
+    tau = gains.kp * err + gains.ki * integral - gains.kd * p_dot + feedforward
+    if gains.tau_max is not None and abs(tau) > gains.tau_max:
+        tau = math.copysign(gains.tau_max, tau)
+        integral = pid.integral  # freeze while saturated
+    return tau, PidState(integral=integral, p_prev=p)
+
+
 def full_stance_oracle(td: StanceState, inputs: ControlInputs | None,
                        params: SlipParams, dt: float = 1e-6,
                        control_dt: float = 1e-3,
@@ -97,7 +131,7 @@ def full_stance_oracle(td: StanceState, inputs: ControlInputs | None,
         return k * (s[0] - r0) + b * s[1]
 
     state = (td.r, td.r_dot, td.theta, td.theta_dot)
-    pid = PidState.at_touchdown(td, params)
+    pid = pid_at_touchdown(td, params)
     nsub = round(control_dt / dt)
     tau = 0.0
     t_max = 10.0 * math.pi / params.omega0

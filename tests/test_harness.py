@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from sliphop import (ApexState, ControlInputs, DEFAULT_PARAMS, SweepConfig,
-                     closed_form_fixed_point, numeric_fixed_point,
-                     run_single, run_sweep, simulator_return_map)
+from sliphop import (ApexState, ControlInputs, SlipError, SweepConfig,
+                     analytic, closed_form_fixed_point, harness,
+                     numeric_fixed_point, return_map_analytic, run_single,
+                     run_sweep, simulate, simulator_return_map, solve_point)
 from sliphop.cli import main, parse_config_file
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
@@ -82,13 +83,8 @@ class TestRunSweep:
                                   workers=workers,
                                   out_dir=str(tmp_path / f"w{workers}")))
         for name in ("sweep.csv", "errors.csv", "report.json"):
-            serial = (tmp_path / "w1" / name).read_bytes()
-            parallel = (tmp_path / "w2" / name).read_bytes()
-            if name == "report.json":
-                # the config echo names the worker count; nothing else may
-                assert serial.count(b'"workers": 1') == 1
-                serial = serial.replace(b'"workers": 1', b'"workers": 2')
-            assert serial == parallel
+            assert (tmp_path / "w1" / name).read_bytes() == \
+                (tmp_path / "w2" / name).read_bytes()
 
     def test_sweep_csv_schema(self, params, tmp_path):
         cfg = SweepConfig(params=params, p_bar_range=(-1.0, -1.0, 1),
@@ -186,6 +182,68 @@ class TestRunSingle:
         doc = json.loads((tmp_path / "single.json").read_text())
         assert doc["hops_completed"] == 2
         assert doc["failure"] is None
+
+
+# (module, attribute) of the callee each phase of each map runs
+_PHASE_CALLEES = {
+    SIMULATOR_NUMERIC: {"aoa": (simulate, "solve_aoa_implicit"),
+                        "stance": (simulate, "integrate_stance")},
+    ANALYTIC_NUMERIC: {"aoa": (analytic, "solve_aoa_approx"),
+                       "stance": (analytic, "stance_map_analytic")},
+}
+_SHARED_CALLEES = {"descent": (simulate, "integrate_descent"),
+                   "touchdown": (simulate, "flight_to_stance"),
+                   "ascent": (simulate, "integrate_ascent")}
+_MAPS = {SIMULATOR_NUMERIC: simulator_return_map,
+         ANALYTIC_NUMERIC: return_map_analytic}
+
+
+class TestSolvePoint:
+    @pytest.mark.parametrize("pipeline", [SIMULATOR_NUMERIC,
+                                          ANALYTIC_NUMERIC])
+    @pytest.mark.parametrize("phase", ["aoa", "descent", "touchdown",
+                                       "stance", "ascent"])
+    def test_failures_carry_their_phase(self, params, monkeypatch, pipeline,
+                                        phase):
+        inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
+        apex = closed_form_fixed_point(-1.0, 0.5, params).apex
+        module, attr = {**_SHARED_CALLEES, **_PHASE_CALLEES[pipeline]}[phase]
+
+        def fail(*args, **kwargs):
+            raise SlipError(f"injected into {attr}")
+
+        monkeypatch.setattr(module, attr, fail)
+        with pytest.raises(SlipError, match=attr) as info:
+            _MAPS[pipeline](apex, inputs, params)
+        assert info.value.phase == phase
+        report = run_sweep(SweepConfig(params=params,
+                                       p_bar_range=(-1.0, -1.0, 1),
+                                       k_theta_range=(0.5, 0.5, 1),
+                                       pipelines=(pipeline,)))
+        assert [o.status for o in report.outcomes] == [f"GaitFailure@{phase}"]
+
+    def test_sweep_and_cli_share_the_simulator_map(self, monkeypatch):
+        calls = []
+        original = harness.return_map_numeric
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "return_map_numeric", counted)
+        run_sweep(SweepConfig(p_bar_range=(-1.0, -1.0, 1),
+                              k_theta_range=(0.5, 0.5, 1),
+                              pipelines=(SIMULATOR_NUMERIC,)))
+        sweep_calls = list(calls)
+        assert main(["fixed-point", "--p-bar", "-1.0", "--k-theta", "0.5",
+                     "--pipeline", SIMULATOR_NUMERIC]) == 0
+        assert len(sweep_calls) > 0
+        assert calls[len(sweep_calls):] == sweep_calls
+
+    def test_rejects_unknown_pipeline(self, params):
+        with pytest.raises(ValueError, match="unknown pipeline"):
+            solve_point("nonsense", ControlInputs(p_bar=-1.0, k_theta=0.5),
+                        params)
 
 
 class TestConfigFile:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .control import solve_aoa_approx
 from .errors import NoLiftoffRoot, NonPhysical, NonpositiveTime, Overdamped
@@ -29,9 +30,12 @@ from .model import ApexState, ControlInputs, SlipParams, StanceState
 from .simulate import compose_return_map
 
 
-@dataclass(frozen=True)
-class StanceFlowCoeffs:
+class StanceFlowCoeffs(NamedTuple):
     """Constants of the closed-form stance flow.
+
+    Built once per analytic map evaluation, so it is an immutable named
+    tuple (fields read by name, as on a dataclass), which is cheaper to
+    build than a frozen dataclass.
 
     omega    radial natural frequency sqrt(k/m + 3*p_bar^2/(m^2*r_g^4))
     zeta     damping ratio b/(2*m*omega), must be < 1
@@ -89,6 +93,26 @@ def flow_coeffs(td: StanceState, p_bar: float,
                             m2_force=m2_force)
 
 
+def _flow(t: float, coeffs: StanceFlowCoeffs, theta_td: float,
+          p_bar: float, params: SlipParams,
+          ) -> tuple[float, float, float, float]:
+    """(r, r_dot, theta, theta_dot) of the closed-form flow at time t."""
+    w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
+    m_amp, psi, psi2 = coeffs.m_amp, coeffs.psi, coeffs.psi2
+    g_over_w2 = coeffs.gamma / (w * w)
+    e = math.exp(-zeta * w * t)
+    c = math.cos(wd * t + psi)
+    r = m_amp * e * c + g_over_w2
+    r_dot = -m_amp * w * e * math.cos(wd * t + psi + psi2)
+    theta = theta_td + coeffs.x_rate * t + coeffs.y_amp * (
+        e * math.cos(wd * t + psi - psi2) - math.cos(psi - psi2))
+    r_g = params.r_g
+    theta_dot = p_bar / (params.m * r_g * r_g) * (
+        3.0 - 2.0 * (m_amp / r_g) * e * c
+        - 2.0 * coeffs.gamma / (r_g * w * w))
+    return r, r_dot, theta, theta_dot
+
+
 def stance_flow(t: float, coeffs: StanceFlowCoeffs, td: StanceState,
                 p_bar: float, params: SlipParams) -> StanceState:
     """Closed-form stance state at time t after touchdown.
@@ -103,18 +127,7 @@ def stance_flow(t: float, coeffs: StanceFlowCoeffs, td: StanceState,
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
-    m_amp, psi, psi2 = coeffs.m_amp, coeffs.psi, coeffs.psi2
-    g_over_w2 = coeffs.gamma / (w * w)
-    e = math.exp(-zeta * w * t)
-    r = m_amp * e * math.cos(wd * t + psi) + g_over_w2
-    r_dot = -m_amp * w * e * math.cos(wd * t + psi + psi2)
-    theta = td.theta + coeffs.x_rate * t + coeffs.y_amp * (
-        e * math.cos(wd * t + psi - psi2) - math.cos(psi - psi2))
-    r_g = params.r_g
-    theta_dot = p_bar / (params.m * r_g * r_g) * (
-        3.0 - 2.0 * (m_amp / r_g) * e * math.cos(wd * t + psi)
-        - 2.0 * coeffs.gamma / (r_g * w * w))
+    r, r_dot, theta, theta_dot = _flow(t, coeffs, td.theta, p_bar, params)
     return StanceState(r=r, r_dot=r_dot, theta=theta, theta_dot=theta_dot)
 
 
@@ -219,9 +232,9 @@ def stance_map_analytic(td: StanceState, p_bar: float,
         raise NonPhysical(f"touchdown r_dot = {td.r_dot:.4f} >= 0")
     coeffs = flow_coeffs(td, p_bar, params)
     t_lo = liftoff_time(coeffs, params)
-    lo = stance_flow(t_lo, coeffs, td, p_bar, params)
-    return StanceState(r=lo.r, r_dot=lo.r_dot, theta=lo.theta,
-                       theta_dot=p_bar / (params.m * lo.r * lo.r))
+    r, r_dot, theta, _ = _flow(t_lo, coeffs, td.theta, p_bar, params)
+    return StanceState(r=r, r_dot=r_dot, theta=theta,
+                       theta_dot=p_bar / (params.m * r * r))
 
 
 # --- simplified affine stance map (frozen liftoff phase) ----------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InsufficientEnergy, NoConvergence
 from .model import ApexState, SlipParams
@@ -28,12 +29,14 @@ AOA_MAX_ITER = 200
 AOA_THETA_MAX = 0.99 * math.pi / 2.0
 
 
-@dataclass(frozen=True)
-class AoaSolution:
+class AoaSolution(NamedTuple):
     """Solved angle of attack and the commanded touchdown angle.
 
-    residual is |Phi(theta_aoa) - theta_aoa|; iterations counts
-    fixed-point sweeps (0 when the solver fell through to bisection).
+    Built once per hop, so it is an immutable named tuple, which is
+    cheaper to build than a frozen dataclass. residual is
+    |Phi(theta_aoa) - theta_aoa|; iterations counts fixed-point sweeps
+    (0 when the solver fell through to bisection, and always 0 for the
+    quadratic approximation).
     """
 
     theta_aoa: float

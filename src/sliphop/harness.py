@@ -60,6 +60,13 @@ class SweepConfig:
                 raise ValueError(f"{name} count must be >= 1, got {n}")
             if lo > hi:
                 raise ValueError(f"{name} must be ordered, got ({lo}, {hi})")
+        # Every grid value lies between the range ends, so the two corner
+        # cells' ControlInputs reject a non-finite end, a k_theta outside
+        # [0, 1] or a bad gain now, before any cell is solved.
+        p_lo, p_hi, _ = self.p_bar_range
+        k_lo, k_hi, _ = self.k_theta_range
+        self.inputs(p_lo, k_lo)
+        self.inputs(p_hi, k_hi)
         unknown = set(self.pipelines) - set(ALL_PIPELINES)
         if unknown:
             raise ValueError(f"unknown pipelines: {sorted(unknown)}")

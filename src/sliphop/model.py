@@ -26,9 +26,14 @@ def _require_finite(name: str, value: float) -> None:
 def _finite_floats(state, names: tuple[str, ...]) -> None:
     """Check each field is finite and store it as a Python float.
 
-    Callers build states from numpy arrays (Newton, the Jacobian); a
-    numpy scalar left in a field would carry into the pure-Python stance
-    kernel and make its arithmetic about 3x slower, for the same result.
+    This is the per-field path of the state checks. Each state's
+    __post_init__ first tests, in one expression, whether every field is
+    already an exact float and finite (0.0 * x1 * ... * xn == 0.0 holds
+    only when no field is NaN or infinite); that covers every state the
+    return maps build. Anything else lands here: the first non-finite
+    field raises ValueError by name, a non-number raises TypeError, and
+    numpy scalars and ints are stored as float, so they cannot carry
+    into the pure-Python stance kernel.
     """
     for name in names:
         value = getattr(state, name)
@@ -106,11 +111,11 @@ class ControlInputs:
     tau_max: float | None = None
 
     def __post_init__(self):
-        _require_finite("p_bar", self.p_bar)
-        _require_finite("k_theta", self.k_theta)
+        for name in ("p_bar", "k_theta", "kp", "ki", "kd"):
+            _require_finite(name, getattr(self, name))
         if not 0.0 <= self.k_theta <= 1.0:
             raise ValueError(f"k_theta must be in [0, 1], got {self.k_theta}")
-        if self.tau_max is not None and self.tau_max <= 0.0:
+        if self.tau_max is not None and not self.tau_max > 0.0:
             raise ValueError(f"tau_max must be > 0 when set, got {self.tau_max}")
 
 
@@ -124,7 +129,12 @@ class StanceState:
     theta_dot: float
 
     def __post_init__(self):
-        _finite_floats(self, ("r", "r_dot", "theta", "theta_dot"))
+        r, r_dot, theta, theta_dot = (self.r, self.r_dot, self.theta,
+                                      self.theta_dot)
+        if not (float is type(r) is type(r_dot) is type(theta)
+                is type(theta_dot)
+                and 0.0 * r * r_dot * theta * theta_dot == 0.0):
+            _finite_floats(self, ("r", "r_dot", "theta", "theta_dot"))
         if self.r <= 0.0:
             raise ValueError(f"r must be > 0, got {self.r}")
 
@@ -146,7 +156,10 @@ class FlightState:
     y_dot: float
 
     def __post_init__(self):
-        _finite_floats(self, ("x_dot", "y", "y_dot"))
+        x_dot, y, y_dot = self.x_dot, self.y, self.y_dot
+        if not (float is type(x_dot) is type(y) is type(y_dot)
+                and 0.0 * x_dot * y * y_dot == 0.0):
+            _finite_floats(self, ("x_dot", "y", "y_dot"))
         if self.y <= 0.0:
             raise ValueError(f"y must be > 0, got {self.y}")
 
@@ -162,7 +175,9 @@ class ApexState:
     y: float
 
     def __post_init__(self):
-        _finite_floats(self, ("x_dot", "y"))
+        x_dot, y = self.x_dot, self.y
+        if not (float is type(x_dot) is type(y) and 0.0 * x_dot * y == 0.0):
+            _finite_floats(self, ("x_dot", "y"))
         if self.y <= 0.0:
             raise ValueError(f"apex height must be > 0, got {self.y}")
 

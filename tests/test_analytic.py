@@ -125,6 +125,15 @@ class TestStanceFlow:
         oracle = taylor_flow_oracle(td, -1.0, params, 0.05, dt=1e-6)
         assert s.theta_dot == pytest.approx(oracle[3], abs=1e-8)
 
+    def test_pinned_bit_exact(self, params):
+        # frozen from stance_flow itself: any change to the flow
+        # arithmetic, even its evaluation order, shows here
+        td = _td()
+        s = stance_flow(0.03, flow_coeffs(td, -1.0, params), td, -1.0, params)
+        assert (s.r, s.r_dot, s.theta, s.theta_dot) == (
+            0.16104017517872782, -0.5551436448407892, 0.06564975084716584,
+            -10.875090532408969)
+
 
 class TestLiftoffTime:
     def test_undamped_formula_is_exact(self, undamped_params):
@@ -280,3 +289,18 @@ class TestReturnMapAnalytic:
                                 ControlInputs(-0.4, 0.3), params)
         assert exc.value.phase in ("aoa", "descent", "touchdown", "stance",
                                    "ascent")
+
+    def test_builds_one_liftoff_state(self, params, monkeypatch):
+        # one touchdown reset and one liftoff state per hop, no copies
+        built = []
+        check = StanceState.__post_init__
+
+        def counting(state):
+            built.append(state)
+            check(state)
+
+        apex = closed_form_fixed_point(-1.0, 0.5, params).apex
+        monkeypatch.setattr(StanceState, "__post_init__", counting)
+        return_map_analytic(apex, ControlInputs(-1.0, 0.5), params)
+        assert len(built) == 2
+        assert built[0].r == params.r0

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 
 import pytest
 
@@ -26,6 +27,19 @@ class TestSweepConfig:
             SweepConfig(k_theta_range=(0.3, 0.75, 0))  # empty
         with pytest.raises(ValueError):
             SweepConfig(pipelines=("nonsense",))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("k_theta_range", (0.9, 1.1, 2), "k_theta must be in"),
+        ("k_theta_range", (-0.1, 0.5, 2), "k_theta must be in"),
+        ("k_theta_range", (0.3, math.inf, 2), "k_theta must be finite"),
+        ("p_bar_range", (math.nan, -0.5, 2), "p_bar must be finite"),
+        ("p_bar_range", (-1.0, math.nan, 2), "p_bar must be finite"),
+        ("p_bar_range", (-math.inf, -0.5, 2), "p_bar must be finite"),
+        ("tau_max", 0.0, "tau_max must be > 0"),
+    ])
+    def test_rejects_bad_grid_up_front(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**{field: value})
 
 
 class TestRunSweep:
@@ -319,6 +333,20 @@ class TestCli:
         bad.write_text("k_theta_count = banana\n")
         rc = main(["sweep", str(bad)])
         assert rc == 2
+
+    def test_bad_grid_exits_before_any_cell(self, tmp_path, monkeypatch,
+                                            capsys):
+        solved = []
+        monkeypatch.setattr(harness, "_solve_cell",
+                            lambda *args: solved.append(args))
+        out = tmp_path / "out"
+        rc = main(["sweep", "--k-theta-min", "0.9", "--k-theta-max", "1.1",
+                   "--k-theta-count", "2", "--p-bar-count", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "k_theta must be in [0, 1]" in capsys.readouterr().err
+        assert solved == []
+        assert not out.exists()
 
     def test_missing_config_file(self):
         rc = main(["sweep", "/nonexistent/path.cfg"])

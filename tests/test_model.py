@@ -1,5 +1,7 @@
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -43,6 +45,16 @@ class TestControlInputs:
         ControlInputs(p_bar=-1.0, k_theta=0.5, tau_max=None)
         with pytest.raises(ValueError):
             ControlInputs(p_bar=-1.0, k_theta=0.5, tau_max=0.0)
+        with pytest.raises(ValueError):
+            ControlInputs(p_bar=-1.0, k_theta=0.5, tau_max=math.nan)
+
+    @pytest.mark.parametrize("gain", ["kp", "ki", "kd"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_gains_finite(self, gain, value):
+        # a NaN gain would otherwise run every simulator stance to its
+        # time budget and surface as a stance failure
+        with pytest.raises(ValueError, match=f"^{gain} must be finite"):
+            ControlInputs(p_bar=-1.0, k_theta=0.5, **{gain: value})
 
 
 class TestStateValidation:
@@ -61,6 +73,87 @@ class TestStateValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             StanceState(r=0.2, r_dot=math.nan, theta=0.0, theta_dot=0.0)
+
+    @pytest.mark.parametrize("bad", ["0.2", None, 1j])
+    def test_rejects_non_numbers(self, bad):
+        with pytest.raises(TypeError):
+            StanceState(r=0.2, r_dot=bad, theta=0.0, theta_dot=0.0)
+
+
+# (state type, fields in order, the field that must be > 0, its message)
+STATE_TYPES = [
+    (StanceState, ("r", "r_dot", "theta", "theta_dot"), "r",
+     "r must be > 0"),
+    (FlightState, ("x_dot", "y", "y_dot"), "y", "y must be > 0"),
+    (ApexState, ("x_dot", "y"), "y", "apex height must be > 0"),
+]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _valid_fields(data, names, signed):
+    return {n: data.draw(positive if n == signed else finite, label=n)
+            for n in names}
+
+
+@given(st.sampled_from(STATE_TYPES), st.data())
+def test_exact_floats_stored_bit_for_bit(state_type, data):
+    cls, names, signed, _ = state_type
+    values = _valid_fields(data, names, signed)
+    state = cls(**values)
+    for n in names:
+        assert type(getattr(state, n)) is float
+        assert _bits(getattr(state, n)) == _bits(values[n])
+
+
+@given(st.sampled_from(STATE_TYPES), st.data())
+def test_numpy_scalars_and_ints_stored_as_float(state_type, data):
+    cls, names, signed, _ = state_type
+    values = _valid_fields(data, names, signed)
+    given_values = {}
+    for n in names:
+        kind = data.draw(st.sampled_from(["float", "float64", "int"]),
+                         label=f"{n} kind")
+        if kind == "float64":
+            given_values[n] = np.float64(values[n])
+        elif kind == "int":
+            lo = 1 if n == signed else -2 ** 53
+            given_values[n] = data.draw(st.integers(lo, 2 ** 53), label=n)
+        else:
+            given_values[n] = values[n]
+    state = cls(**given_values)
+    for n in names:
+        assert type(getattr(state, n)) is float
+        assert getattr(state, n) == given_values[n]
+
+
+@given(st.sampled_from(STATE_TYPES), st.data())
+def test_non_finite_field_named(state_type, data):
+    cls, names, signed, _ = state_type
+    values = _valid_fields(data, names, signed)
+    bad = data.draw(st.sets(st.sampled_from(names), min_size=1), label="bad")
+    for n in bad:
+        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        values[n] = data.draw(st.sampled_from([value, np.float64(value)]))
+    first = next(n for n in names if n in bad)
+    with pytest.raises(ValueError, match=f"^{first} must be finite"):
+        cls(**values)
+
+
+@given(st.sampled_from(STATE_TYPES), st.data())
+def test_sign_check_fires(state_type, data):
+    cls, names, signed, message = state_type
+    values = _valid_fields(data, names, signed)
+    values[signed] = data.draw(
+        st.floats(max_value=0.0, allow_infinity=False), label=signed)
+    if data.draw(st.booleans(), label="as float64"):
+        values[signed] = np.float64(values[signed])
+    with pytest.raises(ValueError, match=f"^{message}"):
+        cls(**values)
 
 
 class TestStanceToFlight:

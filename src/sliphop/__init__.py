@@ -26,7 +26,7 @@ from .control import (AoaSolution, PidState, solve_aoa_approx,
                       solve_aoa_implicit, vertical_energy)
 from .simulate import (HybridTrajectory, StanceSegment, TrajectoryEvent,
                        TrajectorySample, integrate_ascent, integrate_descent,
-                       integrate_stance, return_map_numeric, stance_dynamics)
+                       integrate_stance, return_map_numeric)
 from .analytic import (StanceFlowCoeffs, StanceMapConstants, flow_coeffs,
                        bottom_time, liftoff_time, liftoff_time_bisect,
                        return_map_analytic, simplified_map_constants,

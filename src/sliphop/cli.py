@@ -4,11 +4,11 @@ Subcommands:
     sweep <config>        grid sweep over (p_bar, k_theta), CSV/JSON out
     single <config>       chained hops from one apex, trajectory out
     fixed-point [config]  one fixed point, printed as JSON
-    validate              run the runtime invariant suite
+    validate              report the stance-kernel path and check it
 
 Config files are flat key=value lines ('#' starts a comment); CLI flags
 override file values. Exit codes: 0 success, 2 config error, 3 all
-points failed (or invariant suite failure).
+points failed (or a failed validate check).
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from . import fixedpoint as fp
 from .errors import SlipError
 from .harness import (ALL_PIPELINES, SweepConfig, run_single, run_sweep,
                       solve_point)
-from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
-from .simulate import DEFAULT_CONTROL_DT, DEFAULT_DT
+from .model import (ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams,
+                    StanceState)
+from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, HAVE_NUMBA,
+                       integrate_stance)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -171,8 +173,10 @@ def _cmd_single(args: argparse.Namespace) -> int:
                      y=_get(cfg, "apex_y", float, 0.25))
     step_hop = _get(cfg, "k_theta_step_hop", int, None)
     step_val = _get(cfg, "k_theta_step_value", float, None)
-    step = (step_hop, step_val) if step_hop is not None \
-        and step_val is not None else None
+    if (step_hop is None) != (step_val is None):
+        raise ConfigError("k_theta_step_hop and k_theta_step_value must be "
+                          "given together")
+    step = None if step_hop is None else (step_hop, step_val)
     report = run_single(apex, inputs, params,
                         n_hops=_get(cfg, "n_hops", int, 20),
                         k_theta_step=step,
@@ -228,9 +232,37 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _kernel_path() -> str:
+    if not HAVE_NUMBA:
+        return "pure Python (numba not installed)"
+    import numba
+    if numba.config.DISABLE_JIT:
+        return (f"pure Python (numba {numba.__version__}, "
+                "NUMBA_DISABLE_JIT set)")
+    return f"numba JIT (numba {numba.__version__})"
+
+
 def _cmd_validate(_args: argparse.Namespace) -> int:
-    from .validate import run_invariant_suite
-    results = run_invariant_suite()
+    """Check the stance kernel that is active in this environment.
+
+    Every other identity (resets, flows, liftoff time, constraint roots,
+    flight energy) is pure Python and checked by the test suite.
+    """
+    print(f"stance kernel: {_kernel_path()}")
+    undamped = SlipParams(m=3.3, k=4000.0, b=0.0, r0=0.2)
+    td = StanceState(r=undamped.r0, r_dot=-1.4, theta=0.0, theta_dot=0.0)
+    lo, _ = integrate_stance(td, None, undamped)
+    err = abs(lo.r_dot + td.r_dot)
+    params = DEFAULT_PARAMS
+    td = StanceState(r=params.r0, r_dot=-1.5, theta=0.3, theta_dot=-4.0)
+    lo, _ = integrate_stance(td, None, params)
+    force = abs(params.k * (lo.r - params.r0) + params.b * lo.r_dot)
+    results = [
+        ("undamped vertical bounce is symmetric", err <= 1e-6,
+         f"|r_dot_lo + r_dot_td| = {err:.2e}"),
+        ("leg force vanishes at the localized liftoff",
+         force <= 1e-5 and lo.r_dot > 0.0, f"|force| = {force:.2e} N"),
+    ]
     fails = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
@@ -277,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=list(ALL_PIPELINES))
     p_fp.set_defaults(func=_cmd_fixed_point)
 
-    p_val = sub.add_parser("validate", help="run the invariant suite")
+    p_val = sub.add_parser("validate",
+                           help="report and check the stance kernel")
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

@@ -27,7 +27,7 @@ from . import fixedpoint as fp
 from .errors import SlipError
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
 from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, HybridTrajectory,
-                       return_map_numeric)
+                       check_step, return_map_numeric)
 
 ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
 SIM_TOL = 1e-6
@@ -74,6 +74,8 @@ class SweepConfig:
             raise ValueError("at least one pipeline required")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        check_step("dt", self.dt)
+        check_step("control_dt", self.control_dt)
 
     def inputs(self, p_bar: float, k_theta: float) -> ControlInputs:
         return ControlInputs(p_bar=p_bar, k_theta=k_theta, kp=self.kp,
@@ -161,10 +163,12 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
     apply _PREWARM plain map iterations, and converge to ANALYTIC_TOL on
     the analytic map or to SIM_TOL on the simulator map at
     dt/control_dt. Raises SlipError when the gait has no fixed point
-    there.
+    there, ValueError when a step size is not finite and > 0.
     """
     if pipeline not in ALL_PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
+    check_step("dt", dt)
+    check_step("control_dt", control_dt)
     if pipeline == fp.CLOSED_FORM:
         return fp.closed_form_fixed_point(inputs.p_bar, inputs.k_theta,
                                           params)
@@ -311,6 +315,8 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
     """
     if n_hops < 1:
         raise ValueError(f"n_hops must be >= 1, got {n_hops}")
+    check_step("dt", dt)
+    check_step("control_dt", control_dt)
     traj = HybridTrajectory()
     hops: list[HopSummary] = []
     failure = None

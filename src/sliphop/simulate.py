@@ -48,16 +48,10 @@ _STATUS_NO_LIFTOFF = 1
 _STATUS_GROUND = 2
 
 
-def stance_dynamics(state: StanceState, torque: float,
-                    params: SlipParams) -> tuple[float, float, float, float]:
-    """Right-hand side of the stance ODE: (r_dot, r_ddot, theta_dot, theta_ddot)."""
-    m, k, b, r0, g = params.m, params.k, params.b, params.r0, params.g
-    r, dr, th, dth = state.r, state.r_dot, state.theta, state.theta_dot
-    r_ddot = r * dth * dth - k / m * (r - r0) - b / m * dr \
-        - g * math.cos(th)
-    th_ddot = -2.0 * dr * dth / r + g / r * math.sin(th) \
-        + torque / (m * r * r)
-    return dr, r_ddot, dth, th_ddot
+def check_step(name: str, value: float) -> None:
+    """Raise ValueError unless the step size is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 # --- compiled stance stepper -------------------------------------------------
@@ -268,10 +262,13 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
     """Integrate stance from touchdown until the leg force vanishes.
 
     inputs=None runs the passive leg (tau = 0). Touchdown must be at the
-    rest length with negative radial velocity. Raises FailedLiftoff if
-    the leg force never returns to zero within the time budget,
-    GroundFault if the mass reaches the ground.
+    rest length with negative radial velocity, and dt and control_dt
+    finite and > 0. Raises FailedLiftoff if the leg force never returns
+    to zero within the time budget, GroundFault if the mass reaches the
+    ground.
     """
+    check_step("dt", dt)
+    check_step("control_dt", control_dt)
     if abs(td.r - params.r0) > 1e-9:
         raise ValueError(f"touchdown r = {td.r} must equal r0 = {params.r0}")
     if td.r_dot >= 0.0:

@@ -102,30 +102,39 @@ def hip_torque(target_p: float, state: StanceState, pid: PidState,
     return tau, PidState(integral=integral, p_prev=p)
 
 
+def stance_rhs(s: tuple[float, float, float, float], tau: float,
+               params: SlipParams) -> tuple[float, float, float, float]:
+    """Right-hand side of the stance ODE at s = (r, r_dot, theta,
+    theta_dot) under hip torque tau: (r_dot, r_ddot, theta_dot,
+    theta_ddot)."""
+    m, k, b, r0, g = params.m, params.k, params.b, params.r0, params.g
+    r, dr, th, dth = s
+    return (dr,
+            r * dth * dth - k / m * (r - r0) - b / m * dr - g * math.cos(th),
+            dth,
+            -2.0 * dr * dth / r + g / r * math.sin(th) + tau / (m * r * r))
+
+
+def stance_step(s: tuple[float, float, float, float], h: float, tau: float,
+                params: SlipParams) -> tuple[float, float, float, float]:
+    """One classical RK4 step of stance_rhs at constant torque."""
+    k1 = stance_rhs(s, tau, params)
+    k2 = stance_rhs(tuple(s[i] + 0.5 * h * k1[i] for i in range(4)), tau,
+                    params)
+    k3 = stance_rhs(tuple(s[i] + 0.5 * h * k2[i] for i in range(4)), tau,
+                    params)
+    k4 = stance_rhs(tuple(s[i] + h * k3[i] for i in range(4)), tau, params)
+    return tuple(s[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                 for i in range(4))
+
+
 def full_stance_oracle(td: StanceState, inputs: ControlInputs | None,
                        params: SlipParams, dt: float = 1e-6,
                        control_dt: float = 1e-3,
                        ) -> tuple[float, StanceState]:
     """Independent stance integration: plain-Python RK4 at a finer step,
     scan-then-bisect liftoff localization. Returns (t_liftoff, state)."""
-    m, k, b, r0, g = params.m, params.k, params.b, params.r0, params.g
-
-    def rhs(s, tau):
-        r, dr, th, dth = s
-        return (dr,
-                r * dth * dth - k / m * (r - r0) - b / m * dr
-                - g * math.cos(th),
-                dth,
-                -2.0 * dr * dth / r + g / r * math.sin(th)
-                + tau / (m * r * r))
-
-    def step(s, h, tau):
-        k1 = rhs(s, tau)
-        k2 = rhs(tuple(s[i] + 0.5 * h * k1[i] for i in range(4)), tau)
-        k3 = rhs(tuple(s[i] + 0.5 * h * k2[i] for i in range(4)), tau)
-        k4 = rhs(tuple(s[i] + h * k3[i] for i in range(4)), tau)
-        return tuple(s[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i]
-                                       + k4[i]) for i in range(4))
+    k, b, r0 = params.k, params.b, params.r0
 
     def force(s):
         return k * (s[0] - r0) + b * s[1]
@@ -145,17 +154,17 @@ def full_stance_oracle(td: StanceState, inputs: ControlInputs | None,
         for _ in range(nsub):
             prev = state
             f_prev = force(state)
-            state = step(state, dt, tau)
+            state = stance_step(state, dt, tau, params)
             istep += 1
             if f_prev < 0.0 <= force(state) and state[1] > 0.0:
                 lo_h, hi_h = 0.0, dt
                 while hi_h - lo_h > 1e-10:
                     mid = 0.5 * (lo_h + hi_h)
-                    if force(step(prev, mid, tau)) < 0.0:
+                    if force(stance_step(prev, mid, tau, params)) < 0.0:
                         lo_h = mid
                     else:
                         hi_h = mid
-                final = step(prev, hi_h, tau)
+                final = stance_step(prev, hi_h, tau, params)
                 return (istep - 1) * dt + hi_h, StanceState(*final)
     raise AssertionError("oracle: no liftoff within budget")
 

@@ -1,13 +1,16 @@
 import functools
 import json
 import math
+import sys
+import types
 
 import pytest
 
-from sliphop import (ApexState, ControlInputs, SlipError, SweepConfig,
-                     analytic, closed_form_fixed_point, harness,
-                     numeric_fixed_point, return_map_analytic, run_single,
-                     run_sweep, simulate, simulator_return_map, solve_point)
+from sliphop import (ApexState, ControlInputs, SlipError, StanceState,
+                     SweepConfig, analytic, cli, closed_form_fixed_point,
+                     harness, numeric_fixed_point, return_map_analytic,
+                     run_single, run_sweep, simulate, simulator_return_map,
+                     solve_point)
 from sliphop.cli import main, parse_config_file
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
@@ -36,6 +39,10 @@ class TestSweepConfig:
         ("p_bar_range", (-1.0, math.nan, 2), "p_bar must be finite"),
         ("p_bar_range", (-math.inf, -0.5, 2), "p_bar must be finite"),
         ("tau_max", 0.0, "tau_max must be > 0"),
+        ("dt", 0.0, "^dt must be finite and > 0"),
+        ("dt", math.nan, "^dt must be finite and > 0"),
+        ("control_dt", -1e-4, "^control_dt must be finite and > 0"),
+        ("control_dt", math.inf, "^control_dt must be finite and > 0"),
     ])
     def test_rejects_bad_grid_up_front(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -184,6 +191,14 @@ class TestRunSingle:
         assert report.failure is not None
         assert "DescendingAtLiftoff" in report.failure
         assert len(report.hops) < 5
+
+    @pytest.mark.parametrize("field", ["dt", "control_dt"])
+    def test_rejects_bad_step_before_any_hop(self, params, field):
+        # this apex fails in its first angle solve, before any stance
+        inputs = ControlInputs(p_bar=-0.5, k_theta=0.05)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            run_single(ApexState(1.0, 0.15), inputs, params, n_hops=2,
+                       **{field: 0.0})
 
     def test_output_files(self, params, tmp_path):
         inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
@@ -358,3 +373,67 @@ class TestCli:
                    "--apex-x-dot", "1.0", "--apex-y", "0.15",
                    "--n-hops", "2", "--out", str(tmp_path)])
         assert rc == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--dt", "0"],
+        ["sweep", "--dt=-1e-4"],
+        ["sweep", "--control-dt", "nan"],
+        ["single", "--dt", "0"],
+        ["fixed-point", "--p-bar", "-1.0", "--k-theta", "0.5",
+         "--pipeline", "simulator-numeric", "--control-dt", "-1"],
+        ["fixed-point", "--p-bar", "-1.0", "--k-theta", "0.5",
+         "--pipeline", "closed-form", "--dt", "0"],
+    ])
+    def test_bad_step_is_a_config_error(self, argv, tmp_path, monkeypatch,
+                                        capsys):
+        solved = []
+        monkeypatch.setattr(harness, "_solve_cell",
+                            lambda *args: solved.append(args))
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert solved == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("half", [["--k-theta-step-hop", "3"],
+                                      ["--k-theta-step-value", "0.7"]])
+    def test_half_gain_step_is_a_config_error(self, half, tmp_path, capsys):
+        rc = main(["single", "--n-hops", "2", "--out", str(tmp_path / "out")]
+                  + half)
+        assert rc == 2
+        assert "must be given together" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_command(self, capsys):
+        assert main(["validate"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"stance kernel: {cli._kernel_path()}"
+        assert [ln.split(":")[0] for ln in out[1:3]] == [
+            "PASS  undamped vertical bounce is symmetric",
+            "PASS  leg force vanishes at the localized liftoff"]
+        assert out[3] == "2/2 invariants hold"
+
+    def test_validate_fails_on_a_bad_liftoff(self, monkeypatch, capsys):
+        # the leg still compressed and short of the touchdown speed
+        bad = StanceState(r=0.19, r_dot=1.0, theta=0.0, theta_dot=0.0)
+        monkeypatch.setattr(cli, "integrate_stance",
+                            lambda td, inputs, params: (bad, None))
+        assert main(["validate"]) == 3
+        out = capsys.readouterr().out
+        assert out.count("FAIL  ") == 2
+        assert out.endswith("0/2 invariants hold\n")
+
+    @pytest.mark.parametrize("have,disable,want", [
+        (False, False, "pure Python (numba not installed)"),
+        (True, False, "numba JIT (numba 0.60.0)"),
+        (True, True, "pure Python (numba 0.60.0, NUMBA_DISABLE_JIT set)"),
+    ])
+    def test_kernel_path_names_the_active_kernel(self, monkeypatch, have,
+                                                 disable, want):
+        fake = types.SimpleNamespace(
+            __version__="0.60.0",
+            config=types.SimpleNamespace(DISABLE_JIT=disable))
+        monkeypatch.setitem(sys.modules, "numba", fake)
+        monkeypatch.setattr(cli, "HAVE_NUMBA", have)
+        assert cli._kernel_path() == want

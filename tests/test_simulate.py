@@ -7,11 +7,11 @@ from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
                      FailedLiftoff, FlightState, GroundFault,
                      InsufficientEnergy, NonPhysical, SlipParams, StanceState,
                      UnreachableTouchdown, integrate_ascent, integrate_descent,
-                     integrate_stance, return_map_numeric, stance_dynamics,
+                     integrate_stance, return_map_numeric,
                      write_trajectory_csv)
+from sliphop.simulate import _rk4_step
 
-
-from _oracles import full_stance_oracle
+from _oracles import full_stance_oracle, stance_rhs, stance_step
 
 
 def stance_energy(params, r, r_dot, theta, theta_dot):
@@ -21,22 +21,24 @@ def stance_energy(params, r, r_dot, theta, theta_dot):
 
 
 class TestStanceDynamics:
+    """The oracle's right-hand side, the reference the kernel is pinned to."""
+
     def test_gravity_loaded_equilibrium(self, params):
-        s = StanceState(r=params.r_g, r_dot=0.0, theta=0.0, theta_dot=0.0)
-        _, r_ddot, _, th_ddot = stance_dynamics(s, 0.0, params)
+        _, r_ddot, _, th_ddot = stance_rhs((params.r_g, 0.0, 0.0, 0.0), 0.0,
+                                           params)
         assert r_ddot == pytest.approx(0.0, abs=1e-12)
         assert th_ddot == 0.0
 
     def test_unloaded_spring(self, params):
-        s = StanceState(r=params.r0, r_dot=0.0, theta=0.0, theta_dot=0.0)
-        _, r_ddot, _, th_ddot = stance_dynamics(s, 0.0, params)
+        _, r_ddot, _, th_ddot = stance_rhs((params.r0, 0.0, 0.0, 0.0), 0.0,
+                                           params)
         assert r_ddot == pytest.approx(-params.g, abs=1e-14)
         assert th_ddot == 0.0
 
     def test_general_state(self, params):
         # frozen from hand evaluation of the stance ODE right-hand side
-        s = StanceState(r=0.19, r_dot=-1.0, theta=0.2, theta_dot=-3.0)
-        r_dot, r_ddot, th_dot, th_ddot = stance_dynamics(s, 2.0, params)
+        r_dot, r_ddot, th_dot, th_ddot = stance_rhs((0.19, -1.0, 0.2, -3.0),
+                                                    2.0, params)
         assert r_dot == -1.0
         assert th_dot == -3.0
         assert r_ddot == pytest.approx(10.277365053195615, rel=1e-14)
@@ -44,11 +46,24 @@ class TestStanceDynamics:
 
     def test_centrifugal_term_present(self, params):
         # constant-momentum reduction: r_ddot must contain r*theta_dot^2
-        s0 = StanceState(r=0.19, r_dot=0.0, theta=0.0, theta_dot=0.0)
-        s1 = StanceState(r=0.19, r_dot=0.0, theta=0.0, theta_dot=-3.0)
-        _, a0, _, _ = stance_dynamics(s0, 0.0, params)
-        _, a1, _, _ = stance_dynamics(s1, 0.0, params)
+        _, a0, _, _ = stance_rhs((0.19, 0.0, 0.0, 0.0), 0.0, params)
+        _, a1, _, _ = stance_rhs((0.19, 0.0, 0.0, -3.0), 0.0, params)
         assert a1 - a0 == pytest.approx(0.19 * 9.0, rel=1e-12)
+
+
+class TestRk4Step:
+    # the stance kernel's inlined RK4 step is the oracle's RK4 step on the
+    # oracle's right-hand side, operation for operation
+    STATES = [(0.2, -1.6, 0.0, 0.0), (0.19, -1.0, 0.2, -3.0),
+              (0.17, 0.4, -0.35, 5.5), (0.21, 1.3, 0.9, -8.0)]
+
+    @pytest.mark.parametrize("h", [1e-4, 1e-5, 3.7e-5])
+    @pytest.mark.parametrize("tau", [0.0, 2.0, -7.25])
+    @pytest.mark.parametrize("state", STATES)
+    def test_bit_identical_to_oracle(self, params, state, tau, h):
+        got = _rk4_step(*state, h, tau, params.m, params.k, params.b,
+                        params.r0, params.g)
+        assert tuple(got) == stance_step(state, h, tau, params)
 
 
 class TestIntegrateStance:
@@ -121,6 +136,13 @@ class TestIntegrateStance:
         with pytest.raises(NonPhysical):
             integrate_stance(StanceState(r=0.2, r_dot=0.5, theta=0.0,
                                          theta_dot=0.0), None, params)
+
+    @pytest.mark.parametrize("field", ["dt", "control_dt"])
+    @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
+    def test_rejects_bad_step(self, params, field, bad):
+        td = StanceState(r=0.2, r_dot=-1.5, theta=0.0, theta_dot=0.0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            integrate_stance(td, None, params, **{field: bad})
 
     def test_failed_liftoff_overdamped(self):
         params = SlipParams(m=3.3, k=4000.0, b=500.0, r0=0.2)

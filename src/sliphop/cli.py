@@ -6,8 +6,13 @@ Subcommands:
     fixed-point [config]  one fixed point, printed as JSON
     validate              report the stance-kernel path and check it
 
-Config files are flat key=value lines ('#' starts a comment); CLI flags
-override file values. Exit codes: 0 success, 2 config error, 3 all
+Config files are flat key=value lines ('#' starts a comment).
+COMMAND_KEYS declares each subcommand's keys once, with the function
+that parses each value; every key is also a flag (--out for out_dir),
+and a flag overrides the file. An empty value leaves a key unset. Only
+the keys that are set reach the library, which supplies every other
+default; SINGLE_DEFAULTS holds the single-run gait and starting apex,
+which no library type has. Exit codes: 0 success, 2 config error, 3 all
 points failed (or a failed validate check).
 """
 
@@ -17,16 +22,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import fixedpoint as fp
 from .errors import SlipError
 from .harness import (ALL_PIPELINES, SweepConfig, run_single, run_sweep,
                       solve_point)
-from .model import (ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams,
-                    StanceState)
-from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, HAVE_NUMBA,
-                       integrate_stance)
+from .model import ApexState, ControlInputs, DEFAULT_PARAMS, StanceState
+from .simulate import HAVE_NUMBA, integrate_stance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,16 +57,6 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _get(cfg: dict[str, str], key: str, cast, default):
-    if key not in cfg or cfg[key] == "":
-        return default
-    raw = cfg[key]
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"config key {key}={raw!r}: {err}") from err
-
-
 def _opt_float(raw: str):
     return None if raw.lower() in ("none", "inf") else float(raw)
 
@@ -76,78 +70,72 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _params_from(cfg: dict[str, str]) -> SlipParams:
-    return SlipParams(
-        m=_get(cfg, "m", float, DEFAULT_PARAMS.m),
-        k=_get(cfg, "k", float, DEFAULT_PARAMS.k),
-        b=_get(cfg, "b", float, DEFAULT_PARAMS.b),
-        r0=_get(cfg, "r0", float, DEFAULT_PARAMS.r0),
-        g=_get(cfg, "g", float, DEFAULT_PARAMS.g),
-    )
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-def _gains_from(cfg: dict[str, str]) -> dict:
-    return dict(
-        kp=_get(cfg, "kp", float, 100.0),
-        ki=_get(cfg, "ki", float, 0.2),
-        kd=_get(cfg, "kd", float, 0.05),
-        tau_max=_get(cfg, "tau_max", _opt_float, None),
-    )
+_PHYSICS = {"m": float, "k": float, "b": float, "r0": float, "g": float}
+_GAINS = {"kp": float, "ki": float, "kd": float, "tau_max": _opt_float}
+_STEPS = {"dt": float, "control_dt": float}
+_GAIT = {"p_bar": float, "k_theta": float}
+_COMMON = {"out_dir": str, **_PHYSICS, **_GAINS, **_STEPS}
+
+COMMAND_KEYS = {
+    "sweep": {**_COMMON, "p_bar_min": float, "p_bar_max": float,
+              "p_bar_count": int, "k_theta_min": float,
+              "k_theta_max": float, "k_theta_count": int,
+              "pipelines": _names, "workers": int, "seed_chaining": _bool},
+    "single": {**_COMMON, **_GAIT, "n_hops": int, "apex_x_dot": float,
+               "apex_y": float, "k_theta_step_hop": int,
+               "k_theta_step_value": float},
+    "fixed-point": {**_COMMON, **_GAIT, "pipeline": str},
+}
+
+SINGLE_DEFAULTS = {"p_bar": -0.79, "k_theta": 0.64, "apex_x_dot": 1.0,
+                   "apex_y": 0.25, "n_hops": 20}
+
+_FLAG_OPTIONS = {
+    "out_dir": {"metavar": "OUT", "help": "output directory"},
+    "pipelines": {"help": "comma list: " + ",".join(ALL_PIPELINES)},
+    "pipeline": {"choices": ALL_PIPELINES},
+}
 
 
-def _load_config(path: str | None, overrides: dict[str, str]) -> dict[str, str]:
-    cfg = parse_config_file(path) if path else {}
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+def _config(args: argparse.Namespace) -> dict:
+    """The command's keys set in its config file or flags, parsed."""
+    keys, flags = COMMAND_KEYS[args.command], vars(args)
+    text = parse_config_file(args.config) if args.config else {}
+    text.update((key, flags[key]) for key in keys if flags[key] is not None)
+    cfg = {}
+    for key, parse in keys.items():
+        raw = text.get(key, "")
+        if raw == "":
+            continue
+        try:
+            cfg[key] = parse(raw)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"config key {key}={raw!r}: {err}") from err
     return cfg
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output directory")
-    for name in ("m", "k", "b", "r0", "g", "kp", "ki", "kd", "tau-max",
-                 "dt", "control-dt"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"))
-
-
-def _overrides(args: argparse.Namespace, keys: list[str]) -> dict[str, str]:
-    out = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = str(val)
-    return out
-
-
-_COMMON_KEYS = ["m", "k", "b", "r0", "g", "kp", "ki", "kd", "tau_max",
-                "dt", "control_dt"]
+def _pick(cfg: dict, keys) -> dict:
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    keys = _COMMON_KEYS + ["p_bar_min", "p_bar_max", "p_bar_count",
-                           "k_theta_min", "k_theta_max", "k_theta_count",
-                           "pipelines", "workers", "seed_chaining"]
-    cfg = _load_config(args.config, _overrides(args, keys))
-    out_dir = args.out or cfg.get("out_dir") or "sweep_out"
-    gains = _gains_from(cfg)
-    pipelines = tuple(
-        s.strip() for s in
-        _get(cfg, "pipelines", str, ",".join(ALL_PIPELINES)).split(",")
-        if s.strip())
+    cfg = _config(args)
+    out_dir = cfg.get("out_dir", "sweep_out")
+    grid = {}
+    for name in ("p_bar", "k_theta"):
+        default = getattr(SweepConfig, f"{name}_range")
+        grid[f"{name}_range"] = tuple(
+            cfg.get(f"{name}_{end}", value)
+            for end, value in zip(("min", "max", "count"), default))
     sweep = SweepConfig(
-        params=_params_from(cfg),
-        p_bar_range=(_get(cfg, "p_bar_min", float, -1.55),
-                     _get(cfg, "p_bar_max", float, -0.5),
-                     _get(cfg, "p_bar_count", int, 20)),
-        k_theta_range=(_get(cfg, "k_theta_min", float, 0.3),
-                       _get(cfg, "k_theta_max", float, 0.75),
-                       _get(cfg, "k_theta_count", int, 20)),
-        pipelines=pipelines,
-        out_dir=out_dir,
-        seed_chaining=_get(cfg, "seed_chaining", _bool, True),
-        workers=_get(cfg, "workers", int, 1),
-        dt=_get(cfg, "dt", float, DEFAULT_DT),
-        control_dt=_get(cfg, "control_dt", float, DEFAULT_CONTROL_DT),
-        **gains,
-    )
+        params=replace(DEFAULT_PARAMS, **_pick(cfg, _PHYSICS)),
+        out_dir=out_dir, **grid,
+        **_pick(cfg, ("pipelines", "seed_chaining", "workers", *_GAINS,
+                      *_STEPS)))
     report = run_sweep(sweep)
     n_ok = sum(1 for o in report.outcomes if o.result is not None)
     print(f"sweep: {n_ok}/{len(report.outcomes)} cells converged "
@@ -159,31 +147,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_single(args: argparse.Namespace) -> int:
-    keys = _COMMON_KEYS + ["p_bar", "k_theta", "n_hops", "apex_x_dot",
-                           "apex_y", "k_theta_step_hop",
-                           "k_theta_step_value"]
-    cfg = _load_config(args.config, _overrides(args, keys))
-    out_dir = args.out or cfg.get("out_dir") or "single_out"
-    params = _params_from(cfg)
-    inputs = ControlInputs(
-        p_bar=_get(cfg, "p_bar", float, -0.79),
-        k_theta=_get(cfg, "k_theta", float, 0.64),
-        **_gains_from(cfg))
-    apex = ApexState(x_dot=_get(cfg, "apex_x_dot", float, 1.0),
-                     y=_get(cfg, "apex_y", float, 0.25))
-    step_hop = _get(cfg, "k_theta_step_hop", int, None)
-    step_val = _get(cfg, "k_theta_step_value", float, None)
-    if (step_hop is None) != (step_val is None):
+    cfg = {**SINGLE_DEFAULTS, **_config(args)}
+    out_dir = cfg.get("out_dir", "single_out")
+    params = replace(DEFAULT_PARAMS, **_pick(cfg, _PHYSICS))
+    inputs = ControlInputs(**_pick(cfg, _GAIT), **_pick(cfg, _GAINS))
+    apex = ApexState(x_dot=cfg["apex_x_dot"], y=cfg["apex_y"])
+    step = tuple(_pick(cfg, ("k_theta_step_hop",
+                             "k_theta_step_value")).values())
+    if len(step) == 1:
         raise ConfigError("k_theta_step_hop and k_theta_step_value must be "
                           "given together")
-    step = None if step_hop is None else (step_hop, step_val)
-    report = run_single(apex, inputs, params,
-                        n_hops=_get(cfg, "n_hops", int, 20),
-                        k_theta_step=step,
-                        dt=_get(cfg, "dt", float, DEFAULT_DT),
-                        control_dt=_get(cfg, "control_dt", float,
-                                        DEFAULT_CONTROL_DT),
-                        out_dir=out_dir)
+    report = run_single(apex, inputs, params, n_hops=cfg["n_hops"],
+                        k_theta_step=step or None, out_dir=out_dir,
+                        **_pick(cfg, _STEPS))
     print(f"single: {len(report.hops)} hops -> {out_dir}")
     if report.failure:
         print(f"  stopped: {report.failure}")
@@ -191,22 +167,14 @@ def _cmd_single(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixed_point(args: argparse.Namespace) -> int:
-    keys = _COMMON_KEYS + ["p_bar", "k_theta", "pipeline"]
-    cfg = _load_config(args.config, _overrides(args, keys))
-    params = _params_from(cfg)
-    p_bar = _get(cfg, "p_bar", float, None)
-    k_theta = _get(cfg, "k_theta", float, None)
-    if p_bar is None or k_theta is None:
+    cfg = _config(args)
+    params = replace(DEFAULT_PARAMS, **_pick(cfg, _PHYSICS))
+    if "p_bar" not in cfg or "k_theta" not in cfg:
         raise ConfigError("fixed-point requires --p-bar and --k-theta")
-    pipeline = _get(cfg, "pipeline", str, fp.CLOSED_FORM)
-    if pipeline not in ALL_PIPELINES:
-        raise ConfigError(f"unknown pipeline {pipeline!r}")
-    inputs = ControlInputs(p_bar=p_bar, k_theta=k_theta, **_gains_from(cfg))
-    dt = _get(cfg, "dt", float, DEFAULT_DT)
-    control_dt = _get(cfg, "control_dt", float, DEFAULT_CONTROL_DT)
+    inputs = ControlInputs(**_pick(cfg, _GAIT), **_pick(cfg, _GAINS))
     try:
-        result = solve_point(pipeline, inputs, params, dt=dt,
-                             control_dt=control_dt)
+        result = solve_point(cfg.get("pipeline", fp.CLOSED_FORM), inputs,
+                             params, **_pick(cfg, _STEPS))
     except SlipError as err:
         print(json.dumps({"status": type(err).__name__, "phase": err.phase,
                           "message": str(err)}, indent=2, sort_keys=True))
@@ -249,7 +217,7 @@ def _cmd_validate(_args: argparse.Namespace) -> int:
     flight energy) is pure Python and checked by the test suite.
     """
     print(f"stance kernel: {_kernel_path()}")
-    undamped = SlipParams(m=3.3, k=4000.0, b=0.0, r0=0.2)
+    undamped = replace(DEFAULT_PARAMS, b=0.0)
     td = StanceState(r=undamped.r0, r_dot=-1.4, theta=0.0, theta_dot=0.0)
     lo, _ = integrate_stance(td, None, undamped)
     err = abs(lo.r_dot + td.r_dot)
@@ -276,38 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sliphop",
         description="Hip-energized SLIP hopping gait analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="fixed-point grid sweep")
-    p_sweep.add_argument("config", nargs="?", help="key=value config file")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--p-bar-min", dest="p_bar_min")
-    p_sweep.add_argument("--p-bar-max", dest="p_bar_max")
-    p_sweep.add_argument("--p-bar-count", dest="p_bar_count")
-    p_sweep.add_argument("--k-theta-min", dest="k_theta_min")
-    p_sweep.add_argument("--k-theta-max", dest="k_theta_max")
-    p_sweep.add_argument("--k-theta-count", dest="k_theta_count")
-    p_sweep.add_argument("--pipelines", dest="pipelines",
-                         help="comma list: " + ",".join(ALL_PIPELINES))
-    p_sweep.add_argument("--workers", dest="workers")
-    p_sweep.add_argument("--seed-chaining", dest="seed_chaining")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_single = sub.add_parser("single", help="chained hop simulation")
-    p_single.add_argument("config", nargs="?")
-    _add_common_flags(p_single)
-    for name in ("p-bar", "k-theta", "n-hops", "apex-x-dot", "apex-y",
-                 "k-theta-step-hop", "k-theta-step-value"):
-        p_single.add_argument(f"--{name}", dest=name.replace("-", "_"))
-    p_single.set_defaults(func=_cmd_single)
-
-    p_fp = sub.add_parser("fixed-point", help="single fixed point as JSON")
-    p_fp.add_argument("config", nargs="?")
-    _add_common_flags(p_fp)
-    p_fp.add_argument("--p-bar", dest="p_bar")
-    p_fp.add_argument("--k-theta", dest="k_theta")
-    p_fp.add_argument("--pipeline", dest="pipeline",
-                      choices=list(ALL_PIPELINES))
-    p_fp.set_defaults(func=_cmd_fixed_point)
+    for name, func, summary in (
+            ("sweep", _cmd_sweep, "fixed-point grid sweep"),
+            ("single", _cmd_single, "chained hop simulation"),
+            ("fixed-point", _cmd_fixed_point, "single fixed point as JSON")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("config", nargs="?", help="key=value config file"
+                       if name == "sweep" else None)
+        for key in COMMAND_KEYS[name]:
+            flag = "out" if key == "out_dir" else key.replace("_", "-")
+            p.add_argument(f"--{flag}", dest=key,
+                           **_FLAG_OPTIONS.get(key, {}))
+        p.set_defaults(func=func)
 
     p_val = sub.add_parser("validate",
                            help="report and check the stance kernel")

@@ -1,4 +1,4 @@
-"""Touchdown-angle selection and the stance controller's state.
+"""Touchdown-angle selection.
 
 The touchdown policy aligns most of the touchdown velocity with the leg
 axis: the commanded angle is theta_td = k_theta * theta_aoa where
@@ -8,14 +8,13 @@ theta_aoa solves the implicit constraint
 
 with E_v the vertical energy at touchdown. The stance policy is a PID
 plus gravity feed-forward on the angular momentum p_theta = m*r^2*theta_dot;
-it runs inside the stance kernel (simulate._stance_core), which returns
-its final PidState.
+it runs inside the stance kernel (simulate._stance_core), which keeps its
+integral and previous momentum sample in locals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InsufficientEnergy, NoConvergence
@@ -44,14 +43,6 @@ class AoaSolution(NamedTuple):
     method: str  # "implicit" | "quadratic-approx"
     residual: float
     iterations: int = 0
-
-
-@dataclass(frozen=True)
-class PidState:
-    """Controller memory: error accumulator and previous momentum sample."""
-
-    integral: float = 0.0
-    p_prev: float = 0.0
 
 
 def vertical_energy(apex: ApexState, params: SlipParams) -> float:

@@ -18,7 +18,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +46,10 @@ class SweepConfig:
     out_dir: str | None = None
     seed_chaining: bool = True
     workers: int = 1
-    kp: float = 100.0
-    ki: float = 0.2
-    kd: float = 0.05
-    tau_max: float | None = None
+    kp: float = ControlInputs.kp
+    ki: float = ControlInputs.ki
+    kd: float = ControlInputs.kd
+    tau_max: float | None = ControlInputs.tau_max
     dt: float = DEFAULT_DT
     control_dt: float = DEFAULT_CONTROL_DT
 
@@ -310,25 +310,28 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
     """Chain the simulator return map for n_hops, recording everything.
 
     k_theta_step = (hop_index, new_value) switches the touchdown gain
-    from that hop onward. Stops at the first gait failure, keeping the
-    partial trajectory and a failure record.
+    from that hop onward; a negative hop_index or a new_value that
+    ControlInputs rejects raises ValueError before any hop. Stops at the
+    first gait failure, keeping the partial trajectory and a failure
+    record.
     """
     if n_hops < 1:
         raise ValueError(f"n_hops must be >= 1, got {n_hops}")
     check_step("dt", dt)
     check_step("control_dt", control_dt)
+    step_hop, stepped = n_hops, inputs
+    if k_theta_step is not None:
+        step_hop, k_theta = k_theta_step
+        if step_hop < 0:
+            raise ValueError(f"k_theta_step hop must be >= 0, got {step_hop}")
+        stepped = replace(inputs, k_theta=k_theta)
     traj = HybridTrajectory()
     hops: list[HopSummary] = []
     failure = None
     t, x = 0.0, 0.0
     current = apex
     for hop in range(n_hops):
-        gait = inputs
-        if k_theta_step is not None and hop >= k_theta_step[0]:
-            gait = ControlInputs(p_bar=inputs.p_bar,
-                                 k_theta=k_theta_step[1], kp=inputs.kp,
-                                 ki=inputs.ki, kd=inputs.kd,
-                                 tau_max=inputs.tau_max)
+        gait = stepped if hop >= step_hop else inputs
         try:
             nxt, hop_traj = return_map_numeric(current, gait, params, dt=dt,
                                                control_dt=control_dt,

@@ -27,8 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import (AoaSolution, PidState, solve_aoa_implicit,
-                      vertical_energy)
+from .control import AoaSolution, solve_aoa_implicit, vertical_energy
 from .errors import (DescendingAtLiftoff, FailedLiftoff, GroundFault,
                      NonPhysical, SlipError, UnreachableTouchdown)
 from .model import (ApexState, ControlInputs, FlightState, SlipParams,
@@ -101,7 +100,7 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
 
     out[i] = (t, r, r_dot, theta, theta_dot, tau) sampled once per
     control step. Returns (status, n_samples, t, r, dr, th, dth,
-    t_bottom, integral, p_prev).
+    t_bottom).
     """
     ctrl_dt = dt * nsub
     integral = 0.0
@@ -142,7 +141,7 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
             istep += 1
             if r <= 0.0 or r * math.cos(th) <= 0.0:
                 return (_STATUS_GROUND, n_samp, istep * dt, r, dr, th, dth,
-                        t_bottom, integral, p_prev)
+                        t_bottom)
             if t_bottom < 0.0 and dr_prev < 0.0 <= dr:
                 lo_h = 0.0
                 hi_h = dt
@@ -171,9 +170,8 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                                            m, k, b, r0, g)
                 t_lo = (istep - 1) * dt + hi_h
                 return (_STATUS_LIFTOFF, n_samp, t_lo, r, dr, th, dth,
-                        t_bottom, integral, p_prev)
-    return (_STATUS_NO_LIFTOFF, n_samp, istep * dt, r, dr, th, dth,
-            t_bottom, integral, p_prev)
+                        t_bottom)
+    return (_STATUS_NO_LIFTOFF, n_samp, istep * dt, r, dr, th, dth, t_bottom)
 
 
 try:  # pragma: no cover - exercised implicitly everywhere
@@ -250,7 +248,6 @@ class StanceSegment:
     t_bottom: float | None     # first r_dot zero crossing, None if none
     p_liftoff: float           # angular momentum at liftoff
     samples: np.ndarray        # (n, 6): t, r, r_dot, theta, theta_dot, tau
-    pid: PidState              # controller state at liftoff
 
 
 # --- phase maps --------------------------------------------------------------
@@ -282,7 +279,7 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
     else:
         tau_max = math.inf if inputs.tau_max is None else inputs.tau_max
         ctrl = (True, inputs.p_bar, inputs.kp, inputs.ki, inputs.kd, tau_max)
-    status, n_samp, t_end, r, dr, th, dth, t_bottom, integral, p_prev = \
+    status, n_samp, t_end, r, dr, th, dth, t_bottom = \
         _stance_core(td.r, td.r_dot, td.theta, td.theta_dot,
                      params.m, params.k, params.b, params.r0, params.g,
                      *ctrl, dt, nsub, n_ctrl_max, out)
@@ -298,7 +295,6 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
         t_bottom=None if t_bottom < 0.0 else t_bottom,
         p_liftoff=lo.angular_momentum(params),
         samples=out[:n_samp].copy(),
-        pid=PidState(integral=integral, p_prev=p_prev),
     )
     return lo, segment
 

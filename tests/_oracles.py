@@ -10,9 +10,9 @@ available because it runs at dt = 1e-7.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from sliphop import ApexState, ControlInputs, PidState, SlipParams, \
-    StanceState
+from sliphop import ApexState, ControlInputs, SlipParams, StanceState
 
 
 def _taylor_rk4(r, dr, th, m, k, b, r0, g, p_bar, t_end, dt):
@@ -66,6 +66,14 @@ def taylor_flow_oracle(td: StanceState, p_bar: float, params: SlipParams,
     t_end, by brute-force RK4."""
     return _taylor_rk4(td.r, td.r_dot, td.theta, params.m, params.k,
                        params.b, params.r0, params.g, p_bar, t_end, dt)
+
+
+@dataclass(frozen=True)
+class PidState:
+    """Controller memory: error accumulator and previous momentum sample."""
+
+    integral: float = 0.0
+    p_prev: float = 0.0
 
 
 def pid_at_touchdown(td: StanceState, params: SlipParams) -> PidState:

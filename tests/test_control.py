@@ -3,11 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sliphop import (ControlInputs, InsufficientEnergy, PidState, SlipParams,
+from sliphop import (ControlInputs, InsufficientEnergy, SlipParams,
                      StanceState, solve_aoa_approx, solve_aoa_implicit)
 from sliphop.numerics import quadratic_roots
 
-from _oracles import hip_torque, pid_at_touchdown
+from _oracles import PidState, hip_torque, pid_at_touchdown
 
 
 class TestImplicitSolver:

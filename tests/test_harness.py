@@ -132,6 +132,19 @@ class TestRunSweep:
             assert s.n == 2
 
 
+def _count_map_calls(monkeypatch) -> list:
+    """Record every simulator map evaluation the harness makes."""
+    calls = []
+    original = harness.return_map_numeric
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "return_map_numeric", counted)
+    return calls
+
+
 class TestRunSingle:
     def test_hop_chain_converges(self, params):
         inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
@@ -200,6 +213,19 @@ class TestRunSingle:
             run_single(ApexState(1.0, 0.15), inputs, params, n_hops=2,
                        **{field: 0.0})
 
+    @pytest.mark.parametrize("step,message", [
+        ((5, 1.5), "^k_theta must be in"),
+        ((-3, 0.5), "^k_theta_step hop must be >= 0"),
+    ])
+    def test_rejects_bad_gain_step_before_any_hop(self, params, monkeypatch,
+                                                  step, message):
+        maps = _count_map_calls(monkeypatch)
+        inputs = ControlInputs(p_bar=-0.79, k_theta=0.64)
+        with pytest.raises(ValueError, match=message):
+            run_single(ApexState(1.0, 0.25), inputs, params, n_hops=20,
+                       k_theta_step=step)
+        assert maps == []
+
     def test_output_files(self, params, tmp_path):
         inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
         report = run_single(ApexState(1.5, 0.24), inputs, params, n_hops=2,
@@ -252,14 +278,7 @@ class TestSolvePoint:
         assert [o.status for o in report.outcomes] == [f"GaitFailure@{phase}"]
 
     def test_sweep_and_cli_share_the_simulator_map(self, monkeypatch):
-        calls = []
-        original = harness.return_map_numeric
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "return_map_numeric", counted)
+        calls = _count_map_calls(monkeypatch)
         run_sweep(SweepConfig(p_bar_range=(-1.0, -1.0, 1),
                               k_theta_range=(0.5, 0.5, 1),
                               pipelines=(SIMULATOR_NUMERIC,)))
@@ -403,6 +422,18 @@ class TestCli:
                   + half)
         assert rc == 2
         assert "must be given together" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("hop,value", [("5", "1.5"), ("-3", "0.5")])
+    def test_bad_gain_step_exits_before_any_hop(self, hop, value, tmp_path,
+                                                monkeypatch, capsys):
+        maps = _count_map_calls(monkeypatch)
+        rc = main(["single", "--k-theta-step-hop", hop,
+                   "--k-theta-step-value", value,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: k_theta")
+        assert maps == []
         assert not (tmp_path / "out").exists()
 
     def test_validate_command(self, capsys):

@@ -9,26 +9,26 @@ Subcommands:
 Config files are flat key=value lines ('#' starts a comment).
 COMMAND_KEYS declares each subcommand's keys once, with the function
 that parses each value; every key is also a flag (--out for out_dir),
-and a flag overrides the file. An empty value leaves a key unset. Only
-the keys that are set reach the library, which supplies every other
-default; SINGLE_DEFAULTS holds the single-run gait and starting apex,
-which no library type has. Exit codes: 0 success, 2 config error, 3 all
-points failed (or a failed validate check).
+and a flag overrides the file. An empty value leaves a key unset; a
+file key that no subcommand declares is a config error. Only the keys
+that are set reach the library, which supplies every other default;
+SINGLE_DEFAULTS holds the single-run gait and starting apex, which no
+library type has. Exit codes: 0 success, 2 config error, 3 all points
+failed (or a failed validate check).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import fixedpoint as fp
 from .errors import SlipError
 from .harness import (ALL_PIPELINES, SweepConfig, run_single, run_sweep,
-                      solve_point)
+                      solve_point, to_json)
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, StanceState
 from .simulate import HAVE_NUMBA, integrate_stance
 
@@ -91,6 +91,8 @@ COMMAND_KEYS = {
     "fixed-point": {**_COMMON, **_GAIT, "pipeline": str},
 }
 
+_KNOWN_KEYS = set().union(*COMMAND_KEYS.values())
+
 SINGLE_DEFAULTS = {"p_bar": -0.79, "k_theta": 0.64, "apex_x_dot": 1.0,
                    "apex_y": 0.25, "n_hops": 20}
 
@@ -102,9 +104,16 @@ _FLAG_OPTIONS = {
 
 
 def _config(args: argparse.Namespace) -> dict:
-    """The command's keys set in its config file or flags, parsed."""
+    """The command's keys set in its config file or flags, parsed.
+
+    A file key that no subcommand declares is a config error; keys of
+    other subcommands are ignored, so one file can serve them all.
+    """
     keys, flags = COMMAND_KEYS[args.command], vars(args)
     text = parse_config_file(args.config) if args.config else {}
+    for key in text:
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
     text.update((key, flags[key]) for key in keys if flags[key] is not None)
     cfg = {}
     for key, parse in keys.items():
@@ -176,13 +185,13 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
         result = solve_point(cfg.get("pipeline", fp.CLOSED_FORM), inputs,
                              params, **_pick(cfg, _STEPS))
     except SlipError as err:
-        print(json.dumps({"status": type(err).__name__, "phase": err.phase,
-                          "message": str(err)}, indent=2, sort_keys=True))
+        print(to_json({"status": type(err).__name__, "phase": err.phase,
+                       "message": str(err)}), end="")
         return EXIT_ALL_FAILED
     doc = {
         "status": "converged",
         "pipeline": result.provenance,
-        "apex": {"x_dot": result.apex.x_dot, "y": result.apex.y},
+        "apex": asdict(result.apex),
         "spectral_radius": None if math.isnan(result.spectral_radius)
         else result.spectral_radius,
         "stable": result.stable,
@@ -190,13 +199,8 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
         "newton_steps": result.newton_steps,
     }
     if result.touchdown is not None:
-        doc["touchdown"] = {
-            "r_dot_td": result.touchdown.r_dot_td,
-            "theta_td": result.touchdown.theta_td,
-            "theta_dot_td": result.touchdown.theta_dot_td,
-            "theta_offset": result.touchdown.theta_offset,
-        }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+        doc["touchdown"] = asdict(result.touchdown)
+    print(to_json(doc), end="")
     return EXIT_OK
 
 

@@ -6,8 +6,15 @@ return map and tolerance; the sweep and the CLI both call it. A sweep
 evaluates the requested pipelines over a (p_bar, k_theta) grid, records
 per-point results or phase-tagged failures, and aggregates prediction
 errors between pipelines (RMS and percent RMS of the apex speed and
-height). Output files are deterministic: fixed column order, fixed grid
-order, 9-significant-digit floats.
+height).
+
+Output files are deterministic: fixed column order, fixed grid order.
+Every CSV goes through _write_csv, which formats each cell with _fmt
+(9-significant-digit floats, "" for None and NaN); every JSON document,
+the CLI's included, goes through to_json. A trajectory.csv row is a
+TrajectorySample and a hops.csv row a HopSummary, whose fields are the
+columns; the JSON objects of parameters, control inputs and apex states
+are their dataclass fields.
 """
 
 from __future__ import annotations
@@ -15,11 +22,12 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +35,7 @@ from . import fixedpoint as fp
 from .errors import SlipError
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
 from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, HybridTrajectory,
-                       check_step, return_map_numeric)
+                       TrajectorySample, check_step, return_map_numeric)
 
 ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
 SIM_TOL = 1e-6
@@ -126,12 +134,12 @@ class SweepReport:
         return {(o.p_bar, o.k_theta): o.result for o in self.outcomes
                 if o.pipeline == pipeline and o.result is not None}
 
-    def failure_counts(self) -> dict[str, dict[str, int]]:
-        counts: dict[str, dict[str, int]] = {}
+    def status_counts(self) -> dict[str, Counter]:
+        """Per requested pipeline, how many cells ended in each status
+        ("converged" or the failure's tag)."""
+        counts = {p: Counter() for p in self.config.pipelines}
         for o in self.outcomes:
-            if o.result is None:
-                per = counts.setdefault(o.pipeline, {})
-                per[o.status] = per.get(o.status, 0) + 1
+            counts[o.pipeline][o.status] += 1
         return counts
 
 
@@ -229,21 +237,17 @@ def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
     return rows
 
 
-def _error_stats(outcomes: list[PointOutcome],
-                 pipelines: tuple[str, ...]) -> list[ErrorStats]:
-    by_pipe: dict[str, dict[tuple[float, float], fp.FixedPointResult]] = {}
-    for o in outcomes:
-        if o.result is not None:
-            by_pipe.setdefault(o.pipeline, {})[(o.p_bar, o.k_theta)] = o.result
+def _error_stats(report: SweepReport) -> list[ErrorStats]:
     pairs = [(fp.CLOSED_FORM, fp.SIMULATOR_NUMERIC),
              (fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC),
              (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC)]
+    pipelines = report.config.pipelines
     stats: list[ErrorStats] = []
     for pred_name, ref_name in pairs:
         if pred_name not in pipelines or ref_name not in pipelines:
             continue
-        pred = by_pipe.get(pred_name, {})
-        ref = by_pipe.get(ref_name, {})
+        pred = report.converged(pred_name)
+        ref = report.converged(ref_name)
         keys = sorted(set(pred) & set(ref))
         if not keys:
             continue
@@ -273,10 +277,11 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             per_row = list(pool.map(_sweep_row, [cfg] * len(p_bars), p_bars))
     else:
         per_row = [_sweep_row(cfg, pb) for pb in p_bars]
-    outcomes = [o for row in per_row for o in row]
-    stats = _error_stats(outcomes, cfg.pipelines)
-    report = SweepReport(config=cfg, outcomes=outcomes, error_stats=stats,
-                         runtime_s=time.perf_counter() - t0)
+    report = SweepReport(config=cfg,
+                         outcomes=[o for row in per_row for o in row],
+                         error_stats=[], runtime_s=0.0)
+    report.error_stats = _error_stats(report)
+    report.runtime_s = time.perf_counter() - t0
     if cfg.out_dir is not None:
         write_sweep_outputs(report, Path(cfg.out_dir))
     return report
@@ -284,8 +289,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 
 # --- single-run harness -------------------------------------------------------
 
-@dataclass
-class HopSummary:
+class HopSummary(NamedTuple):
+    """One row of hops.csv, its fields the columns in order."""
+
     hop: int
     x_dot: float        # apex state at the end of the hop
     y: float
@@ -341,17 +347,11 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
             break
         traj.extend(hop_traj)
         events = {e.name: e for e in hop_traj.events}
-        td = events["touchdown"].state or {}
-        lo = events["liftoff"].state or {}
+        td, lo = events["touchdown"].state, events["liftoff"].state
         hops.append(HopSummary(
-            hop=hop, x_dot=nxt.x_dot, y=nxt.y,
-            p_liftoff=lo.get("p_theta", math.nan),
-            theta_td=td.get("theta", math.nan),
-            theta_lo=lo.get("theta", math.nan),
-            r_lo=lo.get("r", math.nan)))
-        apex_event = events["apex"]
-        t = apex_event.t
-        x = (apex_event.state or {}).get("x", x)
+            hop=hop, x_dot=nxt.x_dot, y=nxt.y, p_liftoff=lo["p_theta"],
+            theta_td=td["theta"], theta_lo=lo["theta"], r_lo=lo["r"]))
+        t, x = events["apex"].t, events["apex"].state["x"]
         current = nxt
     report = SingleRunReport(hops=hops, trajectory=traj, final_apex=current,
                              failure=failure)
@@ -373,50 +373,48 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
-    """Write the 1 kHz sample rows; 9 significant digits, '.' decimal."""
+def _write_csv(path, header, rows) -> None:
+    """Write the header, then each row with every cell through _fmt."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(("t", "phase", "r", "r_dot", "theta", "theta_dot",
-                    "x", "y", "x_dot", "y_dot", "tau"))
-        for s in traj.samples:
-            w.writerow((_fmt(s.t), s.phase, _fmt(s.r), _fmt(s.r_dot),
-                        _fmt(s.theta), _fmt(s.theta_dot), _fmt(s.x),
-                        _fmt(s.y), _fmt(s.x_dot), _fmt(s.y_dot),
-                        _fmt(s.torque)))
+        w.writerow(header)
+        w.writerows(map(_fmt, row) for row in rows)
+
+
+def to_json(doc) -> str:
+    """The one JSON layout of every output file and printed document."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _result_cells(r: fp.FixedPointResult | None) -> tuple:
+    """The sweep.csv cells of one result, None for a failed cell."""
+    if r is None:
+        return (None,) * 5
+    return r.apex.x_dot, r.apex.y, r.spectral_radius, r.stable, r.residual
+
+
+def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
+    """Write the 1 kHz sample rows; 9 significant digits, '.' decimal."""
+    _write_csv(path, TrajectorySample._fields, traj.samples)
 
 
 def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:
     """Emit sweep.csv, errors.csv and report.json into out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("p_bar", "k_theta", "pipeline", "x_dot_star", "y_star",
-                    "spectral_radius", "stable", "residual", "status"))
-        for o in report.outcomes:
-            r = o.result
-            if r is None:
-                w.writerow((_fmt(o.p_bar), _fmt(o.k_theta), o.pipeline,
-                            "", "", "", "", "", o.status))
-            else:
-                w.writerow((_fmt(o.p_bar), _fmt(o.k_theta), o.pipeline,
-                            _fmt(r.apex.x_dot), _fmt(r.apex.y),
-                            _fmt(r.spectral_radius), _fmt(r.stable),
-                            _fmt(r.residual), o.status))
-    with open(out_dir / "errors.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("predicted", "reference", "quantity", "n_points", "rms",
-                    "percent_rms", "rms_over_mean_ref"))
-        for s in report.error_stats:
-            w.writerow((s.predicted, s.reference, s.quantity, s.n,
-                        _fmt(s.rms), _fmt(s.percent_rms),
-                        _fmt(s.rms_over_mean_ref)))
+    _write_csv(out_dir / "sweep.csv",
+               ("p_bar", "k_theta", "pipeline", "x_dot_star", "y_star",
+                "spectral_radius", "stable", "residual", "status"),
+               ((o.p_bar, o.k_theta, o.pipeline, *_result_cells(o.result),
+                 o.status) for o in report.outcomes))
+    _write_csv(out_dir / "errors.csv",
+               ("predicted", "reference", "quantity", "n_points", "rms",
+                "percent_rms", "rms_over_mean_ref"),
+               map(astuple, report.error_stats))
     cfg = report.config
+    counts = report.status_counts()
     doc = {
         "config": {
-            "params": {"m": cfg.params.m, "k": cfg.params.k,
-                       "b": cfg.params.b, "r0": cfg.params.r0,
-                       "g": cfg.params.g},
+            "params": asdict(cfg.params),
             "p_bar_range": list(cfg.p_bar_range),
             "k_theta_range": list(cfg.k_theta_range),
             "pipelines": list(cfg.pipelines),
@@ -426,19 +424,14 @@ def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:
             "dt": cfg.dt,
             "control_dt": cfg.control_dt,
         },
-        "points_per_pipeline": {
-            p: sum(1 for o in report.outcomes if o.pipeline == p)
-            for p in cfg.pipelines},
-        "converged_per_pipeline": {
-            p: sum(1 for o in report.outcomes
-                   if o.pipeline == p and o.result is not None)
-            for p in cfg.pipelines},
-        "failures": report.failure_counts(),
-        "error_stats": [vars(s) for s in report.error_stats],
+        "points_per_pipeline": {p: c.total() for p, c in counts.items()},
+        "converged_per_pipeline": {p: c["converged"]
+                                   for p, c in counts.items()},
+        "failures": {p: {s: n for s, n in c.items() if s != "converged"}
+                     for p, c in counts.items() if c.total() > c["converged"]},
+        "error_stats": [asdict(s) for s in report.error_stats],
     }
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "report.json").write_text(to_json(doc))
 
 
 def write_single_outputs(report: SingleRunReport, inputs: ControlInputs,
@@ -446,24 +439,12 @@ def write_single_outputs(report: SingleRunReport, inputs: ControlInputs,
     """Emit trajectory.csv, hops.csv and single.json into out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(report.trajectory, out_dir / "trajectory.csv")
-    with open(out_dir / "hops.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("hop", "x_dot", "y", "p_liftoff", "theta_td", "theta_lo",
-                    "r_lo"))
-        for h in report.hops:
-            w.writerow((h.hop, _fmt(h.x_dot), _fmt(h.y), _fmt(h.p_liftoff),
-                        _fmt(h.theta_td), _fmt(h.theta_lo), _fmt(h.r_lo)))
+    _write_csv(out_dir / "hops.csv", HopSummary._fields, report.hops)
     doc = {
-        "params": {"m": params.m, "k": params.k, "b": params.b,
-                   "r0": params.r0, "g": params.g},
-        "inputs": {"p_bar": inputs.p_bar, "k_theta": inputs.k_theta,
-                   "kp": inputs.kp, "ki": inputs.ki, "kd": inputs.kd,
-                   "tau_max": inputs.tau_max},
+        "params": asdict(params),
+        "inputs": asdict(inputs),
         "hops_completed": len(report.hops),
-        "final_apex": {"x_dot": report.final_apex.x_dot,
-                       "y": report.final_apex.y},
+        "final_apex": asdict(report.final_apex),
         "failure": report.failure,
     }
-    with open(out_dir / "single.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "single.json").write_text(to_json(doc))

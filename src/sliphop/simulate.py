@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -186,9 +186,10 @@ except ImportError:  # pragma: no cover
 
 # --- trajectory containers ---------------------------------------------------
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One 1 kHz output row; stance-only fields are None in flight."""
+class TrajectorySample(NamedTuple):
+    """One 1 kHz row of trajectory.csv, its fields the columns in order;
+    the stance-only fields (leg state and hip torque tau) are None in
+    flight."""
 
     t: float
     phase: str  # "descent" | "stance" | "ascent"
@@ -200,7 +201,7 @@ class TrajectorySample:
     y: float
     x_dot: float
     y_dot: float
-    torque: float | None
+    tau: float | None
 
 
 @dataclass(frozen=True)
@@ -384,7 +385,7 @@ def _flight_samples(t0: float, duration: float, x0: float, x_dot: float,
             t=t0 + t, phase=phase, r=None, r_dot=None, theta=None,
             theta_dot=None, x=x0 + x_dot * t,
             y=y0 + y_dot0 * t - 0.5 * g * t * t,
-            x_dot=x_dot, y_dot=y_dot0 - g * t, torque=None))
+            x_dot=x_dot, y_dot=y_dot0 - g * t, tau=None))
     return rows
 
 
@@ -439,7 +440,7 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
             t=t_touch + t, phase="stance", r=r, r_dot=dr, theta=th,
             theta_dot=dth, x=toe_x - r * sn, y=r * c,
             x_dot=-dth * r * c - dr * sn, y_dot=-dth * r * sn + dr * c,
-            torque=tau))
+            tau=tau))
     if seg.t_bottom is not None:
         traj.events.append(TrajectoryEvent("bottom", t_touch + seg.t_bottom))
     t_lift = t_touch + seg.t_liftoff

@@ -172,6 +172,13 @@ _CASES = {
             "n_hops": 2, "k_theta_step": (3, 0.65), "control_dt": 1e-3,
             "out_dir": "from_flag"})],
         0, _single_out("from_flag"), ""),
+    "sweep/unknown-key": (
+        _SWEEP_FILE + "kpp = 90\np_bar_cout = 5\n", [], [], 2, "",
+        "config error: unknown config key 'kpp'\n"),
+    "single/other-commands-keys": (
+        _SINGLE_FILE + "p_bar_min = -1.2\npipeline = simulator-numeric\n",
+        [], [("run_single", _SINGLE_FROM_FILE)],
+        0, _single_out("from_file"), ""),
     "fixed-point/no-config": (
         None, [], [], 2, "",
         "config error: fixed-point requires --p-bar and --k-theta\n"),

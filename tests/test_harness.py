@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import functools
 import json
 import math
@@ -14,6 +16,11 @@ from sliphop import (ApexState, ControlInputs, SlipError, StanceState,
 from sliphop.cli import main, parse_config_file
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestSweepConfig:
@@ -227,16 +234,41 @@ class TestRunSingle:
         assert maps == []
 
     def test_output_files(self, params, tmp_path):
-        inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
+        inputs = ControlInputs(p_bar=-1.0, k_theta=0.5, kp=90.0, ki=0.1,
+                               kd=0.04, tau_max=40.0)
         report = run_single(ApexState(1.5, 0.24), inputs, params, n_hops=2,
                             out_dir=tmp_path)
-        assert (tmp_path / "trajectory.csv").exists()
-        hops = (tmp_path / "hops.csv").read_text().splitlines()
-        assert hops[0] == "hop,x_dot,y,p_liftoff,theta_td,theta_lo,r_lo"
+
+        def cell(v):
+            if v is None or isinstance(v, str):
+                return v or ""
+            return format(v, ".9g")
+
+        hops = _read_csv(tmp_path / "hops.csv")
+        assert hops[0] == ["hop", "x_dot", "y", "p_liftoff", "theta_td",
+                           "theta_lo", "r_lo"]
+        assert hops[1:] == [[cell(getattr(h, col)) for col in hops[0]]
+                            for h in report.hops]
         assert len(hops) == 3
+
+        rows = _read_csv(tmp_path / "trajectory.csv")
+        header, rows = rows[0], rows[1:]
+        assert header[-1] == "tau"
+        samples = report.trajectory.samples
+        assert len(rows) == len(samples)
+        for row, s in zip(rows, samples):
+            assert row[:-1] == [cell(getattr(s, col)) for col in header[:-1]]
+            if s.phase == "stance":
+                assert row[-1] == format(float(row[-1]), ".9g")
+            else:
+                assert row[2:6] == ["", "", "", ""] and row[-1] == ""
+
         doc = json.loads((tmp_path / "single.json").read_text())
-        assert doc["hops_completed"] == 2
-        assert doc["failure"] is None
+        assert doc == {"params": dataclasses.asdict(params),
+                       "inputs": dataclasses.asdict(inputs),
+                       "hops_completed": 2,
+                       "final_apex": dataclasses.asdict(report.final_apex),
+                       "failure": None}
 
 
 # (module, attribute) of the callee each phase of each map runs

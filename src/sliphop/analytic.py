@@ -181,13 +181,14 @@ def liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
     return t_lo
 
 
-def liftoff_time_bisect(coeffs: StanceFlowCoeffs, params: SlipParams,
-                        scan_dt: float = 1e-4, tol: float = 1e-12) -> float:
+def liftoff_time_bisect(coeffs: StanceFlowCoeffs,
+                        params: SlipParams) -> float:
     """Oracle for liftoff_time: bisect k*(r - r0) + b*r_dot = 0 on the flow.
 
-    Scans forward from the bottom time for the first upward force
-    crossing. Independent of the arccos branch arithmetic; used to
-    validate psi4 and the n1/n2 branch choices.
+    Scans forward from the bottom time in 1e-4 s steps for the first
+    upward force crossing and bisects it to 1e-12 s. Independent of the
+    arccos branch arithmetic; used to validate psi4 and the n1/n2 branch
+    choices.
     """
     w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
     g_over_w2 = coeffs.gamma / (w * w)
@@ -203,11 +204,11 @@ def liftoff_time_bisect(coeffs: StanceFlowCoeffs, params: SlipParams,
     f_prev = force(t)
     t_stop = t + 4.0 * math.pi / wd
     while t < t_stop:
-        t_next = t + scan_dt
+        t_next = t + 1e-4
         f_next = force(t_next)
         if f_prev < 0.0 <= f_next:
             lo, hi = t, t_next
-            while hi - lo > tol:
+            while hi - lo > 1e-12:
                 mid = 0.5 * (lo + hi)
                 if force(mid) < 0.0:
                     lo = mid

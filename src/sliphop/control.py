@@ -62,11 +62,11 @@ def _phi(theta: float, x_dot: float, e_v: float, k_theta: float,
 
 
 def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
-                       params: SlipParams, tol: float = AOA_TOL,
-                       max_iter: int = AOA_MAX_ITER) -> AoaSolution:
+                       params: SlipParams) -> AoaSolution:
     """Solve theta = Phi(theta) for the angle of attack.
 
-    Fixed-point iteration from the edge of Phi's domain, with a bisection
+    Fixed-point iteration from the edge of Phi's domain (to AOA_TOL, at
+    most AOA_MAX_ITER sweeps), with a bisection
     backstop on Phi(theta) - theta over the admissible interval. The
     solution carries the sign of x_dot (Phi is odd in x_dot, even in
     theta). Raises InsufficientEnergy when no admissible angle exists in
@@ -92,12 +92,12 @@ def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
         lo = math.nextafter(lo, math.inf)
 
     theta = lo
-    for it in range(1, max_iter + 1):
+    for it in range(1, AOA_MAX_ITER + 1):
         try:
             nxt = _phi(theta, ax, e_v, k_theta, params)
         except InsufficientEnergy:
             break  # iterate left the domain; bisection handles it
-        if abs(nxt - theta) <= tol:
+        if abs(nxt - theta) <= AOA_TOL:
             return AoaSolution(sign * nxt, k_theta * sign * nxt,
                                "implicit", abs(nxt - theta), it)
         theta = nxt
@@ -123,8 +123,8 @@ def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
             b = mid
     theta = 0.5 * (a + b)
     res = abs(_phi(theta, ax, e_v, k_theta, params) - theta)
-    if res > tol:
-        raise NoConvergence(f"bisection residual {res:.3e} > {tol:.1e}")
+    if res > AOA_TOL:
+        raise NoConvergence(f"bisection residual {res:.3e} > {AOA_TOL:.1e}")
     return AoaSolution(sign * theta, k_theta * sign * theta,
                        "implicit", res, 0)
 

@@ -21,14 +21,18 @@ from .analytic import (return_map_analytic, simplified_map_constants,
                        theta_offset)
 from .errors import (GaitFailure, IllConditioned, NegativeDiscriminant,
                      NoConvergence, NonPhysical, NoRealFixedPoint, SlipError)
-from .model import ApexState, ControlInputs, SlipParams
+from .model import (ApexState, ControlInputs, FlightState, SlipParams,
+                    StanceState, stance_to_flight)
 from .numerics import quadratic_roots, spectral_radius_2x2
+from .simulate import integrate_ascent
 
 CLOSED_FORM = "closed-form"
 ANALYTIC_NUMERIC = "analytic-numeric"
 SIMULATOR_NUMERIC = "simulator-numeric"
 
 ReturnMap = Callable[[ApexState, ControlInputs, SlipParams], ApexState]
+
+FD_STEP = 1e-6  # map Jacobian step: h = max(FD_STEP, FD_STEP*|z_i|)
 
 
 @dataclass(frozen=True)
@@ -64,17 +68,16 @@ class FixedPointResult:
 
 def _map_jacobian(return_map: ReturnMap, z: ApexState,
                   inputs: ControlInputs, params: SlipParams,
-                  h_scale: float = 1e-6,
                   ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Central-difference Jacobian of the apex map at z, as rows of floats.
 
-    Step h = max(h_scale, h_scale*|z_i|) per component. Raises
+    Step h = max(FD_STEP, FD_STEP*|z_i|) per component. Raises
     IllConditioned when a difference column is pure noise.
     """
     z0 = (z.x_dot, z.y)
     cols = []
     for j in range(2):
-        h = max(h_scale, h_scale * abs(z0[j]))
+        h = max(FD_STEP, FD_STEP * abs(z0[j]))
         zp = list(z0)
         zp[j] += h
         zm = list(z0)
@@ -94,11 +97,10 @@ def _map_jacobian(return_map: ReturnMap, z: ApexState,
 
 def stability(return_map: ReturnMap, z_star: ApexState,
               inputs: ControlInputs, params: SlipParams,
-              h_scale: float = 1e-6) -> tuple[np.ndarray, float, bool]:
+              ) -> tuple[np.ndarray, float, bool]:
     """Return-map Jacobian at a fixed point, its spectral radius, and the
     stability verdict (spectral radius < 1)."""
-    (a, b), (c, d) = _map_jacobian(return_map, z_star, inputs, params,
-                                   h_scale)
+    (a, b), (c, d) = _map_jacobian(return_map, z_star, inputs, params)
     rho = spectral_radius_2x2(a, b, c, d)
     return np.array([[a, b], [c, d]]), rho, rho < 1.0
 
@@ -122,16 +124,19 @@ def closed_form_fixed_point(p_bar: float, k_theta: float,
     energy quadratic, theta_td the positive root of the speed quadratic,
     and theta_dot_td follows from the offset-angle relation
     theta_dot = -r_dot/r0 * tan(theta_offset). The apex point is the
-    touchdown state mapped backward through the reset and descent.
-    Stability is evaluated on the analytic return map at the apex.
+    touchdown state run backward through the model's own laws: the
+    liftoff reset inverts the touchdown reset, and the descent reversed
+    in time is an ascent. Stability is evaluated on the analytic return
+    map at the apex.
 
     Raises NoRealFixedPoint when a constraint quadratic has no real
     root, NonPhysical when the chosen branch is not a descending-
-    touchdown gait. No silent branch swapping.
+    touchdown gait (including a touchdown angle at or past horizontal),
+    ValueError when ControlInputs rejects (p_bar, k_theta). No silent
+    branch swapping.
     """
-    if not 0.0 <= k_theta <= 1.0:
-        raise ValueError(f"k_theta must be in [0, 1], got {k_theta}")
-    m, r0, g = params.m, params.r0, params.g
+    inputs = ControlInputs(p_bar=p_bar, k_theta=k_theta)
+    m, r0 = params.m, params.r0
     t_off = theta_offset(p_bar, k_theta)
     tan_off = math.tan(t_off)
     con = simplified_map_constants(p_bar, k_theta, params)
@@ -159,25 +164,27 @@ def closed_form_fixed_point(p_bar: float, k_theta: float,
         theta_td, _ = quadratic_roots(a_t, b_t, c_t)  # Q+ branch
     except NegativeDiscriminant as err:
         raise NoRealFixedPoint(f"speed quadratic: {err}") from err
+    if abs(theta_td) >= 0.5 * math.pi:
+        raise NonPhysical(
+            f"theta_td = {theta_td:.4f} rad on the Q+ branch puts the toe "
+            "at or above the hip")
 
     theta_dot = -r_dot / r0 * tan_off
     touchdown = TouchdownFixedPoint(r_dot_td=r_dot, theta_td=theta_td,
                                     theta_dot_td=theta_dot,
                                     theta_offset=t_off)
 
-    # backward in time: inverse touchdown reset, then inverse descent
-    c, sn = math.cos(theta_td), math.sin(theta_td)
-    x_dot = -theta_dot * r0 * c - r_dot * sn
-    y_td = r0 * c
-    y_dot_td = -theta_dot * r0 * sn + r_dot * c
-    if y_dot_td >= 0.0:
-        raise NonPhysical(f"touchdown y_dot = {y_dot_td:.4f} >= 0")
-    y_apex = y_td + y_dot_td * y_dot_td / (2.0 * g)
-    if y_apex <= y_td:
-        raise NonPhysical(f"apex height {y_apex:.4f} <= touchdown height")
-    apex = ApexState(x_dot=x_dot, y=y_apex)
+    # backward in time: the inverse of the touchdown reset is the liftoff
+    # reset, and the descent run backward is an ascent
+    f_td = stance_to_flight(StanceState(r=r0, r_dot=r_dot, theta=theta_td,
+                                        theta_dot=theta_dot))
+    if f_td.y_dot >= 0.0:
+        raise NonPhysical(f"touchdown y_dot = {f_td.y_dot:.4f} >= 0")
+    apex = integrate_ascent(FlightState(f_td.x_dot, f_td.y, -f_td.y_dot),
+                            params)
+    if apex.y <= f_td.y:
+        raise NonPhysical(f"apex height {apex.y:.4f} <= touchdown height")
 
-    inputs = ControlInputs(p_bar=p_bar, k_theta=k_theta)
     jac, rho, stable = _stability_or_nan(return_map_analytic, apex,
                                          inputs, params)
     try:

@@ -35,7 +35,7 @@ from . import fixedpoint as fp
 from .errors import SlipError
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
 from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, HybridTrajectory,
-                       TrajectorySample, check_step, return_map_numeric)
+                       TrajectorySample, check_steps, return_map_numeric)
 
 ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
 SIM_TOL = 1e-6
@@ -68,6 +68,9 @@ class SweepConfig:
                 raise ValueError(f"{name} count must be >= 1, got {n}")
             if lo > hi:
                 raise ValueError(f"{name} must be ordered, got ({lo}, {hi})")
+            if lo == hi and n > 1:
+                raise ValueError(f"{name} has equal ends, so its count must "
+                                 f"be 1, got {n}")
         # Every grid value lies between the range ends, so the two corner
         # cells' ControlInputs reject a non-finite end, a k_theta outside
         # [0, 1] or a bad gain now, before any cell is solved.
@@ -82,8 +85,7 @@ class SweepConfig:
             raise ValueError("at least one pipeline required")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        check_step("dt", self.dt)
-        check_step("control_dt", self.control_dt)
+        check_steps(self.dt, self.control_dt)
 
     def inputs(self, p_bar: float, k_theta: float) -> ControlInputs:
         return ControlInputs(p_bar=p_bar, k_theta=k_theta, kp=self.kp,
@@ -171,12 +173,11 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
     apply _PREWARM plain map iterations, and converge to ANALYTIC_TOL on
     the analytic map or to SIM_TOL on the simulator map at
     dt/control_dt. Raises SlipError when the gait has no fixed point
-    there, ValueError when a step size is not finite and > 0.
+    there, ValueError when the steps fail simulate.check_steps.
     """
     if pipeline not in ALL_PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    check_step("dt", dt)
-    check_step("control_dt", control_dt)
+    check_steps(dt, control_dt)
     if pipeline == fp.CLOSED_FORM:
         return fp.closed_form_fixed_point(inputs.p_bar, inputs.k_theta,
                                           params)
@@ -323,8 +324,7 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
     """
     if n_hops < 1:
         raise ValueError(f"n_hops must be >= 1, got {n_hops}")
-    check_step("dt", dt)
-    check_step("control_dt", control_dt)
+    check_steps(dt, control_dt)
     step_hop, stepped = n_hops, inputs
     if k_theta_step is not None:
         step_hop, k_theta = k_theta_step

@@ -47,10 +47,19 @@ _STATUS_NO_LIFTOFF = 1
 _STATUS_GROUND = 2
 
 
-def check_step(name: str, value: float) -> None:
-    """Raise ValueError unless the step size is finite and > 0."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+def check_steps(dt: float, control_dt: float) -> int:
+    """RK4 steps per control period, control_dt / dt. Raises ValueError
+    unless both are finite and > 0 and control_dt is a whole multiple
+    (>= 1, to 1e-9 relative) of dt."""
+    for name, value in (("dt", dt), ("control_dt", control_dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    ratio = control_dt / dt
+    nsub = round(ratio) if math.isfinite(ratio) else 0
+    if nsub < 1 or abs(ratio - nsub) > 1e-9 * ratio:
+        raise ValueError(f"control_dt must be a whole multiple of dt, got "
+                         f"control_dt / dt = {ratio:.9g}")
+    return nsub
 
 
 # --- compiled stance stepper -------------------------------------------------
@@ -93,6 +102,22 @@ def _rk4_step(r, dr, th, dth, h, tau, m, k, b, r0, g):
             dth + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
 
 
+def _locate(rp, drp, thp, dthp, tau, a, c, dt, m, k, b, r0, g):
+    """Bisect the RK4 step of length dt from (rp, drp, thp, dthp) to a
+    bracket (lo, hi), EVENT_TIME_TOL wide, of the upward zero of
+    a*(r - r0) + c*r_dot: bottom is (a, c) = (0, 1), liftoff (k, b)."""
+    lo = 0.0
+    hi = dt
+    while hi - lo > EVENT_TIME_TOL:
+        mid = 0.5 * (lo + hi)
+        rm, dm, _, _ = _rk4_step(rp, drp, thp, dthp, mid, tau, m, k, b, r0, g)
+        if a * (rm - r0) + c * dm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                  use_ctrl, p_bar, kp, ki, kd, tau_max,
                  dt, nsub, n_ctrl_max, out):
@@ -105,6 +130,7 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
     ctrl_dt = dt * nsub
     integral = 0.0
     p_prev = m * r * r * dth
+    force = k * (r - r0) + b * dr
     t_bottom = -1.0
     istep = 0
     n_samp = 0
@@ -133,39 +159,21 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
         out[n_samp, 5] = tau
         n_samp += 1
         for _ in range(nsub):
-            rp, drp, thp, dthp = r, dr, th, dth
-            f_prev = k * (r - r0) + b * dr
-            dr_prev = dr
+            rp, drp, thp, dthp, f_prev = r, dr, th, dth, force
             r, dr, th, dth = _rk4_step(r, dr, th, dth, dt, tau,
                                        m, k, b, r0, g)
             istep += 1
             if r <= 0.0 or r * math.cos(th) <= 0.0:
                 return (_STATUS_GROUND, n_samp, istep * dt, r, dr, th, dth,
                         t_bottom)
-            if t_bottom < 0.0 and dr_prev < 0.0 <= dr:
-                lo_h = 0.0
-                hi_h = dt
-                while hi_h - lo_h > EVENT_TIME_TOL:
-                    mid = 0.5 * (lo_h + hi_h)
-                    _, dm, _, _ = _rk4_step(rp, drp, thp, dthp, mid, tau,
-                                            m, k, b, r0, g)
-                    if dm < 0.0:
-                        lo_h = mid
-                    else:
-                        hi_h = mid
+            if t_bottom < 0.0 and drp < 0.0 <= dr:
+                lo_h, hi_h = _locate(rp, drp, thp, dthp, tau, 0.0, 1.0, dt,
+                                     m, k, b, r0, g)
                 t_bottom = (istep - 1) * dt + 0.5 * (lo_h + hi_h)
-            f_new = k * (r - r0) + b * dr
-            if f_prev < 0.0 <= f_new and dr > 0.0:
-                lo_h = 0.0
-                hi_h = dt
-                while hi_h - lo_h > EVENT_TIME_TOL:
-                    mid = 0.5 * (lo_h + hi_h)
-                    rm, dm, _, _ = _rk4_step(rp, drp, thp, dthp, mid, tau,
-                                             m, k, b, r0, g)
-                    if k * (rm - r0) + b * dm < 0.0:
-                        lo_h = mid
-                    else:
-                        hi_h = mid
+            force = k * (r - r0) + b * dr
+            if f_prev < 0.0 <= force and dr > 0.0:
+                _, hi_h = _locate(rp, drp, thp, dthp, tau, k, b, dt,
+                                  m, k, b, r0, g)
                 r, dr, th, dth = _rk4_step(rp, drp, thp, dthp, hi_h, tau,
                                            m, k, b, r0, g)
                 t_lo = (istep - 1) * dt + hi_h
@@ -178,6 +186,7 @@ try:  # pragma: no cover - exercised implicitly everywhere
     from numba import njit
 
     _rk4_step = njit(cache=True, fastmath=False)(_rk4_step)
+    _locate = njit(cache=True, fastmath=False)(_locate)
     _stance_core = njit(cache=True, fastmath=False)(_stance_core)
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover
@@ -260,18 +269,16 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
     """Integrate stance from touchdown until the leg force vanishes.
 
     inputs=None runs the passive leg (tau = 0). Touchdown must be at the
-    rest length with negative radial velocity, and dt and control_dt
-    finite and > 0. Raises FailedLiftoff if the leg force never returns
+    rest length with negative radial velocity, and the steps must pass
+    check_steps. Raises FailedLiftoff if the leg force never returns
     to zero within the time budget, GroundFault if the mass reaches the
     ground.
     """
-    check_step("dt", dt)
-    check_step("control_dt", control_dt)
+    nsub = check_steps(dt, control_dt)
     if abs(td.r - params.r0) > 1e-9:
         raise ValueError(f"touchdown r = {td.r} must equal r0 = {params.r0}")
     if td.r_dot >= 0.0:
         raise NonPhysical(f"touchdown r_dot = {td.r_dot:.4f} >= 0")
-    nsub = max(1, round(control_dt / dt))
     t_budget = TIME_BUDGET_HALF_PERIODS * math.pi / params.omega0
     n_ctrl_max = int(math.ceil(t_budget / (dt * nsub)))
     out = np.empty((n_ctrl_max + 1, 6), dtype=np.float64)

@@ -175,6 +175,10 @@ _CASES = {
     "sweep/unknown-key": (
         _SWEEP_FILE + "kpp = 90\np_bar_cout = 5\n", [], [], 2, "",
         "config error: unknown config key 'kpp'\n"),
+    "sweep/control-dt-not-a-multiple": (
+        _SWEEP_FILE, ["--dt", "3e-4"], [], 2, "",
+        "config error: control_dt must be a whole multiple of dt, got "
+        "control_dt / dt = 6.66666667\n"),
     "single/other-commands-keys": (
         _SINGLE_FILE + "p_bar_min = -1.2\npipeline = simulator-numeric\n",
         [], [("run_single", _SINGLE_FROM_FILE)],
@@ -251,3 +255,44 @@ def test_readme_config_block_matches_the_cli(tmp_path):
         assert parse[key](shown[key]) == want, key
     for key in ("k_theta_step_hop", "k_theta_step_value"):
         assert shown[key] == "", key
+
+
+@pytest.mark.parametrize("argv,ratio", [
+    (["single", "--dt", "3e-4", "--n-hops", "1"], "3.33333333"),
+    (["fixed-point", "--p-bar", "-1.0", "--k-theta", "0.5", "--pipeline",
+      SIMULATOR_NUMERIC, "--dt", "1e-4", "--control-dt", "5e-5"], "0.5"),
+])
+def test_control_dt_not_a_multiple_of_dt_runs_nothing(argv, ratio, tmp_path,
+                                                      capsys):
+    out_dir = tmp_path / "out"
+    rc = cli.main(argv + ["--out", str(out_dir)])
+    assert (rc, *capsys.readouterr()) == (
+        2, "", "config error: control_dt must be a whole multiple of dt, "
+        f"got control_dt / dt = {ratio}\n")
+    assert not out_dir.exists()
+
+
+def test_touchdown_past_horizontal_is_a_failed_cell(tmp_path, capsys):
+    # the closed form's Q+ touchdown angle is 22.6 rad at this point
+    rc = cli.main(["sweep", "--p-bar-min", "-2.0", "--p-bar-max", "-2.0",
+                   "--p-bar-count", "1", "--k-theta-min", "0.4068",
+                   "--k-theta-max", "0.4068", "--k-theta-count", "1",
+                   "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 3
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == [
+        f"-2,0.4068,{CLOSED_FORM},,,,,,NonPhysical",
+        f"-2,0.4068,{ANALYTIC_NUMERIC},,,,,,NoSeed",
+        f"-2,0.4068,{SIMULATOR_NUMERIC},,,,,,NoSeed"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["failures"] == {CLOSED_FORM: {"NonPhysical": 1},
+                                  ANALYTIC_NUMERIC: {"NoSeed": 1},
+                                  SIMULATOR_NUMERIC: {"NoSeed": 1}}
+
+    rc = cli.main(["fixed-point", "--p-bar", "-2.0", "--k-theta", "0.4068"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (3, "")
+    assert json.loads(out) == {
+        "status": "NonPhysical", "phase": None,
+        "message": "theta_td = 22.6470 rad on the Q+ branch puts the toe "
+                   "at or above the hip"}

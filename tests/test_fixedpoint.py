@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from sliphop import (ApexState, ControlInputs, GaitFailure, IllConditioned,
-                     InsufficientEnergy, NoConvergence, closed_form_fixed_point,
-                     energy_speed_constraints, numeric_fixed_point,
-                     return_map_analytic, simulator_return_map, stability,
-                     theta_offset)
+                     InsufficientEnergy, NoConvergence, NonPhysical,
+                     closed_form_fixed_point, energy_speed_constraints,
+                     numeric_fixed_point, return_map_analytic,
+                     simulator_return_map, stability, theta_offset)
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
+from sliphop.numerics import spectral_radius_2x2
 
 from _oracles import damped_map_iteration
 
@@ -59,8 +60,17 @@ class TestClosedForm:
         assert fp.stable and fp.spectral_radius < 1.0
 
     def test_rejects_bad_gain(self, params):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k_theta must be in"):
             closed_form_fixed_point(-1.0, 1.5, params)
+
+    @pytest.mark.parametrize("p_bar,k_theta", [(-2.0, 0.4068),
+                                               (-2.0, 0.1)])
+    def test_rejects_touchdown_at_or_past_horizontal(self, params, p_bar,
+                                                     k_theta):
+        # the speed quadratic's Q+ root lies outside (-pi/2, pi/2) here:
+        # 22.6 rad, and 1.6 rad, whose apex the back-map still produced
+        with pytest.raises(NonPhysical, match="^theta_td = .* at or above"):
+            closed_form_fixed_point(p_bar, k_theta, params)
 
 
 class TestConstraints:
@@ -119,6 +129,20 @@ class TestStability:
                                    inputs, params)
         assert rho == pytest.approx(1.0, abs=1e-9)
         assert not stable
+
+    def test_complex_eigenvalue_pair(self, params):
+        # rotation by atan2(0.4, 0.3) scaled by 0.5: eigenvalues 0.3 +- 0.4i
+        assert spectral_radius_2x2(0.3, -0.4, 0.4, 0.3) == pytest.approx(
+            0.5, abs=1e-15)
+
+        def spiral_map(apex, inputs, params):
+            return ApexState(0.3 * apex.x_dot - 0.4 * apex.y + 1.0,
+                             0.4 * apex.x_dot + 0.3 * apex.y + 0.2)
+
+        _, rho, stable = stability(spiral_map, ApexState(1.0, 0.25),
+                                   ControlInputs(-1.0, 0.5), params)
+        assert rho == pytest.approx(0.5, abs=1e-9)
+        assert stable
 
     def test_constant_map_ill_conditioned(self, params):
         inputs = ControlInputs(-1.0, 0.5)
@@ -217,12 +241,62 @@ class TestNumericFixedPoint:
                                 params)
         assert exc.value.phase == "aoa"
 
-    def test_no_convergence(self, params):
-        # an expanding map with no fixed point near the seed
+    def test_drift_map_is_ill_conditioned(self, params):
+        # P(z) = z + (1, 0) has no fixed point, and its identity Jacobian
+        # makes the Newton system P'(z) - I singular
         def drift_map(apex, inputs, params):
             return ApexState(apex.x_dot + 1.0, apex.y)
 
         inputs = ControlInputs(-1.0, 0.5)
-        with pytest.raises((NoConvergence, GaitFailure, IllConditioned)):
+        with pytest.raises(IllConditioned, match="singular Newton system"):
             numeric_fixed_point(drift_map, ApexState(1.0, 0.25), inputs,
                                 params, max_steps=5)
+
+    def test_no_convergence(self, params):
+        # x -> x - x^2 has a double root at 0, where Newton only halves x
+        # each step: the residual x^2 is still ~1e-3 after five steps
+        def double_root_map(apex, inputs, params):
+            return ApexState(apex.x_dot - apex.x_dot ** 2,
+                             0.5 * apex.y + 0.1)
+
+        inputs = ControlInputs(-1.0, 0.5)
+        with pytest.raises(NoConvergence, match="after 5 Newton steps"):
+            numeric_fixed_point(double_root_map, ApexState(0.9, 0.25),
+                                inputs, params, max_steps=5)
+
+    def test_line_search_halves_an_overshooting_step(self, params):
+        # Newton on the residual -0.9*atan(x) overshoots from x = 1.5 to
+        # x = -1.69, where |atan| is larger; the halved step is accepted
+        seen = []
+
+        def atan_map(apex, inputs, params):
+            seen.append((apex.x_dot, apex.y))
+            return ApexState(apex.x_dot - 0.9 * math.atan(apex.x_dot),
+                             0.5 * apex.y + 0.1)
+
+        inputs = ControlInputs(-1.0, 0.5)
+        res = numeric_fixed_point(atan_map, ApexState(1.5, 0.3), inputs,
+                                  params)
+        assert res.apex.x_dot == pytest.approx(0.0, abs=1e-9)
+        assert res.apex.y == pytest.approx(0.2, abs=1e-9)
+        # P(seed), the 4 difference points, then the full and half steps
+        seed, full, half = seen[0], seen[5], seen[6]
+        assert full[0] < -1.6
+        assert half == pytest.approx(((seed[0] + full[0]) / 2,
+                                      (seed[1] + full[1]) / 2), abs=1e-12)
+        # one extra candidate, then the 4-point stability Jacobian
+        assert len(seen) == 1 + 5 * res.newton_steps + 1 + 4
+        assert res.stable and res.spectral_radius == pytest.approx(0.5)
+
+    def test_no_acceptable_newton_step(self, params):
+        # the map is defined only within 1e-4 of the seed, so every
+        # line-search candidate down to 1/128 of the step fails
+        def narrow_map(apex, inputs, params):
+            if abs(apex.x_dot - 1.0) > 1e-4 or abs(apex.y - 0.3) > 1e-4:
+                raise InsufficientEnergy("outside the toy domain")
+            return ApexState(0.5 * apex.x_dot, 0.5 * apex.y + 0.1)
+
+        inputs = ControlInputs(-1.0, 0.5)
+        with pytest.raises(GaitFailure, match="no acceptable Newton step"):
+            numeric_fixed_point(narrow_map, ApexState(1.0, 0.3), inputs,
+                                params)

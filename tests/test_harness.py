@@ -37,6 +37,8 @@ class TestSweepConfig:
             SweepConfig(k_theta_range=(0.3, 0.75, 0))  # empty
         with pytest.raises(ValueError):
             SweepConfig(pipelines=("nonsense",))
+        with pytest.raises(ValueError, match="equal ends"):
+            SweepConfig(p_bar_range=(-1.0, -1.0, 3))  # one cell, 3 times
 
     @pytest.mark.parametrize("field,value,message", [
         ("k_theta_range", (0.9, 1.1, 2), "k_theta must be in"),
@@ -50,6 +52,8 @@ class TestSweepConfig:
         ("dt", math.nan, "^dt must be finite and > 0"),
         ("control_dt", -1e-4, "^control_dt must be finite and > 0"),
         ("control_dt", math.inf, "^control_dt must be finite and > 0"),
+        ("dt", 3e-4, "^control_dt must be a whole multiple of dt"),
+        ("control_dt", 5e-5, "^control_dt must be a whole multiple of dt"),
     ])
     def test_rejects_bad_grid_up_front(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -125,6 +129,36 @@ class TestRunSweep:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["status"] == "converged"
         assert row["stable"] in ("true", "false")
+
+    def test_chained_seed_failure_retries_from_closed_form(self, params,
+                                                           monkeypatch):
+        cfg = SweepConfig(params=params, p_bar_range=(-1.0, -1.0, 1),
+                          k_theta_range=(0.45, 0.55, 2),
+                          pipelines=(CLOSED_FORM, ANALYTIC_NUMERIC))
+        want = run_sweep(dataclasses.replace(cfg, seed_chaining=False))
+        closed = {k: closed_form_fixed_point(-1.0, k, params).apex
+                  for k in (0.45, 0.55)}
+        seeds = []
+        real = harness.solve_point
+
+        def chained_seed_fails(pipeline, inputs, params, seed=None, **kw):
+            if pipeline == ANALYTIC_NUMERIC:
+                seeds.append((inputs.k_theta, seed))
+                if seed != closed[inputs.k_theta]:
+                    raise SlipError("injected")
+            return real(pipeline, inputs, params, seed, **kw)
+
+        monkeypatch.setattr(harness, "solve_point", chained_seed_fails)
+        got = run_sweep(cfg)
+        first = got.outcomes[1].result.apex  # analytic fixed point at 0.45
+        assert seeds == [(0.45, closed[0.45]), (0.55, first),
+                         (0.55, closed[0.55])]
+
+        def cells(report):
+            return [(o.pipeline, o.status, o.result.apex, o.result.residual,
+                     o.result.newton_steps) for o in report.outcomes]
+
+        assert cells(got) == cells(want)
 
     def test_error_stats_pairs(self, params):
         cfg = SweepConfig(params=params, p_bar_range=(-1.0, -0.9, 2),

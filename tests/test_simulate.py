@@ -9,7 +9,7 @@ from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
                      UnreachableTouchdown, integrate_ascent, integrate_descent,
                      integrate_stance, return_map_numeric,
                      write_trajectory_csv)
-from sliphop.simulate import _rk4_step
+from sliphop.simulate import _rk4_step, check_steps
 
 from _oracles import full_stance_oracle, stance_rhs, stance_step
 
@@ -75,6 +75,19 @@ class TestIntegrateStance:
         assert lo.r == pytest.approx(0.2, abs=1e-9)
         assert seg.t_bottom is not None
         assert 0.0 < seg.t_bottom < seg.t_liftoff
+
+    @pytest.mark.parametrize("r_dot", [-0.8, -1.6, -2.4])
+    def test_vertical_bounce_event_times(self, undamped_params, r_dot):
+        # passive and vertical, r - r_g is a harmonic oscillator started
+        # at m*g/k: r_dot first vanishes at t_b below, and the leg force
+        # k*(r - r0) at 2*t_b
+        p = undamped_params
+        w, offset = p.omega0, p.m * p.g / p.k
+        t_b = (math.pi + math.atan(r_dot / (offset * w))) / w
+        td = StanceState(r=p.r0, r_dot=r_dot, theta=0.0, theta_dot=0.0)
+        _, seg = integrate_stance(td, None, p)
+        assert seg.t_bottom == pytest.approx(t_b, abs=1e-10)
+        assert seg.t_liftoff == pytest.approx(2.0 * t_b, abs=1e-10)
 
     def test_damping_dissipates(self, params):
         td = StanceState(r=0.2, r_dot=-1.6, theta=0.0, theta_dot=0.0)
@@ -143,6 +156,19 @@ class TestIntegrateStance:
         td = StanceState(r=0.2, r_dot=-1.5, theta=0.0, theta_dot=0.0)
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             integrate_stance(td, None, params, **{field: bad})
+
+    @pytest.mark.parametrize("dt,control_dt,nsub", [
+        (1e-4, 1e-3, 10), (2e-4, 2e-3, 10), (1e-3, 1e-3, 1),
+        (1e-5, 1e-3, 100), (1e-6, 1e-3, 1000)])
+    def test_steps_per_control_period(self, dt, control_dt, nsub):
+        assert check_steps(dt, control_dt) == nsub
+
+    @pytest.mark.parametrize("dt,control_dt", [(3e-4, 1e-3), (1e-4, 5e-5)])
+    def test_rejects_control_period_not_a_multiple(self, params, dt,
+                                                   control_dt):
+        td = StanceState(r=0.2, r_dot=-1.5, theta=0.0, theta_dot=0.0)
+        with pytest.raises(ValueError, match="^control_dt must be a whole"):
+            integrate_stance(td, None, params, dt=dt, control_dt=control_dt)
 
     def test_failed_liftoff_overdamped(self):
         params = SlipParams(m=3.3, k=4000.0, b=500.0, r0=0.2)

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .control import solve_aoa_approx
-from .errors import NoLiftoffRoot, NonPhysical, NonpositiveTime, Overdamped
-from .model import ApexState, ControlInputs, SlipParams, StanceState
+from .errors import NoLiftoffRoot, NonpositiveTime, Overdamped
+from .model import (ApexState, ControlInputs, SlipParams, StanceState,
+                    check_touchdown)
 from .simulate import compose_return_map
 
 
@@ -224,13 +225,10 @@ def stance_map_analytic(td: StanceState, p_bar: float,
     """Closed-form stance map: evaluate the flow at the liftoff time.
 
     The liftoff angular rate is reported from the constant-momentum
-    assumption, theta_dot_lo = p_bar/(m*r_lo^2). Touchdown must be at
-    rest length and compressing.
+    assumption, theta_dot_lo = p_bar/(m*r_lo^2). Touchdown must pass
+    model.check_touchdown.
     """
-    if abs(td.r - params.r0) > 1e-9:
-        raise ValueError(f"touchdown r = {td.r} must equal r0 = {params.r0}")
-    if td.r_dot >= 0.0:
-        raise NonPhysical(f"touchdown r_dot = {td.r_dot:.4f} >= 0")
+    check_touchdown(td, params)
     coeffs = flow_coeffs(td, p_bar, params)
     t_lo = liftoff_time(coeffs, params)
     r, r_dot, theta, _ = _flow(t_lo, coeffs, td.theta, p_bar, params)

@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (ConfigError, OSError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

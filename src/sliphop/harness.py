@@ -269,9 +269,13 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 
     Rows (constant p_bar) are independent work units; with workers > 1
     they run in parallel and are reassembled in grid order, so output is
-    identical to a serial run.
+    identical to a serial run. cfg.out_dir, when set, is created before
+    the first cell, so a path that cannot be a directory raises OSError
+    before any work.
     """
     t0 = time.perf_counter()
+    if cfg.out_dir is not None:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     p_bars = cfg.p_bar_values()
     if cfg.workers > 1 and len(p_bars) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -318,9 +322,9 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
 
     k_theta_step = (hop_index, new_value) switches the touchdown gain
     from that hop onward; a negative hop_index or a new_value that
-    ControlInputs rejects raises ValueError before any hop. Stops at the
-    first gait failure, keeping the partial trajectory and a failure
-    record.
+    ControlInputs rejects raises ValueError before any hop, and so does
+    an out_dir that cannot be created (OSError). Stops at the first gait
+    failure, keeping the partial trajectory and a failure record.
     """
     if n_hops < 1:
         raise ValueError(f"n_hops must be >= 1, got {n_hops}")
@@ -331,7 +335,9 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
         if step_hop < 0:
             raise ValueError(f"k_theta_step hop must be >= 0, got {step_hop}")
         stepped = replace(inputs, k_theta=k_theta)
-    traj = HybridTrajectory()
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    samples, events = [], []
     hops: list[HopSummary] = []
     failure = None
     t, x = 0.0, 0.0
@@ -345,16 +351,18 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
         except SlipError as err:
             failure = f"hop {hop}: {_fail_status(err)}: {err}"
             break
-        traj.extend(hop_traj)
-        events = {e.name: e for e in hop_traj.events}
-        td, lo = events["touchdown"].state, events["liftoff"].state
+        samples += hop_traj.samples
+        events += hop_traj.events
+        by_name = {e.name: e for e in hop_traj.events}
+        td, lo = by_name["touchdown"].state, by_name["liftoff"].state
         hops.append(HopSummary(
             hop=hop, x_dot=nxt.x_dot, y=nxt.y, p_liftoff=lo["p_theta"],
             theta_td=td["theta"], theta_lo=lo["theta"], r_lo=lo["r"]))
-        t, x = events["apex"].t, events["apex"].state["x"]
+        t, x = by_name["apex"].t, by_name["apex"].state["x"]
         current = nxt
-    report = SingleRunReport(hops=hops, trajectory=traj, final_apex=current,
-                             failure=failure)
+    report = SingleRunReport(hops=hops,
+                             trajectory=HybridTrajectory(samples, events),
+                             final_apex=current, failure=failure)
     if out_dir is not None:
         write_single_outputs(report, inputs, params, Path(out_dir))
     return report
@@ -399,8 +407,8 @@ def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
 
 
 def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:
-    """Emit sweep.csv, errors.csv and report.json into out_dir."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Emit sweep.csv, errors.csv and report.json into the existing
+    out_dir."""
     _write_csv(out_dir / "sweep.csv",
                ("p_bar", "k_theta", "pipeline", "x_dot_star", "y_star",
                 "spectral_radius", "stable", "residual", "status"),
@@ -436,8 +444,8 @@ def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:
 
 def write_single_outputs(report: SingleRunReport, inputs: ControlInputs,
                          params: SlipParams, out_dir: Path) -> None:
-    """Emit trajectory.csv, hops.csv and single.json into out_dir."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Emit trajectory.csv, hops.csv and single.json into the existing
+    out_dir."""
     write_trajectory_csv(report.trajectory, out_dir / "trajectory.csv")
     _write_csv(out_dir / "hops.csv", HopSummary._fields, report.hops)
     doc = {

@@ -1,4 +1,5 @@
-"""Domain types and the flight/stance coordinate-change reset maps.
+"""Domain types, the flight/stance coordinate-change reset maps, and the
+touchdown state stance starts from.
 
 Conventions: SI units throughout, no internal nondimensionalization.
 The leg angle theta is measured from vertical; theta > 0 means the toe
@@ -11,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import TouchdownMismatch
+from .errors import NonPhysical, TouchdownMismatch
 
 # Resets are exact coordinate changes; this slack only absorbs
-# event-detection error in the preceding descent.
+# event-detection error at touchdown (flight height and leg length).
 TOUCHDOWN_TOL = 1e-9
 
 
@@ -182,21 +183,32 @@ class ApexState:
             raise ValueError(f"apex height must be > 0, got {self.y}")
 
 
-def stance_to_flight(s: StanceState) -> FlightState:
-    """Liftoff reset: polar stance coordinates to Cartesian flight.
+def polar_to_cartesian(r: float, r_dot: float, theta: float,
+                       theta_dot: float) -> tuple[float, float, float, float]:
+    """Mass position and velocity (x, y, x_dot, y_dot) relative to the toe
+    from the polar leg state: x = -r*sin(theta), y = r*cos(theta) and
+    their time derivatives. The one copy of this coordinate change."""
+    c = math.cos(theta)
+    sn = math.sin(theta)
+    return (-r * sn, r * c, -theta_dot * r * c - r_dot * sn,
+            -theta_dot * r * sn + r_dot * c)
 
-    [x_dot, y, y_dot] =
-        [-theta_dot*r*cos(theta) - r_dot*sin(theta),
-          r*cos(theta),
-         -theta_dot*r*sin(theta) + r_dot*cos(theta)]
-    """
-    c = math.cos(s.theta)
-    sn = math.sin(s.theta)
-    return FlightState(
-        x_dot=-s.theta_dot * s.r * c - s.r_dot * sn,
-        y=s.r * c,
-        y_dot=-s.theta_dot * s.r * sn + s.r_dot * c,
-    )
+
+def stance_to_flight(s: StanceState) -> FlightState:
+    """Liftoff reset: polar stance coordinates to Cartesian flight, the
+    velocity and height of polar_to_cartesian."""
+    _, y, x_dot, y_dot = polar_to_cartesian(s.r, s.r_dot, s.theta,
+                                            s.theta_dot)
+    return FlightState(x_dot, y, y_dot)
+
+
+def check_touchdown(td: StanceState, params: SlipParams) -> None:
+    """Stance starts at touchdown: raises ValueError unless the leg is at
+    rest length (within TOUCHDOWN_TOL), NonPhysical unless it compresses."""
+    if abs(td.r - params.r0) > TOUCHDOWN_TOL:
+        raise ValueError(f"touchdown r = {td.r} must equal r0 = {params.r0}")
+    if td.r_dot >= 0.0:
+        raise NonPhysical(f"touchdown r_dot = {td.r_dot:.4f} >= 0")
 
 
 def flight_to_stance(f: FlightState, theta_td: float,

@@ -22,16 +22,17 @@ fallback otherwise, same code path).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .control import AoaSolution, solve_aoa_implicit, vertical_energy
 from .errors import (DescendingAtLiftoff, FailedLiftoff, GroundFault,
-                     NonPhysical, SlipError, UnreachableTouchdown)
+                     SlipError, UnreachableTouchdown)
 from .model import (ApexState, ControlInputs, FlightState, SlipParams,
-                    StanceState, flight_to_stance, stance_to_flight)
+                    StanceState, check_touchdown, flight_to_stance,
+                    polar_to_cartesian, stance_to_flight)
 
 # Over the criterion-1 grid the apex map at 1e-4 s stays within 3e-10 of
 # a dt = 1e-6 reference, the same as at 1e-5 s: the event bisection
@@ -230,10 +231,6 @@ class HybridTrajectory:
     samples: list[TrajectorySample] = field(default_factory=list)
     events: list[TrajectoryEvent] = field(default_factory=list)
 
-    def extend(self, other: "HybridTrajectory") -> None:
-        self.samples.extend(other.samples)
-        self.events.extend(other.events)
-
     def validate(self) -> None:
         """Check phase alternation and strictly increasing event times."""
         prev_phase = None
@@ -268,17 +265,13 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
                      ) -> tuple[StanceState, StanceSegment]:
     """Integrate stance from touchdown until the leg force vanishes.
 
-    inputs=None runs the passive leg (tau = 0). Touchdown must be at the
-    rest length with negative radial velocity, and the steps must pass
-    check_steps. Raises FailedLiftoff if the leg force never returns
-    to zero within the time budget, GroundFault if the mass reaches the
-    ground.
+    inputs=None runs the passive leg (tau = 0). The touchdown state must
+    pass model.check_touchdown and the steps check_steps. Raises
+    FailedLiftoff if the leg force never returns to zero within the time
+    budget, GroundFault if the mass reaches the ground.
     """
     nsub = check_steps(dt, control_dt)
-    if abs(td.r - params.r0) > 1e-9:
-        raise ValueError(f"touchdown r = {td.r} must equal r0 = {params.r0}")
-    if td.r_dot >= 0.0:
-        raise NonPhysical(f"touchdown r_dot = {td.r_dot:.4f} >= 0")
+    check_touchdown(td, params)
     t_budget = TIME_BUDGET_HALF_PERIODS * math.pi / params.omega0
     n_ctrl_max = int(math.ceil(t_budget / (dt * nsub)))
     out = np.empty((n_ctrl_max + 1, 6), dtype=np.float64)
@@ -422,45 +415,32 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
         return next_apex, None
 
     s_td, s_lo, seg = stance[0]
-    theta_td = s_td.theta
-    t_td = descent_time(apex, theta_td, params)
+    t_td = descent_time(apex, s_td.theta, params)
     f_lo = stance_to_flight(s_lo)
     t_up = ascent_time(f_lo, params)
-
-    traj = HybridTrajectory()
-    sample_dt = control_dt
-    # descent: ballistic from apex
-    traj.samples += _flight_samples(t0, t_td, x0, apex.x_dot, apex.y, 0.0,
-                                    params.g, "descent", sample_dt)
     t_touch = t0 + t_td
-    x_td = x0 + apex.x_dot * t_td
-    traj.events.append(TrajectoryEvent(
-        "touchdown", t_touch,
-        state={"r": s_td.r, "r_dot": s_td.r_dot, "theta": s_td.theta,
-               "theta_dot": s_td.theta_dot}))
-    # stance: body moves about the stationary toe; tolist() keeps numpy
-    # scalars out of the samples (same values, cheaper to format)
-    toe_x = x_td + params.r0 * math.sin(theta_td)
-    for t, r, dr, th, dth, tau in seg.samples.tolist():
-        c, sn = math.cos(th), math.sin(th)
-        traj.samples.append(TrajectorySample(
-            t=t_touch + t, phase="stance", r=r, r_dot=dr, theta=th,
-            theta_dot=dth, x=toe_x - r * sn, y=r * c,
-            x_dot=-dth * r * c - dr * sn, y_dot=-dth * r * sn + dr * c,
-            tau=tau))
-    if seg.t_bottom is not None:
-        traj.events.append(TrajectoryEvent("bottom", t_touch + seg.t_bottom))
     t_lift = t_touch + seg.t_liftoff
-    traj.events.append(TrajectoryEvent(
-        "liftoff", t_lift,
-        state={"r": s_lo.r, "r_dot": s_lo.r_dot, "theta": s_lo.theta,
-               "theta_dot": s_lo.theta_dot, "p_theta": seg.p_liftoff}))
-    # ascent: ballistic to apex
-    x_lo = toe_x - s_lo.r * math.sin(s_lo.theta)
-    traj.samples += _flight_samples(t_lift, t_up, x_lo, f_lo.x_dot, f_lo.y,
-                                    f_lo.y_dot, params.g, "ascent", sample_dt)
-    traj.events.append(TrajectoryEvent(
-        "apex", t_lift + t_up,
-        state={"x_dot": next_apex.x_dot, "y": next_apex.y,
-               "x": x_lo + f_lo.x_dot * t_up}))
-    return next_apex, traj
+    # stance: the body moves about the toe, which stays where it landed;
+    # tolist() keeps numpy scalars out of the samples (same values,
+    # cheaper to format)
+    toe_x = x0 + apex.x_dot * t_td - polar_to_cartesian(
+        s_td.r, s_td.r_dot, s_td.theta, s_td.theta_dot)[0]
+    samples = _flight_samples(t0, t_td, x0, apex.x_dot, apex.y, 0.0,
+                              params.g, "descent", control_dt)
+    for t, r, dr, th, dth, tau in seg.samples.tolist():
+        x, y, x_dot, y_dot = polar_to_cartesian(r, dr, th, dth)
+        samples.append(TrajectorySample(t_touch + t, "stance", r, dr, th, dth,
+                                        toe_x + x, y, x_dot, y_dot, tau))
+    x_lo = toe_x + polar_to_cartesian(s_lo.r, s_lo.r_dot, s_lo.theta,
+                                      s_lo.theta_dot)[0]
+    samples += _flight_samples(t_lift, t_up, x_lo, f_lo.x_dot, f_lo.y,
+                               f_lo.y_dot, params.g, "ascent", control_dt)
+    events = [TrajectoryEvent("touchdown", t_touch, asdict(s_td))]
+    if seg.t_bottom is not None:
+        events.append(TrajectoryEvent("bottom", t_touch + seg.t_bottom))
+    events += [
+        TrajectoryEvent("liftoff", t_lift,
+                        {**asdict(s_lo), "p_theta": seg.p_liftoff}),
+        TrajectoryEvent("apex", t_lift + t_up,
+                        {**asdict(next_apex), "x": x_lo + f_lo.x_dot * t_up})]
+    return next_apex, HybridTrajectory(samples, events)

@@ -57,6 +57,12 @@ class TestStanceFlow:
         assert s0.r_dot == pytest.approx(td.r_dot, rel=1e-12)
         assert s0.theta == pytest.approx(td.theta, rel=1e-12)
 
+    def test_rejects_negative_time(self, params):
+        td = _td()
+        c = flow_coeffs(td, -1.0, params)
+        with pytest.raises(ValueError, match="^t must be >= 0, got -0.001$"):
+            stance_flow(-1e-3, c, td, -1.0, params)
+
     def test_pure_cosine_when_unforced(self, undamped_params):
         p = undamped_params
         td = StanceState(r=0.2, r_dot=-1.5, theta=0.0, theta_dot=0.0)

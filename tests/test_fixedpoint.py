@@ -6,6 +6,7 @@ import pytest
 
 from sliphop import (ApexState, ControlInputs, GaitFailure, IllConditioned,
                      InsufficientEnergy, NoConvergence, NonPhysical,
+                     NonpositiveTime, NoRealFixedPoint, SlipError,
                      closed_form_fixed_point, energy_speed_constraints,
                      numeric_fixed_point, return_map_analytic,
                      simulator_return_map, stability, theta_offset)
@@ -71,6 +72,19 @@ class TestClosedForm:
         # 22.6 rad, and 1.6 rad, whose apex the back-map still produced
         with pytest.raises(NonPhysical, match="^theta_td = .* at or above"):
             closed_form_fixed_point(p_bar, k_theta, params)
+
+
+    # each branch fails where the closed form has no gait; the closed form
+    # is not a hop chain, so its errors carry no phase
+    @pytest.mark.parametrize("p_bar,k_theta,error,message", [
+        (-3.125, 0.0, NoRealFixedPoint, "^speed quadratic: discriminant"),
+        (-4.0, 0.7875, NonPhysical, "^touchdown y_dot = .* >= 0$"),
+        (-4.0, 0.65, NonpositiveTime, "^branch selection gave t_lo"),
+    ])
+    def test_failure_branches(self, params, p_bar, k_theta, error, message):
+        with pytest.raises(error, match=message) as exc:
+            closed_form_fixed_point(p_bar, k_theta, params)
+        assert exc.value.phase is None
 
 
 class TestConstraints:
@@ -240,6 +254,22 @@ class TestNumericFixedPoint:
             numeric_fixed_point(broken_map, ApexState(1.0, 0.25), inputs,
                                 params)
         assert exc.value.phase == "aoa"
+
+    def test_gait_failure_when_the_jacobian_fails(self, params):
+        # the map works at the seed but fails just above it, so the first
+        # finite-difference point of the Jacobian raises
+        def cliff_map(apex, inputs, params):
+            if apex.x_dot > 1.0:
+                raise SlipError("over the cliff", phase="stance")
+            return ApexState(0.5 * apex.x_dot, 0.5 * apex.y + 0.1)
+
+        inputs = ControlInputs(-1.0, 0.5)
+        with pytest.raises(GaitFailure,
+                           match="^Jacobian evaluation failed: over the") \
+                as exc:
+            numeric_fixed_point(cliff_map, ApexState(1.0, 0.3), inputs,
+                                params)
+        assert exc.value.phase == "stance"
 
     def test_drift_map_is_ill_conditioned(self, params):
         # P(z) = z + (1, 0) has no fixed point, and its identity Jacobian

@@ -33,6 +33,10 @@ class TestSweepConfig:
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             SweepConfig(p_bar_range=(-0.5, -1.55, 20))  # unordered
+        with pytest.raises(ValueError, match="^at least one pipeline"):
+            SweepConfig(pipelines=())
+        with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
+            SweepConfig(workers=0)
         with pytest.raises(ValueError):
             SweepConfig(k_theta_range=(0.3, 0.75, 0))  # empty
         with pytest.raises(ValueError):
@@ -246,6 +250,14 @@ class TestRunSingle:
         assert "DescendingAtLiftoff" in report.failure
         assert len(report.hops) < 5
 
+    def test_rejects_no_hops(self, params, monkeypatch):
+        maps = _count_map_calls(monkeypatch)
+        with pytest.raises(ValueError, match="^n_hops must be >= 1, got 0$"):
+            run_single(ApexState(1.0, 0.25),
+                       ControlInputs(p_bar=-0.79, k_theta=0.64), params,
+                       n_hops=0)
+        assert maps == []
+
     @pytest.mark.parametrize("field", ["dt", "control_dt"])
     def test_rejects_bad_step_before_any_hop(self, params, field):
         # this apex fails in its first angle solve, before any stance
@@ -451,6 +463,49 @@ class TestCli:
     def test_missing_config_file(self):
         rc = main(["sweep", "/nonexistent/path.cfg"])
         assert rc == 2
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        rc = main(["sweep", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_sweep_out_not_a_directory_runs_nothing(self, tmp_path,
+                                                    monkeypatch, capsys):
+        solved = []
+        monkeypatch.setattr(harness, "_solve_cell",
+                            lambda *args: solved.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        rc = main(["sweep", "--p-bar-count", "2", "--k-theta-count", "2",
+                   "--pipelines", "closed-form", "--out", str(taken)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert solved == []
+        assert taken.read_text() == "a file, not a directory\n"
+
+    def test_single_out_not_a_directory_runs_nothing(self, tmp_path,
+                                                     monkeypatch, capsys):
+        maps = _count_map_calls(monkeypatch)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        rc = main(["single", "--n-hops", "2", "--out", str(taken)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert maps == []
+
+    def test_non_boolean_seed_chaining_is_a_config_error(self, tmp_path,
+                                                         monkeypatch, capsys):
+        solved = []
+        monkeypatch.setattr(harness, "_solve_cell",
+                            lambda *args: solved.append(args))
+        rc = main(["sweep", "--seed-chaining", "maybe",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: config key seed_chaining='maybe': not a boolean: "
+            "'maybe'\n")
+        assert solved == []
+        assert not (tmp_path / "out").exists()
 
     def test_all_failed_exit_code(self, tmp_path):
         # unreachable apex forces a first-hop failure

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sliphop import (ApexState, ControlInputs, FlightState, SlipParams,
-                     StanceState, TouchdownMismatch, flight_to_stance,
-                     stance_to_flight)
+from sliphop import (ApexState, ControlInputs, FlightState, NonPhysical,
+                     SlipParams, StanceState, TouchdownMismatch,
+                     flight_to_stance, stance_to_flight)
+from sliphop.model import TOUCHDOWN_TOL, check_touchdown, polar_to_cartesian
 
 
 class TestSlipParams:
@@ -176,6 +177,40 @@ class TestStanceToFlight:
         assert f.x_dot == pytest.approx(0.28277542174345127, rel=1e-14)
         assert f.y == pytest.approx(0.18151393293386514, rel=1e-14)
         assert f.y_dot == pytest.approx(1.657600090751027, rel=1e-14)
+
+
+def test_polar_to_cartesian_position_and_velocity():
+    # the reset's velocity is the time derivative of the toe-relative
+    # position, here by a central difference along a uniform motion
+    r, r_dot, theta, theta_dot = 0.19, 1.5, 0.3, -4.0
+    h = 1e-6
+    xp, yp, _, _ = polar_to_cartesian(r + h * r_dot, r_dot,
+                                      theta + h * theta_dot, theta_dot)
+    xm, ym, _, _ = polar_to_cartesian(r - h * r_dot, r_dot,
+                                      theta - h * theta_dot, theta_dot)
+    x, y, x_dot, y_dot = polar_to_cartesian(r, r_dot, theta, theta_dot)
+    assert (x, y) == (-r * math.sin(theta), r * math.cos(theta))
+    assert x_dot == pytest.approx((xp - xm) / (2 * h), rel=1e-8)
+    assert y_dot == pytest.approx((yp - ym) / (2 * h), rel=1e-8)
+
+
+class TestCheckTouchdown:
+    @pytest.mark.parametrize("offset", [0.0, TOUCHDOWN_TOL, -TOUCHDOWN_TOL])
+    def test_accepts_rest_length_within_tolerance(self, params, offset):
+        check_touchdown(StanceState(params.r0 + offset, -1.0, 0.2, -3.0),
+                        params)
+
+    @pytest.mark.parametrize("offset", [2 * TOUCHDOWN_TOL,
+                                        -2 * TOUCHDOWN_TOL])
+    def test_rejects_rest_length_past_tolerance(self, params, offset):
+        with pytest.raises(ValueError, match="^touchdown r = .* must equal"):
+            check_touchdown(StanceState(params.r0 + offset, -1.0, 0.2, -3.0),
+                            params)
+
+    def test_rejects_a_leg_at_rest(self, params):
+        with pytest.raises(NonPhysical,
+                           match="^touchdown r_dot = 0.0000 >= 0$"):
+            check_touchdown(StanceState(params.r0, 0.0, 0.2, -3.0), params)
 
 
 class TestFlightToStance:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
                      FailedLiftoff, FlightState, GroundFault,
                      InsufficientEnergy, NonPhysical, SlipParams, StanceState,
                      UnreachableTouchdown, integrate_ascent, integrate_descent,
-                     integrate_stance, return_map_numeric,
+                     integrate_stance, return_map_numeric, simulate,
+                     stance_map_analytic, stance_to_flight,
                      write_trajectory_csv)
-from sliphop.simulate import _rk4_step, check_steps
+from sliphop.simulate import (HybridTrajectory, TrajectoryEvent,
+                              TrajectorySample, _rk4_step, check_steps)
 
 from _oracles import full_stance_oracle, stance_rhs, stance_step
 
@@ -140,15 +143,27 @@ class TestIntegrateStance:
         assert np.all(np.abs(taus) <= 7.0 + 1e-12)
         assert np.any(np.abs(taus) > 6.9)  # the transient does saturate
 
-    def test_requires_rest_length(self, params):
-        with pytest.raises(ValueError):
-            integrate_stance(StanceState(r=0.19, r_dot=-1.0, theta=0.0,
-                                         theta_dot=0.0), None, params)
+    # both stance maps start from the same touchdown check
+    STANCE_MAPS = {
+        "integrate_stance": lambda td, p: integrate_stance(td, None, p),
+        "stance_map_analytic": lambda td, p: stance_map_analytic(td, -1.0, p),
+    }
 
-    def test_requires_compression(self, params):
-        with pytest.raises(NonPhysical):
-            integrate_stance(StanceState(r=0.2, r_dot=0.5, theta=0.0,
-                                         theta_dot=0.0), None, params)
+    @pytest.mark.parametrize("stance_map", STANCE_MAPS)
+    def test_requires_rest_length(self, params, stance_map):
+        with pytest.raises(ValueError, match=r"^touchdown r = 0\.19 must "
+                                             r"equal r0 = 0\.2$"):
+            self.STANCE_MAPS[stance_map](
+                StanceState(r=0.19, r_dot=-1.0, theta=0.0, theta_dot=0.0),
+                params)
+
+    @pytest.mark.parametrize("stance_map", STANCE_MAPS)
+    def test_requires_compression(self, params, stance_map):
+        with pytest.raises(NonPhysical,
+                           match=r"^touchdown r_dot = 0\.5000 >= 0$"):
+            self.STANCE_MAPS[stance_map](
+                StanceState(r=0.2, r_dot=0.5, theta=0.0, theta_dot=0.0),
+                params)
 
     @pytest.mark.parametrize("field", ["dt", "control_dt"])
     @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
@@ -279,6 +294,44 @@ class TestReturnMap:
             return_map_numeric(apex, inputs, params)
         assert exc.value.phase == "ascent"
 
+    def test_recorder_uses_the_model_laws(self, params, monkeypatch):
+        # one recorded hop, checked bit for bit against the stance kernel's
+        # own touchdown and liftoff states and the liftoff reset
+        kernel = []
+        real = simulate.integrate_stance
+
+        def recorded(td, *args, **kwargs):
+            lo, seg = real(td, *args, **kwargs)
+            kernel.append((td, lo, seg))
+            return lo, seg
+
+        monkeypatch.setattr(simulate, "integrate_stance", recorded)
+        apex = ApexState(x_dot=1.2, y=0.24)
+        inputs = ControlInputs(p_bar=-0.9, k_theta=0.55)
+        nxt, traj = return_map_numeric(apex, inputs, params)
+        [(td, lo, seg)] = kernel
+        events = {e.name: e for e in traj.events}
+        assert list(events["touchdown"].state.items()) == list(
+            dataclasses.asdict(td).items())
+        assert list(events["liftoff"].state.items()) == list(
+            dataclasses.asdict(lo).items()) + [("p_theta", seg.p_liftoff)]
+        assert list(events["apex"].state)[:2] == ["x_dot", "y"]
+        assert events["apex"].state["x_dot"] == nxt.x_dot
+        assert events["apex"].state["y"] == nxt.y
+
+        toe = apex.x_dot * events["touchdown"].t + params.r0 * math.sin(
+            td.theta)
+        stance = [s for s in traj.samples if s.phase == "stance"]
+        assert len(stance) == len(seg.samples)
+        for s in stance:
+            f = stance_to_flight(StanceState(s.r, s.r_dot, s.theta,
+                                             s.theta_dot))
+            assert (s.y, s.x_dot, s.y_dot) == (f.y, f.x_dot, f.y_dot)
+            assert s.x == toe - s.r * math.sin(s.theta)
+        first_ascent = next(s for s in traj.samples if s.phase == "ascent")
+        assert first_ascent.t == events["liftoff"].t
+        assert first_ascent.x == toe - lo.r * math.sin(lo.theta)
+
     def test_record_false_skips_trajectory(self, params):
         apex = ApexState(x_dot=1.2, y=0.24)
         inputs = ControlInputs(p_bar=-0.9, k_theta=0.55)
@@ -286,6 +339,27 @@ class TestReturnMap:
         assert traj is None
         nxt2, _ = return_map_numeric(apex, inputs, params, record=True)
         assert nxt2.x_dot == nxt.x_dot and nxt2.y == nxt.y
+
+
+class TestTrajectoryValidate:
+    @staticmethod
+    def flight(t, phase):
+        return TrajectorySample(t, phase, None, None, None, None, 0.0, 0.2,
+                                1.0, 0.0, None)
+
+    def test_rejects_a_phase_out_of_cycle(self):
+        traj = HybridTrajectory([self.flight(0.0, "descent"),
+                                 self.flight(0.001, "ascent")])
+        with pytest.raises(ValueError, match="^phase 'descent' -> 'ascent' "
+                                             "breaks the"):
+            traj.validate()
+
+    def test_rejects_event_times_not_increasing(self):
+        traj = HybridTrajectory(events=[TrajectoryEvent("touchdown", 0.1),
+                                        TrajectoryEvent("liftoff", 0.1)])
+        with pytest.raises(ValueError,
+                           match="^event times not increasing: 0.1 >= 0.1$"):
+            traj.validate()
 
 
 class TestScalarType:

@@ -178,7 +178,7 @@ def liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
     t_lo = (2.0 * math.pi - math.acos(arg) - coeffs.psi - psi4) / wd
     if not t_lo > t_b > 0.0:
         raise NonpositiveTime(
-            f"branch selection gave t_lo = {t_lo:.6f}, t_b = {t_b:.6f}")
+            f"branch selection gave t_lo = {t_lo:.3e}, t_b = {t_b:.3e}")
     return t_lo
 
 

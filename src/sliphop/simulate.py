@@ -5,15 +5,15 @@ Stance integrates the unsimplified polar dynamics about the toe
     r_ddot     = r*theta_dot^2 - k/m*(r - r0) - b/m*r_dot - g*cos(theta)
     theta_ddot = -2*r_dot*theta_dot/r + g/r*sin(theta) + tau/(m*r^2)
 
-with fixed-step RK4 (default dt = 1e-4 s) under a zero-order-hold
+with fixed-step RK4 (default dt = 2.5e-4 s) under a zero-order-hold
 torque loop (default 1 kHz); liftoff is the upward zero crossing of the
-leg force k*(r - r0) + b*r_dot, localized by bisection. Flight is
-ballistic and handled in closed form. compose_return_map chains
-touchdown-angle selection, descent, the touchdown reset, stance, the
-liftoff reset and ascent into an apex-to-apex map and tags failures with
-their phase; the simulator map (return_map_numeric) and the analytic map
-(analytic.return_map_analytic) differ only in the angle solver and the
-stance map they pass it.
+leg force k*(r - r0) + b*r_dot, located to round-off by regula falsi on
+the RK4 sub-step. Flight is ballistic and handled in closed form.
+compose_return_map chains touchdown-angle selection, descent, the
+touchdown reset, stance, the liftoff reset and ascent into an
+apex-to-apex map and tags failures with their phase; the simulator map
+(return_map_numeric) and the analytic map (analytic.return_map_analytic)
+differ only in the angle solver and the stance map they pass it.
 
 The stance stepper is compiled with numba when available (pure-Python
 fallback otherwise, same code path).
@@ -34,12 +34,13 @@ from .model import (ApexState, ControlInputs, FlightState, SlipParams,
                     StanceState, check_touchdown, flight_to_stance,
                     polar_to_cartesian, stance_to_flight)
 
-# Over the criterion-1 grid the apex map at 1e-4 s stays within 3e-10 of
-# a dt = 1e-6 reference, the same as at 1e-5 s: the event bisection
-# (EVENT_TIME_TOL), not the RK4 step, sets the floor up to 2.5e-4 s.
-DEFAULT_DT = 1e-4
+# 4 RK4 steps per control period. Events are located to round-off, so
+# the step alone sets the error: over a 10x10 criterion-1 grid the apex
+# map stays within 9.0e-11 of a dt = 1e-6 reference. At 5e-4 s the
+# vertical-bounce event times err by 8.4e-11, close to their 1e-10 s
+# bound; at 1e-3 s the undamped stance energy drifts by 1.6e-9 > 1e-9.
+DEFAULT_DT = 2.5e-4
 DEFAULT_CONTROL_DT = 1e-3
-EVENT_TIME_TOL = 1e-10
 # FailedLiftoff budget: 10x the undamped half period pi/omega0.
 TIME_BUDGET_HALF_PERIODS = 10.0
 
@@ -104,19 +105,36 @@ def _rk4_step(r, dr, th, dth, h, tau, m, k, b, r0, g):
 
 
 def _locate(rp, drp, thp, dthp, tau, a, c, dt, m, k, b, r0, g):
-    """Bisect the RK4 step of length dt from (rp, drp, thp, dthp) to a
-    bracket (lo, hi), EVENT_TIME_TOL wide, of the upward zero of
-    a*(r - r0) + c*r_dot: bottom is (a, c) = (0, 1), liftoff (k, b)."""
-    lo = 0.0
-    hi = dt
-    while hi - lo > EVENT_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        rm, dm, _, _ = _rk4_step(rp, drp, thp, dthp, mid, tau, m, k, b, r0, g)
-        if a * (rm - r0) + c * dm < 0.0:
-            lo = mid
+    """Bracket (lo, hi) of the upward zero of a*(r - r0) + c*r_dot within
+    the RK4 step of length dt from (rp, drp, thp, dthp), as sub-step
+    lengths: the event function is < 0 at lo and >= 0 at hi. Bottom is
+    (a, c) = (0, 1), liftoff (k, b).
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the
+    sub-step length, along which the RK4 state is smooth, until the
+    bracket stops shrinking. The event is then at hi to round-off; the
+    bracket can stay wider when the interpolation lands on hi.
+    """
+    lo, f_lo = 0.0, a * (rp - r0) + c * drp
+    r1, dr1, _, _ = _rk4_step(rp, drp, thp, dthp, dt, tau, m, k, b, r0, g)
+    hi, f_hi = dt, a * (r1 - r0) + c * dr1
+    side = 0
+    while True:
+        h = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < h < hi:
+            return lo, hi
+        rm, dm, _, _ = _rk4_step(rp, drp, thp, dthp, h, tau, m, k, b, r0, g)
+        f = a * (rm - r0) + c * dm
+        if f < 0.0:
+            lo, f_lo = h, f
+            if side < 0:  # lo moved twice: halve the stale end's weight
+                f_hi *= 0.5
+            side = -1
         else:
-            hi = mid
-    return lo, hi
+            hi, f_hi = h, f
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
 
 
 def _stance_core(r, dr, th, dth, m, k, b, r0, g,
@@ -168,9 +186,9 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                 return (_STATUS_GROUND, n_samp, istep * dt, r, dr, th, dth,
                         t_bottom)
             if t_bottom < 0.0 and drp < 0.0 <= dr:
-                lo_h, hi_h = _locate(rp, drp, thp, dthp, tau, 0.0, 1.0, dt,
-                                     m, k, b, r0, g)
-                t_bottom = (istep - 1) * dt + 0.5 * (lo_h + hi_h)
+                _, hi_h = _locate(rp, drp, thp, dthp, tau, 0.0, 1.0, dt,
+                                  m, k, b, r0, g)
+                t_bottom = (istep - 1) * dt + hi_h
             force = k * (r - r0) + b * dr
             if f_prev < 0.0 <= force and dr > 0.0:
                 _, hi_h = _locate(rp, drp, thp, dthp, tau, k, b, dt,

@@ -3,8 +3,8 @@
 These deliberately re-implement integration and the stance torque law
 from scratch (no reuse of the package's stepping or control code) so
 closed forms and the production integrator are checked against a
-separate path. The linearized-flow oracle is JIT compiled when numba is
-available because it runs at dt = 1e-7.
+separate path. The linearized-flow oracle evaluates its RK4 at
+dt = 1e-7 as a power of the one-step matrix, so it needs no JIT.
 """
 
 from __future__ import annotations
@@ -12,60 +12,94 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from sliphop import ApexState, ControlInputs, SlipParams, StanceState
 
 
-def _taylor_rk4(r, dr, th, m, k, b, r0, g, p_bar, t_end, dt):
-    """RK4 on the linearized stance ODE (r, r_dot, theta); theta_dot is
-    algebraic in r."""
+def _linear_coeffs(m, k, b, r0, g, p_bar):
+    """Constants of the linearized stance ODE about r_g = r0 - m*g/k:
+
+        r_ddot = c_f - c_k*(r - r_g) - c_b*r_dot,  theta_dot = c_t3 - c_t2*r
+
+    returned as (r_g, c_f, c_k, c_b, c_t3, c_t2)."""
     r_g = r0 - m * g / k
-    c_f = p_bar * p_bar / (m * m * r_g ** 3)
-    c_k = 3.0 * p_bar * p_bar / (m * m * r_g ** 4) + k / m
-    c_b = b / m
-    c_t3 = 3.0 * p_bar / (m * r_g * r_g)
-    c_t2 = 2.0 * p_bar / (m * r_g ** 3)
-    n = round(t_end / dt)
-    for _ in range(n):
-        a1 = dr
-        b1 = c_f - c_k * (r - r_g) - c_b * dr
-        c1 = c_t3 - c_t2 * r
-        ra = r + 0.5 * dt * a1
-        da = dr + 0.5 * dt * b1
-        a2 = da
-        b2 = c_f - c_k * (ra - r_g) - c_b * da
-        c2 = c_t3 - c_t2 * ra
-        rb = r + 0.5 * dt * a2
-        db = dr + 0.5 * dt * b2
-        a3 = db
-        b3 = c_f - c_k * (rb - r_g) - c_b * db
-        c3 = c_t3 - c_t2 * rb
-        rc = r + dt * a3
-        dc = dr + dt * b3
-        a4 = dc
-        b4 = c_f - c_k * (rc - r_g) - c_b * dc
-        c4 = c_t3 - c_t2 * rc
-        r += dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        dr += dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        th += dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-    theta_dot = c_t3 - c_t2 * r
-    return r, dr, th, theta_dot
+    return (r_g,
+            p_bar * p_bar / (m * m * r_g ** 3),
+            3.0 * p_bar * p_bar / (m * m * r_g ** 4) + k / m,
+            b / m,
+            3.0 * p_bar / (m * r_g * r_g),
+            2.0 * p_bar / (m * r_g ** 3))
 
 
-try:
-    from numba import njit
+def _taylor_increment(r, dr, th, w, coeffs, dt):
+    """Increment of one RK4 step of length dt on the linearized stance ODE
+    (r, r_dot, theta) with its constant terms scaled by w. With w = 1 it
+    is the step from (r, dr, th); it is linear in (r, dr, th, w)."""
+    r_g, c_f, c_k, c_b, c_t3, c_t2 = coeffs
+    a1 = dr
+    b1 = w * c_f - c_k * (r - w * r_g) - c_b * dr
+    c1 = w * c_t3 - c_t2 * r
+    ra = r + 0.5 * dt * a1
+    da = dr + 0.5 * dt * b1
+    a2 = da
+    b2 = w * c_f - c_k * (ra - w * r_g) - c_b * da
+    c2 = w * c_t3 - c_t2 * ra
+    rb = r + 0.5 * dt * a2
+    db = dr + 0.5 * dt * b2
+    a3 = db
+    b3 = w * c_f - c_k * (rb - w * r_g) - c_b * db
+    c3 = w * c_t3 - c_t2 * rb
+    rc = r + dt * a3
+    dc = dr + dt * b3
+    a4 = dc
+    b4 = w * c_f - c_k * (rc - w * r_g) - c_b * dc
+    c4 = w * c_t3 - c_t2 * rc
+    return (dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+            dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
 
-    _taylor_rk4 = njit(cache=True)(_taylor_rk4)
-except ImportError:  # pragma: no cover
-    pass
+
+def _taylor_rk4(r, dr, th, m, k, b, r0, g, p_bar, t_end, dt):
+    """RK4 on the linearized stance ODE, step by step: the reference that
+    taylor_flow_oracle's matrix power is checked against. theta_dot is
+    algebraic in r."""
+    coeffs = _linear_coeffs(m, k, b, r0, g, p_bar)
+    for _ in range(round(t_end / dt)):
+        inc_r, inc_dr, inc_th = _taylor_increment(r, dr, th, 1.0, coeffs, dt)
+        r += inc_r
+        dr += inc_dr
+        th += inc_th
+    return r, dr, th, coeffs[4] - coeffs[5] * r
 
 
 def taylor_flow_oracle(td: StanceState, p_bar: float, params: SlipParams,
                        t_end: float, dt: float = 1e-7,
                        ) -> tuple[float, float, float, float]:
     """(r, r_dot, theta, theta_dot) of the linearized stance dynamics at
-    t_end, by brute-force RK4."""
-    return _taylor_rk4(td.r, td.r_dot, td.theta, params.m, params.k,
-                       params.b, params.r0, params.g, p_bar, t_end, dt)
+    t_end, by RK4 at step dt.
+
+    The ODE is affine, so one RK4 step is x <- (I + E) x on
+    x = (r, r_dot, theta, 1), and E's columns are the step increments of
+    the basis vectors. The n steps are (I + E)^n = I + R, built by
+    squaring in increment form (E <- 2E + E@E, R <- R + E + E@R): forming
+    I + E would round off the small increments.
+    """
+    coeffs = _linear_coeffs(params.m, params.k, params.b, params.r0,
+                            params.g, p_bar)
+    inc = np.zeros((4, 4))
+    for j, basis in enumerate(np.eye(4).tolist()):
+        inc[:3, j] = _taylor_increment(*basis, coeffs, dt)
+    total = np.zeros((4, 4))
+    n = round(t_end / dt)
+    while n:
+        if n & 1:
+            total = total + inc + inc @ total
+        inc = 2.0 * inc + inc @ inc
+        n >>= 1
+    x0 = np.array([td.r, td.r_dot, td.theta, 1.0])
+    r, r_dot, theta, _ = (x0 + total @ x0).tolist()
+    return r, r_dot, theta, coeffs[4] - coeffs[5] * r
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from sliphop import (ApexState, ControlInputs, NoLiftoffRoot, Overdamped,
                      stance_flow, stance_map_analytic)
 from sliphop.analytic import default_psi4, nominal_touchdown_r_dot
 
-from _oracles import taylor_flow_oracle
+from _oracles import _taylor_rk4, taylor_flow_oracle
 
 GRID_P_BAR = (-1.55, -1.2, -0.85, -0.5)
 GRID_K_THETA = (0.3, 0.5, 0.75)
@@ -123,6 +123,23 @@ class TestStanceFlow:
             s0 = stance_flow(t, c, td, p_bar, params)
             assert (sp.theta - sm.theta) / (2 * h) == pytest.approx(
                 s0.theta_dot, abs=1e-6)
+
+    def test_oracle_power_matches_its_step_loop(self, params):
+        # criterion 4's oracle raises the one-step RK4 matrix to a power;
+        # on short segments it must agree with stepping the same formulas
+        rng = random.Random(4)
+        for _ in range(4):
+            td = StanceState(r=rng.uniform(0.17, 0.21),
+                             r_dot=rng.uniform(-2.5, -0.3),
+                             theta=rng.uniform(-0.5, 0.5), theta_dot=0.0)
+            p_bar = rng.uniform(-1.6, -0.3)
+            t_end = rng.randint(45_000, 55_000) * 1e-7
+            loop = _taylor_rk4(td.r, td.r_dot, td.theta, params.m, params.k,
+                               params.b, params.r0, params.g, p_bar, t_end,
+                               1e-7)
+            power = taylor_flow_oracle(td, p_bar, params, t_end, dt=1e-7)
+            for got, want in zip(power, loop):
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_theta_dot_matches_oracle(self, params):
         td = _td()

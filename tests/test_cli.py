@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from sliphop import (ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams,
-                     SweepConfig, cli, closed_form_fixed_point, harness)
+                     SweepConfig, cli, closed_form_fixed_point, harness,
+                     simulate)
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
 from sliphop.harness import (ErrorStats, HopSummary, PointOutcome,
@@ -153,8 +154,9 @@ _CASES = {
         [("run_single", dict(
             apex=ApexState(1.0, 0.25),
             inputs=ControlInputs(p_bar=-0.79, k_theta=0.64),
-            params=DEFAULT_PARAMS, n_hops=20, k_theta_step=None, dt=1e-4,
-            control_dt=1e-3, out_dir="single_out"))],
+            params=DEFAULT_PARAMS, n_hops=20, k_theta_step=None,
+            dt=simulate.DEFAULT_DT, control_dt=simulate.DEFAULT_CONTROL_DT,
+            out_dir="single_out"))],
         0, _single_out("single_out"), ""),
     "single/file": (
         _SINGLE_FILE, [], [("run_single", _SINGLE_FROM_FILE)],

@@ -8,8 +8,9 @@ from sliphop import (ApexState, ControlInputs, GaitFailure, IllConditioned,
                      InsufficientEnergy, NoConvergence, NonPhysical,
                      NonpositiveTime, NoRealFixedPoint, SlipError,
                      closed_form_fixed_point, energy_speed_constraints,
-                     numeric_fixed_point, return_map_analytic,
-                     simulator_return_map, stability, theta_offset)
+                     fixedpoint, numeric_fixed_point, return_map_analytic,
+                     simulator_return_map, solve_point, stability,
+                     theta_offset)
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
 from sliphop.numerics import spectral_radius_2x2
@@ -79,7 +80,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("p_bar,k_theta,error,message", [
         (-3.125, 0.0, NoRealFixedPoint, "^speed quadratic: discriminant"),
         (-4.0, 0.7875, NonPhysical, "^touchdown y_dot = .* >= 0$"),
-        (-4.0, 0.65, NonpositiveTime, "^branch selection gave t_lo"),
+        (-4.0, 0.65, NonpositiveTime, r"^branch selection gave "
+         r"t_lo = 1\.821e-09, t_b = 2\.160e-09$"),
     ])
     def test_failure_branches(self, params, p_bar, k_theta, error, message):
         with pytest.raises(error, match=message) as exc:
@@ -162,6 +164,21 @@ class TestStability:
         inputs = ControlInputs(-1.0, 0.5)
         with pytest.raises(IllConditioned):
             stability(_constant_map, ApexState(1.0, 0.25), inputs, params)
+
+    @pytest.mark.parametrize("p_bar,k_theta", [
+        (-1.0, 0.5), (-0.79, 0.64), (-1.55, 0.3), (-0.5, 0.75)])
+    def test_simulator_map_smooth_at_the_fd_step(self, params, monkeypatch,
+                                                 p_bar, k_theta):
+        # the simulator map must be smooth on the scale of the Jacobian's
+        # step: an event located to a fixed time bracket makes it a
+        # staircase, and a step of 1e-7 then moves rho by up to 2.7e-4
+        inputs = ControlInputs(p_bar, k_theta)
+        z = solve_point(SIMULATOR_NUMERIC, inputs, params).apex
+        rho = {}
+        for h in (1e-6, 1e-7):
+            monkeypatch.setattr(fixedpoint, "FD_STEP", h)
+            rho[h] = stability(simulator_return_map, z, inputs, params)[1]
+        assert abs(rho[1e-7] - rho[1e-6]) <= 1e-7
 
 
 class TestNumericFixedPoint:

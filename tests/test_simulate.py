@@ -11,8 +11,9 @@ from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
                      integrate_stance, return_map_numeric, simulate,
                      stance_map_analytic, stance_to_flight,
                      write_trajectory_csv)
-from sliphop.simulate import (HybridTrajectory, TrajectoryEvent,
-                              TrajectorySample, _rk4_step, check_steps)
+from sliphop.simulate import (DEFAULT_DT, HybridTrajectory, TrajectoryEvent,
+                              TrajectorySample, _locate, _rk4_step,
+                              check_steps)
 
 from _oracles import full_stance_oracle, stance_rhs, stance_step
 
@@ -114,7 +115,7 @@ class TestIntegrateStance:
             assert e_next <= e_prev + 1e-9 * abs(e_prev)
 
     def test_matches_fine_rk4_oracle(self, params):
-        # production dt=1e-4 vs an independent RK4 at dt=1e-6
+        # production DEFAULT_DT vs an independent RK4 at dt=1e-6
         td = StanceState(r=0.2, r_dot=-1.7, theta=0.42, theta_dot=-3.5)
         inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
         lo, seg = integrate_stance(td, inputs, params)
@@ -134,6 +135,42 @@ class TestIntegrateStance:
         assert lo.r_dot > 0.0
         assert seg.p_liftoff == pytest.approx(
             lo.angular_momentum(params), rel=1e-12)
+
+    @pytest.mark.parametrize("td", [
+        StanceState(r=0.2, r_dot=-1.5, theta=0.3, theta_dot=-4.0),
+        StanceState(r=0.2, r_dot=-0.6, theta=-0.2, theta_dot=2.0),
+        StanceState(r=0.2, r_dot=-2.4, theta=0.5, theta_dot=-7.0)])
+    def test_event_bracket_contract(self, params, td):
+        # step the passive leg to the RK4 steps that cross bottom and
+        # liftoff; each located event lies between a sub-step where the
+        # event function is < 0 and the one where it is >= 0, and the
+        # liftoff state is the latter
+        p = params
+        consts = (p.m, p.k, p.b, p.r0, p.g)
+
+        def step(s, h):
+            return _rk4_step(*s, h, 0.0, *consts)
+
+        def force(s):
+            return p.k * (s[0] - p.r0) + p.b * s[1]
+
+        s = (td.r, td.r_dot, td.theta, td.theta_dot)
+        bottom_seen = False
+        while True:
+            prev, s = s, step(s, DEFAULT_DT)
+            if not bottom_seen and prev[1] < 0.0 <= s[1]:
+                lo_h, hi_h = _locate(*prev, 0.0, 0.0, 1.0, DEFAULT_DT,
+                                     *consts)
+                assert step(prev, lo_h)[1] < 0.0 <= step(prev, hi_h)[1]
+                bottom_seen = True
+            if force(prev) < 0.0 <= force(s) and s[1] > 0.0:
+                break
+        assert bottom_seen
+        lo_h, hi_h = _locate(*prev, 0.0, p.k, p.b, DEFAULT_DT, *consts)
+        assert force(step(prev, lo_h)) < 0.0 <= force(step(prev, hi_h))
+        lo, _ = integrate_stance(td, None, p)
+        assert (lo.r, lo.r_dot, lo.theta, lo.theta_dot) == step(prev, hi_h)
+        assert force(step(prev, hi_h)) <= 1e-10
 
     def test_applied_torque_respects_saturation(self, params):
         td = StanceState(r=0.2, r_dot=-1.7, theta=0.42, theta_dot=-3.5)

@@ -9,17 +9,17 @@ errors between pipelines (RMS and percent RMS of the apex speed and
 height).
 
 Output files are deterministic: fixed column order, fixed grid order.
-Every CSV goes through _write_csv, which formats each cell with _fmt
-(9-significant-digit floats, "" for None and NaN); every JSON document,
-the CLI's included, goes through to_json. A trajectory.csv row is a
-TrajectorySample and a hops.csv row a HopSummary, whose fields are the
-columns; the JSON objects of parameters, control inputs and apex states
-are their dataclass fields.
+Every CSV goes through _write_csv, which formats each row with one %
+string cached by its cell types (9-significant-digit floats, "" for
+None and NaN, true/false for bools, CRLF line ends); every JSON
+document, the CLI's included, goes through to_json. A trajectory.csv
+row is a TrajectorySample and a hops.csv row a HopSummary, whose fields
+are the columns; the JSON objects of parameters, control inputs and
+apex states are their dataclass fields.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import time
@@ -370,23 +370,50 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
 
 # --- deterministic file output ------------------------------------------------
 
-def _fmt(v) -> str:
-    """9 significant digits for floats; "" for None and NaN."""
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return "" if v != v else format(v, ".9g")
-    if isinstance(v, bool):
+# The % conversion of each cell type; "%.0s" prints nothing.
+_CELL_FORMATS = {float: "%.9g", int: "%d", str: "%s", type(None): "%.0s",
+                 bool: "%s"}
+
+
+def _plain(v):
+    """A NaN cell as None and a bool as "true" or "false"."""
+    if v != v:
+        return None
+    if type(v) is bool:
         return "true" if v else "false"
-    return str(v)
+    return v
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write the header, then each row with every cell through _fmt."""
+    """Write the header, then each row (a tuple) as one % format of its
+    cells: floats to 9 significant digits, None and NaN empty, bools
+    true/false, lines ended by CRLF.
+
+    The format of a row is cached by its cell types. A row whose text
+    shows a NaN or a bool ("nan", "True" or "False") is formatted again
+    from its _plain cells. Cells are not quoted, so no string cell may
+    hold a comma, a quote or a line break.
+    """
+    formats = {}
+
+    def line(row) -> str:
+        key = tuple(map(type, row))
+        fmt = formats.get(key)
+        if fmt is None:
+            fmt = formats[key] = ",".join(map(_CELL_FORMATS.__getitem__,
+                                              key)) + "\r\n"
+        return fmt % row
+
+    def lines():
+        yield line(header)
+        for row in rows:
+            text = line(row)
+            if "nan" in text or "True" in text or "False" in text:
+                text = line(tuple(map(_plain, row)))
+            yield text
+
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(map(_fmt, row) for row in rows)
+        fh.writelines(lines())
 
 
 def to_json(doc) -> str:

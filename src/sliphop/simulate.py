@@ -104,11 +104,13 @@ def _rk4_step(r, dr, th, dth, h, tau, m, k, b, r0, g):
             dth + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
 
 
-def _locate(rp, drp, thp, dthp, tau, a, c, dt, m, k, b, r0, g):
+def _locate(rp, drp, thp, dthp, r1, dr1, th1, dth1, tau, a, c, dt,
+            m, k, b, r0, g):
     """Bracket (lo, hi) of the upward zero of a*(r - r0) + c*r_dot within
-    the RK4 step of length dt from (rp, drp, thp, dthp), as sub-step
-    lengths: the event function is < 0 at lo and >= 0 at hi. Bottom is
-    (a, c) = (0, 1), liftoff (k, b).
+    the RK4 step of length dt from (rp, drp, thp, dthp) to (r1, dr1, th1,
+    dth1), as sub-step lengths, followed by the RK4 state at hi: the
+    event function is < 0 at lo and >= 0 at hi. Bottom is (a, c) =
+    (0, 1), liftoff (k, b).
 
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the
     sub-step length, along which the RK4 state is smooth, until the
@@ -116,14 +118,14 @@ def _locate(rp, drp, thp, dthp, tau, a, c, dt, m, k, b, r0, g):
     bracket can stay wider when the interpolation lands on hi.
     """
     lo, f_lo = 0.0, a * (rp - r0) + c * drp
-    r1, dr1, _, _ = _rk4_step(rp, drp, thp, dthp, dt, tau, m, k, b, r0, g)
     hi, f_hi = dt, a * (r1 - r0) + c * dr1
     side = 0
     while True:
         h = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < h < hi:
-            return lo, hi
-        rm, dm, _, _ = _rk4_step(rp, drp, thp, dthp, h, tau, m, k, b, r0, g)
+            return lo, hi, r1, dr1, th1, dth1
+        rm, dm, tm, wm = _rk4_step(rp, drp, thp, dthp, h, tau,
+                                   m, k, b, r0, g)
         f = a * (rm - r0) + c * dm
         if f < 0.0:
             lo, f_lo = h, f
@@ -132,6 +134,7 @@ def _locate(rp, drp, thp, dthp, tau, a, c, dt, m, k, b, r0, g):
             side = -1
         else:
             hi, f_hi = h, f
+            r1, dr1, th1, dth1 = rm, dm, tm, wm
             if side > 0:
                 f_lo *= 0.5
             side = 1
@@ -186,15 +189,14 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                 return (_STATUS_GROUND, n_samp, istep * dt, r, dr, th, dth,
                         t_bottom)
             if t_bottom < 0.0 and drp < 0.0 <= dr:
-                _, hi_h = _locate(rp, drp, thp, dthp, tau, 0.0, 1.0, dt,
-                                  m, k, b, r0, g)
+                hi_h = _locate(rp, drp, thp, dthp, r, dr, th, dth, tau,
+                               0.0, 1.0, dt, m, k, b, r0, g)[1]
                 t_bottom = (istep - 1) * dt + hi_h
             force = k * (r - r0) + b * dr
             if f_prev < 0.0 <= force and dr > 0.0:
-                _, hi_h = _locate(rp, drp, thp, dthp, tau, k, b, dt,
-                                  m, k, b, r0, g)
-                r, dr, th, dth = _rk4_step(rp, drp, thp, dthp, hi_h, tau,
-                                           m, k, b, r0, g)
+                _, hi_h, r, dr, th, dth = _locate(rp, drp, thp, dthp,
+                                                  r, dr, th, dth, tau, k, b,
+                                                  dt, m, k, b, r0, g)
                 t_lo = (istep - 1) * dt + hi_h
                 return (_STATUS_LIFTOFF, n_samp, t_lo, r, dr, th, dth,
                         t_bottom)

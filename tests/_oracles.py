@@ -5,10 +5,13 @@ from scratch (no reuse of the package's stepping or control code) so
 closed forms and the production integrator are checked against a
 separate path. The linearized-flow oracle evaluates its RK4 at
 dt = 1e-7 as a power of the one-step matrix, so it needs no JIT.
+_write_csv is the reference CSV writer, one _fmt call per cell through
+csv.writer, that the package's writer must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -234,3 +237,22 @@ def damped_map_iteration(return_map, seed: ApexState,
         x += relax * ex
         y += relax * ey
     return None
+
+
+def _fmt(v) -> str:
+    """9 significant digits for floats; "" for None and NaN."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return "" if v != v else format(v, ".9g")
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the header, then each row with every cell through _fmt."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(map(_fmt, row) for row in rows)

@@ -7,6 +7,7 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sliphop import (ApexState, ControlInputs, SlipError, StanceState,
                      SweepConfig, analytic, cli, closed_form_fixed_point,
@@ -16,6 +17,9 @@ from sliphop import (ApexState, ControlInputs, SlipError, StanceState,
 from sliphop.cli import main, parse_config_file
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
+from sliphop.simulate import TrajectorySample
+
+from _oracles import _write_csv as reference_write_csv
 
 
 def _read_csv(path):
@@ -315,6 +319,69 @@ class TestRunSingle:
                        "hops_completed": 2,
                        "final_apex": dataclasses.asdict(report.final_apex),
                        "failure": None}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# The cells of the program's rows. Every row has at least 7 cells, and
+# csv.writer quotes the lone empty cell of a one-cell row, so the
+# generated rows have at least 2.
+_CSV_STRINGS = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                       "0123456789_@.-")
+_CSV_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                     -2.2250738585072014e-308, 1e300, -1e300]),
+    st.integers(), st.booleans(), st.none(), _CSV_STRINGS)
+_CSV_ROWS = st.lists(_CSV_CELLS, min_size=2, max_size=12).map(tuple)
+
+
+class TestCsvWriter:
+    """harness._write_csv against the reference writer, one _fmt call per
+    cell through csv.writer."""
+
+    @given(header=st.lists(_CSV_STRINGS, min_size=2, max_size=12).map(tuple),
+           rows=st.lists(_CSV_ROWS, max_size=20))
+    def test_matches_the_reference_writer(self, tmp_path_factory, header,
+                                          rows):
+        out = tmp_path_factory.mktemp("csv")
+        harness._write_csv(out / "new.csv", header, rows)
+        reference_write_csv(out / "ref.csv", header, rows)
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    def test_trajectory_matches_the_reference_writer(self, params, tmp_path):
+        report = run_single(ApexState(1.5, 0.24),
+                            ControlInputs(p_bar=-1.0, k_theta=0.5), params,
+                            n_hops=3)
+        assert {s.phase for s in report.trajectory.samples} == {
+            "descent", "stance", "ascent"}
+        harness.write_trajectory_csv(report.trajectory, tmp_path / "new.csv")
+        reference_write_csv(tmp_path / "ref.csv", TrajectorySample._fields,
+                            report.trajectory.samples)
+        assert (tmp_path / "new.csv").read_bytes() == (
+            tmp_path / "ref.csv").read_bytes()
+
+    def test_written_strings_need_no_quoting(self, params):
+        # the writer does not quote cells, so no string the program writes
+        # into a CSV may hold a comma, a quote or a line break
+        report = run_single(ApexState(1.5, 0.24),
+                            ControlInputs(p_bar=-1.0, k_theta=0.5), params,
+                            n_hops=1)
+        hop_phases = {s.phase for s in report.trajectory.samples}
+        fail_phases = ("aoa", "descent", "touchdown", "stance", "ascent",
+                       None)
+        statuses = {harness._fail_status(cls("failed", phase=phase))
+                    for cls in _subclasses(SlipError)
+                    for phase in fail_phases}
+        assert "GaitFailure@aoa" in statuses and "NonPhysical" in statuses
+        words = {*harness.ALL_PIPELINES, *hop_phases, "converged", "NoSeed",
+                 *statuses}
+        assert [w for w in words
+                if any(ch in w for ch in ',"\r\n')] == []
 
 
 # (module, attribute) of the callee each phase of each map runs

@@ -143,8 +143,9 @@ class TestIntegrateStance:
     def test_event_bracket_contract(self, params, td):
         # step the passive leg to the RK4 steps that cross bottom and
         # liftoff; each located event lies between a sub-step where the
-        # event function is < 0 and the one where it is >= 0, and the
-        # liftoff state is the latter
+        # event function is < 0 and the one where it is >= 0, _locate
+        # returns the state of the latter, and so does integrate_stance
+        # at liftoff
         p = params
         consts = (p.m, p.k, p.b, p.r0, p.g)
 
@@ -159,18 +160,46 @@ class TestIntegrateStance:
         while True:
             prev, s = s, step(s, DEFAULT_DT)
             if not bottom_seen and prev[1] < 0.0 <= s[1]:
-                lo_h, hi_h = _locate(*prev, 0.0, 0.0, 1.0, DEFAULT_DT,
-                                     *consts)
+                lo_h, hi_h, *at_hi = _locate(*prev, *s, 0.0, 0.0, 1.0,
+                                             DEFAULT_DT, *consts)
                 assert step(prev, lo_h)[1] < 0.0 <= step(prev, hi_h)[1]
+                assert tuple(at_hi) == step(prev, hi_h)
                 bottom_seen = True
             if force(prev) < 0.0 <= force(s) and s[1] > 0.0:
                 break
         assert bottom_seen
-        lo_h, hi_h = _locate(*prev, 0.0, p.k, p.b, DEFAULT_DT, *consts)
+        lo_h, hi_h, *at_hi = _locate(*prev, *s, 0.0, p.k, p.b, DEFAULT_DT,
+                                     *consts)
         assert force(step(prev, lo_h)) < 0.0 <= force(step(prev, hi_h))
+        assert tuple(at_hi) == step(prev, hi_h)
         lo, _ = integrate_stance(td, None, p)
         assert (lo.r, lo.r_dot, lo.theta, lo.theta_dot) == step(prev, hi_h)
         assert force(step(prev, hi_h)) <= 1e-10
+
+    @pytest.mark.skipif(simulate.HAVE_NUMBA,
+                        reason="counts calls of the pure-Python RK4 step")
+    def test_event_location_repeats_no_step(self, params, monkeypatch):
+        # one recorded hop: neither the stance loop nor _locate takes an
+        # RK4 step it took before, and the liftoff state is pinned bit
+        # for bit
+        steps = []
+        real = simulate._rk4_step
+
+        def counted(*args):
+            steps.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_rk4_step", counted)
+        _, traj = return_map_numeric(ApexState(x_dot=1.5, y=0.25),
+                                     ControlInputs(p_bar=-1.0, k_theta=0.5),
+                                     params)
+        assert len(set(steps)) == len(steps) == 325
+        liftoff = next(e for e in traj.events if e.name == "liftoff")
+        assert {name: v.hex() for name, v in liftoff.state.items()} == {
+            "r": "0x1.8b06cef2dad5ep-3", "r_dot": "0x1.6c55ca48a11e5p+0",
+            "theta": "-0x1.2f190f0ecc7fap-2",
+            "theta_dot": "-0x1.06e1831035f28p+3",
+            "p_theta": "-0x1.02331faa33b98p+0"}
 
     def test_applied_torque_respects_saturation(self, params):
         td = StanceState(r=0.2, r_dot=-1.7, theta=0.42, theta_dot=-3.5)

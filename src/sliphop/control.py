@@ -66,8 +66,8 @@ def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
     """Solve theta = Phi(theta) for the angle of attack.
 
     Fixed-point iteration from the edge of Phi's domain (to AOA_TOL, at
-    most AOA_MAX_ITER sweeps), with a bisection
-    backstop on Phi(theta) - theta over the admissible interval. The
+    most AOA_MAX_ITER sweeps), then bisection on Phi(theta) - theta over
+    the admissible interval until the bracket stops shrinking. The
     solution carries the sign of x_dot (Phi is odd in x_dot, even in
     theta). Raises InsufficientEnergy when no admissible angle exists in
     (0, 0.99*pi/2], NoConvergence if the backstop cannot bracket a root.
@@ -115,13 +115,13 @@ def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
         raise NoConvergence(
             f"no bracket for Phi(theta) = theta on ({lo:.4f}, {hi:.4f})")
     a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if gap(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
     theta = 0.5 * (a + b)
+    while a < theta < b:
+        if gap(theta) > 0.0:
+            a = theta
+        else:
+            b = theta
+        theta = 0.5 * (a + b)
     res = abs(_phi(theta, ax, e_v, k_theta, params) - theta)
     if res > AOA_TOL:
         raise NoConvergence(f"bisection residual {res:.3e} > {AOA_TOL:.1e}")

@@ -6,7 +6,7 @@ constraints, Newton iteration on the analytic return map, and Newton
 iteration on the full simulator map. numeric_fixed_point takes any
 apex return map; harness.solve_point picks each pipeline's map and
 tolerance. Stability is the spectral radius of the 2x2 apex return-map
-Jacobian (central finite differences).
+Jacobian (central finite differences), held as a pair of float rows.
 """
 
 from __future__ import annotations
@@ -15,15 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .analytic import (return_map_analytic, simplified_map_constants,
                        theta_offset)
 from .errors import (GaitFailure, IllConditioned, NegativeDiscriminant,
                      NoConvergence, NonPhysical, NoRealFixedPoint, SlipError)
 from .model import (ApexState, ControlInputs, FlightState, SlipParams,
                     StanceState, stance_to_flight)
-from .numerics import quadratic_roots, spectral_radius_2x2
+from .numerics import quadratic_roots, solve_2x2, spectral_radius_2x2
 from .simulate import integrate_ascent
 
 CLOSED_FORM = "closed-form"
@@ -31,6 +29,7 @@ ANALYTIC_NUMERIC = "analytic-numeric"
 SIMULATOR_NUMERIC = "simulator-numeric"
 
 ReturnMap = Callable[[ApexState, ControlInputs, SlipParams], ApexState]
+Jacobian = tuple[tuple[float, float], tuple[float, float]]  # ((a, b), (c, d))
 
 FD_STEP = 1e-6  # map Jacobian step: h = max(FD_STEP, FD_STEP*|z_i|)
 
@@ -58,7 +57,7 @@ class FixedPointResult:
 
     apex: ApexState
     touchdown: TouchdownFixedPoint | None
-    jacobian: np.ndarray
+    jacobian: Jacobian
     spectral_radius: float
     stable: bool
     provenance: str
@@ -68,7 +67,7 @@ class FixedPointResult:
 
 def _map_jacobian(return_map: ReturnMap, z: ApexState,
                   inputs: ControlInputs, params: SlipParams,
-                  ) -> tuple[tuple[float, float], tuple[float, float]]:
+                  ) -> Jacobian:
     """Central-difference Jacobian of the apex map at z, as rows of floats.
 
     Step h = max(FD_STEP, FD_STEP*|z_i|) per component. Raises
@@ -97,21 +96,21 @@ def _map_jacobian(return_map: ReturnMap, z: ApexState,
 
 def stability(return_map: ReturnMap, z_star: ApexState,
               inputs: ControlInputs, params: SlipParams,
-              ) -> tuple[np.ndarray, float, bool]:
+              ) -> tuple[Jacobian, float, bool]:
     """Return-map Jacobian at a fixed point, its spectral radius, and the
     stability verdict (spectral radius < 1)."""
-    (a, b), (c, d) = _map_jacobian(return_map, z_star, inputs, params)
-    rho = spectral_radius_2x2(a, b, c, d)
-    return np.array([[a, b], [c, d]]), rho, rho < 1.0
+    jac = _map_jacobian(return_map, z_star, inputs, params)
+    rho = spectral_radius_2x2(*jac[0], *jac[1])
+    return jac, rho, rho < 1.0
 
 
 def _stability_or_nan(return_map: ReturnMap, z: ApexState,
                       inputs: ControlInputs, params: SlipParams,
-                      ) -> tuple[np.ndarray, float, bool]:
+                      ) -> tuple[Jacobian, float, bool]:
     try:
         return stability(return_map, z, inputs, params)
     except SlipError:
-        return np.full((2, 2), math.nan), math.nan, False
+        return ((math.nan, math.nan), (math.nan, math.nan)), math.nan, False
 
 
 def closed_form_fixed_point(p_bar: float, k_theta: float,
@@ -240,7 +239,7 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
     fails and backtracking cannot recover.
 
     The iterate is a pair of Python floats whatever the seed's scalar
-    type; numpy only solves the 2x2 Newton system. A line-search step is
+    type; (J - I) s = r is solved in closed form. A line-search step is
     accepted when its residual's Euclidean norm falls (or once the step
     is down to a quarter), and the map value of the accepted candidate
     is the next iteration's P(z), so no apex point is evaluated twice.
@@ -287,10 +286,9 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
             raise GaitFailure(f"Jacobian evaluation failed: {err}",
                               phase=err.phase) from err
         try:
-            sx, sy = np.linalg.solve([[a - 1.0, b], [c, d - 1.0]],
-                                     [rx, ry]).tolist()
-        except np.linalg.LinAlgError as err:
-            raise IllConditioned(f"singular Newton system: {err}") from err
+            sx, sy = solve_2x2(a - 1.0, b, c, d - 1.0, rx, ry)
+        except ZeroDivisionError as err:
+            raise IllConditioned("singular Newton system") from err
         res_len = math.hypot(rx, ry)
         lam = 1.0
         for _ in range(8):

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
+from statistics import fmean
 from typing import NamedTuple
-
-import numpy as np
 
 from . import fixedpoint as fp
 from .errors import SlipError
@@ -41,6 +41,18 @@ ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
 SIM_TOL = 1e-6
 ANALYTIC_TOL = 1e-9
 _PREWARM = 3
+
+
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """lo + i*step for i < n - 1, then hi: np.linspace(lo, hi, n)'s values
+    bit for bit, n = 1 (lo alone) and a step that underflows included."""
+    lo, hi = float(lo), float(hi)
+    if n == 1:
+        return [lo + 0.0 * (hi - lo)]
+    step = (hi - lo) / (n - 1)
+    if step == 0.0:  # subnormal span: scale i first, as numpy does
+        return [lo + i / (n - 1) * (hi - lo) for i in range(n - 1)] + [hi]
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 @dataclass(frozen=True)
@@ -92,12 +104,10 @@ class SweepConfig:
                              ki=self.ki, kd=self.kd, tau_max=self.tau_max)
 
     def p_bar_values(self) -> list[float]:
-        lo, hi, n = self.p_bar_range
-        return [float(v) for v in np.linspace(lo, hi, n)]
+        return _grid(*self.p_bar_range)
 
     def k_theta_values(self) -> list[float]:
-        lo, hi, n = self.k_theta_range
-        return [float(v) for v in np.linspace(lo, hi, n)]
+        return _grid(*self.k_theta_range)
 
 
 @dataclass
@@ -252,14 +262,14 @@ def _error_stats(report: SweepReport) -> list[ErrorStats]:
         keys = sorted(set(pred) & set(ref))
         if not keys:
             continue
-        for quantity in ("x_dot", "y"):
-            dp = np.array([getattr(pred[k].apex, quantity) for k in keys])
-            dr = np.array([getattr(ref[k].apex, quantity) for k in keys])
-            err = dp - dr
-            rms = float(np.sqrt(np.mean(err ** 2)))
-            pct = float(100.0 * np.sqrt(np.mean((err / dr) ** 2)))
-            over_mean = float(100.0 * rms / np.mean(np.abs(dr)))
-            stats.append(ErrorStats(pred_name, ref_name, quantity, len(keys),
+        for qty in ("x_dot", "y"):
+            dr = [getattr(ref[k].apex, qty) for k in keys]
+            err = [getattr(pred[k].apex, qty) - r for k, r in zip(keys, dr)]
+            rel = [e / r for e, r in zip(err, dr)]
+            rms = math.sqrt(fmean(e * e for e in err))
+            pct = 100.0 * math.sqrt(fmean(q * q for q in rel))
+            over_mean = 100.0 * rms / fmean(map(abs, dr))
+            stats.append(ErrorStats(pred_name, ref_name, qty, len(keys),
                                     rms, pct, over_mean))
     return stats
 
@@ -425,7 +435,8 @@ def _result_cells(r: fp.FixedPointResult | None) -> tuple:
     """The sweep.csv cells of one result, None for a failed cell."""
     if r is None:
         return (None,) * 5
-    return r.apex.x_dot, r.apex.y, r.spectral_radius, r.stable, r.residual
+    return (r.apex.x_dot, r.apex.y, r.spectral_radius,
+            "true" if r.stable else "false", r.residual)
 
 
 def write_trajectory_csv(traj: HybridTrajectory, path) -> None:

@@ -1,4 +1,4 @@
-"""Small shared numerical helpers: quadratic roots and 2x2 eigenvalues."""
+"""Shared numerical helpers: quadratic roots, 2x2 solve and eigenvalues."""
 
 from __future__ import annotations
 
@@ -36,3 +36,14 @@ def spectral_radius_2x2(j11: float, j12: float, j21: float, j22: float) -> float
         return max(abs(0.5 * (tr + s)), abs(0.5 * (tr - s)))
     # complex pair: |lambda| = sqrt(det)
     return math.sqrt(det)
+
+
+def solve_2x2(a: float, b: float, c: float, d: float, e: float,
+              f: float) -> tuple[float, float]:
+    """(x, y) solving [[a, b], [c, d]] (x, y) = (e, f), by elimination with
+    partial pivoting; ZeroDivisionError when the matrix is singular."""
+    if abs(c) > abs(a):  # pivot on the larger first-column entry
+        a, b, c, d, e, f = c, d, a, b, f, e
+    lower = c / a
+    y = (f - lower * e) / (d - lower * b)
+    return (e - b * y) / a, y

@@ -16,7 +16,7 @@ apex-to-apex map and tags failures with their phase; the simulator map
 differ only in the angle solver and the stance map they pass it.
 
 The stance stepper is compiled with numba when available (pure-Python
-fallback otherwise, same code path).
+fallback otherwise, same code path); its samples are a list of tuples.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .control import AoaSolution, solve_aoa_implicit, vertical_energy
 from .errors import (DescendingAtLiftoff, FailedLiftoff, GroundFault,
@@ -142,12 +140,11 @@ def _locate(rp, drp, thp, dthp, r1, dr1, th1, dth1, tau, a, c, dt,
 
 def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                  use_ctrl, p_bar, kp, ki, kd, tau_max,
-                 dt, nsub, n_ctrl_max, out):
+                 dt, nsub, n_ctrl_max):
     """ZOH control loop around the RK4 stepper with event localization.
 
-    out[i] = (t, r, r_dot, theta, theta_dot, tau) sampled once per
-    control step. Returns (status, n_samples, t, r, dr, th, dth,
-    t_bottom).
+    Returns (status, rows, t, r, dr, th, dth, t_bottom), one row
+    (t, r, r_dot, theta, theta_dot, tau) per control step.
     """
     ctrl_dt = dt * nsub
     integral = 0.0
@@ -155,10 +152,9 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
     force = k * (r - r0) + b * dr
     t_bottom = -1.0
     istep = 0
-    n_samp = 0
+    rows = []
     tau = 0.0
     for _ in range(n_ctrl_max):
-        t = istep * dt
         if use_ctrl:
             p = m * r * r * dth
             err = p_bar - p
@@ -173,20 +169,14 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                 tau = -tau_max
             else:
                 integral = cand
-        out[n_samp, 0] = t
-        out[n_samp, 1] = r
-        out[n_samp, 2] = dr
-        out[n_samp, 3] = th
-        out[n_samp, 4] = dth
-        out[n_samp, 5] = tau
-        n_samp += 1
+        rows.append((istep * dt, r, dr, th, dth, tau))
         for _ in range(nsub):
             rp, drp, thp, dthp, f_prev = r, dr, th, dth, force
             r, dr, th, dth = _rk4_step(r, dr, th, dth, dt, tau,
                                        m, k, b, r0, g)
             istep += 1
             if r <= 0.0 or r * math.cos(th) <= 0.0:
-                return (_STATUS_GROUND, n_samp, istep * dt, r, dr, th, dth,
+                return (_STATUS_GROUND, rows, istep * dt, r, dr, th, dth,
                         t_bottom)
             if t_bottom < 0.0 and drp < 0.0 <= dr:
                 hi_h = _locate(rp, drp, thp, dthp, r, dr, th, dth, tau,
@@ -198,9 +188,9 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                                                   r, dr, th, dth, tau, k, b,
                                                   dt, m, k, b, r0, g)
                 t_lo = (istep - 1) * dt + hi_h
-                return (_STATUS_LIFTOFF, n_samp, t_lo, r, dr, th, dth,
+                return (_STATUS_LIFTOFF, rows, t_lo, r, dr, th, dth,
                         t_bottom)
-    return (_STATUS_NO_LIFTOFF, n_samp, istep * dt, r, dr, th, dth, t_bottom)
+    return (_STATUS_NO_LIFTOFF, rows, istep * dt, r, dr, th, dth, t_bottom)
 
 
 try:  # pragma: no cover - exercised implicitly everywhere
@@ -274,7 +264,7 @@ class StanceSegment:
     t_liftoff: float           # stance duration (s, from touchdown)
     t_bottom: float | None     # first r_dot zero crossing, None if none
     p_liftoff: float           # angular momentum at liftoff
-    samples: np.ndarray        # (n, 6): t, r, r_dot, theta, theta_dot, tau
+    samples: list[tuple]       # rows t, r, r_dot, theta, theta_dot, tau
 
 
 # --- phase maps --------------------------------------------------------------
@@ -294,16 +284,15 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
     check_touchdown(td, params)
     t_budget = TIME_BUDGET_HALF_PERIODS * math.pi / params.omega0
     n_ctrl_max = int(math.ceil(t_budget / (dt * nsub)))
-    out = np.empty((n_ctrl_max + 1, 6), dtype=np.float64)
     if inputs is None:
         ctrl = (False, 0.0, 0.0, 0.0, 0.0, math.inf)
     else:
         tau_max = math.inf if inputs.tau_max is None else inputs.tau_max
         ctrl = (True, inputs.p_bar, inputs.kp, inputs.ki, inputs.kd, tau_max)
-    status, n_samp, t_end, r, dr, th, dth, t_bottom = \
+    status, samples, t_end, r, dr, th, dth, t_bottom = \
         _stance_core(td.r, td.r_dot, td.theta, td.theta_dot,
                      params.m, params.k, params.b, params.r0, params.g,
-                     *ctrl, dt, nsub, n_ctrl_max, out)
+                     *ctrl, dt, nsub, n_ctrl_max)
     if status == _STATUS_GROUND:
         raise GroundFault(
             f"mass height reached 0 at t = {t_end:.6f} s (theta = {th:.3f})")
@@ -315,7 +304,7 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
         t_liftoff=t_end,
         t_bottom=None if t_bottom < 0.0 else t_bottom,
         p_liftoff=lo.angular_momentum(params),
-        samples=out[:n_samp].copy(),
+        samples=samples,
     )
     return lo, segment
 
@@ -440,14 +429,12 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
     t_up = ascent_time(f_lo, params)
     t_touch = t0 + t_td
     t_lift = t_touch + seg.t_liftoff
-    # stance: the body moves about the toe, which stays where it landed;
-    # tolist() keeps numpy scalars out of the samples (same values,
-    # cheaper to format)
+    # stance: the body moves about the toe, which stays where it landed
     toe_x = x0 + apex.x_dot * t_td - polar_to_cartesian(
         s_td.r, s_td.r_dot, s_td.theta, s_td.theta_dot)[0]
     samples = _flight_samples(t0, t_td, x0, apex.x_dot, apex.y, 0.0,
                               params.g, "descent", control_dt)
-    for t, r, dr, th, dth, tau in seg.samples.tolist():
+    for t, r, dr, th, dth, tau in seg.samples:
         x, y, x_dot, y_dot = polar_to_cartesian(r, dr, th, dth)
         samples.append(TrajectorySample(t_touch + t, "stance", r, dr, th, dth,
                                         toe_x + x, y, x_dot, y_dot, tau))

@@ -7,6 +7,9 @@ separate path. The linearized-flow oracle evaluates its RK4 at
 dt = 1e-7 as a power of the one-step matrix, so it needs no JIT.
 _write_csv is the reference CSV writer, one _fmt call per cell through
 csv.writer, that the package's writer must match byte for byte.
+solve_aoa_200_halvings is the angle-of-attack solver with its earlier
+bisection backstop, a fixed 200 halvings, that the solver's stopping
+rule must match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sliphop import ApexState, ControlInputs, SlipParams, StanceState
+from sliphop import (ApexState, ControlInputs, InsufficientEnergy,
+                     NoConvergence, SlipParams, StanceState)
+from sliphop.control import (AOA_MAX_ITER, AOA_THETA_MAX, AOA_TOL,
+                             AoaSolution, _phi)
 
 
 def _linear_coeffs(m, k, b, r0, g, p_bar):
@@ -256,3 +262,64 @@ def _write_csv(path, header, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(map(_fmt, row) for row in rows)
+
+
+def solve_aoa_200_halvings(x_dot: float, e_v: float, k_theta: float,
+                           params: SlipParams) -> AoaSolution:
+    """control.solve_aoa_implicit as it was when its bisection backstop
+    halved the bracket a fixed 200 times."""
+    if x_dot == 0.0:
+        return AoaSolution(0.0, 0.0, "implicit", 0.0, 0)
+    sign = 1.0 if x_dot > 0.0 else -1.0
+    ax = abs(x_dot)
+
+    # Phi's domain: cos(k_theta*theta) < e_v / (m*g*r0)
+    q = e_v / (params.m * params.g * params.r0)
+    if q >= 1.0:
+        lo = 0.0
+    else:
+        if k_theta == 0.0:
+            raise InsufficientEnergy(
+                f"vertical energy ratio {q:.4f} < 1 with k_theta = 0")
+        lo = math.acos(q) / k_theta
+        if lo >= AOA_THETA_MAX:
+            raise InsufficientEnergy(
+                f"domain edge {lo:.4f} rad beyond {AOA_THETA_MAX:.4f}")
+        lo = math.nextafter(lo, math.inf)
+
+    theta = lo
+    for it in range(1, AOA_MAX_ITER + 1):
+        try:
+            nxt = _phi(theta, ax, e_v, k_theta, params)
+        except InsufficientEnergy:
+            break  # iterate left the domain; bisection handles it
+        if abs(nxt - theta) <= AOA_TOL:
+            return AoaSolution(sign * nxt, k_theta * sign * nxt,
+                               "implicit", abs(nxt - theta), it)
+        theta = nxt
+
+    # bisection backstop on g(theta) = Phi(theta) - theta
+    def gap(t: float) -> float:
+        try:
+            return _phi(t, ax, e_v, k_theta, params) - t
+        except InsufficientEnergy:
+            # Phi -> pi/2 at the domain edge
+            return math.pi / 2.0 - t
+
+    hi = AOA_THETA_MAX
+    if gap(lo) < 0.0 or gap(hi) > 0.0:
+        raise NoConvergence(
+            f"no bracket for Phi(theta) = theta on ({lo:.4f}, {hi:.4f})")
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if gap(mid) > 0.0:
+            a = mid
+        else:
+            b = mid
+    theta = 0.5 * (a + b)
+    res = abs(_phi(theta, ax, e_v, k_theta, params) - theta)
+    if res > AOA_TOL:
+        raise NoConvergence(f"bisection residual {res:.3e} > {AOA_TOL:.1e}")
+    return AoaSolution(sign * theta, k_theta * sign * theta,
+                       "implicit", res, 0)

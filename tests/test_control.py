@@ -1,13 +1,22 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from sliphop import (ControlInputs, InsufficientEnergy, SlipParams,
-                     StanceState, solve_aoa_approx, solve_aoa_implicit)
+from sliphop import (DEFAULT_PARAMS, ControlInputs, InsufficientEnergy,
+                     SlipError, SlipParams, StanceState, control,
+                     solve_aoa_approx, solve_aoa_implicit)
 from sliphop.numerics import quadratic_roots
 
-from _oracles import PidState, hip_torque, pid_at_touchdown
+from _oracles import (PidState, hip_torque, pid_at_touchdown,
+                      solve_aoa_200_halvings)
+
+
+def _solution_or_error(solver, *args):
+    try:
+        return solver(*args)
+    except SlipError as err:
+        return type(err), str(err)
 
 
 class TestImplicitSolver:
@@ -66,6 +75,25 @@ class TestImplicitSolver:
         angles = [solve_aoa_implicit(x, e_v, 0.6, params).theta_aoa
                   for x in (0.0, 0.4, 0.8, 1.2, 1.6, 2.0, 2.4)]
         assert all(b > a for a, b in zip(angles, angles[1:]))
+
+    # Low apexes send about one solve in seven to the bisection backstop.
+    @given(st.floats(-4.0, 4.0), st.floats(0.12, 0.45), st.floats(0.0, 1.0))
+    @example(2.5, 0.19, 0.3)
+    def test_bisection_matches_200_halvings(self, x_dot, apex_y, k_theta):
+        e_v = DEFAULT_PARAMS.m * DEFAULT_PARAMS.g * apex_y
+        args = (x_dot, e_v, k_theta, DEFAULT_PARAMS)
+        assert _solution_or_error(solve_aoa_implicit, *args) == \
+            _solution_or_error(solve_aoa_200_halvings, *args)
+
+    def test_bisection_stops_when_its_bracket_stops_shrinking(
+            self, params, monkeypatch):
+        phi, calls = control._phi, []
+        monkeypatch.setattr(control, "_phi",
+                            lambda *args: calls.append(args) or phi(*args))
+        sol = solve_aoa_implicit(2.5, params.m * params.g * 0.19, 0.3,
+                                 params)
+        assert sol.iterations == 0  # solved by the bisection backstop
+        assert len(calls) <= 64  # 204 with a fixed 200 halvings
 
 
 class TestApproxSolver:

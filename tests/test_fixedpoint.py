@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from sliphop import (ApexState, ControlInputs, GaitFailure, IllConditioned,
                      InsufficientEnergy, NoConvergence, NonPhysical,
@@ -13,7 +14,7 @@ from sliphop import (ApexState, ControlInputs, GaitFailure, IllConditioned,
                      theta_offset)
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
-from sliphop.numerics import spectral_radius_2x2
+from sliphop.numerics import solve_2x2, spectral_radius_2x2
 
 from _oracles import damped_map_iteration
 
@@ -146,6 +147,29 @@ class TestStability:
         assert rho == pytest.approx(1.0, abs=1e-9)
         assert not stable
 
+    # entries 0 or 1e-6..10 in magnitude, clear of the underflow range
+    # where neither solver keeps its digits
+    @given(st.lists(st.floats(-10.0, 10.0).filter(
+        lambda v: v == 0.0 or abs(v) >= 1e-6), min_size=6, max_size=6))
+    def test_newton_solve_matches_numpy(self, v):
+        a, b, c, d, e, f = v
+        assume(np.linalg.cond([[a, b], [c, d]]) < 100.0)
+        want = np.linalg.solve([[a, b], [c, d]], [e, f]).tolist()
+        got = solve_2x2(a, b, c, d, e, f)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= \
+            1e-12 * max(map(abs, want))
+
+    def test_newton_solve_of_a_tiny_matrix(self):
+        # a determinant of 1e-400 underflows; elimination never forms one
+        assert solve_2x2(1e-200, 0.0, 0.0, 1e-200, 1e-200, 2e-200) == (
+            1.0, 2.0)
+
+    def test_newton_solve_of_a_singular_matrix_divides_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            solve_2x2(1.0, 2.0, 2.0, 4.0, 1.0, 1.0)
+        with pytest.raises(ZeroDivisionError):
+            solve_2x2(0.0, 1.0, 0.0, 1.0, 1.0, 1.0)
+
     def test_complex_eigenvalue_pair(self, params):
         # rotation by atan2(0.4, 0.3) scaled by 0.5: eigenvalues 0.3 +- 0.4i
         assert spectral_radius_2x2(0.3, -0.4, 0.4, 0.3) == pytest.approx(
@@ -258,8 +282,8 @@ class TestNumericFixedPoint:
         assert type(got.apex.x_dot) is float and type(got.apex.y) is float
         assert got.apex == want.apex
         assert type(got.residual) is float and got.residual == want.residual
-        assert got.jacobian.dtype == want.jacobian.dtype
-        assert got.jacobian.tobytes() == want.jacobian.tobytes()
+        assert got.jacobian == want.jacobian
+        assert all(type(v) is float for row in got.jacobian for v in row)
         assert got.newton_steps == want.newton_steps
 
     def test_gait_failure_wraps_map_errors(self, params):

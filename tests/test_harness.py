@@ -1,13 +1,19 @@
 import csv
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import types
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sliphop import (ApexState, ControlInputs, SlipError, StanceState,
                      SweepConfig, analytic, cli, closed_form_fixed_point,
@@ -66,6 +72,25 @@ class TestSweepConfig:
     def test_rejects_bad_grid_up_front(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             SweepConfig(**{field: value})
+
+    # gap: a span, or a count of ulps above lo
+    @given(lo=st.floats(-1e6, 1e6),
+           gap=st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-300),
+                         st.integers(0, 8)),
+           n=st.integers(1, 40))
+    @example(lo=0.0, gap=1e-323, n=7)  # a step below the smallest float
+    @example(lo=-0.0, gap=0, n=1)
+    def test_grid_is_linspace_bit_for_bit(self, lo, gap, n):
+        hi = lo
+        if isinstance(gap, int):
+            for _ in range(gap):
+                hi = math.nextafter(hi, math.inf)
+        else:
+            hi = lo + gap
+        got = harness._grid(lo, hi, n)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [
+            v.hex() for v in np.linspace(lo, hi, n).tolist()]
 
 
 class TestRunSweep:
@@ -365,6 +390,26 @@ class TestCsvWriter:
         assert (tmp_path / "new.csv").read_bytes() == (
             tmp_path / "ref.csv").read_bytes()
 
+    def test_converged_rows_are_formatted_once(self, params, tmp_path,
+                                               monkeypatch):
+        report = run_sweep(SweepConfig(
+            params=params, p_bar_range=(-1.2, -0.8, 2),
+            k_theta_range=(0.4, 0.6, 2),
+            pipelines=(CLOSED_FORM, ANALYTIC_NUMERIC)))
+        assert all(o.status == "converged" for o in report.outcomes)
+        plain = []
+        monkeypatch.setattr(harness, "_plain",
+                            lambda v: plain.append(v) or v)
+        harness.write_sweep_outputs(report, tmp_path)
+        assert plain == []
+        reference_write_csv(
+            tmp_path / "ref.csv", _read_csv(tmp_path / "sweep.csv")[0],
+            ((o.p_bar, o.k_theta, o.pipeline, o.result.apex.x_dot,
+              o.result.apex.y, o.result.spectral_radius, o.result.stable,
+              o.result.residual, o.status) for o in report.outcomes))
+        assert (tmp_path / "sweep.csv").read_bytes() == (
+            tmp_path / "ref.csv").read_bytes()
+
     def test_written_strings_need_no_quoting(self, params):
         # the writer does not quote cells, so no string the program writes
         # into a CSV may hold a comma, a quote or a line break
@@ -656,3 +701,26 @@ class TestCli:
         monkeypatch.setitem(sys.modules, "numba", fake)
         monkeypatch.setattr(cli, "HAVE_NUMBA", have)
         assert cli._kernel_path() == want
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
+                    reason="numba imports numpy")
+def test_package_runs_on_the_standard_library():
+    code = textwrap.dedent("""
+        import sys
+        from sliphop import (DEFAULT_PARAMS, ApexState, ControlInputs,
+                             SweepConfig, return_map_analytic,
+                             return_map_numeric, run_single, run_sweep)
+        apex, gait = ApexState(1.0, 0.25), ControlInputs(-0.79, 0.64)
+        return_map_numeric(apex, gait, DEFAULT_PARAMS, record=False)
+        return_map_analytic(apex, gait, DEFAULT_PARAMS)
+        run_sweep(SweepConfig(p_bar_range=(-1.0, -0.8, 2),
+                              k_theta_range=(0.5, 0.6, 2)))
+        run_single(apex, gait, DEFAULT_PARAMS, 2)
+        assert "numpy" not in sys.modules, "numpy was imported"
+    """)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

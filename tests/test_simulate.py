@@ -102,7 +102,7 @@ class TestIntegrateStance:
         td = StanceState(r=0.2, r_dot=-1.8, theta=0.25, theta_dot=-3.0)
         _, seg = integrate_stance(td, None, undamped_params)
         p = undamped_params
-        e0 = stance_energy(p, *seg.samples[0, 1:5])
+        e0 = stance_energy(p, *seg.samples[0][1:5])
         for row in seg.samples:
             e = stance_energy(p, *row[1:5])
             assert e == pytest.approx(e0, rel=1e-9)
@@ -205,9 +205,9 @@ class TestIntegrateStance:
         td = StanceState(r=0.2, r_dot=-1.7, theta=0.42, theta_dot=-3.5)
         inputs = ControlInputs(p_bar=-1.3, k_theta=0.5, tau_max=7.0)
         _, seg = integrate_stance(td, inputs, params)
-        taus = seg.samples[:, 5]
-        assert np.all(np.abs(taus) <= 7.0 + 1e-12)
-        assert np.any(np.abs(taus) > 6.9)  # the transient does saturate
+        taus = [row[5] for row in seg.samples]
+        assert all(abs(tau) <= 7.0 + 1e-12 for tau in taus)
+        assert any(abs(tau) > 6.9 for tau in taus)  # the transient saturates
 
     # both stance maps start from the same touchdown check
     STANCE_MAPS = {

@@ -16,10 +16,20 @@ nominal condition collapses the stance map to an affine map in
 closed-form fixed points are built on. The analytic return map is the
 simulator's hop chain (simulate.compose_return_map) with the quadratic
 angle-of-attack approximation and the closed-form stance map.
+
+The flow constants split in two. The gait part (_gait_constants)
+depends only on (p_bar, params) and is computed once per gait behind a
+small bounded cache; the touchdown part (_flow_coeffs) is computed per
+call. The hop chain runs flow_liftoff on floats; flow_coeffs,
+stance_flow and stance_map_analytic are thin wrappers that take and
+build StanceFlowCoeffs and StanceState, and liftoff_time, bottom_time
+and _flow read the coefficients as a plain tuple in StanceFlowCoeffs
+order, so both kinds go through the same code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,16 +37,16 @@ from typing import NamedTuple
 from .control import solve_aoa_approx
 from .errors import NoLiftoffRoot, NonpositiveTime, Overdamped
 from .model import (ApexState, ControlInputs, SlipParams, StanceState,
-                    check_touchdown)
+                    check_stance, check_touchdown_leg)
 from .simulate import compose_return_map
 
 
 class StanceFlowCoeffs(NamedTuple):
     """Constants of the closed-form stance flow.
 
-    Built once per analytic map evaluation, so it is an immutable named
-    tuple (fields read by name, as on a dataclass), which is cheaper to
-    build than a frozen dataclass.
+    An immutable named tuple (fields read by name, as on a dataclass).
+    The functions that read it unpack it as a plain tuple, so the hop
+    chain passes them a tuple of the same floats in this order.
 
     omega    radial natural frequency sqrt(k/m + 3*p_bar^2/(m^2*r_g^4))
     zeta     damping ratio b/(2*m*omega), must be < 1
@@ -65,11 +75,40 @@ class StanceFlowCoeffs(NamedTuple):
     m2_force: float
 
 
-def flow_coeffs(td: StanceState, p_bar: float,
-                params: SlipParams) -> StanceFlowCoeffs:
-    """Stance-flow constants for a touchdown state and momentum target.
+class _GaitConstants(NamedTuple):
+    """The flow constants that depend only on (p_bar, params), through
+    p_bar^2 alone: x_rate = p_bar / x_den * x_fac and
+    y_amp = 2*p_bar*m_amp / y_den take the sign of p_bar per call, so
+    the cache, which cannot tell -0.0 from 0.0, returns the same floats
+    for both. psi4 is the default force phase (_force_phase)."""
 
-    Raises Overdamped when the damping ratio reaches 1.
+    omega: float
+    zeta: float
+    omega_d: float
+    gamma: float
+    psi2: float
+    x_den: float
+    x_fac: float
+    y_den: float
+    m2_force: float
+    psi4: float
+
+
+def _force_phase(omega: float, zeta: float, params: SlipParams) -> float:
+    """default_psi4 from the flow's omega and zeta."""
+    bw = params.b * omega
+    return math.atan2(bw * math.sqrt(1.0 - zeta ** 2),
+                      params.k - bw * zeta)
+
+
+# keeps 64 gaits (the default sweep has 20 p_bar values); typed, since
+# an int p_bar squares in exact integer arithmetic
+@functools.lru_cache(maxsize=64, typed=True)
+def _gait_constants(p_bar: float, params: SlipParams) -> _GaitConstants:
+    """The gait part of the flow constants, once per (p_bar, params).
+
+    Raises Overdamped when the damping ratio reaches 1 (an exception is
+    not cached, so every call raises it again).
     """
     m, k, bb, r_g = params.m, params.k, params.b, params.r_g
     omega = math.sqrt(k / m + 3.0 * p_bar * p_bar / (m * m * r_g ** 4))
@@ -78,40 +117,64 @@ def flow_coeffs(td: StanceState, p_bar: float,
     if zeta >= 1.0:
         raise Overdamped(f"zeta = {zeta:.4f} >= 1")
     omega_d = omega * math.sqrt(1.0 - zeta * zeta)
-    a = td.r - gamma / (omega * omega)
-    b = (td.r_dot + zeta * omega * a) / omega_d
-    m_amp = math.hypot(a, b)
-    psi = math.atan2(-b, a)
     psi2 = math.atan2(-math.sqrt(1.0 - zeta * zeta), zeta)
-    x_rate = p_bar / (m * r_g * r_g) \
-        * (3.0 - 2.0 * gamma / (r_g * omega * omega))
-    y_amp = 2.0 * p_bar * m_amp / (m * r_g ** 3 * omega)
     m2_force = math.sqrt(k * k + bb * bb * omega * omega
                          - 2.0 * bb * k * omega * math.cos(psi2))
-    return StanceFlowCoeffs(omega=omega, zeta=zeta, omega_d=omega_d,
-                            gamma=gamma, a=a, b=b, m_amp=m_amp, psi=psi,
-                            psi2=psi2, x_rate=x_rate, y_amp=y_amp,
-                            m2_force=m2_force)
+    return _GaitConstants(
+        omega, zeta, omega_d, gamma, psi2, m * r_g * r_g,
+        3.0 - 2.0 * gamma / (r_g * omega * omega), m * r_g ** 3 * omega,
+        m2_force, _force_phase(omega, zeta, params))
 
 
-def _flow(t: float, coeffs: StanceFlowCoeffs, theta_td: float,
-          p_bar: float, params: SlipParams,
-          ) -> tuple[float, float, float, float]:
-    """(r, r_dot, theta, theta_dot) of the closed-form flow at time t."""
-    w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
-    m_amp, psi, psi2 = coeffs.m_amp, coeffs.psi, coeffs.psi2
-    g_over_w2 = coeffs.gamma / (w * w)
+def _flow_coeffs(r: float, r_dot: float, p_bar: float,
+                 gait: _GaitConstants) -> tuple[float, ...]:
+    """The flow constants, in StanceFlowCoeffs order, for a touchdown leg
+    state (r, r_dot): the gait's, plus the touchdown part."""
+    omega, zeta, omega_d, gamma, psi2, x_den, x_fac, y_den, m2_force, _ = gait
+    a = r - gamma / (omega * omega)
+    b = (r_dot + zeta * omega * a) / omega_d
+    m_amp = math.hypot(a, b)
+    psi = math.atan2(-b, a)
+    return (omega, zeta, omega_d, gamma, a, b, m_amp, psi, psi2,
+            p_bar / x_den * x_fac, 2.0 * p_bar * m_amp / y_den, m2_force)
+
+
+def flow_coeffs(td: StanceState, p_bar: float,
+                params: SlipParams) -> StanceFlowCoeffs:
+    """Stance-flow constants for a touchdown state and momentum target.
+
+    Raises Overdamped when the damping ratio reaches 1.
+    """
+    return StanceFlowCoeffs._make(_flow_coeffs(
+        td.r, td.r_dot, p_bar, _gait_constants(p_bar, params)))
+
+
+def _flow(t: float, coeffs: tuple[float, ...],
+          theta_td: float) -> tuple[float, float, float]:
+    """(r, r_dot, theta) of the closed-form flow at time t."""
+    w, zeta, wd, gamma, _, _, m_amp, psi, psi2, x_rate, y_amp, _ = coeffs
+    g_over_w2 = gamma / (w * w)
     e = math.exp(-zeta * w * t)
     c = math.cos(wd * t + psi)
     r = m_amp * e * c + g_over_w2
     r_dot = -m_amp * w * e * math.cos(wd * t + psi + psi2)
-    theta = theta_td + coeffs.x_rate * t + coeffs.y_amp * (
+    theta = theta_td + x_rate * t + y_amp * (
         e * math.cos(wd * t + psi - psi2) - math.cos(psi - psi2))
+    return r, r_dot, theta
+
+
+def _flow_theta_dot(t: float, coeffs: tuple[float, ...], p_bar: float,
+                    params: SlipParams) -> float:
+    """theta_dot of the closed-form flow at time t, from the momentum
+    expansion. Apart from _flow because the stance map reports theta_dot
+    from constant momentum instead."""
+    w, zeta, wd, gamma, _, _, m_amp, psi, _, _, _, _ = coeffs
+    e = math.exp(-zeta * w * t)
+    c = math.cos(wd * t + psi)
     r_g = params.r_g
-    theta_dot = p_bar / (params.m * r_g * r_g) * (
+    return p_bar / (params.m * r_g * r_g) * (
         3.0 - 2.0 * (m_amp / r_g) * e * c
-        - 2.0 * coeffs.gamma / (r_g * w * w))
-    return r, r_dot, theta, theta_dot
+        - 2.0 * gamma / (r_g * w * w))
 
 
 def stance_flow(t: float, coeffs: StanceFlowCoeffs, td: StanceState,
@@ -128,13 +191,15 @@ def stance_flow(t: float, coeffs: StanceFlowCoeffs, td: StanceState,
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    r, r_dot, theta, theta_dot = _flow(t, coeffs, td.theta, p_bar, params)
-    return StanceState(r=r, r_dot=r_dot, theta=theta, theta_dot=theta_dot)
+    r, r_dot, theta = _flow(t, coeffs, td.theta)
+    return StanceState(r=r, r_dot=r_dot, theta=theta,
+                       theta_dot=_flow_theta_dot(t, coeffs, p_bar, params))
 
 
 def bottom_time(coeffs: StanceFlowCoeffs) -> float:
     """First zero of the radial velocity: t_b = (pi/2 - psi - psi2)/omega_d."""
-    return (0.5 * math.pi - coeffs.psi - coeffs.psi2) / coeffs.omega_d
+    _, _, wd, _, _, _, _, psi, psi2, _, _, _ = coeffs
+    return (0.5 * math.pi - psi - psi2) / wd
 
 
 def default_psi4(coeffs: StanceFlowCoeffs, params: SlipParams) -> float:
@@ -145,9 +210,8 @@ def default_psi4(coeffs: StanceFlowCoeffs, params: SlipParams) -> float:
     gives psi4 = atan2(b*omega*sqrt(1-zeta^2), k - b*omega*zeta), which
     reduces to 0 in the undamped limit where the formula is exact.
     """
-    bw = params.b * coeffs.omega
-    return math.atan2(bw * math.sqrt(1.0 - coeffs.zeta ** 2),
-                      params.k - bw * coeffs.zeta)
+    omega, zeta = coeffs[:2]
+    return _force_phase(omega, zeta, params)
 
 
 def liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
@@ -166,16 +230,16 @@ def liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
     leaves [-1, 1], NonpositiveTime when the branch selection does not
     yield t_lo > t_b > 0.
     """
-    w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
+    w, zeta, wd, gamma, _, _, m_amp, psi, _, _, _, m2_force = coeffs
     t_b = bottom_time(coeffs)
     if psi4 is None:
         psi4 = default_psi4(coeffs, params)
     decay = math.exp(-2.0 * zeta * w * t_b)
-    arg = params.k * (params.r0 * w * w - coeffs.gamma) \
-        / (coeffs.m2_force * coeffs.m_amp * w * w * decay)
+    arg = params.k * (params.r0 * w * w - gamma) \
+        / (m2_force * m_amp * w * w * decay)
     if not -1.0 <= arg <= 1.0:
         raise NoLiftoffRoot(f"arccos argument {arg:.4f} outside [-1, 1]")
-    t_lo = (2.0 * math.pi - math.acos(arg) - coeffs.psi - psi4) / wd
+    t_lo = (2.0 * math.pi - math.acos(arg) - psi - psi4) / wd
     if not t_lo > t_b > 0.0:
         raise NonpositiveTime(
             f"branch selection gave t_lo = {t_lo:.3e}, t_b = {t_b:.3e}")
@@ -220,20 +284,31 @@ def liftoff_time_bisect(coeffs: StanceFlowCoeffs,
     raise NoLiftoffRoot("no upward force crossing within two periods")
 
 
-def stance_map_analytic(td: StanceState, p_bar: float,
-                        params: SlipParams) -> StanceState:
-    """Closed-form stance map: evaluate the flow at the liftoff time.
+def flow_liftoff(r: float, r_dot: float, theta: float, p_bar: float,
+                 params: SlipParams) -> tuple[float, float, float, float]:
+    """Closed-form stance map on floats: the flow from the touchdown leg
+    state (r, r_dot, theta) at the liftoff time, as (r, r_dot, theta,
+    theta_dot), checked as a StanceState.
 
     The liftoff angular rate is reported from the constant-momentum
     assumption, theta_dot_lo = p_bar/(m*r_lo^2). Touchdown must pass
-    model.check_touchdown.
+    model.check_touchdown_leg.
     """
-    check_touchdown(td, params)
-    coeffs = flow_coeffs(td, p_bar, params)
-    t_lo = liftoff_time(coeffs, params)
-    r, r_dot, theta, _ = _flow(t_lo, coeffs, td.theta, p_bar, params)
-    return StanceState(r=r, r_dot=r_dot, theta=theta,
-                       theta_dot=p_bar / (params.m * r * r))
+    check_touchdown_leg(r, r_dot, params)
+    gait = _gait_constants(p_bar, params)
+    coeffs = _flow_coeffs(r, r_dot, p_bar, gait)
+    t_lo = liftoff_time(coeffs, params, gait.psi4)
+    r, r_dot, theta = _flow(t_lo, coeffs, theta)
+    theta_dot = p_bar / (params.m * r * r)
+    check_stance(r, r_dot, theta, theta_dot)
+    return r, r_dot, theta, theta_dot
+
+
+def stance_map_analytic(td: StanceState, p_bar: float,
+                        params: SlipParams) -> StanceState:
+    """Closed-form stance map: flow_liftoff from a touchdown StanceState."""
+    return StanceState(*flow_liftoff(td.r, td.r_dot, td.theta, p_bar,
+                                     params))
 
 
 # --- simplified affine stance map (frozen liftoff phase) ----------------------
@@ -327,9 +402,10 @@ def simplified_stance_map(td: StanceState, p_bar: float, k_theta: float,
 
 # --- composed analytic apex return map ----------------------------------------
 
-def _stance_map(td: StanceState, inputs: ControlInputs,
-                params: SlipParams) -> StanceState:
-    return stance_map_analytic(td, inputs.p_bar, params)
+def _stance_map(r_dot: float, theta: float, theta_dot: float,
+                inputs: ControlInputs, params: SlipParams,
+                ) -> tuple[float, float, float, float]:
+    return flow_liftoff(params.r0, r_dot, theta, inputs.p_bar, params)
 
 
 def return_map_analytic(apex: ApexState, inputs: ControlInputs,

@@ -19,10 +19,10 @@ from .analytic import (return_map_analytic, simplified_map_constants,
                        theta_offset)
 from .errors import (GaitFailure, IllConditioned, NegativeDiscriminant,
                      NoConvergence, NonPhysical, NoRealFixedPoint, SlipError)
-from .model import (ApexState, ControlInputs, FlightState, SlipParams,
-                    StanceState, stance_to_flight)
+from .model import (ApexState, ControlInputs, SlipParams, StanceState,
+                    stance_to_flight)
 from .numerics import quadratic_roots, solve_2x2, spectral_radius_2x2
-from .simulate import integrate_ascent
+from .simulate import ascend
 
 CLOSED_FORM = "closed-form"
 ANALYTIC_NUMERIC = "analytic-numeric"
@@ -179,8 +179,7 @@ def closed_form_fixed_point(p_bar: float, k_theta: float,
                                         theta_dot=theta_dot))
     if f_td.y_dot >= 0.0:
         raise NonPhysical(f"touchdown y_dot = {f_td.y_dot:.4f} >= 0")
-    apex = integrate_ascent(FlightState(f_td.x_dot, f_td.y, -f_td.y_dot),
-                            params)
+    apex = ascend(f_td.x_dot, f_td.y, -f_td.y_dot, params)
     if apex.y <= f_td.y:
         raise NonPhysical(f"apex height {apex.y:.4f} <= touchdown height")
 

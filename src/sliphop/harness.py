@@ -11,11 +11,11 @@ height).
 Output files are deterministic: fixed column order, fixed grid order.
 Every CSV goes through _write_csv, which formats each row with one %
 string cached by its cell types (9-significant-digit floats, "" for
-None and NaN, true/false for bools, CRLF line ends); every JSON
-document, the CLI's included, goes through to_json. A trajectory.csv
-row is a TrajectorySample and a hops.csv row a HopSummary, whose fields
-are the columns; the JSON objects of parameters, control inputs and
-apex states are their dataclass fields.
+None and NaN, CRLF line ends); every JSON document, the CLI's
+included, goes through to_json. A trajectory.csv row is a
+TrajectorySample and a hops.csv row a HopSummary, whose fields are the
+columns; the JSON objects of parameters, control inputs and apex states
+are their dataclass fields.
 """
 
 from __future__ import annotations
@@ -381,28 +381,23 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
 # --- deterministic file output ------------------------------------------------
 
 # The % conversion of each cell type; "%.0s" prints nothing.
-_CELL_FORMATS = {float: "%.9g", int: "%d", str: "%s", type(None): "%.0s",
-                 bool: "%s"}
+_CELL_FORMATS = {float: "%.9g", int: "%d", str: "%s", type(None): "%.0s"}
 
 
 def _plain(v):
-    """A NaN cell as None and a bool as "true" or "false"."""
-    if v != v:
-        return None
-    if type(v) is bool:
-        return "true" if v else "false"
-    return v
+    """A NaN cell as None."""
+    return None if v != v else v
 
 
 def _write_csv(path, header, rows) -> None:
     """Write the header, then each row (a tuple) as one % format of its
-    cells: floats to 9 significant digits, None and NaN empty, bools
-    true/false, lines ended by CRLF.
+    cells: floats to 9 significant digits, None and NaN empty, lines
+    ended by CRLF.
 
-    The format of a row is cached by its cell types. A row whose text
-    shows a NaN or a bool ("nan", "True" or "False") is formatted again
-    from its _plain cells. Cells are not quoted, so no string cell may
-    hold a comma, a quote or a line break.
+    The format of a row is cached by its cell types; a cell of any other
+    type (a bool, say) raises KeyError. A row whose text shows a NaN
+    ("nan") is formatted again from its _plain cells. Cells are not
+    quoted, so no string cell may hold a comma, a quote or a line break.
     """
     formats = {}
 
@@ -418,7 +413,7 @@ def _write_csv(path, header, rows) -> None:
         yield line(header)
         for row in rows:
             text = line(row)
-            if "nan" in text or "True" in text or "False" in text:
+            if "nan" in text:
                 text = line(tuple(map(_plain, row)))
             yield text
 

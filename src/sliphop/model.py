@@ -1,6 +1,14 @@
 """Domain types, the flight/stance coordinate-change reset maps, and the
 touchdown state stance starts from.
 
+The hop chain (simulate.compose_return_map) runs on plain floats, so
+each law here has one float-level copy: check_flight and check_stance
+are the checks a FlightState and a StanceState make on their fields,
+touchdown_reset and liftoff_reset the reset maps, check_touchdown_leg
+the touchdown check. The dataclass functions (flight_to_stance,
+stance_to_flight, check_touchdown) are thin wrappers over them, and the
+state classes' __post_init__ run the same checks.
+
 Conventions: SI units throughout, no internal nondimensionalization.
 The leg angle theta is measured from vertical; theta > 0 means the toe
 leads the body in the +x direction, so forward travel (+x_dot) pairs
@@ -27,20 +35,50 @@ def _require_finite(name: str, value: float) -> None:
 def _finite_floats(state, names: tuple[str, ...]) -> None:
     """Check each field is finite and store it as a Python float.
 
-    This is the per-field path of the state checks. Each state's
-    __post_init__ first tests, in one expression, whether every field is
-    already an exact float and finite (0.0 * x1 * ... * xn == 0.0 holds
-    only when no field is NaN or infinite); that covers every state the
-    return maps build. Anything else lands here: the first non-finite
-    field raises ValueError by name, a non-number raises TypeError, and
-    numpy scalars and ints are stored as float, so they cannot carry
-    into the pure-Python stance kernel.
+    This is the path of a state whose fields are not all exact floats:
+    the first non-finite field raises ValueError by name, a non-number
+    raises TypeError, and numpy scalars and ints are stored as float, so
+    they cannot carry into the pure-Python stance kernel.
     """
     for name in names:
         value = getattr(state, name)
         _require_finite(name, value)
         if type(value) is not float:
             object.__setattr__(state, name, float(value))
+
+
+def _raise_nonfinite(names: tuple[str, ...], values: tuple) -> None:
+    """Raise ValueError naming the first non-finite value.
+
+    The callers first test all values in one expression: 0.0 * x1 * ...
+    * xn == 0.0 holds only when none is NaN or infinite, and cannot
+    overflow.
+    """
+    for name, value in zip(names, values):
+        _require_finite(name, value)
+
+
+_STANCE_FIELDS = ("r", "r_dot", "theta", "theta_dot")
+_FLIGHT_FIELDS = ("x_dot", "y", "y_dot")
+
+
+def check_stance(r: float, r_dot: float, theta: float,
+                 theta_dot: float) -> None:
+    """The checks of a StanceState on its fields: each finite
+    (ValueError naming the first that is not), and r > 0."""
+    if not 0.0 * r * r_dot * theta * theta_dot == 0.0:
+        _raise_nonfinite(_STANCE_FIELDS, (r, r_dot, theta, theta_dot))
+    if r <= 0.0:
+        raise ValueError(f"r must be > 0, got {r}")
+
+
+def check_flight(x_dot: float, y: float, y_dot: float) -> None:
+    """The checks of a FlightState on its fields: each finite
+    (ValueError naming the first that is not), and y > 0."""
+    if not 0.0 * x_dot * y * y_dot == 0.0:
+        _raise_nonfinite(_FLIGHT_FIELDS, (x_dot, y, y_dot))
+    if y <= 0.0:
+        raise ValueError(f"y must be > 0, got {y}")
 
 
 @dataclass(frozen=True)
@@ -130,14 +168,10 @@ class StanceState:
     theta_dot: float
 
     def __post_init__(self):
-        r, r_dot, theta, theta_dot = (self.r, self.r_dot, self.theta,
-                                      self.theta_dot)
-        if not (float is type(r) is type(r_dot) is type(theta)
-                is type(theta_dot)
-                and 0.0 * r * r_dot * theta * theta_dot == 0.0):
-            _finite_floats(self, ("r", "r_dot", "theta", "theta_dot"))
-        if self.r <= 0.0:
-            raise ValueError(f"r must be > 0, got {self.r}")
+        if not (float is type(self.r) is type(self.r_dot)
+                is type(self.theta) is type(self.theta_dot)):
+            _finite_floats(self, _STANCE_FIELDS)
+        check_stance(self.r, self.r_dot, self.theta, self.theta_dot)
 
     def angular_momentum(self, params: SlipParams) -> float:
         """p_theta = m * r^2 * theta_dot about the toe."""
@@ -157,12 +191,9 @@ class FlightState:
     y_dot: float
 
     def __post_init__(self):
-        x_dot, y, y_dot = self.x_dot, self.y, self.y_dot
-        if not (float is type(x_dot) is type(y) is type(y_dot)
-                and 0.0 * x_dot * y * y_dot == 0.0):
-            _finite_floats(self, ("x_dot", "y", "y_dot"))
-        if self.y <= 0.0:
-            raise ValueError(f"y must be > 0, got {self.y}")
+        if not float is type(self.x_dot) is type(self.y) is type(self.y_dot):
+            _finite_floats(self, _FLIGHT_FIELDS)
+        check_flight(self.x_dot, self.y, self.y_dot)
 
     def kinetic_energy(self, params: SlipParams) -> float:
         return 0.5 * params.m * (self.x_dot ** 2 + self.y_dot ** 2)
@@ -194,40 +225,61 @@ def polar_to_cartesian(r: float, r_dot: float, theta: float,
             -theta_dot * r * sn + r_dot * c)
 
 
+def liftoff_reset(r: float, r_dot: float, theta: float,
+                  theta_dot: float) -> tuple[float, float, float]:
+    """Liftoff reset on floats: the flight state (x_dot, y, y_dot) of
+    polar_to_cartesian, checked as a FlightState."""
+    _, y, x_dot, y_dot = polar_to_cartesian(r, r_dot, theta, theta_dot)
+    check_flight(x_dot, y, y_dot)
+    return x_dot, y, y_dot
+
+
 def stance_to_flight(s: StanceState) -> FlightState:
-    """Liftoff reset: polar stance coordinates to Cartesian flight, the
-    velocity and height of polar_to_cartesian."""
-    _, y, x_dot, y_dot = polar_to_cartesian(s.r, s.r_dot, s.theta,
-                                            s.theta_dot)
-    return FlightState(x_dot, y, y_dot)
+    """Liftoff reset: polar stance coordinates to Cartesian flight."""
+    return FlightState(*liftoff_reset(s.r, s.r_dot, s.theta, s.theta_dot))
+
+
+def check_touchdown_leg(r: float, r_dot: float, params: SlipParams) -> None:
+    """Stance starts at touchdown: raises ValueError unless the leg length
+    r is the rest length (within TOUCHDOWN_TOL), NonPhysical unless the
+    leg compresses (r_dot < 0)."""
+    if abs(r - params.r0) > TOUCHDOWN_TOL:
+        raise ValueError(f"touchdown r = {r} must equal r0 = {params.r0}")
+    if r_dot >= 0.0:
+        raise NonPhysical(f"touchdown r_dot = {r_dot:.4f} >= 0")
 
 
 def check_touchdown(td: StanceState, params: SlipParams) -> None:
-    """Stance starts at touchdown: raises ValueError unless the leg is at
-    rest length (within TOUCHDOWN_TOL), NonPhysical unless it compresses."""
-    if abs(td.r - params.r0) > TOUCHDOWN_TOL:
-        raise ValueError(f"touchdown r = {td.r} must equal r0 = {params.r0}")
-    if td.r_dot >= 0.0:
-        raise NonPhysical(f"touchdown r_dot = {td.r_dot:.4f} >= 0")
+    """check_touchdown_leg on a touchdown StanceState."""
+    check_touchdown_leg(td.r, td.r_dot, params)
 
 
-def flight_to_stance(f: FlightState, theta_td: float,
-                     params: SlipParams) -> StanceState:
-    """Touchdown reset: Cartesian flight coordinates to polar stance.
+def touchdown_reset(x_dot: float, y: float, y_dot: float, theta_td: float,
+                    params: SlipParams) -> tuple[float, float]:
+    """Touchdown reset on floats: the leg rates (r_dot, theta_dot) at
+    rest length r0 and leg angle theta_td, checked as a StanceState.
 
     Requires the flight height to match the touchdown geometry
     y = r0*cos(theta_td) within TOUCHDOWN_TOL; raises TouchdownMismatch
     otherwise.
     """
-    y_td = params.r0 * math.cos(theta_td)
-    if abs(f.y - y_td) > TOUCHDOWN_TOL:
-        raise TouchdownMismatch(
-            f"flight height {f.y:.12g} != r0*cos(theta_td) = {y_td:.12g}")
     c = math.cos(theta_td)
+    y_td = params.r0 * c
+    if abs(y - y_td) > TOUCHDOWN_TOL:
+        raise TouchdownMismatch(
+            f"flight height {y:.12g} != r0*cos(theta_td) = {y_td:.12g}")
     sn = math.sin(theta_td)
-    return StanceState(
-        r=params.r0,
-        r_dot=-sn * f.x_dot + c * f.y_dot,
-        theta=theta_td,
-        theta_dot=(-c * f.x_dot - sn * f.y_dot) / params.r0,
-    )
+    r_dot = -sn * x_dot + c * y_dot
+    theta_dot = (-c * x_dot - sn * y_dot) / params.r0
+    check_stance(params.r0, r_dot, theta_td, theta_dot)
+    return r_dot, theta_dot
+
+
+def flight_to_stance(f: FlightState, theta_td: float,
+                     params: SlipParams) -> StanceState:
+    """Touchdown reset: Cartesian flight coordinates to polar stance
+    (touchdown_reset on the fields of f)."""
+    r_dot, theta_dot = touchdown_reset(f.x_dot, f.y, f.y_dot, theta_td,
+                                       params)
+    return StanceState(r=params.r0, r_dot=r_dot, theta=theta_td,
+                       theta_dot=theta_dot)

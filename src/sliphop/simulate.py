@@ -13,7 +13,12 @@ compose_return_map chains touchdown-angle selection, descent, the
 touchdown reset, stance, the liftoff reset and ascent into an
 apex-to-apex map and tags failures with their phase; the simulator map
 (return_map_numeric) and the analytic map (analytic.return_map_analytic)
-differ only in the angle solver and the stance map they pass it.
+differ only in the angle solver and the stance map they pass it. The
+chain passes plain floats from phase to phase through the float laws
+descend, model.touchdown_reset, the stance map, model.liftoff_reset and
+ascend, each making the checks of the state it stands for; only the
+ApexState at the end is built. integrate_descent and integrate_ascent
+are the FlightState wrappers of descend and ascend.
 
 The stance stepper is compiled with numba when available (pure-Python
 fallback otherwise, same code path); its samples are a list of tuples.
@@ -29,8 +34,9 @@ from .control import AoaSolution, solve_aoa_implicit, vertical_energy
 from .errors import (DescendingAtLiftoff, FailedLiftoff, GroundFault,
                      SlipError, UnreachableTouchdown)
 from .model import (ApexState, ControlInputs, FlightState, SlipParams,
-                    StanceState, check_touchdown, flight_to_stance,
-                    polar_to_cartesian, stance_to_flight)
+                    StanceState, check_flight, check_touchdown,
+                    liftoff_reset, polar_to_cartesian, stance_to_flight,
+                    touchdown_reset)
 
 # 4 RK4 steps per control period. Events are located to round-off, so
 # the step alone sets the error: over a 10x10 criterion-1 grid the apex
@@ -323,59 +329,77 @@ def descent_time(apex: ApexState, theta_td: float, params: SlipParams) -> float:
     return math.sqrt(rad) / params.g
 
 
+def descend(apex: ApexState, theta_td: float,
+            params: SlipParams) -> tuple[float, float, float]:
+    """Ballistic flight state (x_dot, y, y_dot) at the touchdown height
+    for the commanded angle, checked as a FlightState."""
+    t_td = descent_time(apex, theta_td, params)
+    y = params.r0 * math.cos(theta_td)
+    y_dot = -params.g * t_td
+    check_flight(apex.x_dot, y, y_dot)
+    return apex.x_dot, y, y_dot
+
+
 def integrate_descent(apex: ApexState, theta_td: float,
                       params: SlipParams) -> FlightState:
-    """Ballistic state at touchdown height for the commanded angle."""
-    t_td = descent_time(apex, theta_td, params)
-    return FlightState(
-        x_dot=apex.x_dot,
-        y=params.r0 * math.cos(theta_td),
-        y_dot=-params.g * t_td,
-    )
+    """descend as a FlightState."""
+    return FlightState(*descend(apex, theta_td, params))
 
 
-def ascent_time(lo: FlightState, params: SlipParams) -> float:
-    """Time from liftoff to apex, t = y_dot/g. Raises DescendingAtLiftoff."""
-    if lo.y_dot < 0.0:
+def ascent_time(y_dot: float, params: SlipParams) -> float:
+    """Time from liftoff at vertical speed y_dot to apex, t = y_dot/g.
+    Raises DescendingAtLiftoff."""
+    if y_dot < 0.0:
         raise DescendingAtLiftoff(
-            f"liftoff vertical velocity {lo.y_dot:.4f} < 0")
-    return lo.y_dot / params.g
+            f"liftoff vertical velocity {y_dot:.4f} < 0")
+    return y_dot / params.g
+
+
+def ascend(x_dot: float, y: float, y_dot: float,
+           params: SlipParams) -> ApexState:
+    """Ballistic apex after liftoff from the flight state (x_dot, y,
+    y_dot): x_dot unchanged, y + y_dot^2/(2g)."""
+    ascent_time(y_dot, params)  # validates y_dot >= 0
+    return ApexState(x_dot, y + y_dot ** 2 / (2.0 * params.g))
 
 
 def integrate_ascent(lo: FlightState, params: SlipParams) -> ApexState:
-    """Ballistic apex after liftoff: x_dot unchanged, y + y_dot^2/(2g)."""
-    ascent_time(lo, params)  # validates y_dot >= 0
-    return ApexState(x_dot=lo.x_dot,
-                     y=lo.y + lo.y_dot ** 2 / (2.0 * params.g))
+    """ascend from a liftoff FlightState."""
+    return ascend(lo.x_dot, lo.y, lo.y_dot, params)
+
+
+StanceMap = Callable[[float, float, float, ControlInputs, SlipParams],
+                     tuple[float, float, float, float]]
 
 
 def compose_return_map(apex: ApexState, inputs: ControlInputs,
                        params: SlipParams,
                        solve_aoa: Callable[..., AoaSolution],
-                       stance_map: Callable[[StanceState, ControlInputs,
-                                             SlipParams], StanceState],
-                       ) -> ApexState:
+                       stance_map: StanceMap) -> ApexState:
     """One hop from apex to apex, the chain every return map shares.
 
     solve_aoa(x_dot, E_v, k_theta, params) picks the touchdown angle from
     the vertical energy at apex; descent, the touchdown reset, the
-    liftoff reset and ascent are exact; stance_map(td, inputs, params)
-    takes the touchdown state to the liftoff state. A SlipError from any
-    step propagates with its phase ("aoa", "descent", "touchdown",
-    "stance" or "ascent") set on it.
+    liftoff reset and ascent are exact; stance_map(r_dot, theta,
+    theta_dot, inputs, params) takes the touchdown leg state (at rest
+    length r0) to the liftoff state (r, r_dot, theta, theta_dot). The
+    phases pass plain floats; only the ApexState at the end is built,
+    and each phase makes the checks of the state it used to build. A
+    SlipError from any step propagates with its phase ("aoa", "descent",
+    "touchdown", "stance" or "ascent") set on it.
     """
     phase = "aoa"
     try:
         theta_td = solve_aoa(apex.x_dot, vertical_energy(apex, params),
                              inputs.k_theta, params).theta_td
         phase = "descent"
-        f_td = integrate_descent(apex, theta_td, params)
+        x_dot, y, y_dot = descend(apex, theta_td, params)
         phase = "touchdown"
-        s_td = flight_to_stance(f_td, theta_td, params)
+        r_dot, theta_dot = touchdown_reset(x_dot, y, y_dot, theta_td, params)
         phase = "stance"
-        s_lo = stance_map(s_td, inputs, params)
+        lo = stance_map(r_dot, theta_td, theta_dot, inputs, params)
         phase = "ascent"
-        return integrate_ascent(stance_to_flight(s_lo), params)
+        return ascend(*liftoff_reset(*lo), params)
     except SlipError as err:
         err.phase = phase
         raise
@@ -412,11 +436,14 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
     """
     stance = []
 
-    def stance_map(td, inputs, params):
+    def stance_map(r_dot, theta, theta_dot, inputs, params):
+        # integrate_stance, the recorder and the benchmark's tracer take
+        # the touchdown as a StanceState
+        td = StanceState(params.r0, r_dot, theta, theta_dot)
         s_lo, seg = integrate_stance(td, inputs, params, dt=dt,
                                      control_dt=control_dt)
         stance.append((td, s_lo, seg))
-        return s_lo
+        return s_lo.r, s_lo.r_dot, s_lo.theta, s_lo.theta_dot
 
     next_apex = compose_return_map(apex, inputs, params, solve_aoa_implicit,
                                    stance_map)
@@ -426,7 +453,7 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
     s_td, s_lo, seg = stance[0]
     t_td = descent_time(apex, s_td.theta, params)
     f_lo = stance_to_flight(s_lo)
-    t_up = ascent_time(f_lo, params)
+    t_up = ascent_time(f_lo.y_dot, params)
     t_touch = t0 + t_td
     t_lift = t_touch + seg.t_liftoff
     # stance: the body moves about the toe, which stays where it landed

@@ -9,7 +9,10 @@ _write_csv is the reference CSV writer, one _fmt call per cell through
 csv.writer, that the package's writer must match byte for byte.
 solve_aoa_200_halvings is the angle-of-attack solver with its earlier
 bisection backstop, a fixed 200 halvings, that the solver's stopping
-rule must match bit for bit.
+rule must match bit for bit. reference_return_map_analytic and
+reference_return_map_numeric are the apex maps as a chain of validated
+dataclass states, one per phase boundary; both float-chain maps must
+match them bit for bit, failures included.
 """
 
 from __future__ import annotations
@@ -20,10 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sliphop import (ApexState, ControlInputs, InsufficientEnergy,
-                     NoConvergence, SlipParams, StanceState)
+from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
+                     FlightState, InsufficientEnergy, NoConvergence,
+                     NoLiftoffRoot, NonPhysical, NonpositiveTime,
+                     Overdamped, SlipError, SlipParams, StanceState,
+                     TouchdownMismatch, UnreachableTouchdown)
+from sliphop.analytic import StanceFlowCoeffs
 from sliphop.control import (AOA_MAX_ITER, AOA_THETA_MAX, AOA_TOL,
-                             AoaSolution, _phi)
+                             AoaSolution, _phi, solve_aoa_approx,
+                             solve_aoa_implicit, vertical_energy)
+from sliphop.model import TOUCHDOWN_TOL, polar_to_cartesian
+from sliphop.simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT,
+                              integrate_stance)
 
 
 def _linear_coeffs(m, k, b, r0, g, p_bar):
@@ -323,3 +334,194 @@ def solve_aoa_200_halvings(x_dot: float, e_v: float, k_theta: float,
         raise NoConvergence(f"bisection residual {res:.3e} > {AOA_TOL:.1e}")
     return AoaSolution(sign * theta, k_theta * sign * theta,
                        "implicit", res, 0)
+
+
+# --- the apex maps as a chain of dataclass states -----------------------------
+#
+# The hop chain as it was before it passed plain floats: every phase
+# boundary builds and validates a FlightState or a StanceState, and the
+# closed-form stance map computes all its StanceFlowCoeffs per call.
+# Kept verbatim, so each float law must reproduce it bit for bit.
+
+def _descent_time(apex: ApexState, theta_td: float,
+                  params: SlipParams) -> float:
+    rad = 2.0 * params.g * (apex.y - params.r0 * math.cos(theta_td))
+    if rad < 0.0:
+        raise UnreachableTouchdown(
+            f"apex y = {apex.y:.4f} below touchdown height "
+            f"{params.r0 * math.cos(theta_td):.4f}")
+    return math.sqrt(rad) / params.g
+
+
+def _integrate_descent(apex: ApexState, theta_td: float,
+                       params: SlipParams) -> FlightState:
+    t_td = _descent_time(apex, theta_td, params)
+    return FlightState(
+        x_dot=apex.x_dot,
+        y=params.r0 * math.cos(theta_td),
+        y_dot=-params.g * t_td,
+    )
+
+
+def _flight_to_stance(f: FlightState, theta_td: float,
+                      params: SlipParams) -> StanceState:
+    y_td = params.r0 * math.cos(theta_td)
+    if abs(f.y - y_td) > TOUCHDOWN_TOL:
+        raise TouchdownMismatch(
+            f"flight height {f.y:.12g} != r0*cos(theta_td) = {y_td:.12g}")
+    c = math.cos(theta_td)
+    sn = math.sin(theta_td)
+    return StanceState(
+        r=params.r0,
+        r_dot=-sn * f.x_dot + c * f.y_dot,
+        theta=theta_td,
+        theta_dot=(-c * f.x_dot - sn * f.y_dot) / params.r0,
+    )
+
+
+def _check_touchdown(td: StanceState, params: SlipParams) -> None:
+    if abs(td.r - params.r0) > TOUCHDOWN_TOL:
+        raise ValueError(f"touchdown r = {td.r} must equal r0 = {params.r0}")
+    if td.r_dot >= 0.0:
+        raise NonPhysical(f"touchdown r_dot = {td.r_dot:.4f} >= 0")
+
+
+def _stance_to_flight(s: StanceState) -> FlightState:
+    _, y, x_dot, y_dot = polar_to_cartesian(s.r, s.r_dot, s.theta,
+                                            s.theta_dot)
+    return FlightState(x_dot, y, y_dot)
+
+
+def _ascent_time(lo: FlightState, params: SlipParams) -> float:
+    if lo.y_dot < 0.0:
+        raise DescendingAtLiftoff(
+            f"liftoff vertical velocity {lo.y_dot:.4f} < 0")
+    return lo.y_dot / params.g
+
+
+def _integrate_ascent(lo: FlightState, params: SlipParams) -> ApexState:
+    _ascent_time(lo, params)  # validates y_dot >= 0
+    return ApexState(x_dot=lo.x_dot,
+                     y=lo.y + lo.y_dot ** 2 / (2.0 * params.g))
+
+
+def _compose_return_map(apex, inputs, params, solve_aoa, stance_map):
+    phase = "aoa"
+    try:
+        theta_td = solve_aoa(apex.x_dot, vertical_energy(apex, params),
+                             inputs.k_theta, params).theta_td
+        phase = "descent"
+        f_td = _integrate_descent(apex, theta_td, params)
+        phase = "touchdown"
+        s_td = _flight_to_stance(f_td, theta_td, params)
+        phase = "stance"
+        s_lo = stance_map(s_td, inputs, params)
+        phase = "ascent"
+        return _integrate_ascent(_stance_to_flight(s_lo), params)
+    except SlipError as err:
+        err.phase = phase
+        raise
+
+
+def reference_flow_coeffs(td: StanceState, p_bar: float,
+                          params: SlipParams) -> StanceFlowCoeffs:
+    m, k, bb, r_g = params.m, params.k, params.b, params.r_g
+    omega = math.sqrt(k / m + 3.0 * p_bar * p_bar / (m * m * r_g ** 4))
+    gamma = p_bar * p_bar / (m * m * r_g ** 3) + omega * omega * r_g
+    zeta = bb / (2.0 * m * omega)
+    if zeta >= 1.0:
+        raise Overdamped(f"zeta = {zeta:.4f} >= 1")
+    omega_d = omega * math.sqrt(1.0 - zeta * zeta)
+    a = td.r - gamma / (omega * omega)
+    b = (td.r_dot + zeta * omega * a) / omega_d
+    m_amp = math.hypot(a, b)
+    psi = math.atan2(-b, a)
+    psi2 = math.atan2(-math.sqrt(1.0 - zeta * zeta), zeta)
+    x_rate = p_bar / (m * r_g * r_g) \
+        * (3.0 - 2.0 * gamma / (r_g * omega * omega))
+    y_amp = 2.0 * p_bar * m_amp / (m * r_g ** 3 * omega)
+    m2_force = math.sqrt(k * k + bb * bb * omega * omega
+                         - 2.0 * bb * k * omega * math.cos(psi2))
+    return StanceFlowCoeffs(omega=omega, zeta=zeta, omega_d=omega_d,
+                            gamma=gamma, a=a, b=b, m_amp=m_amp, psi=psi,
+                            psi2=psi2, x_rate=x_rate, y_amp=y_amp,
+                            m2_force=m2_force)
+
+
+def reference_flow(t: float, coeffs: StanceFlowCoeffs, theta_td: float,
+                   p_bar: float, params: SlipParams,
+                   ) -> tuple[float, float, float, float]:
+    w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
+    m_amp, psi, psi2 = coeffs.m_amp, coeffs.psi, coeffs.psi2
+    g_over_w2 = coeffs.gamma / (w * w)
+    e = math.exp(-zeta * w * t)
+    c = math.cos(wd * t + psi)
+    r = m_amp * e * c + g_over_w2
+    r_dot = -m_amp * w * e * math.cos(wd * t + psi + psi2)
+    theta = theta_td + coeffs.x_rate * t + coeffs.y_amp * (
+        e * math.cos(wd * t + psi - psi2) - math.cos(psi - psi2))
+    r_g = params.r_g
+    theta_dot = p_bar / (params.m * r_g * r_g) * (
+        3.0 - 2.0 * (m_amp / r_g) * e * c
+        - 2.0 * coeffs.gamma / (r_g * w * w))
+    return r, r_dot, theta, theta_dot
+
+
+def _bottom_time(coeffs: StanceFlowCoeffs) -> float:
+    return (0.5 * math.pi - coeffs.psi - coeffs.psi2) / coeffs.omega_d
+
+
+def _default_psi4(coeffs: StanceFlowCoeffs, params: SlipParams) -> float:
+    bw = params.b * coeffs.omega
+    return math.atan2(bw * math.sqrt(1.0 - coeffs.zeta ** 2),
+                      params.k - bw * coeffs.zeta)
+
+
+def reference_liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
+                           psi4: float | None = None) -> float:
+    w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
+    t_b = _bottom_time(coeffs)
+    if psi4 is None:
+        psi4 = _default_psi4(coeffs, params)
+    decay = math.exp(-2.0 * zeta * w * t_b)
+    arg = params.k * (params.r0 * w * w - coeffs.gamma) \
+        / (coeffs.m2_force * coeffs.m_amp * w * w * decay)
+    if not -1.0 <= arg <= 1.0:
+        raise NoLiftoffRoot(f"arccos argument {arg:.4f} outside [-1, 1]")
+    t_lo = (2.0 * math.pi - math.acos(arg) - coeffs.psi - psi4) / wd
+    if not t_lo > t_b > 0.0:
+        raise NonpositiveTime(
+            f"branch selection gave t_lo = {t_lo:.3e}, t_b = {t_b:.3e}")
+    return t_lo
+
+
+def reference_stance_map_analytic(td: StanceState, p_bar: float,
+                                  params: SlipParams) -> StanceState:
+    _check_touchdown(td, params)
+    coeffs = reference_flow_coeffs(td, p_bar, params)
+    t_lo = reference_liftoff_time(coeffs, params)
+    r, r_dot, theta, _ = reference_flow(t_lo, coeffs, td.theta, p_bar,
+                                        params)
+    return StanceState(r=r, r_dot=r_dot, theta=theta,
+                       theta_dot=p_bar / (params.m * r * r))
+
+
+def reference_return_map_analytic(apex: ApexState, inputs: ControlInputs,
+                                  params: SlipParams) -> ApexState:
+    def stance_map(td, inputs, params):
+        return reference_stance_map_analytic(td, inputs.p_bar, params)
+
+    return _compose_return_map(apex, inputs, params, solve_aoa_approx,
+                               stance_map)
+
+
+def reference_return_map_numeric(apex: ApexState, inputs: ControlInputs,
+                                 params: SlipParams, dt: float = DEFAULT_DT,
+                                 control_dt: float = DEFAULT_CONTROL_DT,
+                                 ) -> ApexState:
+    def stance_map(td, inputs, params):
+        return integrate_stance(td, inputs, params, dt=dt,
+                                control_dt=control_dt)[0]
+
+    return _compose_return_map(apex, inputs, params, solve_aoa_implicit,
+                               stance_map)

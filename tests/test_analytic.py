@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from sliphop import (ApexState, ControlInputs, NoLiftoffRoot, Overdamped,
-                     SlipParams, StanceState, bottom_time,
+from sliphop import (ApexState, ControlInputs, FlightState, NoLiftoffRoot,
+                     Overdamped, SlipParams, StanceState, bottom_time,
                      closed_form_fixed_point,
                      flow_coeffs, integrate_stance, liftoff_time,
                      liftoff_time_bisect, return_map_analytic,
@@ -313,17 +313,20 @@ class TestReturnMapAnalytic:
         assert exc.value.phase in ("aoa", "descent", "touchdown", "stance",
                                    "ascent")
 
-    def test_builds_one_liftoff_state(self, params, monkeypatch):
-        # one touchdown reset and one liftoff state per hop, no copies
+    def test_builds_only_its_apex_state(self, params, monkeypatch):
+        # the phases pass floats: one ApexState per hop, no other state
         built = []
-        check = StanceState.__post_init__
 
-        def counting(state):
-            built.append(state)
-            check(state)
+        def counting(check):
+            def post_init(state):
+                built.append(type(state))
+                check(state)
+            return post_init
 
-        apex = closed_form_fixed_point(-1.0, 0.5, params).apex
-        monkeypatch.setattr(StanceState, "__post_init__", counting)
-        return_map_analytic(apex, ControlInputs(-1.0, 0.5), params)
-        assert len(built) == 2
-        assert built[0].r == params.r0
+        apex = ApexState(1.5, 0.24)
+        for cls in (ApexState, FlightState, StanceState):
+            monkeypatch.setattr(cls, "__post_init__",
+                                counting(cls.__post_init__))
+        nxt = return_map_analytic(apex, ControlInputs(-1.0, 0.5), params)
+        assert built == [ApexState]
+        assert nxt.y > 0.0

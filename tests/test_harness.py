@@ -28,6 +28,9 @@ from sliphop.simulate import TrajectorySample
 from _oracles import _write_csv as reference_write_csv
 
 
+GOLDEN_ANALYTIC_SWEEP = Path(__file__).parent / "data" / "analytic_sweep_5x5"
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -122,6 +125,18 @@ class TestRunSweep:
         for o in report.outcomes:
             if o.result is None:
                 assert o.status != "converged"
+
+    def test_analytic_pipelines_write_the_golden_bytes(self, params,
+                                                       tmp_path):
+        # sweep.csv and errors.csv of this 5x5 sweep over criterion 1's
+        # ranges, as the dataclass hop chain wrote them
+        run_sweep(SweepConfig(params=params, p_bar_range=(-1.55, -0.5, 5),
+                              k_theta_range=(0.3, 0.75, 5),
+                              pipelines=(CLOSED_FORM, ANALYTIC_NUMERIC),
+                              out_dir=str(tmp_path)))
+        for name in ("sweep.csv", "errors.csv"):
+            assert (tmp_path / name).read_bytes() == (
+                GOLDEN_ANALYTIC_SWEEP / name).read_bytes(), name
 
     def test_deterministic_outputs(self, params, tmp_path):
         cfg1 = SweepConfig(params=params, p_bar_range=(-1.1, -0.9, 2),
@@ -361,7 +376,7 @@ _CSV_CELLS = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324,
                      -2.2250738585072014e-308, 1e300, -1e300]),
-    st.integers(), st.booleans(), st.none(), _CSV_STRINGS)
+    st.integers(), st.none(), _CSV_STRINGS)
 _CSV_ROWS = st.lists(_CSV_CELLS, min_size=2, max_size=12).map(tuple)
 
 
@@ -377,6 +392,13 @@ class TestCsvWriter:
         harness._write_csv(out / "new.csv", header, rows)
         reference_write_csv(out / "ref.csv", header, rows)
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("cell", [True, False])
+    def test_bool_cell_raises(self, tmp_path, cell):
+        # no writer passes a bool; one must not be written as True
+        with pytest.raises(KeyError):
+            harness._write_csv(tmp_path / "out.csv", ("a", "b"),
+                               [(1.0, cell)])
 
     def test_trajectory_matches_the_reference_writer(self, params, tmp_path):
         report = run_single(ApexState(1.5, 0.24),
@@ -429,16 +451,16 @@ class TestCsvWriter:
                 if any(ch in w for ch in ',"\r\n')] == []
 
 
-# (module, attribute) of the callee each phase of each map runs
+# (module, attribute) of the float law each phase of each map runs
 _PHASE_CALLEES = {
     SIMULATOR_NUMERIC: {"aoa": (simulate, "solve_aoa_implicit"),
                         "stance": (simulate, "integrate_stance")},
     ANALYTIC_NUMERIC: {"aoa": (analytic, "solve_aoa_approx"),
-                       "stance": (analytic, "stance_map_analytic")},
+                       "stance": (analytic, "flow_liftoff")},
 }
-_SHARED_CALLEES = {"descent": (simulate, "integrate_descent"),
-                   "touchdown": (simulate, "flight_to_stance"),
-                   "ascent": (simulate, "integrate_ascent")}
+_SHARED_CALLEES = {"descent": (simulate, "descend"),
+                   "touchdown": (simulate, "touchdown_reset"),
+                   "ascent": (simulate, "ascend")}
 _MAPS = {SIMULATOR_NUMERIC: simulator_return_map,
          ANALYTIC_NUMERIC: return_map_analytic}
 

@@ -15,9 +15,9 @@ landing velocity with the leg:
 
 from .errors import (DegenerateQuadratic, DescendingAtLiftoff, FailedLiftoff,
                      GaitFailure, GroundFault, IllConditioned,
-                     InsufficientEnergy, NegativeDiscriminant, NoConvergence,
-                     NoLiftoffRoot, NonPhysical, NonpositiveTime,
-                     NoRealFixedPoint, Overdamped, SlipError,
+                     InsufficientEnergy, InvalidState, NegativeDiscriminant,
+                     NoConvergence, NoLiftoffRoot, NonPhysical,
+                     NonpositiveTime, NoRealFixedPoint, Overdamped, SlipError,
                      TouchdownMismatch, UnreachableTouchdown)
 from .model import (ApexState, ControlInputs, DEFAULT_PARAMS, FlightState,
                     SlipParams, StanceState, flight_to_stance,

@@ -58,6 +58,11 @@ class DescendingAtLiftoff(SlipError):
     """Vertical velocity negative at liftoff: immediate re-touchdown."""
 
 
+class InvalidState(SlipError):
+    """A state of the hop chain failed the check of its state class (a
+    non-finite field, y <= 0 or r <= 0); the message is the check's."""
+
+
 # --- stance errors ---
 
 class FailedLiftoff(SlipError):

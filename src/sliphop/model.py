@@ -27,35 +27,44 @@ from .errors import NonPhysical, TouchdownMismatch
 TOUCHDOWN_TOL = 1e-9
 
 
-def _require_finite(name: str, value: float) -> None:
+class StateCheckError(ValueError):
+    """A state failed the check of its class: a non-finite field, y <= 0
+    or r <= 0. Building such a state is the caller's error, so this is a
+    ValueError and not a SlipError; inside a hop,
+    simulate.compose_return_map re-raises it as a phase-tagged
+    errors.InvalidState."""
+
+
+def _require_finite(name: str, value: float,
+                    error: type[ValueError] = ValueError) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {value!r}")
 
 
 def _finite_floats(state, names: tuple[str, ...]) -> None:
     """Check each field is finite and store it as a Python float.
 
     This is the path of a state whose fields are not all exact floats:
-    the first non-finite field raises ValueError by name, a non-number
+    the first non-finite field raises StateCheckError by name, a non-number
     raises TypeError, and numpy scalars and ints are stored as float, so
     they cannot carry into the pure-Python stance kernel.
     """
     for name in names:
         value = getattr(state, name)
-        _require_finite(name, value)
+        _require_finite(name, value, StateCheckError)
         if type(value) is not float:
             object.__setattr__(state, name, float(value))
 
 
 def _raise_nonfinite(names: tuple[str, ...], values: tuple) -> None:
-    """Raise ValueError naming the first non-finite value.
+    """Raise StateCheckError naming the first non-finite value.
 
     The callers first test all values in one expression: 0.0 * x1 * ...
     * xn == 0.0 holds only when none is NaN or infinite, and cannot
     overflow.
     """
     for name, value in zip(names, values):
-        _require_finite(name, value)
+        _require_finite(name, value, StateCheckError)
 
 
 _STANCE_FIELDS = ("r", "r_dot", "theta", "theta_dot")
@@ -65,20 +74,20 @@ _FLIGHT_FIELDS = ("x_dot", "y", "y_dot")
 def check_stance(r: float, r_dot: float, theta: float,
                  theta_dot: float) -> None:
     """The checks of a StanceState on its fields: each finite
-    (ValueError naming the first that is not), and r > 0."""
+    (StateCheckError naming the first that is not), and r > 0."""
     if not 0.0 * r * r_dot * theta * theta_dot == 0.0:
         _raise_nonfinite(_STANCE_FIELDS, (r, r_dot, theta, theta_dot))
     if r <= 0.0:
-        raise ValueError(f"r must be > 0, got {r}")
+        raise StateCheckError(f"r must be > 0, got {r}")
 
 
 def check_flight(x_dot: float, y: float, y_dot: float) -> None:
     """The checks of a FlightState on its fields: each finite
-    (ValueError naming the first that is not), and y > 0."""
+    (StateCheckError naming the first that is not), and y > 0."""
     if not 0.0 * x_dot * y * y_dot == 0.0:
         _raise_nonfinite(_FLIGHT_FIELDS, (x_dot, y, y_dot))
     if y <= 0.0:
-        raise ValueError(f"y must be > 0, got {y}")
+        raise StateCheckError(f"y must be > 0, got {y}")
 
 
 @dataclass(frozen=True)
@@ -211,7 +220,7 @@ class ApexState:
         if not (float is type(x_dot) is type(y) and 0.0 * x_dot * y == 0.0):
             _finite_floats(self, ("x_dot", "y"))
         if self.y <= 0.0:
-            raise ValueError(f"apex height must be > 0, got {self.y}")
+            raise StateCheckError(f"apex height must be > 0, got {self.y}")
 
 
 def polar_to_cartesian(r: float, r_dot: float, theta: float,

@@ -8,7 +8,10 @@ Stance integrates the unsimplified polar dynamics about the toe
 with fixed-step RK4 (default dt = 2.5e-4 s) under a zero-order-hold
 torque loop (default 1 kHz); liftoff is the upward zero crossing of the
 leg force k*(r - r0) + b*r_dot, located to round-off by regula falsi on
-the RK4 sub-step. Flight is ballistic and handled in closed form.
+the RK4 sub-step. _rk4_step is the one RK4 step law; the stance loop
+(_stance_core) writes it out inline for its full steps, the same floats
+without a call per step, and the event locator calls it for sub-steps.
+Flight is ballistic and handled in closed form.
 compose_return_map chains touchdown-angle selection, descent, the
 touchdown reset, stance, the liftoff reset and ascent into an
 apex-to-apex map and tags failures with their phase; the simulator map
@@ -17,8 +20,9 @@ differ only in the angle solver and the stance map they pass it. The
 chain passes plain floats from phase to phase through the float laws
 descend, model.touchdown_reset, the stance map, model.liftoff_reset and
 ascend, each making the checks of the state it stands for; only the
-ApexState at the end is built. integrate_descent and integrate_ascent
-are the FlightState wrappers of descend and ascend.
+ApexState at the end is built, and a failed state check leaves the
+chain as a phase-tagged InvalidState. integrate_descent and
+integrate_ascent are the FlightState wrappers of descend and ascend.
 
 The stance stepper is compiled with numba when available (pure-Python
 fallback otherwise, same code path); its samples are a list of tuples.
@@ -32,11 +36,11 @@ from typing import Callable, NamedTuple
 
 from .control import AoaSolution, solve_aoa_implicit, vertical_energy
 from .errors import (DescendingAtLiftoff, FailedLiftoff, GroundFault,
-                     SlipError, UnreachableTouchdown)
+                     InvalidState, SlipError, UnreachableTouchdown)
 from .model import (ApexState, ControlInputs, FlightState, SlipParams,
-                    StanceState, check_flight, check_touchdown,
-                    liftoff_reset, polar_to_cartesian, stance_to_flight,
-                    touchdown_reset)
+                    StanceState, StateCheckError, check_flight,
+                    check_touchdown, liftoff_reset, polar_to_cartesian,
+                    stance_to_flight, touchdown_reset)
 
 # 4 RK4 steps per control period. Events are located to round-off, so
 # the step alone sets the error: over a 10x10 criterion-1 grid the apex
@@ -149,13 +153,25 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                  dt, nsub, n_ctrl_max):
     """ZOH control loop around the RK4 stepper with event localization.
 
-    Returns (status, rows, t, r, dr, th, dth, t_bottom), one row
-    (t, r, r_dot, theta, theta_dot, tau) per control step.
+    Returns (status, rows, t, r, dr, th, dth, t_bottom, steps), one row
+    (t, r, r_dot, theta, theta_dot, tau) per control step; steps counts
+    the full RK4 steps, not those of event location.
+
+    Each full step is _rk4_step written out, operation for operation, so
+    it gives the same floats: k/m, b/m, dt/2 and dt/6 are formed once
+    per stance, and the cosine and sine of each step's end angle serve
+    the ground check, the torque law and the next step's first stage.
     """
     ctrl_dt = dt * nsub
+    km = k / m
+    bm = b / m
+    hh = 0.5 * dt
+    h6 = dt / 6.0
     integral = 0.0
     p_prev = m * r * r * dth
     force = k * (r - r0) + b * dr
+    cth = math.cos(th)
+    sth = math.sin(th)
     t_bottom = -1.0
     istep = 0
     rows = []
@@ -167,8 +183,7 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
             p_dot = (p - p_prev) / ctrl_dt
             p_prev = p
             cand = integral + err
-            tau = kp * err + ki * cand - kd * p_dot \
-                - m * g * r * math.sin(th)
+            tau = kp * err + ki * cand - kd * p_dot - m * g * r * sth
             if tau > tau_max:
                 tau = tau_max
             elif tau < -tau_max:
@@ -178,12 +193,49 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
         rows.append((istep * dt, r, dr, th, dth, tau))
         for _ in range(nsub):
             rp, drp, thp, dthp, f_prev = r, dr, th, dth, force
-            r, dr, th, dth = _rk4_step(r, dr, th, dth, dt, tau,
-                                       m, k, b, r0, g)
+            a1 = dr
+            b1 = r * dth * dth - km * (r - r0) - bm * dr - g * cth
+            c1 = dth
+            d1 = -2.0 * dr * dth / r + g / r * sth + tau / (m * r * r)
+            r2 = r + hh * a1
+            dr2 = dr + hh * b1
+            th2 = th + hh * c1
+            dth2 = dth + hh * d1
+            a2 = dr2
+            b2 = r2 * dth2 * dth2 - km * (r2 - r0) - bm * dr2 \
+                - g * math.cos(th2)
+            c2 = dth2
+            d2 = -2.0 * dr2 * dth2 / r2 + g / r2 * math.sin(th2) \
+                + tau / (m * r2 * r2)
+            r3 = r + hh * a2
+            dr3 = dr + hh * b2
+            th3 = th + hh * c2
+            dth3 = dth + hh * d2
+            a3 = dr3
+            b3 = r3 * dth3 * dth3 - km * (r3 - r0) - bm * dr3 \
+                - g * math.cos(th3)
+            c3 = dth3
+            d3 = -2.0 * dr3 * dth3 / r3 + g / r3 * math.sin(th3) \
+                + tau / (m * r3 * r3)
+            r4 = r + dt * a3
+            dr4 = dr + dt * b3
+            th4 = th + dt * c3
+            dth4 = dth + dt * d3
+            a4 = dr4
+            b4 = r4 * dth4 * dth4 - km * (r4 - r0) - bm * dr4 \
+                - g * math.cos(th4)
+            c4 = dth4
+            d4 = -2.0 * dr4 * dth4 / r4 + g / r4 * math.sin(th4) \
+                + tau / (m * r4 * r4)
+            r = r + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            dr = dr + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            th = th + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            dth = dth + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
             istep += 1
-            if r <= 0.0 or r * math.cos(th) <= 0.0:
+            cth = math.cos(th)
+            if r <= 0.0 or r * cth <= 0.0:
                 return (_STATUS_GROUND, rows, istep * dt, r, dr, th, dth,
-                        t_bottom)
+                        t_bottom, istep)
             if t_bottom < 0.0 and drp < 0.0 <= dr:
                 hi_h = _locate(rp, drp, thp, dthp, r, dr, th, dth, tau,
                                0.0, 1.0, dt, m, k, b, r0, g)[1]
@@ -195,8 +247,10 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                                                   dt, m, k, b, r0, g)
                 t_lo = (istep - 1) * dt + hi_h
                 return (_STATUS_LIFTOFF, rows, t_lo, r, dr, th, dth,
-                        t_bottom)
-    return (_STATUS_NO_LIFTOFF, rows, istep * dt, r, dr, th, dth, t_bottom)
+                        t_bottom, istep)
+            sth = math.sin(th)
+    return (_STATUS_NO_LIFTOFF, rows, istep * dt, r, dr, th, dth, t_bottom,
+            istep)
 
 
 try:  # pragma: no cover - exercised implicitly everywhere
@@ -295,7 +349,7 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
     else:
         tau_max = math.inf if inputs.tau_max is None else inputs.tau_max
         ctrl = (True, inputs.p_bar, inputs.kp, inputs.ki, inputs.kd, tau_max)
-    status, samples, t_end, r, dr, th, dth, t_bottom = \
+    status, samples, t_end, r, dr, th, dth, t_bottom, _ = \
         _stance_core(td.r, td.r_dot, td.theta, td.theta_dot,
                      params.m, params.k, params.b, params.r0, params.g,
                      *ctrl, dt, nsub, n_ctrl_max)
@@ -386,7 +440,8 @@ def compose_return_map(apex: ApexState, inputs: ControlInputs,
     phases pass plain floats; only the ApexState at the end is built,
     and each phase makes the checks of the state it used to build. A
     SlipError from any step propagates with its phase ("aoa", "descent",
-    "touchdown", "stance" or "ascent") set on it.
+    "touchdown", "stance" or "ascent") set on it, and so does a failed
+    state check, re-raised as an InvalidState with the check's message.
     """
     phase = "aoa"
     try:
@@ -403,6 +458,8 @@ def compose_return_map(apex: ApexState, inputs: ControlInputs,
     except SlipError as err:
         err.phase = phase
         raise
+    except StateCheckError as err:
+        raise InvalidState(str(err), phase=phase) from err
 
 
 def _flight_samples(t0: float, duration: float, x0: float, x_dot: float,
@@ -414,11 +471,10 @@ def _flight_samples(t0: float, duration: float, x0: float, x_dot: float,
         t = i * sample_dt
         if t > duration:
             break
+        # positional: a keyword NamedTuple call costs about twice as much
         rows.append(TrajectorySample(
-            t=t0 + t, phase=phase, r=None, r_dot=None, theta=None,
-            theta_dot=None, x=x0 + x_dot * t,
-            y=y0 + y_dot0 * t - 0.5 * g * t * t,
-            x_dot=x_dot, y_dot=y_dot0 - g * t, tau=None))
+            t0 + t, phase, None, None, None, None, x0 + x_dot * t,
+            y0 + y_dot0 * t - 0.5 * g * t * t, x_dot, y_dot0 - g * t, None))
     return rows
 
 

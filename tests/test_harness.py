@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sliphop import (ApexState, ControlInputs, SlipError, StanceState,
+from sliphop import (ApexState, ControlInputs, InvalidState, SlipError,
+                     StanceState,
                      SweepConfig, analytic, cli, closed_form_fixed_point,
                      harness, numeric_fixed_point, return_map_analytic,
                      run_single, run_sweep, simulate, simulator_return_map,
@@ -125,6 +126,29 @@ class TestRunSweep:
         for o in report.outcomes:
             if o.result is None:
                 assert o.status != "converged"
+
+    def test_failed_state_check_is_a_tagged_failure(self, params):
+        # at this gait the analytic map of the closed-form apex lifts off
+        # with the mass below the toe; that used to be a plain ValueError
+        # that aborted the sweep
+        p_bar, k_theta = -5.571428571428571, 0.06
+        closed = closed_form_fixed_point(p_bar, k_theta, params)
+        assert math.isnan(closed.spectral_radius) and not closed.stable
+        with pytest.raises(InvalidState, match=r"^y must be > 0, got -") \
+                as exc:
+            return_map_analytic(closed.apex, ControlInputs(p_bar, k_theta),
+                                params)
+        assert exc.value.phase == "ascent"
+
+        cfg = SweepConfig(params=params, p_bar_range=(-6.0, -3.0, 8),
+                          k_theta_range=(0.0, 0.3, 6),
+                          pipelines=(CLOSED_FORM, ANALYTIC_NUMERIC))
+        report = run_sweep(cfg)
+        assert len(report.outcomes) == 96
+        newton = report.status_counts()[ANALYTIC_NUMERIC]
+        assert newton["GaitFailure@ascent"] > 0
+        assert all(status in ("converged", "NoSeed") or "@" in status
+                   for status in newton)
 
     def test_analytic_pipelines_write_the_golden_bytes(self, params,
                                                        tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sliphop import (ApexState, ControlInputs, FlightState, NonPhysical,
-                     SlipParams, StanceState, TouchdownMismatch,
+                     SlipError, SlipParams, StanceState, TouchdownMismatch,
                      flight_to_stance, stance_to_flight)
 from sliphop.model import TOUCHDOWN_TOL, check_touchdown, polar_to_cartesian
 
@@ -74,6 +74,16 @@ class TestStateValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             StanceState(r=0.2, r_dot=math.nan, theta=0.0, theta_dot=0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: StanceState(r=0.0, r_dot=0.0, theta=0.0, theta_dot=0.0),
+        lambda: FlightState(x_dot=0.0, y=-0.1, y_dot=0.0),
+        lambda: ApexState(x_dot=1.0, y=math.nan)])
+    def test_a_failed_check_is_a_value_error_not_a_gait_failure(self, build):
+        # only inside a hop does it become a phase-tagged InvalidState
+        with pytest.raises(ValueError) as info:
+            build()
+        assert not isinstance(info.value, SlipError)
 
     @pytest.mark.parametrize("bad", ["0.2", None, 1j])
     def test_rejects_non_numbers(self, bad):

@@ -1,12 +1,15 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
                      FailedLiftoff, FlightState, GroundFault,
-                     InsufficientEnergy, NonPhysical, SlipParams, StanceState,
+                     InsufficientEnergy, NonPhysical, SlipError, SlipParams,
+                     StanceState,
                      UnreachableTouchdown, integrate_ascent, integrate_descent,
                      integrate_stance, return_map_numeric, simulate,
                      stance_map_analytic, stance_to_flight,
@@ -15,7 +18,9 @@ from sliphop.simulate import (DEFAULT_DT, HybridTrajectory, TrajectoryEvent,
                               TrajectorySample, _locate, _rk4_step,
                               check_steps)
 
-from _oracles import full_stance_oracle, stance_rhs, stance_step
+import _oracles
+from _oracles import (full_stance_oracle, reference_stance_core, stance_rhs,
+                      stance_step)
 
 
 def stance_energy(params, r, r_dot, theta, theta_dot):
@@ -68,6 +73,86 @@ class TestRk4Step:
         got = _rk4_step(*state, h, tau, params.m, params.k, params.b,
                         params.r0, params.g)
         assert tuple(got) == stance_step(state, h, tau, params)
+
+
+def _kernel_bits(result) -> tuple:
+    """A stance kernel's status, rows, end state and t_bottom as float
+    hex."""
+    status, rows, *floats = result
+    return (status, [tuple(v.hex() for v in row) for row in rows],
+            tuple(v.hex() for v in floats))
+
+
+def _assert_kernel_matches_reference(args) -> int:
+    """The stance kernel, which takes each full RK4 step inline, returns
+    exactly what the kernel calling _rk4_step returns, and counts the
+    full steps that kernel took. Returns the status."""
+    full_steps = []
+
+    def counted(*step_args):
+        full_steps.append(step_args)
+        return _rk4_step(*step_args)
+
+    # _locate's steps go through simulate._rk4_step and are not counted
+    with mock.patch.object(_oracles, "_rk4_step", counted):
+        ref = reference_stance_core(*args)
+    got = simulate._stance_core(*args)
+    assert _kernel_bits(got[:-1]) == _kernel_bits(ref)
+    assert got[-1] == len(full_steps)
+    return got[0]
+
+
+_PASSIVE = (False, 0.0, 0.0, 0.0, 0.0, math.inf)
+
+
+class TestStanceKernel:
+    # (touchdown state, b, control, dt, nsub, n_ctrl_max) -> status
+    CASES = [
+        ((0.2, -1.5, 0.0, 0.0), 20.0, _PASSIVE, 2.5e-4, 4, 1000,
+         simulate._STATUS_LIFTOFF),
+        ((0.2, -1.6, 0.45, -7.0), 20.0, (True, -1.0, 100.0, 0.2, 0.05,
+                                         math.inf), 2.5e-4, 4, 1000,
+         simulate._STATUS_LIFTOFF),
+        # tau_max 0.5 saturates the torque for the whole stance
+        ((0.2, -1.7, 0.42, -3.5), 20.0, (True, -1.3, 100.0, 0.2, 0.05,
+                                         0.5), 1e-3, 1, 1000,
+         simulate._STATUS_LIFTOFF),
+        ((0.2, -0.5, 1.3, -1.0), 0.0, (True, -1.3, 100.0, 0.2, 0.05, 0.5),
+         5e-4, 2, 1000, simulate._STATUS_LIFTOFF),
+        ((0.2, -1.0, 1.2, 15.0), 20.0, _PASSIVE, 2.5e-4, 4, 1000,
+         simulate._STATUS_GROUND),
+        ((0.2, -1.0, 0.3, -3.0), 20.0, (True, -1.0, 100.0, 0.2, 0.05,
+                                        math.inf), 1e-4, 10, 3,
+         simulate._STATUS_NO_LIFTOFF),
+    ]
+
+    @pytest.mark.parametrize("state,b,ctrl,dt,nsub,n_ctrl_max,status",
+                             CASES)
+    def test_matches_the_reference_kernel(self, params, state, b, ctrl, dt,
+                                          nsub, n_ctrl_max, status):
+        args = (*state, params.m, params.k, b, params.r0, params.g, *ctrl,
+                dt, nsub, n_ctrl_max)
+        assert _assert_kernel_matches_reference(args) == status
+
+    @settings(max_examples=200)
+    @given(state=st.tuples(st.floats(0.12, 0.22), st.floats(-4.0, 0.5),
+                           st.floats(-1.4, 1.4), st.floats(-25.0, 25.0)),
+           b=st.floats(0.0, 60.0),
+           ctrl=st.one_of(
+               st.just(_PASSIVE),
+               st.tuples(st.just(True), st.floats(-3.0, 3.0),
+                         st.floats(0.0, 300.0), st.floats(0.0, 1.0),
+                         st.floats(0.0, 0.2),
+                         st.one_of(st.just(math.inf),
+                                   st.floats(0.05, 20.0)))),
+           steps=st.sampled_from([(2.5e-4, 4), (1e-3, 1), (1e-4, 10),
+                                  (5e-4, 2)]),
+           n_ctrl_max=st.one_of(st.integers(1, 6), st.just(1000)))
+    def test_random_stances_match_the_reference_kernel(
+            self, params, state, b, ctrl, steps, n_ctrl_max):
+        _assert_kernel_matches_reference(
+            (*state, params.m, params.k, b, params.r0, params.g, *ctrl,
+             *steps, n_ctrl_max))
 
 
 class TestIntegrateStance:
@@ -179,21 +264,30 @@ class TestIntegrateStance:
     @pytest.mark.skipif(simulate.HAVE_NUMBA,
                         reason="counts calls of the pure-Python RK4 step")
     def test_event_location_repeats_no_step(self, params, monkeypatch):
-        # one recorded hop: neither the stance loop nor _locate takes an
-        # RK4 step it took before, and the liftoff state is pinned bit
-        # for bit
-        steps = []
-        real = simulate._rk4_step
+        # one recorded hop takes 325 RK4 steps: the stance loop's full
+        # steps, which the kernel counts, and _locate's sub-steps, each
+        # shorter than dt and taken once, so no step is taken twice; the
+        # liftoff state is pinned bit for bit
+        located, full_steps = [], []
+        real_step, real_core = simulate._rk4_step, simulate._stance_core
 
-        def counted(*args):
-            steps.append(args)
-            return real(*args)
+        def counted_step(*args):
+            located.append(args)
+            return real_step(*args)
 
-        monkeypatch.setattr(simulate, "_rk4_step", counted)
+        def counted_core(*args):
+            result = real_core(*args)
+            full_steps.append(result[-1])
+            return result
+
+        monkeypatch.setattr(simulate, "_rk4_step", counted_step)
+        monkeypatch.setattr(simulate, "_stance_core", counted_core)
         _, traj = return_map_numeric(ApexState(x_dot=1.5, y=0.25),
                                      ControlInputs(p_bar=-1.0, k_theta=0.5),
                                      params)
-        assert len(set(steps)) == len(steps) == 325
+        assert (full_steps[0], len(located)) == (305, 20)  # 325 in all
+        assert len(set(located)) == len(located)
+        assert all(0.0 < args[4] < DEFAULT_DT for args in located)
         liftoff = next(e for e in traj.events if e.name == "liftoff")
         assert {name: v.hex() for name, v in liftoff.state.items()} == {
             "r": "0x1.8b06cef2dad5ep-3", "r_dot": "0x1.6c55ca48a11e5p+0",
@@ -359,6 +453,14 @@ class TestReturnMap:
         with pytest.raises(DescendingAtLiftoff) as exc:
             return_map_numeric(apex, inputs, params)
         assert exc.value.phase == "ascent"
+
+    def test_steps_are_a_config_error_not_a_gait_failure(self, params):
+        with pytest.raises(ValueError, match="^control_dt must be a whole") \
+                as exc:
+            return_map_numeric(ApexState(x_dot=1.5, y=0.25),
+                               ControlInputs(p_bar=-1.0, k_theta=0.5),
+                               params, dt=3e-4)
+        assert not isinstance(exc.value, SlipError)
 
     def test_recorder_uses_the_model_laws(self, params, monkeypatch):
         # one recorded hop, checked bit for bit against the stance kernel's

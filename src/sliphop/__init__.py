@@ -5,8 +5,9 @@ gaits of a damped spring-leg point-mass hopper whose speed is set by a
 target stance angular momentum and whose touchdown angle aligns the
 landing velocity with the leg:
 
-* a full hybrid simulator (RK4 stance integration, event-localized
-  touchdown/liftoff, ballistic flight),
+* a full hybrid simulator (sixth-order Runge-Kutta stance integration,
+  one step per control tick, event-localized touchdown/liftoff,
+  ballistic flight),
 * a closed-form approximate return map built on the linearized stance
   flow, and
 * a fixed-point engine (closed-form quadratic solution plus Newton on

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InsufficientEnergy, NoConvergence
+from .errors import InsufficientEnergy, NoConvergence, NonPhysical
 from .model import ApexState, SlipParams
 from .numerics import quadratic_roots
 
@@ -53,8 +53,12 @@ def vertical_energy(apex: ApexState, params: SlipParams) -> float:
 
 def _phi(theta: float, x_dot: float, e_v: float, k_theta: float,
          params: SlipParams) -> float:
-    rad = 2.0 * e_v / params.m \
-        - 2.0 * params.g * params.r0 * math.cos(k_theta * theta)
+    try:
+        rad = 2.0 * e_v / params.m \
+            - 2.0 * params.g * params.r0 * math.cos(k_theta * theta)
+    except ValueError:  # math.cos of an infinite angle
+        raise NonPhysical(
+            f"touchdown angle guess {theta!r} is not finite") from None
     if rad <= 0.0:
         raise InsufficientEnergy(
             f"touchdown radicand {rad:.3e} <= 0 at theta = {theta:.4f}")
@@ -141,7 +145,8 @@ def solve_aoa_approx(x_dot: float, e_v: float, k_theta: float,
     whose positive root is mapped once through Phi. Sign handling is
     automatic (Phi carries the sign of x_dot). Raises NegativeDiscriminant
     if the quadratic breaks, InsufficientEnergy if the mapped angle lies
-    outside Phi's domain.
+    outside Phi's domain, NonPhysical if the root overflows to infinity
+    (an apex height near the float range).
     """
     if x_dot == 0.0:
         return AoaSolution(0.0, 0.0, "quadratic-approx", 0.0)

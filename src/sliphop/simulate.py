@@ -5,10 +5,12 @@ Stance integrates the unsimplified polar dynamics about the toe
     r_ddot     = r*theta_dot^2 - k/m*(r - r0) - b/m*r_dot - g*cos(theta)
     theta_ddot = -2*r_dot*theta_dot/r + g/r*sin(theta) + tau/(m*r^2)
 
-with fixed-step RK4 (default dt = 2.5e-4 s) under a zero-order-hold
-torque loop (default 1 kHz); liftoff is the upward zero crossing of the
-leg force k*(r - r0) + b*r_dot, located to round-off by regula falsi on
-the RK4 sub-step. _rk4_step is the one RK4 step law; the stance loop
+with Butcher's 7-stage sixth-order Runge-Kutta step under a
+zero-order-hold torque loop (default 1 kHz, one step of dt = 1e-3 s per
+control tick: the torque is constant within a step, so the step keeps
+its order); liftoff is the upward zero crossing of the leg force
+k*(r - r0) + b*r_dot, located to round-off by regula falsi on the
+length of the sub-step. _step is the one step law; the stance loop
 (_stance_core) writes it out inline for its full steps, the same floats
 without a call per step, and the event locator calls it for sub-steps.
 Flight is ballistic and handled in closed form.
@@ -42,12 +44,12 @@ from .model import (ApexState, ControlInputs, FlightState, SlipParams,
                     check_touchdown, liftoff_reset, polar_to_cartesian,
                     stance_to_flight, touchdown_reset)
 
-# 4 RK4 steps per control period. Events are located to round-off, so
-# the step alone sets the error: over a 10x10 criterion-1 grid the apex
-# map stays within 9.0e-11 of a dt = 1e-6 reference. At 5e-4 s the
-# vertical-bounce event times err by 8.4e-11, close to their 1e-10 s
-# bound; at 1e-3 s the undamped stance energy drifts by 1.6e-9 > 1e-9.
-DEFAULT_DT = 2.5e-4
+# One step per default control period. Events are located to round-off,
+# so the step alone sets the error: at the closed-form apexes of a 4x4
+# grid spanning criterion 1's ranges the apex map stays within 5.4e-12
+# of a dt = 1e-6 RK4 reference (1.3e-13 at dt = 5e-4; RK4 at 2.5e-4 s,
+# four steps per tick, gave 8.7e-11).
+DEFAULT_DT = 1e-3
 DEFAULT_CONTROL_DT = 1e-3
 # FailedLiftoff budget: 10x the undamped half period pi/omega0.
 TIME_BUDGET_HALF_PERIODS = 10.0
@@ -58,7 +60,7 @@ _STATUS_GROUND = 2
 
 
 def check_steps(dt: float, control_dt: float) -> int:
-    """RK4 steps per control period, control_dt / dt. Raises ValueError
+    """Stance steps per control period, control_dt / dt. Raises ValueError
     unless both are finite and > 0 and control_dt is a whole multiple
     (>= 1, to 1e-9 relative) of dt."""
     for name, value in (("dt", dt), ("control_dt", control_dt)):
@@ -73,67 +75,114 @@ def check_steps(dt: float, control_dt: float) -> int:
 
 
 # --- compiled stance stepper -------------------------------------------------
+#
+# Butcher's 7-stage sixth-order Runge-Kutta tableau (J. C. Butcher, J.
+# Austral. Math. Soc. 4, 1964; Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5). Zero entries are left out; the weights pair up, b1 = b7,
+# b3 = b4, b5 = b6, and b2 = 0.
+_A21 = 1.0 / 3.0
+_A32 = 2.0 / 3.0
+_A41, _A42, _A43 = 1.0 / 12.0, 1.0 / 3.0, -1.0 / 12.0
+_A51, _A52, _A53, _A54 = -1.0 / 16.0, 9.0 / 8.0, -3.0 / 16.0, -3.0 / 8.0
+_A62, _A63, _A64, _A65 = 9.0 / 8.0, -3.0 / 8.0, -3.0 / 4.0, 1.0 / 2.0
+_A71, _A72, _A73, _A74, _A76 = (9.0 / 44.0, -9.0 / 11.0, 63.0 / 44.0,
+                                18.0 / 11.0, -16.0 / 11.0)
+_B1, _B3, _B5 = 11.0 / 120.0, 27.0 / 40.0, -4.0 / 15.0
+# _locate stops once its bracket is this share of dt wide: 1e-16 s at
+# the default dt, about a thousand ulps of a sub-step dt/2 long.
+_LOCATE_WIDTH = 1e-13
 
-def _rk4_step(r, dr, th, dth, h, tau, m, k, b, r0, g):
+
+def _scaled_tableau(h):
+    """The tableau's nonzero entries times the step length h: the a_ij
+    row by row, then b1, b3 and b5."""
+    return (h * _A21, h * _A32, h * _A41, h * _A42, h * _A43,
+            h * _A51, h * _A52, h * _A53, h * _A54,
+            h * _A62, h * _A63, h * _A64, h * _A65,
+            h * _A71, h * _A72, h * _A73, h * _A74, h * _A76,
+            h * _B1, h * _B3, h * _B5)
+
+
+def _step(r, dr, th, dth, h, tau, m, k, b, r0, g):
+    """One sixth-order Runge-Kutta step of length h at constant hip
+    torque tau. Stage j evaluates the state (rj, drj, thj, dthj); its r
+    and theta rates are drj and dthj themselves, and bj and dj are its
+    r_ddot and theta_ddot."""
     km = k / m
     bm = b / m
-    a1 = dr
+    tm = tau / m
+    (h21, h32, h41, h42, h43, h51, h52, h53, h54, h62, h63, h64, h65,
+     h71, h72, h73, h74, h76, hb1, hb3, hb5) = _scaled_tableau(h)
     b1 = r * dth * dth - km * (r - r0) - bm * dr - g * math.cos(th)
-    c1 = dth
-    d1 = -2.0 * dr * dth / r + g / r * math.sin(th) + tau / (m * r * r)
-    r2 = r + 0.5 * h * a1
-    dr2 = dr + 0.5 * h * b1
-    th2 = th + 0.5 * h * c1
-    dth2 = dth + 0.5 * h * d1
-    a2 = dr2
+    d1 = (g * math.sin(th) - 2.0 * dr * dth + tm / r) / r
+    r2 = r + h21 * dr
+    dr2 = dr + h21 * b1
+    th2 = th + h21 * dth
+    dth2 = dth + h21 * d1
     b2 = r2 * dth2 * dth2 - km * (r2 - r0) - bm * dr2 - g * math.cos(th2)
-    c2 = dth2
-    d2 = -2.0 * dr2 * dth2 / r2 + g / r2 * math.sin(th2) + tau / (m * r2 * r2)
-    r3 = r + 0.5 * h * a2
-    dr3 = dr + 0.5 * h * b2
-    th3 = th + 0.5 * h * c2
-    dth3 = dth + 0.5 * h * d2
-    a3 = dr3
+    d2 = (g * math.sin(th2) - 2.0 * dr2 * dth2 + tm / r2) / r2
+    r3 = r + h32 * dr2
+    dr3 = dr + h32 * b2
+    th3 = th + h32 * dth2
+    dth3 = dth + h32 * d2
     b3 = r3 * dth3 * dth3 - km * (r3 - r0) - bm * dr3 - g * math.cos(th3)
-    c3 = dth3
-    d3 = -2.0 * dr3 * dth3 / r3 + g / r3 * math.sin(th3) + tau / (m * r3 * r3)
-    r4 = r + h * a3
-    dr4 = dr + h * b3
-    th4 = th + h * c3
-    dth4 = dth + h * d3
-    a4 = dr4
+    d3 = (g * math.sin(th3) - 2.0 * dr3 * dth3 + tm / r3) / r3
+    r4 = r + (h41 * dr + h42 * dr2 + h43 * dr3)
+    dr4 = dr + (h41 * b1 + h42 * b2 + h43 * b3)
+    th4 = th + (h41 * dth + h42 * dth2 + h43 * dth3)
+    dth4 = dth + (h41 * d1 + h42 * d2 + h43 * d3)
     b4 = r4 * dth4 * dth4 - km * (r4 - r0) - bm * dr4 - g * math.cos(th4)
-    c4 = dth4
-    d4 = -2.0 * dr4 * dth4 / r4 + g / r4 * math.sin(th4) + tau / (m * r4 * r4)
-    h6 = h / 6.0
-    return (r + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-            dr + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-            th + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
-            dth + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+    d4 = (g * math.sin(th4) - 2.0 * dr4 * dth4 + tm / r4) / r4
+    r5 = r + (h51 * dr + h52 * dr2 + h53 * dr3 + h54 * dr4)
+    dr5 = dr + (h51 * b1 + h52 * b2 + h53 * b3 + h54 * b4)
+    th5 = th + (h51 * dth + h52 * dth2 + h53 * dth3 + h54 * dth4)
+    dth5 = dth + (h51 * d1 + h52 * d2 + h53 * d3 + h54 * d4)
+    b5 = r5 * dth5 * dth5 - km * (r5 - r0) - bm * dr5 - g * math.cos(th5)
+    d5 = (g * math.sin(th5) - 2.0 * dr5 * dth5 + tm / r5) / r5
+    r6 = r + (h62 * dr2 + h63 * dr3 + h64 * dr4 + h65 * dr5)
+    dr6 = dr + (h62 * b2 + h63 * b3 + h64 * b4 + h65 * b5)
+    th6 = th + (h62 * dth2 + h63 * dth3 + h64 * dth4 + h65 * dth5)
+    dth6 = dth + (h62 * d2 + h63 * d3 + h64 * d4 + h65 * d5)
+    b6 = r6 * dth6 * dth6 - km * (r6 - r0) - bm * dr6 - g * math.cos(th6)
+    d6 = (g * math.sin(th6) - 2.0 * dr6 * dth6 + tm / r6) / r6
+    r7 = r + (h71 * dr + h72 * dr2 + h73 * dr3 + h74 * dr4 + h76 * dr6)
+    dr7 = dr + (h71 * b1 + h72 * b2 + h73 * b3 + h74 * b4 + h76 * b6)
+    th7 = th + (h71 * dth + h72 * dth2 + h73 * dth3 + h74 * dth4
+                + h76 * dth6)
+    dth7 = dth + (h71 * d1 + h72 * d2 + h73 * d3 + h74 * d4 + h76 * d6)
+    b7 = r7 * dth7 * dth7 - km * (r7 - r0) - bm * dr7 - g * math.cos(th7)
+    d7 = (g * math.sin(th7) - 2.0 * dr7 * dth7 + tm / r7) / r7
+    return (r + (hb1 * (dr + dr7) + hb3 * (dr3 + dr4) + hb5 * (dr5 + dr6)),
+            dr + (hb1 * (b1 + b7) + hb3 * (b3 + b4) + hb5 * (b5 + b6)),
+            th + (hb1 * (dth + dth7) + hb3 * (dth3 + dth4)
+                  + hb5 * (dth5 + dth6)),
+            dth + (hb1 * (d1 + d7) + hb3 * (d3 + d4) + hb5 * (d5 + d6)))
 
 
 def _locate(rp, drp, thp, dthp, r1, dr1, th1, dth1, tau, a, c, dt,
             m, k, b, r0, g):
     """Bracket (lo, hi) of the upward zero of a*(r - r0) + c*r_dot within
-    the RK4 step of length dt from (rp, drp, thp, dthp) to (r1, dr1, th1,
-    dth1), as sub-step lengths, followed by the RK4 state at hi: the
+    the step of length dt from (rp, drp, thp, dthp) to (r1, dr1, th1,
+    dth1), as sub-step lengths, followed by the _step state at hi: the
     event function is < 0 at lo and >= 0 at hi. Bottom is (a, c) =
     (0, 1), liftoff (k, b).
 
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the
-    sub-step length, along which the RK4 state is smooth, until the
-    bracket stops shrinking. The event is then at hi to round-off; the
-    bracket can stay wider when the interpolation lands on hi.
+    sub-step length, along which the _step state is smooth, until the
+    bracket is at most _LOCATE_WIDTH*dt wide or stops shrinking. The
+    event is then at hi to well under 1e-10 s; without the width rule
+    the iteration would walk on across adjacent floats after the bracket
+    had collapsed.
     """
     lo, f_lo = 0.0, a * (rp - r0) + c * drp
     hi, f_hi = dt, a * (r1 - r0) + c * dr1
+    width = _LOCATE_WIDTH * dt
     side = 0
-    while True:
+    while hi - lo > width:
         h = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < h < hi:
-            return lo, hi, r1, dr1, th1, dth1
-        rm, dm, tm, wm = _rk4_step(rp, drp, thp, dthp, h, tau,
-                                   m, k, b, r0, g)
+            break
+        rm, dm, tm, wm = _step(rp, drp, thp, dthp, h, tau, m, k, b, r0, g)
         f = a * (rm - r0) + c * dm
         if f < 0.0:
             lo, f_lo = h, f
@@ -146,27 +195,29 @@ def _locate(rp, drp, thp, dthp, r1, dr1, th1, dth1, tau, a, c, dt,
             if side > 0:
                 f_lo *= 0.5
             side = 1
+    return lo, hi, r1, dr1, th1, dth1
 
 
 def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                  use_ctrl, p_bar, kp, ki, kd, tau_max,
                  dt, nsub, n_ctrl_max):
-    """ZOH control loop around the RK4 stepper with event localization.
+    """ZOH control loop around the stance step with event localization.
 
     Returns (status, rows, t, r, dr, th, dth, t_bottom, steps), one row
     (t, r, r_dot, theta, theta_dot, tau) per control step; steps counts
-    the full RK4 steps, not those of event location.
+    the full steps, not those of event location.
 
-    Each full step is _rk4_step written out, operation for operation, so
-    it gives the same floats: k/m, b/m, dt/2 and dt/6 are formed once
-    per stance, and the cosine and sine of each step's end angle serve
-    the ground check, the torque law and the next step's first stage.
+    Each full step is _step written out, operation for operation, so it
+    gives the same floats: k/m, b/m and the scaled tableau are formed
+    once per stance and tau/m once per control step, and the cosine and
+    sine of each step's end angle serve the ground check, the torque
+    law's feed-forward and the next step's first stage.
     """
     ctrl_dt = dt * nsub
     km = k / m
     bm = b / m
-    hh = 0.5 * dt
-    h6 = dt / 6.0
+    (h21, h32, h41, h42, h43, h51, h52, h53, h54, h62, h63, h64, h65,
+     h71, h72, h73, h74, h76, hb1, hb3, hb5) = _scaled_tableau(dt)
     integral = 0.0
     p_prev = m * r * r * dth
     force = k * (r - r0) + b * dr
@@ -176,6 +227,7 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
     istep = 0
     rows = []
     tau = 0.0
+    tm = 0.0
     for _ in range(n_ctrl_max):
         if use_ctrl:
             p = m * r * r * dth
@@ -190,47 +242,65 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                 tau = -tau_max
             else:
                 integral = cand
+            tm = tau / m
         rows.append((istep * dt, r, dr, th, dth, tau))
         for _ in range(nsub):
             rp, drp, thp, dthp, f_prev = r, dr, th, dth, force
-            a1 = dr
             b1 = r * dth * dth - km * (r - r0) - bm * dr - g * cth
-            c1 = dth
-            d1 = -2.0 * dr * dth / r + g / r * sth + tau / (m * r * r)
-            r2 = r + hh * a1
-            dr2 = dr + hh * b1
-            th2 = th + hh * c1
-            dth2 = dth + hh * d1
-            a2 = dr2
+            d1 = (g * sth - 2.0 * dr * dth + tm / r) / r
+            r2 = r + h21 * dr
+            dr2 = dr + h21 * b1
+            th2 = th + h21 * dth
+            dth2 = dth + h21 * d1
             b2 = r2 * dth2 * dth2 - km * (r2 - r0) - bm * dr2 \
                 - g * math.cos(th2)
-            c2 = dth2
-            d2 = -2.0 * dr2 * dth2 / r2 + g / r2 * math.sin(th2) \
-                + tau / (m * r2 * r2)
-            r3 = r + hh * a2
-            dr3 = dr + hh * b2
-            th3 = th + hh * c2
-            dth3 = dth + hh * d2
-            a3 = dr3
+            d2 = (g * math.sin(th2) - 2.0 * dr2 * dth2 + tm / r2) / r2
+            r3 = r + h32 * dr2
+            dr3 = dr + h32 * b2
+            th3 = th + h32 * dth2
+            dth3 = dth + h32 * d2
             b3 = r3 * dth3 * dth3 - km * (r3 - r0) - bm * dr3 \
                 - g * math.cos(th3)
-            c3 = dth3
-            d3 = -2.0 * dr3 * dth3 / r3 + g / r3 * math.sin(th3) \
-                + tau / (m * r3 * r3)
-            r4 = r + dt * a3
-            dr4 = dr + dt * b3
-            th4 = th + dt * c3
-            dth4 = dth + dt * d3
-            a4 = dr4
+            d3 = (g * math.sin(th3) - 2.0 * dr3 * dth3 + tm / r3) / r3
+            r4 = r + (h41 * dr + h42 * dr2 + h43 * dr3)
+            dr4 = dr + (h41 * b1 + h42 * b2 + h43 * b3)
+            th4 = th + (h41 * dth + h42 * dth2 + h43 * dth3)
+            dth4 = dth + (h41 * d1 + h42 * d2 + h43 * d3)
             b4 = r4 * dth4 * dth4 - km * (r4 - r0) - bm * dr4 \
                 - g * math.cos(th4)
-            c4 = dth4
-            d4 = -2.0 * dr4 * dth4 / r4 + g / r4 * math.sin(th4) \
-                + tau / (m * r4 * r4)
-            r = r + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            dr = dr + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            th = th + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            dth = dth + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            d4 = (g * math.sin(th4) - 2.0 * dr4 * dth4 + tm / r4) / r4
+            r5 = r + (h51 * dr + h52 * dr2 + h53 * dr3 + h54 * dr4)
+            dr5 = dr + (h51 * b1 + h52 * b2 + h53 * b3 + h54 * b4)
+            th5 = th + (h51 * dth + h52 * dth2 + h53 * dth3 + h54 * dth4)
+            dth5 = dth + (h51 * d1 + h52 * d2 + h53 * d3 + h54 * d4)
+            b5 = r5 * dth5 * dth5 - km * (r5 - r0) - bm * dr5 \
+                - g * math.cos(th5)
+            d5 = (g * math.sin(th5) - 2.0 * dr5 * dth5 + tm / r5) / r5
+            r6 = r + (h62 * dr2 + h63 * dr3 + h64 * dr4 + h65 * dr5)
+            dr6 = dr + (h62 * b2 + h63 * b3 + h64 * b4 + h65 * b5)
+            th6 = th + (h62 * dth2 + h63 * dth3 + h64 * dth4 + h65 * dth5)
+            dth6 = dth + (h62 * d2 + h63 * d3 + h64 * d4 + h65 * d5)
+            b6 = r6 * dth6 * dth6 - km * (r6 - r0) - bm * dr6 \
+                - g * math.cos(th6)
+            d6 = (g * math.sin(th6) - 2.0 * dr6 * dth6 + tm / r6) / r6
+            r7 = r + (h71 * dr + h72 * dr2 + h73 * dr3 + h74 * dr4
+                      + h76 * dr6)
+            dr7 = dr + (h71 * b1 + h72 * b2 + h73 * b3 + h74 * b4
+                        + h76 * b6)
+            th7 = th + (h71 * dth + h72 * dth2 + h73 * dth3 + h74 * dth4
+                        + h76 * dth6)
+            dth7 = dth + (h71 * d1 + h72 * d2 + h73 * d3 + h74 * d4
+                          + h76 * d6)
+            b7 = r7 * dth7 * dth7 - km * (r7 - r0) - bm * dr7 \
+                - g * math.cos(th7)
+            d7 = (g * math.sin(th7) - 2.0 * dr7 * dth7 + tm / r7) / r7
+            r = r + (hb1 * (dr + dr7) + hb3 * (dr3 + dr4)
+                     + hb5 * (dr5 + dr6))
+            dr = dr + (hb1 * (b1 + b7) + hb3 * (b3 + b4) + hb5 * (b5 + b6))
+            th = th + (hb1 * (dth + dth7) + hb3 * (dth3 + dth4)
+                       + hb5 * (dth5 + dth6))
+            dth = dth + (hb1 * (d1 + d7) + hb3 * (d3 + d4)
+                         + hb5 * (d5 + d6))
             istep += 1
             cth = math.cos(th)
             if r <= 0.0 or r * cth <= 0.0:
@@ -256,7 +326,8 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
 try:  # pragma: no cover - exercised implicitly everywhere
     from numba import njit
 
-    _rk4_step = njit(cache=True, fastmath=False)(_rk4_step)
+    _scaled_tableau = njit(cache=True, fastmath=False)(_scaled_tableau)
+    _step = njit(cache=True, fastmath=False)(_step)
     _locate = njit(cache=True, fastmath=False)(_locate)
     _stance_core = njit(cache=True, fastmath=False)(_stance_core)
     HAVE_NUMBA = True

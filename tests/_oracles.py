@@ -13,8 +13,11 @@ rule must match bit for bit. reference_return_map_analytic and
 reference_return_map_numeric are the apex maps as a chain of validated
 dataclass states, one per phase boundary; both float-chain maps must
 match them bit for bit, failures included. reference_stance_core is the
-stance kernel as it was when it called _rk4_step for each full step;
-the kernel, which takes that step inline, must match it bit for bit.
+stance kernel with a call of simulate._step for each full step; the
+kernel, which takes that step inline, must match it bit for bit.
+rk6_tableau_step is Butcher's sixth-order step from its tableau in exact
+fractions, the reference simulate._step is checked against; RK4
+(rk4_step) stays the fine-step reference of full_stance_oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,8 +41,7 @@ from sliphop.control import (AOA_MAX_ITER, AOA_THETA_MAX, AOA_TOL,
 from sliphop.model import TOUCHDOWN_TOL, polar_to_cartesian
 from sliphop.simulate import (_STATUS_GROUND, _STATUS_LIFTOFF,
                               _STATUS_NO_LIFTOFF, DEFAULT_CONTROL_DT,
-                              DEFAULT_DT, _locate, _rk4_step,
-                              integrate_stance)
+                              DEFAULT_DT, _locate, _step, integrate_stance)
 
 
 def _linear_coeffs(m, k, b, r0, g, p_bar):
@@ -194,6 +197,76 @@ def stance_step(s: tuple[float, float, float, float], h: float, tau: float,
                  for i in range(4))
 
 
+def rk4_step(r, dr, th, dth, h, tau, m, k, b, r0, g):
+    """stance_step on scalars, written out: the same floats in about half
+    the time, for the fine-step reference full_stance_oracle."""
+    km = k / m
+    bm = b / m
+    a1 = dr
+    b1 = r * dth * dth - km * (r - r0) - bm * dr - g * math.cos(th)
+    c1 = dth
+    d1 = -2.0 * dr * dth / r + g / r * math.sin(th) + tau / (m * r * r)
+    r2 = r + 0.5 * h * a1
+    dr2 = dr + 0.5 * h * b1
+    th2 = th + 0.5 * h * c1
+    dth2 = dth + 0.5 * h * d1
+    a2 = dr2
+    b2 = r2 * dth2 * dth2 - km * (r2 - r0) - bm * dr2 - g * math.cos(th2)
+    c2 = dth2
+    d2 = -2.0 * dr2 * dth2 / r2 + g / r2 * math.sin(th2) + tau / (m * r2 * r2)
+    r3 = r + 0.5 * h * a2
+    dr3 = dr + 0.5 * h * b2
+    th3 = th + 0.5 * h * c2
+    dth3 = dth + 0.5 * h * d2
+    a3 = dr3
+    b3 = r3 * dth3 * dth3 - km * (r3 - r0) - bm * dr3 - g * math.cos(th3)
+    c3 = dth3
+    d3 = -2.0 * dr3 * dth3 / r3 + g / r3 * math.sin(th3) + tau / (m * r3 * r3)
+    r4 = r + h * a3
+    dr4 = dr + h * b3
+    th4 = th + h * c3
+    dth4 = dth + h * d3
+    a4 = dr4
+    b4 = r4 * dth4 * dth4 - km * (r4 - r0) - bm * dr4 - g * math.cos(th4)
+    c4 = dth4
+    d4 = -2.0 * dr4 * dth4 / r4 + g / r4 * math.sin(th4) + tau / (m * r4 * r4)
+    h6 = h / 6.0
+    return (r + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            dr + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+            th + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
+            dth + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+
+
+# Butcher's 7-stage sixth-order tableau (J. C. Butcher, J. Austral. Math.
+# Soc. 4, 1964), rows of A below the diagonal and the weights b.
+RK6_A = tuple(tuple(Fraction(v) for v in row) for row in (
+    (), ("1/3",), ("0", "2/3"), ("1/12", "1/3", "-1/12"),
+    ("-1/16", "9/8", "-3/16", "-3/8"), ("0", "9/8", "-3/8", "-3/4", "1/2"),
+    ("9/44", "-9/11", "63/44", "18/11", "0", "-16/11")))
+RK6_B = tuple(Fraction(v) for v in
+              ("11/120", "0", "27/40", "27/40", "-4/15", "-4/15", "11/120"))
+
+
+def rk6_tableau_step(s: tuple[float, float, float, float], h: float,
+                     tau: float, params: SlipParams,
+                     ) -> tuple[float, float, float, float]:
+    """One step of the explicit tableau (RK6_A, RK6_B) on stance_rhs at
+    constant torque. Each stage state and the result are summed in exact
+    fractions from the floats of s, h and the stage derivatives, then
+    rounded once; only stance_rhs rounds in between."""
+    x = [Fraction(v) for v in s]
+    hf = Fraction(h)
+    ks = []
+    for row in RK6_A:
+        stage = tuple(float(x[i] + hf * sum(
+            (a * Fraction(kj[i]) for a, kj in zip(row, ks)), Fraction(0)))
+            for i in range(4))
+        ks.append(stance_rhs(stage, tau, params))
+    return tuple(float(x[i] + hf * sum(
+        (w * Fraction(kj[i]) for w, kj in zip(RK6_B, ks)), Fraction(0)))
+        for i in range(4))
+
+
 def full_stance_oracle(td: StanceState, inputs: ControlInputs | None,
                        params: SlipParams, dt: float = 1e-6,
                        control_dt: float = 1e-3,
@@ -201,6 +274,7 @@ def full_stance_oracle(td: StanceState, inputs: ControlInputs | None,
     """Independent stance integration: plain-Python RK4 at a finer step,
     scan-then-bisect liftoff localization. Returns (t_liftoff, state)."""
     k, b, r0 = params.k, params.b, params.r0
+    consts = (params.m, k, b, r0, params.g)
 
     def force(s):
         return k * (s[0] - r0) + b * s[1]
@@ -220,17 +294,17 @@ def full_stance_oracle(td: StanceState, inputs: ControlInputs | None,
         for _ in range(nsub):
             prev = state
             f_prev = force(state)
-            state = stance_step(state, dt, tau, params)
+            state = rk4_step(*state, dt, tau, *consts)
             istep += 1
             if f_prev < 0.0 <= force(state) and state[1] > 0.0:
                 lo_h, hi_h = 0.0, dt
                 while hi_h - lo_h > 1e-10:
                     mid = 0.5 * (lo_h + hi_h)
-                    if force(stance_step(prev, mid, tau, params)) < 0.0:
+                    if force(rk4_step(*prev, mid, tau, *consts)) < 0.0:
                         lo_h = mid
                     else:
                         hi_h = mid
-                final = stance_step(prev, hi_h, tau, params)
+                final = rk4_step(*prev, hi_h, tau, *consts)
                 return (istep - 1) * dt + hi_h, StanceState(*final)
     raise AssertionError("oracle: no liftoff within budget")
 
@@ -531,15 +605,15 @@ def reference_return_map_numeric(apex: ApexState, inputs: ControlInputs,
                                stance_map)
 
 
-# --- the stance kernel with a call per RK4 step ------------------------------
+# --- the stance kernel with a call per step ----------------------------------
 #
-# simulate._stance_core before it took each full RK4 step inline. Kept
-# verbatim: the inline step must give the same floats as _rk4_step.
+# simulate._stance_core as a loop that calls simulate._step for each full
+# step: the inline step must give the same floats as _step.
 
 def reference_stance_core(r, dr, th, dth, m, k, b, r0, g,
                           use_ctrl, p_bar, kp, ki, kd, tau_max,
                           dt, nsub, n_ctrl_max):
-    """ZOH control loop around the RK4 stepper with event localization.
+    """ZOH control loop around the stance step with event localization.
 
     Returns (status, rows, t, r, dr, th, dth, t_bottom), one row
     (t, r, r_dot, theta, theta_dot, tau) per control step.
@@ -570,8 +644,7 @@ def reference_stance_core(r, dr, th, dth, m, k, b, r0, g,
         rows.append((istep * dt, r, dr, th, dth, tau))
         for _ in range(nsub):
             rp, drp, thp, dthp, f_prev = r, dr, th, dth, force
-            r, dr, th, dth = _rk4_step(r, dr, th, dth, dt, tau,
-                                       m, k, b, r0, g)
+            r, dr, th, dth = _step(r, dr, th, dth, dt, tau, m, k, b, r0, g)
             istep += 1
             if r <= 0.0 or r * math.cos(th) <= 0.0:
                 return (_STATUS_GROUND, rows, istep * dt, r, dr, th, dth,

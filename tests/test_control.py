@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sliphop import (DEFAULT_PARAMS, ControlInputs, InsufficientEnergy,
-                     SlipError, SlipParams, StanceState, control,
+from sliphop import (DEFAULT_PARAMS, ApexState, ControlInputs,
+                     InsufficientEnergy, NonPhysical, SlipError, SlipParams,
+                     StanceState, control, return_map_analytic,
                      solve_aoa_approx, solve_aoa_implicit)
 from sliphop.numerics import quadratic_roots
 
@@ -119,6 +120,16 @@ class TestApproxSolver:
         denom = math.sqrt(2.0 * e_v / params.m - 2.0 * params.g * params.r0)
         assert sol.theta_aoa == pytest.approx(math.atan(0.9 / denom),
                                               abs=1e-12)
+
+    def test_overflowing_angle_is_a_tagged_failure(self, params):
+        # at an absurd apex height the quadratic's root overflows to inf,
+        # and math.cos(inf) raises a bare ValueError; it leaves the hop
+        # as a NonPhysical tagged with the angle-of-attack phase
+        apex = ApexState(1.0, 4.271090701434314e+151)
+        with pytest.raises(NonPhysical, match="^touchdown angle guess inf "
+                                              "is not finite$") as exc:
+            return_map_analytic(apex, ControlInputs(0.0, 1.0), params)
+        assert exc.value.phase == "aoa"
 
 
 class TestQuadraticRoots:

@@ -580,16 +580,16 @@ class TestCli:
                 "--pipeline", "simulator-numeric"]
         assert main(argv) == 0
         default = json.loads(capsys.readouterr().out)
-        assert main(argv + ["--dt", "1e-3"]) == 0
-        coarse = json.loads(capsys.readouterr().out)
-        sim_map = functools.partial(simulator_return_map, dt=1e-3)
+        assert main(argv + ["--dt", "5e-4"]) == 0
+        halved = json.loads(capsys.readouterr().out)
+        sim_map = functools.partial(simulator_return_map, dt=5e-4)
         seed = closed_form_fixed_point(-1.0, 0.5, params).apex
         want = numeric_fixed_point(sim_map, seed,
                                    ControlInputs(p_bar=-1.0, k_theta=0.5),
                                    params, tol=1e-6, prewarm=3)
-        assert coarse["apex"] == {"x_dot": want.apex.x_dot,
+        assert halved["apex"] == {"x_dot": want.apex.x_dot,
                                   "y": want.apex.y}
-        assert coarse["apex"] != default["apex"]
+        assert halved["apex"] != default["apex"]
 
     def test_single_command(self, tmp_path):
         rc = main(["single", "--p-bar", "-1.0", "--k-theta", "0.5",

@@ -75,6 +75,8 @@ def _assert_same_outcome(new: tuple, reference: tuple) -> None:
 @example(apex=ApexState(1.5, 0.24), gait=ControlInputs(-1.0, 0.5))
 @example(apex=ApexState(12.29, 7.42), gait=ControlInputs(1.77, 0.94))
 @example(apex=ApexState(-0.0, 0.2), gait=ControlInputs(-0.0, 0.5))
+@example(apex=ApexState(1.0, 4.271090701434314e+151),
+         gait=ControlInputs(0.0, 1.0))
 def test_analytic_map_matches_the_dataclass_chain(params, apex, gait):
     _assert_same_outcome(
         _outcome(return_map_analytic, apex, gait, params),

@@ -15,12 +15,11 @@ from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
                      stance_map_analytic, stance_to_flight,
                      write_trajectory_csv)
 from sliphop.simulate import (DEFAULT_DT, HybridTrajectory, TrajectoryEvent,
-                              TrajectorySample, _locate, _rk4_step,
-                              check_steps)
+                              TrajectorySample, _locate, _step, check_steps)
 
 import _oracles
-from _oracles import (full_stance_oracle, reference_stance_core, stance_rhs,
-                      stance_step)
+from _oracles import (full_stance_oracle, reference_stance_core, rk4_step,
+                      rk6_tableau_step, stance_rhs, stance_step)
 
 
 def stance_energy(params, r, r_dot, theta, theta_dot):
@@ -61,8 +60,8 @@ class TestStanceDynamics:
 
 
 class TestRk4Step:
-    # the stance kernel's inlined RK4 step is the oracle's RK4 step on the
-    # oracle's right-hand side, operation for operation
+    # the fine-step reference's scalar RK4 step is the oracle's RK4 step
+    # on the oracle's right-hand side, operation for operation
     STATES = [(0.2, -1.6, 0.0, 0.0), (0.19, -1.0, 0.2, -3.0),
               (0.17, 0.4, -0.35, 5.5), (0.21, 1.3, 0.9, -8.0)]
 
@@ -70,9 +69,42 @@ class TestRk4Step:
     @pytest.mark.parametrize("tau", [0.0, 2.0, -7.25])
     @pytest.mark.parametrize("state", STATES)
     def test_bit_identical_to_oracle(self, params, state, tau, h):
-        got = _rk4_step(*state, h, tau, params.m, params.k, params.b,
-                        params.r0, params.g)
-        assert tuple(got) == stance_step(state, h, tau, params)
+        got = rk4_step(*state, h, tau, params.m, params.k, params.b,
+                       params.r0, params.g)
+        assert got == stance_step(state, h, tau, params)
+
+
+class TestStep:
+    @pytest.mark.parametrize("h", [1e-3, 1e-4, 3.7e-5])
+    @pytest.mark.parametrize("tau", [0.0, 2.0, -7.25])
+    @pytest.mark.parametrize("state", TestRk4Step.STATES)
+    def test_matches_the_tableau_oracle(self, params, state, tau, h):
+        # Butcher's tableau on the oracle's right-hand side, summed in
+        # exact fractions: the step sums in floats, in another order, so
+        # it agrees to a few ulps and not bit for bit
+        got = _step(*state, h, tau, params.m, params.k, params.b,
+                    params.r0, params.g)
+        want = rk6_tableau_step(state, h, tau, params)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 4.0 * math.ulp(w)
+
+    def test_observed_order_is_six(self, params):
+        # a constant-torque stance over 16 ms: halving the step divides
+        # the error by 2^6 for a sixth-order step, and by at least 2^5.5
+        # here, from 4 ms down to the default 1 ms
+        consts = (params.m, params.k, params.b, params.r0, params.g)
+
+        def run(h):
+            s = (0.2, -1.6, 0.45, -7.0)
+            for _ in range(round(0.016 / h)):
+                s = _step(*s, h, 2.0, *consts)
+            return s
+
+        ref = run(1.25e-4)
+        errors = [max(abs(a - b) for a, b in zip(run(h), ref))
+                  for h in (4e-3, 2e-3, 1e-3)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 2.0 ** 5.5
 
 
 def _kernel_bits(result) -> tuple:
@@ -84,17 +116,17 @@ def _kernel_bits(result) -> tuple:
 
 
 def _assert_kernel_matches_reference(args) -> int:
-    """The stance kernel, which takes each full RK4 step inline, returns
-    exactly what the kernel calling _rk4_step returns, and counts the
-    full steps that kernel took. Returns the status."""
+    """The stance kernel, which takes each full step inline, returns
+    exactly what the kernel calling _step returns, and counts the full
+    steps that kernel took. Returns the status."""
     full_steps = []
 
     def counted(*step_args):
         full_steps.append(step_args)
-        return _rk4_step(*step_args)
+        return _step(*step_args)
 
-    # _locate's steps go through simulate._rk4_step and are not counted
-    with mock.patch.object(_oracles, "_rk4_step", counted):
+    # _locate's steps go through simulate._step and are not counted
+    with mock.patch.object(_oracles, "_step", counted):
         ref = reference_stance_core(*args)
     got = simulate._stance_core(*args)
     assert _kernel_bits(got[:-1]) == _kernel_bits(ref)
@@ -226,7 +258,7 @@ class TestIntegrateStance:
         StanceState(r=0.2, r_dot=-0.6, theta=-0.2, theta_dot=2.0),
         StanceState(r=0.2, r_dot=-2.4, theta=0.5, theta_dot=-7.0)])
     def test_event_bracket_contract(self, params, td):
-        # step the passive leg to the RK4 steps that cross bottom and
+        # step the passive leg to the steps that cross bottom and
         # liftoff; each located event lies between a sub-step where the
         # event function is < 0 and the one where it is >= 0, _locate
         # returns the state of the latter, and so does integrate_stance
@@ -235,7 +267,7 @@ class TestIntegrateStance:
         consts = (p.m, p.k, p.b, p.r0, p.g)
 
         def step(s, h):
-            return _rk4_step(*s, h, 0.0, *consts)
+            return _step(*s, h, 0.0, *consts)
 
         def force(s):
             return p.k * (s[0] - p.r0) + p.b * s[1]
@@ -262,14 +294,14 @@ class TestIntegrateStance:
         assert force(step(prev, hi_h)) <= 1e-10
 
     @pytest.mark.skipif(simulate.HAVE_NUMBA,
-                        reason="counts calls of the pure-Python RK4 step")
+                        reason="counts calls of the pure-Python step")
     def test_event_location_repeats_no_step(self, params, monkeypatch):
-        # one recorded hop takes 325 RK4 steps: the stance loop's full
+        # one recorded hop takes 88 steps: the stance loop's full
         # steps, which the kernel counts, and _locate's sub-steps, each
         # shorter than dt and taken once, so no step is taken twice; the
         # liftoff state is pinned bit for bit
         located, full_steps = [], []
-        real_step, real_core = simulate._rk4_step, simulate._stance_core
+        real_step, real_core = simulate._step, simulate._stance_core
 
         def counted_step(*args):
             located.append(args)
@@ -280,20 +312,20 @@ class TestIntegrateStance:
             full_steps.append(result[-1])
             return result
 
-        monkeypatch.setattr(simulate, "_rk4_step", counted_step)
+        monkeypatch.setattr(simulate, "_step", counted_step)
         monkeypatch.setattr(simulate, "_stance_core", counted_core)
         _, traj = return_map_numeric(ApexState(x_dot=1.5, y=0.25),
                                      ControlInputs(p_bar=-1.0, k_theta=0.5),
                                      params)
-        assert (full_steps[0], len(located)) == (305, 20)  # 325 in all
+        assert (full_steps[0], len(located)) == (77, 11)  # 88 in all
         assert len(set(located)) == len(located)
         assert all(0.0 < args[4] < DEFAULT_DT for args in located)
         liftoff = next(e for e in traj.events if e.name == "liftoff")
         assert {name: v.hex() for name, v in liftoff.state.items()} == {
-            "r": "0x1.8b06cef2dad5ep-3", "r_dot": "0x1.6c55ca48a11e5p+0",
-            "theta": "-0x1.2f190f0ecc7fap-2",
-            "theta_dot": "-0x1.06e1831035f28p+3",
-            "p_theta": "-0x1.02331faa33b98p+0"}
+            "r": "0x1.8b06cef2ddad6p-3", "r_dot": "0x1.6c55ca485a132p+0",
+            "theta": "-0x1.2f190f0dff763p-2",
+            "theta_dot": "-0x1.06e18310352bfp+3",
+            "p_theta": "-0x1.02331faa36ad7p+0"}
 
     def test_applied_torque_respects_saturation(self, params):
         td = StanceState(r=0.2, r_dot=-1.7, theta=0.42, theta_dot=-3.5)

@@ -4,7 +4,6 @@ Subcommands:
     sweep <config>        grid sweep over (p_bar, k_theta), CSV/JSON out
     single <config>       chained hops from one apex, trajectory out
     fixed-point [config]  one fixed point, printed as JSON
-    validate              report the stance-kernel path and check it
 
 Config files are flat key=value lines ('#' starts a comment).
 COMMAND_KEYS declares each subcommand's keys once, with the function
@@ -13,8 +12,8 @@ and a flag overrides the file. An empty value leaves a key unset; a
 file key that no subcommand declares is a config error. Only the keys
 that are set reach the library, which supplies every other default;
 SINGLE_DEFAULTS holds the single-run gait and starting apex, which no
-library type has. Exit codes: 0 success, 2 config error, 3 all points
-failed (or a failed validate check).
+library type has. Exit codes: 0 success, 2 config error, 3 nothing
+converged.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from . import fixedpoint as fp
 from .errors import SlipError
 from .harness import (ALL_PIPELINES, SweepConfig, run_single, run_sweep,
                       solve_point, to_json)
-from .model import ApexState, ControlInputs, DEFAULT_PARAMS, StanceState
-from .simulate import HAVE_NUMBA, integrate_stance
+from .model import ApexState, ControlInputs, DEFAULT_PARAMS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,45 +202,6 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _kernel_path() -> str:
-    if not HAVE_NUMBA:
-        return "pure Python (numba not installed)"
-    import numba
-    if numba.config.DISABLE_JIT:
-        return (f"pure Python (numba {numba.__version__}, "
-                "NUMBA_DISABLE_JIT set)")
-    return f"numba JIT (numba {numba.__version__})"
-
-
-def _cmd_validate(_args: argparse.Namespace) -> int:
-    """Check the stance kernel that is active in this environment.
-
-    Every other identity (resets, flows, liftoff time, constraint roots,
-    flight energy) is pure Python and checked by the test suite.
-    """
-    print(f"stance kernel: {_kernel_path()}")
-    undamped = replace(DEFAULT_PARAMS, b=0.0)
-    td = StanceState(r=undamped.r0, r_dot=-1.4, theta=0.0, theta_dot=0.0)
-    lo, _ = integrate_stance(td, None, undamped)
-    err = abs(lo.r_dot + td.r_dot)
-    params = DEFAULT_PARAMS
-    td = StanceState(r=params.r0, r_dot=-1.5, theta=0.3, theta_dot=-4.0)
-    lo, _ = integrate_stance(td, None, params)
-    force = abs(params.k * (lo.r - params.r0) + params.b * lo.r_dot)
-    results = [
-        ("undamped vertical bounce is symmetric", err <= 1e-6,
-         f"|r_dot_lo + r_dot_td| = {err:.2e}"),
-        ("leg force vanishes at the localized liftoff",
-         force <= 1e-5 and lo.r_dot > 0.0, f"|force| = {force:.2e} N"),
-    ]
-    fails = 0
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        fails += 0 if ok else 1
-    print(f"{len(results) - fails}/{len(results)} invariants hold")
-    return EXIT_OK if fails == 0 else EXIT_ALL_FAILED
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sliphop",
@@ -260,10 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", dest=key,
                            **_FLAG_OPTIONS.get(key, {}))
         p.set_defaults(func=func)
-
-    p_val = sub.add_parser("validate",
-                           help="report and check the stance kernel")
-    p_val.set_defaults(func=_cmd_validate)
     return parser
 
 

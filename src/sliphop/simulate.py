@@ -25,9 +25,7 @@ ascend, each making the checks of the state it stands for; only the
 ApexState at the end is built, and a failed state check leaves the
 chain as a phase-tagged InvalidState. integrate_descent and
 integrate_ascent are the FlightState wrappers of descend and ascend.
-
-The stance stepper is compiled with numba when available (pure-Python
-fallback otherwise, same code path); its samples are a list of tuples.
+The stance stepper's samples are a list of tuples.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ def check_steps(dt: float, control_dt: float) -> int:
     return nsub
 
 
-# --- compiled stance stepper -------------------------------------------------
+# --- stance stepper ----------------------------------------------------------
 #
 # Butcher's 7-stage sixth-order Runge-Kutta tableau (J. C. Butcher, J.
 # Austral. Math. Soc. 4, 1964; Hairer, Norsett & Wanner, Solving ODEs I,
@@ -323,16 +321,9 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
             istep)
 
 
-try:  # pragma: no cover - exercised implicitly everywhere
-    from numba import njit
-
-    _scaled_tableau = njit(cache=True, fastmath=False)(_scaled_tableau)
-    _step = njit(cache=True, fastmath=False)(_step)
-    _locate = njit(cache=True, fastmath=False)(_locate)
-    _stance_core = njit(cache=True, fastmath=False)(_stance_core)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
+# Read only by benchmarks/run.py's have_numba environment stamp; ROADMAP
+# item 0, the next benchmark change, drops that stamp and this line.
+HAVE_NUMBA = False
 
 
 # --- trajectory containers ---------------------------------------------------

@@ -1,14 +1,13 @@
+import ast
 import csv
 import dataclasses
 import functools
-import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
-import types
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +15,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from sliphop import (ApexState, ControlInputs, InvalidState, SlipError,
-                     StanceState,
-                     SweepConfig, analytic, cli, closed_form_fixed_point,
+                     SweepConfig, analytic, closed_form_fixed_point,
                      harness, numeric_fixed_point, return_map_analytic,
                      run_single, run_sweep, simulate, simulator_return_map,
                      solve_point)
@@ -715,42 +713,7 @@ class TestCli:
         assert maps == []
         assert not (tmp_path / "out").exists()
 
-    def test_validate_command(self, capsys):
-        assert main(["validate"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == f"stance kernel: {cli._kernel_path()}"
-        assert [ln.split(":")[0] for ln in out[1:3]] == [
-            "PASS  undamped vertical bounce is symmetric",
-            "PASS  leg force vanishes at the localized liftoff"]
-        assert out[3] == "2/2 invariants hold"
 
-    def test_validate_fails_on_a_bad_liftoff(self, monkeypatch, capsys):
-        # the leg still compressed and short of the touchdown speed
-        bad = StanceState(r=0.19, r_dot=1.0, theta=0.0, theta_dot=0.0)
-        monkeypatch.setattr(cli, "integrate_stance",
-                            lambda td, inputs, params: (bad, None))
-        assert main(["validate"]) == 3
-        out = capsys.readouterr().out
-        assert out.count("FAIL  ") == 2
-        assert out.endswith("0/2 invariants hold\n")
-
-    @pytest.mark.parametrize("have,disable,want", [
-        (False, False, "pure Python (numba not installed)"),
-        (True, False, "numba JIT (numba 0.60.0)"),
-        (True, True, "pure Python (numba 0.60.0, NUMBA_DISABLE_JIT set)"),
-    ])
-    def test_kernel_path_names_the_active_kernel(self, monkeypatch, have,
-                                                 disable, want):
-        fake = types.SimpleNamespace(
-            __version__="0.60.0",
-            config=types.SimpleNamespace(DISABLE_JIT=disable))
-        monkeypatch.setitem(sys.modules, "numba", fake)
-        monkeypatch.setattr(cli, "HAVE_NUMBA", have)
-        assert cli._kernel_path() == want
-
-
-@pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
-                    reason="numba imports numpy")
 def test_package_runs_on_the_standard_library():
     code = textwrap.dedent("""
         import sys
@@ -770,3 +733,29 @@ def test_package_runs_on_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _non_stdlib_imports(path):
+    """(line, module) of every absolute import in the file whose top-level
+    module is not in the standard library, nested ones included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    # static, so an optional dependency guarded by try/except ImportError
+    # is caught whether or not it is installed
+    package = Path(harness.__file__).resolve().parent
+    offenders = {path.name: found
+                 for path in sorted(package.glob("*.py"))
+                 if (found := _non_stdlib_imports(path))}
+    assert offenders == {}

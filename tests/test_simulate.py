@@ -293,8 +293,6 @@ class TestIntegrateStance:
         assert (lo.r, lo.r_dot, lo.theta, lo.theta_dot) == step(prev, hi_h)
         assert force(step(prev, hi_h)) <= 1e-10
 
-    @pytest.mark.skipif(simulate.HAVE_NUMBA,
-                        reason="counts calls of the pure-Python step")
     def test_event_location_repeats_no_step(self, params, monkeypatch):
         # one recorded hop takes 88 steps: the stance loop's full
         # steps, which the kernel counts, and _locate's sub-steps, each

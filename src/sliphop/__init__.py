@@ -23,8 +23,7 @@ from .errors import (DegenerateQuadratic, DescendingAtLiftoff, FailedLiftoff,
 from .model import (ApexState, ControlInputs, DEFAULT_PARAMS, FlightState,
                     SlipParams, StanceState, flight_to_stance,
                     stance_to_flight)
-from .control import (AoaSolution, solve_aoa_approx, solve_aoa_implicit,
-                      vertical_energy)
+from .control import solve_aoa_approx, solve_aoa_implicit, vertical_energy
 from .simulate import (HybridTrajectory, StanceSegment, TrajectoryEvent,
                        TrajectorySample, integrate_ascent, integrate_descent,
                        integrate_stance, return_map_numeric)

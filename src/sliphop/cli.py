@@ -40,8 +40,10 @@ class ConfigError(Exception):
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value file; '#' comments and blank lines ignored."""
+    """Flat key=value file; '#' comments and blank lines ignored. A key
+    set twice is an error."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -50,8 +52,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, "
                               f"got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set "
+                              f"on line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value
     return values
 
 

@@ -1,12 +1,14 @@
-"""Touchdown-angle selection.
+"""Angle-of-attack solvers.
 
 The touchdown policy aligns most of the touchdown velocity with the leg
-axis: the commanded angle is theta_td = k_theta * theta_aoa where
-theta_aoa solves the implicit constraint
+axis: the commanded angle is theta_td = k_theta * theta_aoa, formed in
+simulate.compose_return_map alone, where theta_aoa solves the implicit
+constraint
 
     theta = Phi(theta) = atan( x_dot / sqrt(2*E_v/m - 2*g*r0*cos(k_theta*theta)) )
 
-with E_v the vertical energy at touchdown. The stance policy is a PID
+with E_v the vertical energy at touchdown. Both solvers here return the
+signed theta_aoa as a float. The stance policy is a PID
 plus gravity feed-forward on the angular momentum p_theta = m*r^2*theta_dot;
 it runs inside the stance kernel (simulate._stance_core), which keeps its
 integral and previous momentum sample in locals.
@@ -15,7 +17,6 @@ integral and previous momentum sample in locals.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import InsufficientEnergy, NoConvergence, NonPhysical
 from .model import ApexState, SlipParams
@@ -26,23 +27,6 @@ AOA_MAX_ITER = 200
 # Stay off theta = pi/2: Phi is undefined there and a horizontal leg is
 # not a gait.
 AOA_THETA_MAX = 0.99 * math.pi / 2.0
-
-
-class AoaSolution(NamedTuple):
-    """Solved angle of attack and the commanded touchdown angle.
-
-    Built once per hop, so it is an immutable named tuple, which is
-    cheaper to build than a frozen dataclass. residual is
-    |Phi(theta_aoa) - theta_aoa|; iterations counts fixed-point sweeps
-    (0 when the solver fell through to bisection, and always 0 for the
-    quadratic approximation).
-    """
-
-    theta_aoa: float
-    theta_td: float
-    method: str  # "implicit" | "quadratic-approx"
-    residual: float
-    iterations: int = 0
 
 
 def vertical_energy(apex: ApexState, params: SlipParams) -> float:
@@ -66,7 +50,7 @@ def _phi(theta: float, x_dot: float, e_v: float, k_theta: float,
 
 
 def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
-                       params: SlipParams) -> AoaSolution:
+                       params: SlipParams) -> float:
     """Solve theta = Phi(theta) for the angle of attack.
 
     Fixed-point iteration from the edge of Phi's domain (to AOA_TOL, at
@@ -77,7 +61,7 @@ def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
     (0, 0.99*pi/2], NoConvergence if the backstop cannot bracket a root.
     """
     if x_dot == 0.0:
-        return AoaSolution(0.0, 0.0, "implicit", 0.0, 0)
+        return 0.0
     sign = 1.0 if x_dot > 0.0 else -1.0
     ax = abs(x_dot)
 
@@ -96,14 +80,13 @@ def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
         lo = math.nextafter(lo, math.inf)
 
     theta = lo
-    for it in range(1, AOA_MAX_ITER + 1):
+    for _ in range(AOA_MAX_ITER):
         try:
             nxt = _phi(theta, ax, e_v, k_theta, params)
         except InsufficientEnergy:
             break  # iterate left the domain; bisection handles it
         if abs(nxt - theta) <= AOA_TOL:
-            return AoaSolution(sign * nxt, k_theta * sign * nxt,
-                               "implicit", abs(nxt - theta), it)
+            return sign * nxt
         theta = nxt
 
     # bisection backstop on g(theta) = Phi(theta) - theta
@@ -129,12 +112,11 @@ def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
     res = abs(_phi(theta, ax, e_v, k_theta, params) - theta)
     if res > AOA_TOL:
         raise NoConvergence(f"bisection residual {res:.3e} > {AOA_TOL:.1e}")
-    return AoaSolution(sign * theta, k_theta * sign * theta,
-                       "implicit", res, 0)
+    return sign * theta
 
 
 def solve_aoa_approx(x_dot: float, e_v: float, k_theta: float,
-                     params: SlipParams) -> AoaSolution:
+                     params: SlipParams) -> float:
     """Closed-form quadratic approximation of the angle of attack.
 
     Expanding atan(z) ~ pi/4*z and cos(t) ~ 1 - t^2/2 turns the
@@ -142,14 +124,16 @@ def solve_aoa_approx(x_dot: float, e_v: float, k_theta: float,
 
         a = 16*g*r0,  b = 16*(2*E_v/m - 2*g*r0),  c = -x_dot^2*pi^2,
 
-    whose positive root is mapped once through Phi. Sign handling is
-    automatic (Phi carries the sign of x_dot). Raises NegativeDiscriminant
-    if the quadratic breaks, InsufficientEnergy if the mapped angle lies
-    outside Phi's domain, NonPhysical if the root overflows to infinity
-    (an apex height near the float range).
+    whose positive root theta0 is mapped once through Phi: the result is
+    Phi(theta0), with the sign of x_dot. Raises NegativeDiscriminant if
+    the quadratic breaks, InsufficientEnergy if its root is negative or
+    Phi is undefined at theta0, NonPhysical if the root overflows to
+    infinity (an apex height near the float range). Phi is not evaluated
+    at the result: a result outside Phi's domain commands a touchdown
+    height above the apex, which fails in descent (UnreachableTouchdown).
     """
     if x_dot == 0.0:
-        return AoaSolution(0.0, 0.0, "quadratic-approx", 0.0)
+        return 0.0
     a = 16.0 * params.g * params.r0
     b = 16.0 * (2.0 * e_v / params.m - 2.0 * params.g * params.r0)
     c = -x_dot * x_dot * math.pi * math.pi
@@ -157,7 +141,4 @@ def solve_aoa_approx(x_dot: float, e_v: float, k_theta: float,
     if q_plus < 0.0:
         raise InsufficientEnergy(
             f"quadratic approximation gave theta^2 = {q_plus:.3e} < 0")
-    theta0 = math.sqrt(q_plus)
-    theta = _phi(theta0, x_dot, e_v, k_theta, params)
-    res = abs(_phi(theta, x_dot, e_v, k_theta, params) - theta)
-    return AoaSolution(theta, k_theta * theta, "quadratic-approx", res)
+    return _phi(math.sqrt(q_plus), x_dot, e_v, k_theta, params)

@@ -16,7 +16,9 @@ without a call per step, and the event locator calls it for sub-steps.
 Flight is ballistic and handled in closed form.
 compose_return_map chains touchdown-angle selection, descent, the
 touchdown reset, stance, the liftoff reset and ascent into an
-apex-to-apex map and tags failures with their phase; the simulator map
+apex-to-apex map and tags failures with their phase. It is the one
+place the touchdown law theta_td = k_theta * theta_aoa is written; the
+angle-of-attack solvers return theta_aoa alone. The simulator map
 (return_map_numeric) and the analytic map (analytic.return_map_analytic)
 differ only in the angle solver and the stance map they pass it. The
 chain passes plain floats from phase to phase through the float laws
@@ -34,7 +36,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
-from .control import AoaSolution, solve_aoa_implicit, vertical_energy
+from .control import solve_aoa_implicit, vertical_energy
 from .errors import (DescendingAtLiftoff, FailedLiftoff, GroundFault,
                      InvalidState, SlipError, UnreachableTouchdown)
 from .model import (ApexState, ControlInputs, FlightState, SlipParams,
@@ -490,12 +492,14 @@ StanceMap = Callable[[float, float, float, ControlInputs, SlipParams],
 
 def compose_return_map(apex: ApexState, inputs: ControlInputs,
                        params: SlipParams,
-                       solve_aoa: Callable[..., AoaSolution],
+                       solve_aoa: Callable[..., float],
                        stance_map: StanceMap) -> ApexState:
     """One hop from apex to apex, the chain every return map shares.
 
-    solve_aoa(x_dot, E_v, k_theta, params) picks the touchdown angle from
-    the vertical energy at apex; descent, the touchdown reset, the
+    solve_aoa(x_dot, E_v, k_theta, params) returns the signed angle of
+    attack theta_aoa for the vertical energy at apex, and the touchdown
+    law is written here, once: the commanded touchdown angle is
+    theta_td = k_theta * theta_aoa. Descent, the touchdown reset, the
     liftoff reset and ascent are exact; stance_map(r_dot, theta,
     theta_dot, inputs, params) takes the touchdown leg state (at rest
     length r0) to the liftoff state (r, r_dot, theta, theta_dot). The
@@ -507,8 +511,8 @@ def compose_return_map(apex: ApexState, inputs: ControlInputs,
     """
     phase = "aoa"
     try:
-        theta_td = solve_aoa(apex.x_dot, vertical_energy(apex, params),
-                             inputs.k_theta, params).theta_td
+        theta_td = inputs.k_theta * solve_aoa(
+            apex.x_dot, vertical_energy(apex, params), inputs.k_theta, params)
         phase = "descent"
         x_dot, y, y_dot = descend(apex, theta_td, params)
         phase = "touchdown"

@@ -35,9 +35,9 @@ from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
                      Overdamped, SlipError, SlipParams, StanceState,
                      TouchdownMismatch, UnreachableTouchdown)
 from sliphop.analytic import StanceFlowCoeffs
-from sliphop.control import (AOA_MAX_ITER, AOA_THETA_MAX, AOA_TOL,
-                             AoaSolution, _phi, solve_aoa_approx,
-                             solve_aoa_implicit, vertical_energy)
+from sliphop.control import (AOA_MAX_ITER, AOA_THETA_MAX, AOA_TOL, _phi,
+                             solve_aoa_approx, solve_aoa_implicit,
+                             vertical_energy)
 from sliphop.model import TOUCHDOWN_TOL, polar_to_cartesian
 from sliphop.simulate import (_STATUS_GROUND, _STATUS_LIFTOFF,
                               _STATUS_NO_LIFTOFF, DEFAULT_CONTROL_DT,
@@ -354,11 +354,11 @@ def _write_csv(path, header, rows) -> None:
 
 
 def solve_aoa_200_halvings(x_dot: float, e_v: float, k_theta: float,
-                           params: SlipParams) -> AoaSolution:
+                           params: SlipParams) -> float:
     """control.solve_aoa_implicit as it was when its bisection backstop
     halved the bracket a fixed 200 times."""
     if x_dot == 0.0:
-        return AoaSolution(0.0, 0.0, "implicit", 0.0, 0)
+        return 0.0
     sign = 1.0 if x_dot > 0.0 else -1.0
     ax = abs(x_dot)
 
@@ -377,14 +377,13 @@ def solve_aoa_200_halvings(x_dot: float, e_v: float, k_theta: float,
         lo = math.nextafter(lo, math.inf)
 
     theta = lo
-    for it in range(1, AOA_MAX_ITER + 1):
+    for _ in range(AOA_MAX_ITER):
         try:
             nxt = _phi(theta, ax, e_v, k_theta, params)
         except InsufficientEnergy:
             break  # iterate left the domain; bisection handles it
         if abs(nxt - theta) <= AOA_TOL:
-            return AoaSolution(sign * nxt, k_theta * sign * nxt,
-                               "implicit", abs(nxt - theta), it)
+            return sign * nxt
         theta = nxt
 
     # bisection backstop on g(theta) = Phi(theta) - theta
@@ -410,8 +409,7 @@ def solve_aoa_200_halvings(x_dot: float, e_v: float, k_theta: float,
     res = abs(_phi(theta, ax, e_v, k_theta, params) - theta)
     if res > AOA_TOL:
         raise NoConvergence(f"bisection residual {res:.3e} > {AOA_TOL:.1e}")
-    return AoaSolution(sign * theta, k_theta * sign * theta,
-                       "implicit", res, 0)
+    return sign * theta
 
 
 # --- the apex maps as a chain of dataclass states -----------------------------
@@ -486,8 +484,8 @@ def _integrate_ascent(lo: FlightState, params: SlipParams) -> ApexState:
 def _compose_return_map(apex, inputs, params, solve_aoa, stance_map):
     phase = "aoa"
     try:
-        theta_td = solve_aoa(apex.x_dot, vertical_energy(apex, params),
-                             inputs.k_theta, params).theta_td
+        theta_td = inputs.k_theta * solve_aoa(
+            apex.x_dot, vertical_energy(apex, params), inputs.k_theta, params)
         phase = "descent"
         f_td = _integrate_descent(apex, theta_td, params)
         phase = "touchdown"

@@ -119,7 +119,7 @@ def test_criterion_3_aoa_approximation(sweep_report):
         except SlipError:
             broken += 1
             continue
-        errors.append(abs(approx.theta_aoa - implicit.theta_aoa))
+        errors.append(abs(approx - implicit))
     worst = max(errors)
     mean = sum(errors) / len(errors)
     ok = worst <= AOA_MAX_BOUND and mean <= AOA_MEAN_BOUND

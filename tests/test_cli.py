@@ -219,6 +219,17 @@ def test_cli_hands_the_library(case, calls, tmp_path, capsys):
     assert (rc, out, err) == (want_rc, want_out, want_err)
 
 
+def test_key_set_twice_is_a_config_error(calls, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("p_bar_count = 2\n# grid\nk_theta_count = 1\n"
+                    "p_bar_count = 3\n")
+    rc = cli.main(["sweep", str(path)])
+    assert calls == []
+    assert (rc, *capsys.readouterr()) == (
+        2, "", f"config error: {path}:4: key 'p_bar_count' already set on "
+        "line 1\n")
+
+
 def _readme_config(tmp_path) -> dict[str, str]:
     """The README's fenced key=value block, parsed as a config file."""
     blocks = re.findall(r"^```\w*\n(.*?)^```$", README.read_text(),

@@ -5,8 +5,9 @@ from hypothesis import example, given, strategies as st
 
 from sliphop import (DEFAULT_PARAMS, ApexState, ControlInputs,
                      InsufficientEnergy, NonPhysical, SlipError, SlipParams,
-                     StanceState, control, return_map_analytic,
-                     solve_aoa_approx, solve_aoa_implicit)
+                     StanceState, UnreachableTouchdown, control,
+                     return_map_analytic, solve_aoa_approx,
+                     solve_aoa_implicit)
 from sliphop.numerics import quadratic_roots
 
 from _oracles import (PidState, hip_torque, pid_at_touchdown,
@@ -20,38 +21,50 @@ def _solution_or_error(solver, *args):
         return type(err), str(err)
 
 
+def _residual(theta, x_dot, e_v, k_theta, params):
+    """|Phi(theta) - theta| for a signed angle of attack."""
+    return abs(control._phi(theta, x_dot, e_v, k_theta, params) - theta)
+
+
+def _count_phi(monkeypatch):
+    """Record the arguments of every control._phi call."""
+    phi, calls = control._phi, []
+    monkeypatch.setattr(control, "_phi",
+                        lambda *args: calls.append(args) or phi(*args))
+    return calls
+
+
 class TestImplicitSolver:
     def test_zero_speed_is_fixed_point(self, params):
-        sol = solve_aoa_implicit(0.0, 10.0, 0.5, params)
-        assert sol.theta_aoa == 0.0
-        assert sol.theta_td == 0.0
+        theta = solve_aoa_implicit(0.0, 10.0, 0.5, params)
+        assert type(theta) is float and theta == 0.0
 
-    def test_k_theta_zero_converges_in_one_step(self, params):
+    def test_k_theta_zero_converges_in_one_step(self, params, monkeypatch):
         # cos(0) = 1 decouples the constraint
         e_v = params.m * params.g * 0.3
-        sol = solve_aoa_implicit(1.2, e_v, 0.0, params)
+        calls = _count_phi(monkeypatch)
+        theta = solve_aoa_implicit(1.2, e_v, 0.0, params)
         expect = math.atan(1.2 / math.sqrt(
             2.0 * e_v / params.m - 2.0 * params.g * params.r0))
-        assert sol.theta_aoa == pytest.approx(expect, abs=1e-12)
+        assert theta == pytest.approx(expect, abs=1e-12)
         # one productive update plus the confirming sweep
-        assert sol.iterations <= 2
-        assert sol.residual == 0.0
+        assert len(calls) <= 2
+        assert _residual(theta, 1.2, e_v, 0.0, params) == 0.0
 
     def test_against_bisection_oracle(self, params):
         # frozen root of Phi(theta) - theta = 0 on (0, pi/2), bisection
         e_v = params.m * params.g * 0.25
-        sol = solve_aoa_implicit(1.5, e_v, 0.6, params)
-        assert sol.theta_aoa == pytest.approx(0.8830002814664268, abs=1e-9)
-        assert sol.theta_td == pytest.approx(0.6 * sol.theta_aoa, abs=0)
-        assert sol.residual <= 1e-10
+        theta = solve_aoa_implicit(1.5, e_v, 0.6, params)
+        assert theta == pytest.approx(0.8830002814664268, abs=1e-9)
+        assert _residual(theta, 1.5, e_v, 0.6, params) <= 1e-10
 
     def test_low_apex_still_solvable(self, params):
         # apex below r0: iterating from 0 is outside Phi's domain but a
         # valid angle exists at larger theta
         e_v = params.m * params.g * 0.19
-        sol = solve_aoa_implicit(2.5, e_v, 0.5, params)
-        assert sol.residual <= 1e-10
-        assert params.r0 * math.cos(sol.theta_td) < 0.19
+        theta = solve_aoa_implicit(2.5, e_v, 0.5, params)
+        assert _residual(theta, 2.5, e_v, 0.5, params) <= 1e-10
+        assert params.r0 * math.cos(0.5 * theta) < 0.19
 
     def test_insufficient_energy(self, params):
         # k_theta = 0 and apex below r0: radicand can never go positive
@@ -69,11 +82,11 @@ class TestImplicitSolver:
         e_v = params.m * params.g * apex_y
         pos = solve_aoa_implicit(x_dot, e_v, k_theta, params)
         neg = solve_aoa_implicit(-x_dot, e_v, k_theta, params)
-        assert neg.theta_aoa == pytest.approx(-pos.theta_aoa, abs=1e-12)
+        assert neg == pytest.approx(-pos, abs=1e-12)
 
     def test_monotone_in_x_dot(self, params):
         e_v = params.m * params.g * 0.3
-        angles = [solve_aoa_implicit(x, e_v, 0.6, params).theta_aoa
+        angles = [solve_aoa_implicit(x, e_v, 0.6, params)
                   for x in (0.0, 0.4, 0.8, 1.2, 1.6, 2.0, 2.4)]
         assert all(b > a for a, b in zip(angles, angles[1:]))
 
@@ -88,38 +101,52 @@ class TestImplicitSolver:
 
     def test_bisection_stops_when_its_bracket_stops_shrinking(
             self, params, monkeypatch):
-        phi, calls = control._phi, []
-        monkeypatch.setattr(control, "_phi",
-                            lambda *args: calls.append(args) or phi(*args))
-        sol = solve_aoa_implicit(2.5, params.m * params.g * 0.19, 0.3,
-                                 params)
-        assert sol.iterations == 0  # solved by the bisection backstop
+        e_v = params.m * params.g * 0.19
+        calls = _count_phi(monkeypatch)
+        theta = solve_aoa_implicit(2.5, e_v, 0.3, params)
+        # solved by the bisection backstop: only its bracket check
+        # evaluates Phi at the top of the admissible interval
+        assert [args[0] for args in calls].count(control.AOA_THETA_MAX) == 1
         assert len(calls) <= 64  # 204 with a fixed 200 halvings
+        assert _residual(theta, 2.5, e_v, 0.3, params) <= control.AOA_TOL
 
 
 class TestApproxSolver:
     def test_zero_speed(self, params):
-        sol = solve_aoa_approx(0.0, 10.0, 0.5, params)
-        assert sol.theta_aoa == 0.0
-        assert sol.method == "quadratic-approx"
+        theta = solve_aoa_approx(0.0, 10.0, 0.5, params)
+        assert type(theta) is float and theta == 0.0
 
     def test_against_implicit(self, params):
         e_v = params.m * params.g * 0.25
         approx = solve_aoa_approx(1.5, e_v, 0.6, params)
         implicit = solve_aoa_implicit(1.5, e_v, 0.6, params)
         # quadratic approximation error, well inside the documented band
-        assert abs(approx.theta_aoa - implicit.theta_aoa) <= 0.12
+        assert abs(approx - implicit) <= 0.12
 
     def test_sign_follows_x_dot(self, params):
         e_v = params.m * params.g * 0.3
-        assert solve_aoa_approx(-1.0, e_v, 0.5, params).theta_aoa < 0.0
+        assert solve_aoa_approx(-1.0, e_v, 0.5, params) < 0.0
 
     def test_k_theta_zero_matches_closed_form(self, params):
         e_v = params.m * params.g * 0.3
-        sol = solve_aoa_approx(0.9, e_v, 0.0, params)
+        theta = solve_aoa_approx(0.9, e_v, 0.0, params)
         denom = math.sqrt(2.0 * e_v / params.m - 2.0 * params.g * params.r0)
-        assert sol.theta_aoa == pytest.approx(math.atan(0.9 / denom),
-                                              abs=1e-12)
+        assert theta == pytest.approx(math.atan(0.9 / denom), abs=1e-12)
+
+    def test_one_phi_evaluation(self, params, monkeypatch):
+        calls = _count_phi(monkeypatch)
+        solve_aoa_approx(1.5, params.m * params.g * 0.25, 0.6, params)
+        assert len(calls) == 1
+
+    def test_angle_outside_phi_domain_fails_in_descent(self):
+        # Phi(theta0) lands where Phi's radicand is negative: the
+        # commanded touchdown height lies above the apex, which the
+        # descent phase reports
+        apex = ApexState(5.485395377522723, 0.015652038155888996)
+        inputs = ControlInputs(-1.0, 0.7836552326153898)
+        with pytest.raises(UnreachableTouchdown) as exc:
+            return_map_analytic(apex, inputs, DEFAULT_PARAMS)
+        assert exc.value.phase == "descent"
 
     def test_overflowing_angle_is_a_tagged_failure(self, params):
         # at an absurd apex height the quadratic's root overflows to inf,

@@ -13,11 +13,13 @@ phase it failed in.
 import dataclasses
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sliphop import (ApexState, ControlInputs, InvalidState, StanceState,
                      analytic, flow_coeffs, liftoff_time, return_map_analytic,
-                     simulator_return_map, stance_flow, stance_map_analytic)
+                     simulate, simulator_return_map, stance_flow,
+                     stance_map_analytic)
 
 from sliphop.model import StateCheckError
 
@@ -92,6 +94,28 @@ def test_simulator_map_matches_the_dataclass_chain(params, apex, gait):
         _outcome(simulator_return_map, apex, gait, params, **_SIM_STEPS),
         _outcome(reference_return_map_numeric, apex, gait, params,
                  **_SIM_STEPS))
+
+
+class _Stop(Exception):
+    """Ends a hop at stance, once the stance map has seen its input."""
+
+
+@given(angle=st.floats(-1.5, 1.5), k_theta=st.floats(0.0, 1.0))
+@example(angle=-0.8830002814664268, k_theta=0.7836552326153898)
+def test_chain_commands_k_theta_times_the_angle(params, angle, k_theta):
+    # the touchdown law is written once, in compose_return_map: the stance
+    # map gets k_theta times the solver's angle of attack, bit for bit
+    seen = []
+
+    def stance_map(r_dot, theta, theta_dot, inputs, params):
+        seen.append(theta)
+        raise _Stop
+
+    inputs = ControlInputs(-1.0, k_theta)
+    with pytest.raises(_Stop):
+        simulate.compose_return_map(ApexState(1.0, 0.3), inputs, params,
+                                    lambda *args: angle, stance_map)
+    assert _bits(seen[0]) == _bits(k_theta * angle)
 
 
 _TOUCHDOWN = st.builds(StanceState, st.floats(0.05, 0.4),

@@ -192,13 +192,13 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
         print(to_json({"status": type(err).__name__, "phase": err.phase,
                        "message": str(err)}), end="")
         return EXIT_ALL_FAILED
+    rho_known = not math.isnan(result.spectral_radius)
     doc = {
         "status": "converged",
         "pipeline": result.provenance,
         "apex": asdict(result.apex),
-        "spectral_radius": None if math.isnan(result.spectral_radius)
-        else result.spectral_radius,
-        "stable": result.stable,
+        "spectral_radius": result.spectral_radius if rho_known else None,
+        "stable": result.stable if rho_known else None,
         "residual": None if math.isnan(result.residual) else result.residual,
         "newton_steps": result.newton_steps,
     }

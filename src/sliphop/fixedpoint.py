@@ -50,7 +50,8 @@ class FixedPointResult:
     """A gait fixed point with its local stability information.
 
     jacobian/spectral_radius are NaN-filled when the return map could
-    not be evaluated around the apex point (stable is then False);
+    not be evaluated around the apex point (stable is then False, and
+    the output writers report the verdict as unknown);
     residual is the infinity norm of P(z*) - z* under the map that
     produced (or checked) the point.
     """

@@ -9,13 +9,16 @@ errors between pipelines (RMS and percent RMS of the apex speed and
 height).
 
 Output files are deterministic: fixed column order, fixed grid order.
-Every CSV goes through _write_csv, which formats each row with one %
-string cached by its cell types (9-significant-digit floats, "" for
-None and NaN, CRLF line ends); every JSON document, the CLI's
-included, goes through to_json. A trajectory.csv row is a
-TrajectorySample and a hops.csv row a HopSummary, whose fields are the
-columns; the JSON objects of parameters, control inputs and apex states
-are their dataclass fields.
+Every CSV goes through _write_csv, which formats each row with the %
+string of its cell types (9-significant-digit floats, "" for None and
+NaN, CRLF line ends), and trajectory.csv a phase's run of rows with
+one % at a time; every JSON document, the CLI's included, goes through
+to_json. A trajectory.csv row is a TrajectorySample and a hops.csv row
+a HopSummary, whose fields are the columns; the JSON objects of
+parameters, control inputs and apex states are their dataclass fields.
+
+Importing this module loads no process pool and no statistics module:
+run_sweep imports the pool only when it runs more than one worker.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, replace
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
-from statistics import fmean
 from typing import NamedTuple
 
 from . import fixedpoint as fp
@@ -248,6 +251,12 @@ def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
     return rows
 
 
+def _mean(xs: list[float]) -> float:
+    """statistics.fmean of a non-empty list, bit for bit, without
+    importing statistics (and with it fractions, decimal and random)."""
+    return math.fsum(xs) / len(xs)
+
+
 def _error_stats(report: SweepReport) -> list[ErrorStats]:
     pairs = [(fp.CLOSED_FORM, fp.SIMULATOR_NUMERIC),
              (fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC),
@@ -266,9 +275,9 @@ def _error_stats(report: SweepReport) -> list[ErrorStats]:
             dr = [getattr(ref[k].apex, qty) for k in keys]
             err = [getattr(pred[k].apex, qty) - r for k, r in zip(keys, dr)]
             rel = [e / r for e, r in zip(err, dr)]
-            rms = math.sqrt(fmean(e * e for e in err))
-            pct = 100.0 * math.sqrt(fmean(q * q for q in rel))
-            over_mean = 100.0 * rms / fmean(map(abs, dr))
+            rms = math.sqrt(_mean([e * e for e in err]))
+            pct = 100.0 * math.sqrt(_mean([q * q for q in rel]))
+            over_mean = 100.0 * rms / _mean([abs(r) for r in dr])
             stats.append(ErrorStats(pred_name, ref_name, qty, len(keys),
                                     rms, pct, over_mean))
     return stats
@@ -288,6 +297,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     p_bars = cfg.p_bar_values()
     if cfg.workers > 1 and len(p_bars) > 1:
+        # imported here: the pool loads multiprocessing and threading,
+        # which a serial sweep never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             per_row = list(pool.map(_sweep_row, [cfg] * len(p_bars), p_bars))
     else:
@@ -389,7 +401,7 @@ def _plain(v):
     return None if v != v else v
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, rows, run_key=None) -> None:
     """Write the header, then each row (a tuple) as one % format of its
     cells: floats to 9 significant digits, None and NaN empty, lines
     ended by CRLF.
@@ -398,27 +410,45 @@ def _write_csv(path, header, rows) -> None:
     type (a bool, say) raises KeyError. A row whose text shows a NaN
     ("nan") is formatted again from its _plain cells. Cells are not
     quoted, so no string cell may hold a comma, a quote or a line break.
+
+    With run_key, consecutive rows of equal run_key form a run, and a
+    run whose cells all have its first row's types is formatted with one
+    % of that row's format repeated. A run whose types differ or whose
+    text shows "nan" is written row by row as above, so the bytes are
+    the same either way; run_key only sets how long the runs are.
     """
     formats = {}
 
-    def line(row) -> str:
-        key = tuple(map(type, row))
-        fmt = formats.get(key)
+    def format_of(types) -> str:
+        fmt = formats.get(types)
         if fmt is None:
-            fmt = formats[key] = ",".join(map(_CELL_FORMATS.__getitem__,
-                                              key)) + "\r\n"
-        return fmt % row
+            fmt = formats[types] = ",".join(map(_CELL_FORMATS.__getitem__,
+                                                types)) + "\r\n"
+        return fmt
 
-    def lines():
-        yield line(header)
+    def row_lines(rows):
         for row in rows:
-            text = line(row)
+            text = format_of(tuple(map(type, row))) % row
             if "nan" in text:
-                text = line(tuple(map(_plain, row)))
+                row = tuple(map(_plain, row))
+                text = format_of(tuple(map(type, row))) % row
             yield text
 
+    def run_lines():
+        for _, run in groupby(rows, run_key):
+            run = list(run)
+            cells = tuple(chain.from_iterable(run))
+            types = tuple(map(type, run[0]))
+            if tuple(map(type, cells)) == types * len(run):
+                text = format_of(types) * len(run) % cells
+                if "nan" not in text:
+                    yield text
+                    continue
+            yield from row_lines(run)
+
     with open(path, "w", newline="") as fh:
-        fh.writelines(lines())
+        fh.writelines(row_lines([header]))
+        fh.writelines(row_lines(rows) if run_key is None else run_lines())
 
 
 def to_json(doc) -> str:
@@ -427,16 +457,23 @@ def to_json(doc) -> str:
 
 
 def _result_cells(r: fp.FixedPointResult | None) -> tuple:
-    """The sweep.csv cells of one result, None for a failed cell."""
+    """The sweep.csv cells of one result, None for a failed cell; stable
+    is None (unknown) where the spectral radius is NaN."""
     if r is None:
         return (None,) * 5
-    return (r.apex.x_dot, r.apex.y, r.spectral_radius,
-            "true" if r.stable else "false", r.residual)
+    stable = (None if r.spectral_radius != r.spectral_radius
+              else "true" if r.stable else "false")
+    return (r.apex.x_dot, r.apex.y, r.spectral_radius, stable, r.residual)
 
 
 def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
-    """Write the 1 kHz sample rows; 9 significant digits, '.' decimal."""
-    _write_csv(path, TrajectorySample._fields, traj.samples)
+    """Write the 1 kHz sample rows; 9 significant digits, '.' decimal.
+
+    A sample's phase fixes which of its cells are None, so each phase's
+    run of rows is formatted at once.
+    """
+    _write_csv(path, TrajectorySample._fields, traj.samples,
+               run_key=itemgetter(1))
 
 
 def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -200,6 +201,23 @@ class TestRunSweep:
         assert row["status"] == "converged"
         assert row["stable"] in ("true", "false")
 
+    def test_unknown_stability_is_written_empty(self, params, tmp_path):
+        # the default grid's cell (-1.3842..., 0.3): the analytic map
+        # cannot hop from the closed-form apex, so rho is NaN
+        p_bar = harness._grid(-1.55, -0.5, 20)[3]
+        report = run_sweep(SweepConfig(
+            params=params, p_bar_range=(p_bar, p_bar, 1),
+            k_theta_range=(0.3, 0.75, 2), pipelines=(CLOSED_FORM,),
+            out_dir=str(tmp_path)))
+        unknown, known = (o.result for o in report.outcomes)
+        assert math.isnan(unknown.spectral_radius) and not unknown.stable
+        assert known.spectral_radius < 1.0 and known.stable
+        header, *rows = _read_csv(tmp_path / "sweep.csv")
+        cells = [dict(zip(header, row)) for row in rows]
+        assert [c["status"] for c in cells] == ["converged"] * 2
+        assert [(c["spectral_radius"] == "", c["stable"]) for c in cells] \
+            == [(True, ""), (False, "true")]
+
     def test_chained_seed_failure_retries_from_closed_form(self, params,
                                                            monkeypatch):
         cfg = SweepConfig(params=params, p_bar_range=(-1.0, -1.0, 1),
@@ -394,12 +412,26 @@ def _subclasses(cls):
 # generated rows have at least 2.
 _CSV_STRINGS = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
                        "0123456789_@.-")
-_CSV_CELLS = st.one_of(
-    st.floats(),
-    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324,
-                     -2.2250738585072014e-308, 1e300, -1e300]),
+# one strategy per cell type, since a row's format is picked by its types
+_CSV_CELL_KINDS = (
+    st.one_of(st.floats(),
+              st.sampled_from([math.nan, -math.nan, math.inf, -math.inf,
+                               -0.0, 5e-324, -2.2250738585072014e-308, 1e300,
+                               -1e300])),
     st.integers(), st.none(), _CSV_STRINGS)
-_CSV_ROWS = st.lists(_CSV_CELLS, min_size=2, max_size=12).map(tuple)
+_CSV_ROWS = st.lists(st.one_of(*_CSV_CELL_KINDS), min_size=2,
+                     max_size=12).map(tuple)
+# consecutive runs of rows that share their cell types, as the phases of
+# trajectory.csv do
+_CSV_RUNS = st.lists(
+    st.lists(st.sampled_from(_CSV_CELL_KINDS), min_size=2, max_size=12)
+    .flatmap(lambda kinds: st.lists(st.tuples(*kinds), min_size=1,
+                                    max_size=8)),
+    max_size=5).map(lambda runs: [row for run in runs for row in run])
+
+
+def _cell_types(row):
+    return tuple(map(type, row))
 
 
 class TestCsvWriter:
@@ -407,13 +439,20 @@ class TestCsvWriter:
     cell through csv.writer."""
 
     @given(header=st.lists(_CSV_STRINGS, min_size=2, max_size=12).map(tuple),
-           rows=st.lists(_CSV_ROWS, max_size=20))
+           rows=st.one_of(st.lists(_CSV_ROWS, max_size=20), _CSV_RUNS))
+    @example(header=("a", "b", "c"),  # a NaN run between two clean ones
+             rows=[(1.0, 2, "x"), (3.0, 4, "y"), (math.nan, 5, "z"),
+                   (6.0, 7, "w"), (8.0, 9, "v"), (0.5, 1, "u")])
     def test_matches_the_reference_writer(self, tmp_path_factory, header,
                                           rows):
         out = tmp_path_factory.mktemp("csv")
-        harness._write_csv(out / "new.csv", header, rows)
         reference_write_csv(out / "ref.csv", header, rows)
-        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+        # row by row; in runs of equal cell types; and in runs of equal
+        # length, whose types may differ
+        for run_key in (None, _cell_types, len):
+            harness._write_csv(out / "new.csv", header, rows, run_key)
+            assert (out / "new.csv").read_bytes() == (
+                out / "ref.csv").read_bytes(), run_key
 
     @pytest.mark.parametrize("cell", [True, False])
     def test_bool_cell_raises(self, tmp_path, cell):
@@ -423,16 +462,33 @@ class TestCsvWriter:
                                [(1.0, cell)])
 
     def test_trajectory_matches_the_reference_writer(self, params, tmp_path):
-        report = run_single(ApexState(1.5, 0.24),
-                            ControlInputs(p_bar=-1.0, k_theta=0.5), params,
-                            n_hops=3)
-        assert {s.phase for s in report.trajectory.samples} == {
-            "descent", "stance", "ascent"}
-        harness.write_trajectory_csv(report.trajectory, tmp_path / "new.csv")
-        reference_write_csv(tmp_path / "ref.csv", TrajectorySample._fields,
-                            report.trajectory.samples)
-        assert (tmp_path / "new.csv").read_bytes() == (
-            tmp_path / "ref.csv").read_bytes()
+        # (inputs, n_hops, k_theta_step, hops completed)
+        cases = [
+            (ControlInputs(p_bar=-1.0, k_theta=0.5), 3, None, 3),
+            (ControlInputs(p_bar=-1.0, k_theta=0.5), 4, (2, 0.7), 4),
+            # fails in stance at hop 4: a partial trajectory
+            (ControlInputs(p_bar=0.0, k_theta=0.64), 6, None, 4),
+            # a saturated tick holds the int tau_max, the others a float
+            # tau, so a stance run mixes cell types
+            (ControlInputs(p_bar=-1.0, k_theta=0.5, tau_max=10), 3, None, 3),
+        ]
+        for inputs, n_hops, k_theta_step, hops in cases:
+            report = run_single(ApexState(1.5, 0.24), inputs, params,
+                                n_hops=n_hops, k_theta_step=k_theta_step)
+            assert len(report.hops) == hops
+            assert (report.failure is None) == (hops == n_hops)
+            samples = report.trajectory.samples
+            assert {s.phase for s in samples} == {
+                "descent", "stance", "ascent"}
+            if isinstance(inputs.tau_max, int):
+                assert {type(s.tau) for s in samples
+                        if s.phase == "stance"} == {int, float}
+            harness.write_trajectory_csv(report.trajectory,
+                                         tmp_path / "new.csv")
+            reference_write_csv(tmp_path / "ref.csv",
+                                TrajectorySample._fields, samples)
+            assert (tmp_path / "new.csv").read_bytes() == (
+                tmp_path / "ref.csv").read_bytes(), (inputs, k_theta_step)
 
     def test_converged_rows_are_formatted_once(self, params, tmp_path,
                                                monkeypatch):
@@ -572,6 +628,16 @@ class TestCli:
                                                      rel=1e-6)
         assert doc["touchdown"]["theta_td"] == pytest.approx(0.5030236983,
                                                              rel=1e-6)
+        assert doc["stable"] is True
+
+    def test_fixed_point_unknown_stability_is_null(self, capsys):
+        p_bar = harness._grid(-1.55, -0.5, 20)[3]
+        rc = main(["fixed-point", "--p-bar", repr(p_bar), "--k-theta", "0.3",
+                   "--pipeline", "closed-form"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "converged"
+        assert doc["spectral_radius"] is None and doc["stable"] is None
 
     def test_fixed_point_simulator_uses_dt(self, params, capsys):
         argv = ["fixed-point", "--p-bar", "-1.0", "--k-theta", "0.5",
@@ -733,6 +799,31 @@ def test_package_runs_on_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_pool_and_no_statistics():
+    # every fresh process pays for what `import sliphop` loads; the pool
+    # is imported by a sweep with workers > 1 only
+    code = textwrap.dedent("""
+        import sys
+        import sliphop
+        print(sorted(m for m in ("concurrent.futures", "multiprocessing",
+                                 "statistics") if m in sys.modules))
+    """)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1,
+                max_size=50))
+@example([-0.0])
+@example([0.1] * 10)
+def test_mean_is_fmean_bit_for_bit(xs):
+    assert harness._mean(xs).hex() == statistics.fmean(xs).hex()
 
 
 def _non_stdlib_imports(path):

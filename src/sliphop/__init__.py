@@ -20,18 +20,15 @@ from .errors import (DegenerateQuadratic, DescendingAtLiftoff, FailedLiftoff,
                      NoConvergence, NoLiftoffRoot, NonPhysical,
                      NonpositiveTime, NoRealFixedPoint, Overdamped, SlipError,
                      TouchdownMismatch, UnreachableTouchdown)
-from .model import (ApexState, ControlInputs, DEFAULT_PARAMS, FlightState,
-                    SlipParams, StanceState, flight_to_stance,
-                    stance_to_flight)
+from .model import (ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams,
+                    StanceState)
 from .control import solve_aoa_approx, solve_aoa_implicit, vertical_energy
 from .simulate import (HybridTrajectory, StanceSegment, TrajectoryEvent,
-                       TrajectorySample, integrate_ascent, integrate_descent,
-                       integrate_stance, return_map_numeric)
+                       TrajectorySample, integrate_stance, return_map_numeric)
 from .analytic import (StanceFlowCoeffs, StanceMapConstants, flow_coeffs,
                        bottom_time, liftoff_time, liftoff_time_bisect,
                        return_map_analytic, simplified_map_constants,
-                       simplified_stance_map, stance_flow,
-                       stance_map_analytic, theta_offset)
+                       simplified_stance_map, stance_flow, theta_offset)
 from .fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM, FixedPointResult,
                          SIMULATOR_NUMERIC, TouchdownFixedPoint,
                          closed_form_fixed_point, energy_speed_constraints,

@@ -20,11 +20,12 @@ angle-of-attack approximation and the closed-form stance map.
 The flow constants split in two. The gait part (_gait_constants)
 depends only on (p_bar, params) and is computed once per gait behind a
 small bounded cache; the touchdown part (_flow_coeffs) is computed per
-call. The hop chain runs flow_liftoff on floats; flow_coeffs,
-stance_flow and stance_map_analytic are thin wrappers that take and
-build StanceFlowCoeffs and StanceState, and liftoff_time, bottom_time
-and _flow read the coefficients as a plain tuple in StanceFlowCoeffs
-order, so both kinds go through the same code.
+call. Each law is one function: the closed-form stance map is
+flow_liftoff, on floats, which the analytic hop chain runs.
+flow_coeffs and stance_flow take a touchdown StanceState and build
+StanceFlowCoeffs and the StanceState at any time; liftoff_time,
+bottom_time and _flow read the coefficients as a plain tuple in
+StanceFlowCoeffs order, so both kinds go through the same code.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class _GaitConstants(NamedTuple):
     p_bar^2 alone: x_rate = p_bar / x_den * x_fac and
     y_amp = 2*p_bar*m_amp / y_den take the sign of p_bar per call, so
     the cache, which cannot tell -0.0 from 0.0, returns the same floats
-    for both. psi4 is the default force phase (_force_phase)."""
+    for both. psi4 is the leg-force phase that liftoff_time takes."""
 
     omega: float
     zeta: float
@@ -92,13 +93,6 @@ class _GaitConstants(NamedTuple):
     y_den: float
     m2_force: float
     psi4: float
-
-
-def _force_phase(omega: float, zeta: float, params: SlipParams) -> float:
-    """default_psi4 from the flow's omega and zeta."""
-    bw = params.b * omega
-    return math.atan2(bw * math.sqrt(1.0 - zeta ** 2),
-                      params.k - bw * zeta)
 
 
 # keeps 64 gaits (the default sweep has 20 p_bar values); typed, since
@@ -120,10 +114,15 @@ def _gait_constants(p_bar: float, params: SlipParams) -> _GaitConstants:
     psi2 = math.atan2(-math.sqrt(1.0 - zeta * zeta), zeta)
     m2_force = math.sqrt(k * k + bb * bb * omega * omega
                          - 2.0 * bb * k * omega * math.cos(psi2))
+    # the leg force k*cos(x) - b*omega*cos(x + psi2) is M2*cos(x + psi4):
+    # k - b*omega*e^{i*psi2} = M2*e^{i*psi4}, and psi4 is 0 undamped,
+    # where the liftoff-time formula is exact
+    bw = bb * omega
+    psi4 = math.atan2(bw * math.sqrt(1.0 - zeta ** 2), k - bw * zeta)
     return _GaitConstants(
         omega, zeta, omega_d, gamma, psi2, m * r_g * r_g,
         3.0 - 2.0 * gamma / (r_g * omega * omega), m * r_g ** 3 * omega,
-        m2_force, _force_phase(omega, zeta, params))
+        m2_force, psi4)
 
 
 def _flow_coeffs(r: float, r_dot: float, p_bar: float,
@@ -202,20 +201,8 @@ def bottom_time(coeffs: StanceFlowCoeffs) -> float:
     return (0.5 * math.pi - psi - psi2) / wd
 
 
-def default_psi4(coeffs: StanceFlowCoeffs, params: SlipParams) -> float:
-    """Phase of the leg-force combination k*cos(x) - b*omega*cos(x + psi2).
-
-    The liftoff-time formula needs the phase psi4 of the combined
-    leg-force oscillation; writing k - b*omega*e^{i*psi2} = M2*e^{i*psi4}
-    gives psi4 = atan2(b*omega*sqrt(1-zeta^2), k - b*omega*zeta), which
-    reduces to 0 in the undamped limit where the formula is exact.
-    """
-    omega, zeta = coeffs[:2]
-    return _force_phase(omega, zeta, params)
-
-
 def liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
-                 psi4: float | None = None) -> float:
+                 psi4: float) -> float:
     """Approximate liftoff time: zero of the leg force on the closed flow.
 
     With t_b the bottom time and the decompression assumed to mirror the
@@ -224,16 +211,14 @@ def liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
         t_lo = (2 pi - arccos(k (r0 w^2 - Gamma) / (M2 M w^2 e^{-2 zw t_b}))
                 - psi - psi4) / omega_d.
 
-    psi4 defaults to the derived force phase (see default_psi4); it can
-    be overridden, and should always be validated against
-    liftoff_time_bisect. Raises NoLiftoffRoot when the arccos argument
-    leaves [-1, 1], NonpositiveTime when the branch selection does not
-    yield t_lo > t_b > 0.
+    psi4 is the leg-force phase, _gait_constants(p_bar, params).psi4;
+    any other value should be validated against liftoff_time_bisect.
+    Raises NoLiftoffRoot when the arccos argument leaves [-1, 1],
+    NonpositiveTime when the branch selection does not yield
+    t_lo > t_b > 0.
     """
     w, zeta, wd, gamma, _, _, m_amp, psi, _, _, _, m2_force = coeffs
     t_b = bottom_time(coeffs)
-    if psi4 is None:
-        psi4 = default_psi4(coeffs, params)
     decay = math.exp(-2.0 * zeta * w * t_b)
     arg = params.k * (params.r0 * w * w - gamma) \
         / (m2_force * m_amp * w * w * decay)
@@ -304,13 +289,6 @@ def flow_liftoff(r: float, r_dot: float, theta: float, p_bar: float,
     return r, r_dot, theta, theta_dot
 
 
-def stance_map_analytic(td: StanceState, p_bar: float,
-                        params: SlipParams) -> StanceState:
-    """Closed-form stance map: flow_liftoff from a touchdown StanceState."""
-    return StanceState(*flow_liftoff(td.r, td.r_dot, td.theta, p_bar,
-                                     params))
-
-
 # --- simplified affine stance map (frozen liftoff phase) ----------------------
 
 def theta_offset(p_bar: float, k_theta: float) -> float:
@@ -367,7 +345,7 @@ def simplified_map_constants(p_bar: float, k_theta: float,
     td_nom = StanceState(r=params.r0, r_dot=r_dot_nom, theta=0.0,
                          theta_dot=0.0)
     coeffs = flow_coeffs(td_nom, p_bar, params)
-    t_lo = liftoff_time(coeffs, params)
+    t_lo = liftoff_time(coeffs, params, _gait_constants(p_bar, params).psi4)
 
     w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
     m, r_g = params.m, params.r_g

@@ -19,8 +19,8 @@ from .analytic import (return_map_analytic, simplified_map_constants,
                        theta_offset)
 from .errors import (GaitFailure, IllConditioned, NegativeDiscriminant,
                      NoConvergence, NonPhysical, NoRealFixedPoint, SlipError)
-from .model import (ApexState, ControlInputs, SlipParams, StanceState,
-                    stance_to_flight)
+from .model import (ApexState, ControlInputs, SlipParams, check_stance,
+                    liftoff_reset)
 from .numerics import quadratic_roots, solve_2x2, spectral_radius_2x2
 from .simulate import ascend
 
@@ -176,12 +176,12 @@ def closed_form_fixed_point(p_bar: float, k_theta: float,
 
     # backward in time: the inverse of the touchdown reset is the liftoff
     # reset, and the descent run backward is an ascent
-    f_td = stance_to_flight(StanceState(r=r0, r_dot=r_dot, theta=theta_td,
-                                        theta_dot=theta_dot))
-    if f_td.y_dot >= 0.0:
-        raise NonPhysical(f"touchdown y_dot = {f_td.y_dot:.4f} >= 0")
-    apex = ascend(f_td.x_dot, f_td.y, -f_td.y_dot, params)
-    if apex.y <= f_td.y:
+    check_stance(r0, r_dot, theta_td, theta_dot)
+    x_dot, y, y_dot = liftoff_reset(r0, r_dot, theta_td, theta_dot)
+    if y_dot >= 0.0:
+        raise NonPhysical(f"touchdown y_dot = {y_dot:.4f} >= 0")
+    apex = ascend(x_dot, y, -y_dot, params)
+    if apex.y <= y:
         raise NonPhysical(f"apex height {apex.y:.4f} <= touchdown height")
 
     jac, rho, stable = _stability_or_nan(return_map_analytic, apex,

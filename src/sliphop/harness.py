@@ -58,6 +58,14 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n - 1)] + [hi]
 
 
+def _check_count(name: str, n) -> None:
+    """Raise ValueError unless n is an integer, as range() takes, >= 1."""
+    if not hasattr(type(n), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid sweep description; ranges are (min, max, count) inclusive."""
@@ -79,8 +87,7 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("p_bar_range", "k_theta_range"):
             lo, hi, n = getattr(self, name)
-            if n < 1:
-                raise ValueError(f"{name} count must be >= 1, got {n}")
+            _check_count(f"{name} count", n)
             if lo > hi:
                 raise ValueError(f"{name} must be ordered, got ({lo}, {hi})")
             if lo == hi and n > 1:
@@ -348,8 +355,7 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
     an out_dir that cannot be created (OSError). Stops at the first gait
     failure, keeping the partial trajectory and a failure record.
     """
-    if n_hops < 1:
-        raise ValueError(f"n_hops must be >= 1, got {n_hops}")
+    _check_count("n_hops", n_hops)
     check_steps(dt, control_dt)
     step_hop, stepped = n_hops, inputs
     if k_theta_step is not None:

@@ -1,13 +1,12 @@
 """Domain types, the flight/stance coordinate-change reset maps, and the
 touchdown state stance starts from.
 
-The hop chain (simulate.compose_return_map) runs on plain floats, so
-each law here has one float-level copy: check_flight and check_stance
-are the checks a FlightState and a StanceState make on their fields,
-touchdown_reset and liftoff_reset the reset maps, check_touchdown_leg
-the touchdown check. The dataclass functions (flight_to_stance,
-stance_to_flight, check_touchdown) are thin wrappers over them, and the
-state classes' __post_init__ run the same checks.
+The hop chain (simulate.compose_return_map) runs on plain floats, and
+each law here is one function on floats: check_flight and check_stance
+are the checks of a flight state (x_dot, y, y_dot) and of a stance
+state on their fields, touchdown_reset and liftoff_reset the reset
+maps, check_touchdown_leg the touchdown check. StanceState runs
+check_stance in __post_init__.
 
 Conventions: SI units throughout, no internal nondimensionalization.
 The leg angle theta is measured from vertical; theta > 0 means the toe
@@ -82,7 +81,7 @@ def check_stance(r: float, r_dot: float, theta: float,
 
 
 def check_flight(x_dot: float, y: float, y_dot: float) -> None:
-    """The checks of a FlightState on its fields: each finite
+    """The checks of a flight state (x_dot, y, y_dot): each finite
     (StateCheckError naming the first that is not), and y > 0."""
     if not 0.0 * x_dot * y * y_dot == 0.0:
         _raise_nonfinite(_FLIGHT_FIELDS, (x_dot, y, y_dot))
@@ -192,23 +191,6 @@ class StanceState:
 
 
 @dataclass(frozen=True)
-class FlightState:
-    """Cartesian flight state [x_dot, y, y_dot]; y is mass height."""
-
-    x_dot: float
-    y: float
-    y_dot: float
-
-    def __post_init__(self):
-        if not float is type(self.x_dot) is type(self.y) is type(self.y_dot):
-            _finite_floats(self, _FLIGHT_FIELDS)
-        check_flight(self.x_dot, self.y, self.y_dot)
-
-    def kinetic_energy(self, params: SlipParams) -> float:
-        return 0.5 * params.m * (self.x_dot ** 2 + self.y_dot ** 2)
-
-
-@dataclass(frozen=True)
 class ApexState:
     """Apex Poincare-section state [x_dot, y] (y_dot = 0 by definition)."""
 
@@ -237,15 +219,10 @@ def polar_to_cartesian(r: float, r_dot: float, theta: float,
 def liftoff_reset(r: float, r_dot: float, theta: float,
                   theta_dot: float) -> tuple[float, float, float]:
     """Liftoff reset on floats: the flight state (x_dot, y, y_dot) of
-    polar_to_cartesian, checked as a FlightState."""
+    polar_to_cartesian, checked by check_flight."""
     _, y, x_dot, y_dot = polar_to_cartesian(r, r_dot, theta, theta_dot)
     check_flight(x_dot, y, y_dot)
     return x_dot, y, y_dot
-
-
-def stance_to_flight(s: StanceState) -> FlightState:
-    """Liftoff reset: polar stance coordinates to Cartesian flight."""
-    return FlightState(*liftoff_reset(s.r, s.r_dot, s.theta, s.theta_dot))
 
 
 def check_touchdown_leg(r: float, r_dot: float, params: SlipParams) -> None:
@@ -256,11 +233,6 @@ def check_touchdown_leg(r: float, r_dot: float, params: SlipParams) -> None:
         raise ValueError(f"touchdown r = {r} must equal r0 = {params.r0}")
     if r_dot >= 0.0:
         raise NonPhysical(f"touchdown r_dot = {r_dot:.4f} >= 0")
-
-
-def check_touchdown(td: StanceState, params: SlipParams) -> None:
-    """check_touchdown_leg on a touchdown StanceState."""
-    check_touchdown_leg(td.r, td.r_dot, params)
 
 
 def touchdown_reset(x_dot: float, y: float, y_dot: float, theta_td: float,
@@ -282,13 +254,3 @@ def touchdown_reset(x_dot: float, y: float, y_dot: float, theta_td: float,
     theta_dot = (-c * x_dot - sn * y_dot) / params.r0
     check_stance(params.r0, r_dot, theta_td, theta_dot)
     return r_dot, theta_dot
-
-
-def flight_to_stance(f: FlightState, theta_td: float,
-                     params: SlipParams) -> StanceState:
-    """Touchdown reset: Cartesian flight coordinates to polar stance
-    (touchdown_reset on the fields of f)."""
-    r_dot, theta_dot = touchdown_reset(f.x_dot, f.y, f.y_dot, theta_td,
-                                       params)
-    return StanceState(r=params.r0, r_dot=r_dot, theta=theta_td,
-                       theta_dot=theta_dot)

@@ -25,9 +25,9 @@ chain passes plain floats from phase to phase through the float laws
 descend, model.touchdown_reset, the stance map, model.liftoff_reset and
 ascend, each making the checks of the state it stands for; only the
 ApexState at the end is built, and a failed state check leaves the
-chain as a phase-tagged InvalidState. integrate_descent and
-integrate_ascent are the FlightState wrappers of descend and ascend.
-The stance stepper's samples are a list of tuples.
+chain as a phase-tagged InvalidState. Each law is one function, which
+the chain and the trajectory recorder both call; the stance stepper's
+samples are a list of tuples.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from typing import Callable, NamedTuple
 from .control import solve_aoa_implicit, vertical_energy
 from .errors import (DescendingAtLiftoff, FailedLiftoff, GroundFault,
                      InvalidState, SlipError, UnreachableTouchdown)
-from .model import (ApexState, ControlInputs, FlightState, SlipParams,
-                    StanceState, StateCheckError, check_flight,
-                    check_touchdown, liftoff_reset, polar_to_cartesian,
-                    stance_to_flight, touchdown_reset)
+from .model import (ApexState, ControlInputs, SlipParams, StanceState,
+                    StateCheckError, check_flight, check_touchdown_leg,
+                    liftoff_reset, polar_to_cartesian, touchdown_reset)
 
 # One step per default control period. Events are located to round-off,
 # so the step alone sets the error: at the closed-form apexes of a 4x4
@@ -400,18 +399,18 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
     """Integrate stance from touchdown until the leg force vanishes.
 
     inputs=None runs the passive leg (tau = 0). The touchdown state must
-    pass model.check_touchdown and the steps check_steps. Raises
+    pass model.check_touchdown_leg and the steps check_steps. Raises
     FailedLiftoff if the leg force never returns to zero within the time
     budget, GroundFault if the mass reaches the ground.
     """
     nsub = check_steps(dt, control_dt)
-    check_touchdown(td, params)
+    check_touchdown_leg(td.r, td.r_dot, params)
     t_budget = TIME_BUDGET_HALF_PERIODS * math.pi / params.omega0
     n_ctrl_max = int(math.ceil(t_budget / (dt * nsub)))
     if inputs is None:
         ctrl = (False, 0.0, 0.0, 0.0, 0.0, math.inf)
     else:
-        tau_max = math.inf if inputs.tau_max is None else inputs.tau_max
+        tau_max = math.inf if inputs.tau_max is None else float(inputs.tau_max)
         ctrl = (True, inputs.p_bar, inputs.kp, inputs.ki, inputs.kd, tau_max)
     status, samples, t_end, r, dr, th, dth, t_bottom, _ = \
         _stance_core(td.r, td.r_dot, td.theta, td.theta_dot,
@@ -450,18 +449,12 @@ def descent_time(apex: ApexState, theta_td: float, params: SlipParams) -> float:
 def descend(apex: ApexState, theta_td: float,
             params: SlipParams) -> tuple[float, float, float]:
     """Ballistic flight state (x_dot, y, y_dot) at the touchdown height
-    for the commanded angle, checked as a FlightState."""
+    for the commanded angle, checked by model.check_flight."""
     t_td = descent_time(apex, theta_td, params)
     y = params.r0 * math.cos(theta_td)
     y_dot = -params.g * t_td
     check_flight(apex.x_dot, y, y_dot)
     return apex.x_dot, y, y_dot
-
-
-def integrate_descent(apex: ApexState, theta_td: float,
-                      params: SlipParams) -> FlightState:
-    """descend as a FlightState."""
-    return FlightState(*descend(apex, theta_td, params))
 
 
 def ascent_time(y_dot: float, params: SlipParams) -> float:
@@ -479,11 +472,6 @@ def ascend(x_dot: float, y: float, y_dot: float,
     y_dot): x_dot unchanged, y + y_dot^2/(2g)."""
     ascent_time(y_dot, params)  # validates y_dot >= 0
     return ApexState(x_dot, y + y_dot ** 2 / (2.0 * params.g))
-
-
-def integrate_ascent(lo: FlightState, params: SlipParams) -> ApexState:
-    """ascend from a liftoff FlightState."""
-    return ascend(lo.x_dot, lo.y, lo.y_dot, params)
 
 
 StanceMap = Callable[[float, float, float, ControlInputs, SlipParams],
@@ -574,8 +562,9 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
 
     s_td, s_lo, seg = stance[0]
     t_td = descent_time(apex, s_td.theta, params)
-    f_lo = stance_to_flight(s_lo)
-    t_up = ascent_time(f_lo.y_dot, params)
+    x_dot_lo, y_lo, y_dot_lo = liftoff_reset(s_lo.r, s_lo.r_dot, s_lo.theta,
+                                             s_lo.theta_dot)
+    t_up = ascent_time(y_dot_lo, params)
     t_touch = t0 + t_td
     t_lift = t_touch + seg.t_liftoff
     # stance: the body moves about the toe, which stays where it landed
@@ -589,8 +578,8 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
                                         toe_x + x, y, x_dot, y_dot, tau))
     x_lo = toe_x + polar_to_cartesian(s_lo.r, s_lo.r_dot, s_lo.theta,
                                       s_lo.theta_dot)[0]
-    samples += _flight_samples(t_lift, t_up, x_lo, f_lo.x_dot, f_lo.y,
-                               f_lo.y_dot, params.g, "ascent", control_dt)
+    samples += _flight_samples(t_lift, t_up, x_lo, x_dot_lo, y_lo, y_dot_lo,
+                               params.g, "ascent", control_dt)
     events = [TrajectoryEvent("touchdown", t_touch, asdict(s_td))]
     if seg.t_bottom is not None:
         events.append(TrajectoryEvent("bottom", t_touch + seg.t_bottom))
@@ -598,5 +587,5 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
         TrajectoryEvent("liftoff", t_lift,
                         {**asdict(s_lo), "p_theta": seg.p_liftoff}),
         TrajectoryEvent("apex", t_lift + t_up,
-                        {**asdict(next_apex), "x": x_lo + f_lo.x_dot * t_up})]
+                        {**asdict(next_apex), "x": x_lo + x_dot_lo * t_up})]
     return next_apex, HybridTrajectory(samples, events)

@@ -30,15 +30,15 @@ from fractions import Fraction
 import numpy as np
 
 from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
-                     FlightState, InsufficientEnergy, NoConvergence,
-                     NoLiftoffRoot, NonPhysical, NonpositiveTime,
-                     Overdamped, SlipError, SlipParams, StanceState,
-                     TouchdownMismatch, UnreachableTouchdown)
+                     InsufficientEnergy, NoConvergence, NoLiftoffRoot,
+                     NonPhysical, NonpositiveTime, Overdamped, SlipError,
+                     SlipParams, StanceState, TouchdownMismatch,
+                     UnreachableTouchdown)
 from sliphop.analytic import StanceFlowCoeffs
 from sliphop.control import (AOA_MAX_ITER, AOA_THETA_MAX, AOA_TOL, _phi,
                              solve_aoa_approx, solve_aoa_implicit,
                              vertical_energy)
-from sliphop.model import TOUCHDOWN_TOL, polar_to_cartesian
+from sliphop.model import TOUCHDOWN_TOL, check_flight, polar_to_cartesian
 from sliphop.simulate import (_STATUS_GROUND, _STATUS_LIFTOFF,
                               _STATUS_NO_LIFTOFF, DEFAULT_CONTROL_DT,
                               DEFAULT_DT, _locate, _step, integrate_stance)
@@ -417,7 +417,21 @@ def solve_aoa_200_halvings(x_dot: float, e_v: float, k_theta: float,
 # The hop chain as it was before it passed plain floats: every phase
 # boundary builds and validates a FlightState or a StanceState, and the
 # closed-form stance map computes all its StanceFlowCoeffs per call.
-# Kept verbatim, so each float law must reproduce it bit for bit.
+# Kept verbatim, so each float law must reproduce it bit for bit. The
+# package has no flight-state class, so FlightState is defined here.
+
+@dataclass(frozen=True)
+class FlightState:
+    """Cartesian flight state [x_dot, y, y_dot]; y is mass height. Its
+    fields are always Python floats here."""
+
+    x_dot: float
+    y: float
+    y_dot: float
+
+    def __post_init__(self):
+        check_flight(self.x_dot, self.y, self.y_dot)
+
 
 def _descent_time(apex: ApexState, theta_td: float,
                   params: SlipParams) -> float:

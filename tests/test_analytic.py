@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from sliphop import (ApexState, ControlInputs, FlightState, NoLiftoffRoot,
-                     Overdamped, SlipParams, StanceState, bottom_time,
-                     closed_form_fixed_point,
-                     flow_coeffs, integrate_stance, liftoff_time,
-                     liftoff_time_bisect, return_map_analytic,
+from sliphop import (ApexState, ControlInputs, NoLiftoffRoot, Overdamped,
+                     SlipParams, StanceState, bottom_time,
+                     closed_form_fixed_point, flow_coeffs, integrate_stance,
+                     liftoff_time, liftoff_time_bisect, return_map_analytic,
                      simplified_map_constants, simplified_stance_map,
-                     stance_flow, stance_map_analytic)
-from sliphop.analytic import default_psi4, nominal_touchdown_r_dot
+                     stance_flow)
+from sliphop.analytic import (_gait_constants, flow_liftoff,
+                              nominal_touchdown_r_dot)
 
 from _oracles import _taylor_rk4, taylor_flow_oracle
 
@@ -20,6 +20,12 @@ GRID_K_THETA = (0.3, 0.5, 0.75)
 
 def _td(r_dot=-1.8, theta=0.35, theta_dot=-0.5):
     return StanceState(r=0.2, r_dot=r_dot, theta=theta, theta_dot=theta_dot)
+
+
+def _liftoff_time(c, p_bar, params):
+    """liftoff_time at the gait's leg-force phase, as the stance map
+    calls it."""
+    return liftoff_time(c, params, _gait_constants(p_bar, params).psi4)
 
 
 class TestFlowCoeffs:
@@ -162,7 +168,7 @@ class TestLiftoffTime:
     def test_undamped_formula_is_exact(self, undamped_params):
         td = StanceState(r=0.2, r_dot=-3.0, theta=0.0, theta_dot=0.0)
         c = flow_coeffs(td, 0.0, undamped_params)
-        t_lo = liftoff_time(c, undamped_params)
+        t_lo = _liftoff_time(c, 0.0, undamped_params)
         t_oracle = liftoff_time_bisect(c, undamped_params)
         assert t_lo == pytest.approx(t_oracle, abs=1e-9)
         # fast compression limit: half period of the vertical spring
@@ -175,7 +181,7 @@ class TestLiftoffTime:
                 c = flow_coeffs(StanceState(r=0.2, r_dot=r_dot, theta=0.0,
                                             theta_dot=0.0), p_bar, params)
                 t_b = bottom_time(c)
-                t_lo = liftoff_time(c, params)
+                t_lo = _liftoff_time(c, p_bar, params)
                 assert 0.0 < t_b < t_lo
 
     def test_against_bisection_oracle_over_grid(self, params):
@@ -185,7 +191,7 @@ class TestLiftoffTime:
                 r_dot = nominal_touchdown_r_dot(p_bar, k_theta, params)
                 c = flow_coeffs(StanceState(r=0.2, r_dot=r_dot, theta=0.0,
                                             theta_dot=0.0), p_bar, params)
-                worst = max(worst, abs(liftoff_time(c, params)
+                worst = max(worst, abs(_liftoff_time(c, p_bar, params)
                                        - liftoff_time_bisect(c, params)))
         # only error source: exp(-zw*t_lo) ~ exp(-2zw*t_b) symmetry
         assert worst <= 5e-4
@@ -195,15 +201,15 @@ class TestLiftoffTime:
         td = _td()
         c = flow_coeffs(td, -1.0, params)
         t_oracle = liftoff_time_bisect(c, params)
-        t_default = liftoff_time(c, params)
+        t_derived = _liftoff_time(c, -1.0, params)
         t_psi2 = liftoff_time(c, params, psi4=c.psi2)
-        assert abs(t_default - t_oracle) < 1e-4
+        assert abs(t_derived - t_oracle) < 1e-4
         assert abs(t_psi2 - t_oracle) > 1e-2
 
     def test_derived_phase_small_damping_limit(self, params):
         td = _td()
         c = flow_coeffs(td, -1.0, params)
-        psi4 = default_psi4(c, params)
+        psi4 = _gait_constants(-1.0, params).psi4
         approx = params.b * c.omega / params.k  # first order in b
         assert psi4 == pytest.approx(approx, rel=0.05)
 
@@ -211,41 +217,45 @@ class TestLiftoffTime:
         c = flow_coeffs(StanceState(r=0.2, r_dot=-1e-4, theta=0.0,
                                     theta_dot=0.0), 0.0, params)
         with pytest.raises(NoLiftoffRoot):
-            liftoff_time(c, params)
+            _liftoff_time(c, 0.0, params)
 
 
 class TestStanceMapAnalytic:
+    """The closed-form stance map, analytic.flow_liftoff: the liftoff
+    state (r, r_dot, theta, theta_dot) from the touchdown leg state."""
+
     def test_symmetric_bounce(self, undamped_params):
-        td = StanceState(r=0.2, r_dot=-1.6, theta=0.0, theta_dot=0.0)
-        lo = stance_map_analytic(td, 0.0, undamped_params)
-        assert lo.r_dot == pytest.approx(1.6, abs=1e-9)
-        assert lo.theta == 0.0
+        _, r_dot, theta, _ = flow_liftoff(0.2, -1.6, 0.0, 0.0,
+                                          undamped_params)
+        assert r_dot == pytest.approx(1.6, abs=1e-9)
+        assert theta == 0.0
 
     def test_liftoff_force_small(self, params):
-        td = _td(r_dot=-1.8, theta=0.4)
-        lo = stance_map_analytic(td, -1.0, params)
-        force = params.k * (lo.r - params.r0) + params.b * lo.r_dot
+        r, r_dot, _, _ = flow_liftoff(0.2, -1.8, 0.4, -1.0, params)
+        force = params.k * (r - params.r0) + params.b * r_dot
         # liftoff-time approximation error, tracked loosely
         assert abs(force) <= 5.0
 
     def test_agrees_with_simulator_where_exact(self, undamped_params):
         # b = 0, p_bar = 0, vertical: the linearization is exact
         td = StanceState(r=0.2, r_dot=-1.6, theta=0.0, theta_dot=0.0)
-        lo_analytic = stance_map_analytic(td, 0.0, undamped_params)
+        r, r_dot, theta, _ = flow_liftoff(td.r, td.r_dot, td.theta, 0.0,
+                                          undamped_params)
         lo_sim, _ = integrate_stance(td, None, undamped_params)
-        assert lo_analytic.r == pytest.approx(lo_sim.r, abs=1e-6)
-        assert lo_analytic.r_dot == pytest.approx(lo_sim.r_dot, abs=1e-6)
-        assert lo_analytic.theta == pytest.approx(lo_sim.theta, abs=1e-6)
+        assert r == pytest.approx(lo_sim.r, abs=1e-6)
+        assert r_dot == pytest.approx(lo_sim.r_dot, abs=1e-6)
+        assert theta == pytest.approx(lo_sim.theta, abs=1e-6)
 
     def test_model_error_against_simulator(self, params):
         # same touchdown, full simulator with momentum PID vs closed form;
         # the gap is the linearization error the accuracy table reports
         td = _td(r_dot=-1.7, theta=0.45, theta_dot=-3.0)
-        lo_analytic = stance_map_analytic(td, -1.0, params)
+        _, r_dot, theta, _ = flow_liftoff(td.r, td.r_dot, td.theta, -1.0,
+                                          params)
         inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
         lo_sim, _ = integrate_stance(td, inputs, params)
-        assert lo_analytic.r_dot == pytest.approx(lo_sim.r_dot, rel=0.30)
-        assert lo_analytic.theta == pytest.approx(lo_sim.theta, abs=0.25)
+        assert r_dot == pytest.approx(lo_sim.r_dot, rel=0.30)
+        assert theta == pytest.approx(lo_sim.theta, abs=0.25)
 
 
 class TestSimplifiedStanceMap:
@@ -290,11 +300,12 @@ class TestSimplifiedStanceMap:
                 theta_td = k_theta * abs(p_bar) / 0.7 * math.pi / 4.0
                 td = StanceState(r=0.2, r_dot=r_dot, theta=theta_td,
                                  theta_dot=0.0)
-                lo_full = stance_map_analytic(td, p_bar, params)
+                _, r_dot_full, theta_full, _ = flow_liftoff(
+                    td.r, td.r_dot, td.theta, p_bar, params)
                 lo_aff = simplified_stance_map(td, p_bar, k_theta, params)
-                assert lo_aff.r_dot == pytest.approx(lo_full.r_dot, rel=0.15)
-                assert abs(lo_aff.theta - lo_full.theta) <= 0.15 * max(
-                    1.0, abs(lo_full.theta))
+                assert lo_aff.r_dot == pytest.approx(r_dot_full, rel=0.15)
+                assert abs(lo_aff.theta - theta_full) <= 0.15 * max(
+                    1.0, abs(theta_full))
 
 
 class TestReturnMapAnalytic:
@@ -324,7 +335,7 @@ class TestReturnMapAnalytic:
             return post_init
 
         apex = ApexState(1.5, 0.24)
-        for cls in (ApexState, FlightState, StanceState):
+        for cls in (ApexState, StanceState):
             monkeypatch.setattr(cls, "__post_init__",
                                 counting(cls.__post_init__))
         nxt = return_map_analytic(apex, ControlInputs(-1.0, 0.5), params)

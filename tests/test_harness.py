@@ -71,6 +71,10 @@ class TestSweepConfig:
         ("control_dt", math.inf, "^control_dt must be finite and > 0"),
         ("dt", 3e-4, "^control_dt must be a whole multiple of dt"),
         ("control_dt", 5e-5, "^control_dt must be a whole multiple of dt"),
+        ("k_theta_range", (0.4, 0.6, 2.0),
+         "^k_theta_range count must be an integer, got 2.0$"),
+        ("p_bar_range", (-1.0, -0.5, 2.5),
+         "^p_bar_range count must be an integer, got 2.5$"),
     ])
     def test_rejects_bad_grid_up_front(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -342,6 +346,17 @@ class TestRunSingle:
                        n_hops=0)
         assert maps == []
 
+    def test_rejects_a_fractional_hop_count(self, params, monkeypatch,
+                                            tmp_path):
+        maps = _count_map_calls(monkeypatch)
+        with pytest.raises(ValueError,
+                           match="^n_hops must be an integer, got 2.5$"):
+            run_single(ApexState(1.0, 0.25),
+                       ControlInputs(p_bar=-0.79, k_theta=0.64), params,
+                       n_hops=2.5, out_dir=tmp_path / "out")
+        assert maps == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field", ["dt", "control_dt"])
     def test_rejects_bad_step_before_any_hop(self, params, field):
         # this apex fails in its first angle solve, before any stance
@@ -468,8 +483,7 @@ class TestCsvWriter:
             (ControlInputs(p_bar=-1.0, k_theta=0.5), 4, (2, 0.7), 4),
             # fails in stance at hop 4: a partial trajectory
             (ControlInputs(p_bar=0.0, k_theta=0.64), 6, None, 4),
-            # a saturated tick holds the int tau_max, the others a float
-            # tau, so a stance run mixes cell types
+            # an int tau_max saturates some ticks; their tau is a float
             (ControlInputs(p_bar=-1.0, k_theta=0.5, tau_max=10), 3, None, 3),
         ]
         for inputs, n_hops, k_theta_step, hops in cases:
@@ -481,8 +495,9 @@ class TestCsvWriter:
             assert {s.phase for s in samples} == {
                 "descent", "stance", "ascent"}
             if isinstance(inputs.tau_max, int):
-                assert {type(s.tau) for s in samples
-                        if s.phase == "stance"} == {int, float}
+                stance_taus = [s.tau for s in samples if s.phase == "stance"]
+                assert max(map(abs, stance_taus)) == 10.0
+                assert {type(tau) for tau in stance_taus} == {float}
             harness.write_trajectory_csv(report.trajectory,
                                          tmp_path / "new.csv")
             reference_write_csv(tmp_path / "ref.csv",

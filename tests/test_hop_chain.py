@@ -1,7 +1,7 @@
 """The float hop chain against the dataclass chain it replaced.
 
 Both apex maps pass plain floats from phase to phase. Their reference
-(tests/_oracles.py) builds and validates a FlightState or StanceState
+(tests/_oracles.py) builds and validates a flight state or StanceState
 at every phase boundary. For any apex and gait the two must agree: the
 same ApexState bit for bit, or the same exception type, phase and
 message. The one difference is a state check that fails: the reference
@@ -18,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from sliphop import (ApexState, ControlInputs, InvalidState, StanceState,
                      analytic, flow_coeffs, liftoff_time, return_map_analytic,
-                     simulate, simulator_return_map, stance_flow,
-                     stance_map_analytic)
+                     simulate, simulator_return_map, stance_flow)
+from sliphop.analytic import flow_liftoff
 
 from sliphop.model import StateCheckError
 
@@ -127,8 +127,9 @@ _TOUCHDOWN = st.builds(StanceState, st.floats(0.05, 0.4),
 @given(td=_TOUCHDOWN, p_bar=st.one_of(st.floats(-3.0, 3.0), _FINITE),
        t=st.floats(0.0, 0.2))
 def test_wrappers_match_the_dataclass_chain(params, td, p_bar, t):
-    # the public dataclass functions are thin wrappers over the float
-    # laws and keep their results bit for bit
+    # the dataclass functions flow_coeffs and stance_flow wrap the float
+    # laws, and the float laws liftoff_time (at the gait's force phase)
+    # and flow_liftoff keep the dataclass chain's results bit for bit
     assert _outcome(lambda: flow_coeffs(td, p_bar, params)) == _outcome(
         lambda: reference_flow_coeffs(td, p_bar, params))
     try:
@@ -136,14 +137,16 @@ def test_wrappers_match_the_dataclass_chain(params, td, p_bar, t):
     except Exception:
         return
     ref = reference_flow_coeffs(td, p_bar, params)
-    assert _outcome(liftoff_time, coeffs, params) == _outcome(
+    psi4 = analytic._gait_constants(p_bar, params).psi4
+    assert _outcome(liftoff_time, coeffs, params, psi4) == _outcome(
         reference_liftoff_time, ref, params)
     assert _outcome(stance_flow, t, coeffs, td, p_bar, params) == _outcome(
         lambda: StanceState(*reference_flow(t, ref, td.theta, p_bar,
                                             params)))
     touchdown = StanceState(params.r0, td.r_dot, td.theta, td.theta_dot)
-    assert _outcome(stance_map_analytic, touchdown, p_bar, params) == \
-        _outcome(reference_stance_map_analytic, touchdown, p_bar, params)
+    assert _outcome(flow_liftoff, params.r0, td.r_dot, td.theta, p_bar,
+                    params) == _outcome(reference_stance_map_analytic,
+                                        touchdown, p_bar, params)
 
 
 class TestGaitConstants:
@@ -163,6 +166,7 @@ class TestGaitConstants:
         for p_bar in (0.0, -0.0, 0.0):
             assert _bits(flow_coeffs(td, p_bar, params)) == _bits(
                 reference_flow_coeffs(td, p_bar, params))
-            assert _bits(stance_map_analytic(td, p_bar, params)) == _bits(
+            assert _bits(flow_liftoff(td.r, td.r_dot, td.theta, p_bar,
+                                      params)) == _bits(
                 reference_stance_map_analytic(td, p_bar, params))
         assert math.copysign(1.0, flow_coeffs(td, -0.0, params).x_rate) < 0

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sliphop import (ApexState, ControlInputs, FlightState, NonPhysical,
-                     SlipError, SlipParams, StanceState, TouchdownMismatch,
-                     flight_to_stance, stance_to_flight)
-from sliphop.model import TOUCHDOWN_TOL, check_touchdown, polar_to_cartesian
+from sliphop import (ApexState, ControlInputs, NonPhysical, SlipError,
+                     SlipParams, StanceState, TouchdownMismatch)
+from sliphop.model import (TOUCHDOWN_TOL, check_flight, check_touchdown_leg,
+                           liftoff_reset, polar_to_cartesian, touchdown_reset)
 
 
 class TestSlipParams:
@@ -65,7 +65,7 @@ class TestStateValidation:
 
     def test_flight_requires_positive_y(self):
         with pytest.raises(ValueError):
-            FlightState(x_dot=0.0, y=-0.1, y_dot=0.0)
+            check_flight(x_dot=0.0, y=-0.1, y_dot=0.0)
 
     def test_apex_requires_positive_y(self):
         with pytest.raises(ValueError):
@@ -77,7 +77,7 @@ class TestStateValidation:
 
     @pytest.mark.parametrize("build", [
         lambda: StanceState(r=0.0, r_dot=0.0, theta=0.0, theta_dot=0.0),
-        lambda: FlightState(x_dot=0.0, y=-0.1, y_dot=0.0),
+        lambda: check_flight(x_dot=0.0, y=-0.1, y_dot=0.0),
         lambda: ApexState(x_dot=1.0, y=math.nan)])
     def test_a_failed_check_is_a_value_error_not_a_gait_failure(self, build):
         # only inside a hop does it become a phase-tagged InvalidState
@@ -95,9 +95,20 @@ class TestStateValidation:
 STATE_TYPES = [
     (StanceState, ("r", "r_dot", "theta", "theta_dot"), "r",
      "r must be > 0"),
-    (FlightState, ("x_dot", "y", "y_dot"), "y", "y must be > 0"),
     (ApexState, ("x_dot", "y"), "y", "apex height must be > 0"),
 ]
+# the state types and the flight state's check, which takes its fields
+# by the same names; the check, like the hop chain that calls it, takes
+# Python floats, while a state type stores a numpy scalar as a float
+STATE_CHECKS = STATE_TYPES + [
+    (check_flight, ("x_dot", "y", "y_dot"), "y", "y must be > 0")]
+
+
+def _as_given(data, cls, value):
+    """value, or for a state type possibly its numpy scalar."""
+    if isinstance(cls, type) and data.draw(st.booleans(), label="float64"):
+        return np.float64(value)
+    return value
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
@@ -142,51 +153,47 @@ def test_numpy_scalars_and_ints_stored_as_float(state_type, data):
         assert getattr(state, n) == given_values[n]
 
 
-@given(st.sampled_from(STATE_TYPES), st.data())
+@given(st.sampled_from(STATE_CHECKS), st.data())
 def test_non_finite_field_named(state_type, data):
     cls, names, signed, _ = state_type
     values = _valid_fields(data, names, signed)
     bad = data.draw(st.sets(st.sampled_from(names), min_size=1), label="bad")
     for n in bad:
         value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-        values[n] = data.draw(st.sampled_from([value, np.float64(value)]))
+        values[n] = _as_given(data, cls, value)
     first = next(n for n in names if n in bad)
     with pytest.raises(ValueError, match=f"^{first} must be finite"):
         cls(**values)
 
 
-@given(st.sampled_from(STATE_TYPES), st.data())
+@given(st.sampled_from(STATE_CHECKS), st.data())
 def test_sign_check_fires(state_type, data):
     cls, names, signed, message = state_type
     values = _valid_fields(data, names, signed)
-    values[signed] = data.draw(
-        st.floats(max_value=0.0, allow_infinity=False), label=signed)
-    if data.draw(st.booleans(), label="as float64"):
-        values[signed] = np.float64(values[signed])
+    values[signed] = _as_given(data, cls, data.draw(
+        st.floats(max_value=0.0, allow_infinity=False), label=signed))
     with pytest.raises(ValueError, match=f"^{message}"):
         cls(**values)
 
 
 class TestStanceToFlight:
+    """The liftoff reset, model.liftoff_reset."""
+
     def test_vertical_symmetry(self):
-        f = stance_to_flight(
-            StanceState(r=0.2, r_dot=2.0, theta=0.0, theta_dot=-5.0))
-        assert f.x_dot == pytest.approx(1.0, abs=1e-15)
-        assert f.y == pytest.approx(0.2, abs=1e-15)
-        assert f.y_dot == pytest.approx(2.0, abs=1e-15)
+        x_dot, y, y_dot = liftoff_reset(0.2, 2.0, 0.0, -5.0)
+        assert x_dot == pytest.approx(1.0, abs=1e-15)
+        assert y == pytest.approx(0.2, abs=1e-15)
+        assert y_dot == pytest.approx(2.0, abs=1e-15)
 
     def test_rest_case(self):
-        f = stance_to_flight(
-            StanceState(r=0.2, r_dot=0.0, theta=0.0, theta_dot=0.0))
-        assert (f.x_dot, f.y, f.y_dot) == (0.0, 0.2, 0.0)
+        assert liftoff_reset(0.2, 0.0, 0.0, 0.0) == (0.0, 0.2, 0.0)
 
     def test_general_state(self):
         # frozen from direct evaluation of the reset formula
-        f = stance_to_flight(
-            StanceState(r=0.19, r_dot=1.5, theta=0.3, theta_dot=-4.0))
-        assert f.x_dot == pytest.approx(0.28277542174345127, rel=1e-14)
-        assert f.y == pytest.approx(0.18151393293386514, rel=1e-14)
-        assert f.y_dot == pytest.approx(1.657600090751027, rel=1e-14)
+        x_dot, y, y_dot = liftoff_reset(0.19, 1.5, 0.3, -4.0)
+        assert x_dot == pytest.approx(0.28277542174345127, rel=1e-14)
+        assert y == pytest.approx(0.18151393293386514, rel=1e-14)
+        assert y_dot == pytest.approx(1.657600090751027, rel=1e-14)
 
 
 def test_polar_to_cartesian_position_and_velocity():
@@ -205,47 +212,44 @@ def test_polar_to_cartesian_position_and_velocity():
 
 
 class TestCheckTouchdown:
+    """The touchdown check, model.check_touchdown_leg."""
+
     @pytest.mark.parametrize("offset", [0.0, TOUCHDOWN_TOL, -TOUCHDOWN_TOL])
     def test_accepts_rest_length_within_tolerance(self, params, offset):
-        check_touchdown(StanceState(params.r0 + offset, -1.0, 0.2, -3.0),
-                        params)
+        check_touchdown_leg(params.r0 + offset, -1.0, params)
 
     @pytest.mark.parametrize("offset", [2 * TOUCHDOWN_TOL,
                                         -2 * TOUCHDOWN_TOL])
     def test_rejects_rest_length_past_tolerance(self, params, offset):
         with pytest.raises(ValueError, match="^touchdown r = .* must equal"):
-            check_touchdown(StanceState(params.r0 + offset, -1.0, 0.2, -3.0),
-                            params)
+            check_touchdown_leg(params.r0 + offset, -1.0, params)
 
     def test_rejects_a_leg_at_rest(self, params):
         with pytest.raises(NonPhysical,
                            match="^touchdown r_dot = 0.0000 >= 0$"):
-            check_touchdown(StanceState(params.r0, 0.0, 0.2, -3.0), params)
+            check_touchdown_leg(params.r0, 0.0, params)
 
 
 class TestFlightToStance:
+    """The touchdown reset, model.touchdown_reset: the leg rates
+    (r_dot, theta_dot) at rest length r0."""
+
     def test_vertical_case(self, params):
-        s = flight_to_stance(FlightState(x_dot=1.0, y=0.2, y_dot=-2.0),
-                             0.0, params)
-        assert s.r == 0.2
-        assert s.r_dot == pytest.approx(-2.0, abs=1e-15)
-        assert s.theta == 0.0
-        assert s.theta_dot == pytest.approx(-5.0, abs=1e-15)
+        r_dot, theta_dot = touchdown_reset(1.0, 0.2, -2.0, 0.0, params)
+        assert r_dot == pytest.approx(-2.0, abs=1e-15)
+        assert theta_dot == pytest.approx(-5.0, abs=1e-15)
 
     def test_general_state(self, params):
         # frozen from direct evaluation of the reset formula
         theta = 0.4
-        f = FlightState(x_dot=1.2, y=params.r0 * math.cos(theta), y_dot=-1.8)
-        s = flight_to_stance(f, theta, params)
-        assert s.r == params.r0
-        assert s.theta == theta
-        assert s.r_dot == pytest.approx(-2.125211799975574, rel=1e-14)
-        assert s.theta_dot == pytest.approx(-2.021600883239455, rel=1e-14)
+        r_dot, theta_dot = touchdown_reset(
+            1.2, params.r0 * math.cos(theta), -1.8, theta, params)
+        assert r_dot == pytest.approx(-2.125211799975574, rel=1e-14)
+        assert theta_dot == pytest.approx(-2.021600883239455, rel=1e-14)
 
     def test_height_mismatch_raises(self, params):
         with pytest.raises(TouchdownMismatch):
-            flight_to_stance(FlightState(x_dot=1.0, y=0.21, y_dot=-2.0),
-                             0.0, params)
+            touchdown_reset(1.0, 0.21, -2.0, 0.0, params)
 
 
 stance_at_r0 = st.builds(
@@ -260,16 +264,16 @@ stance_at_r0 = st.builds(
 @given(stance_at_r0)
 def test_roundtrip_at_rest_length(s):
     params = SlipParams(m=3.3, k=4000.0, b=20.0, r0=0.2)
-    back = flight_to_stance(stance_to_flight(s), s.theta, params)
-    assert back.r == pytest.approx(s.r, abs=1e-12)
-    assert back.r_dot == pytest.approx(s.r_dot, abs=1e-12)
-    assert back.theta == pytest.approx(s.theta, abs=1e-12)
-    assert back.theta_dot == pytest.approx(s.theta_dot, abs=1e-12)
+    flight = liftoff_reset(s.r, s.r_dot, s.theta, s.theta_dot)
+    r_dot, theta_dot = touchdown_reset(*flight, s.theta, params)
+    assert r_dot == pytest.approx(s.r_dot, abs=1e-12)
+    assert theta_dot == pytest.approx(s.theta_dot, abs=1e-12)
 
 
 @given(stance_at_r0)
 def test_resets_preserve_kinetic_energy(s):
     params = SlipParams(m=3.3, k=4000.0, b=20.0, r0=0.2)
     ke_stance = s.kinetic_energy(params)
-    ke_flight = stance_to_flight(s).kinetic_energy(params)
+    x_dot, _, y_dot = liftoff_reset(s.r, s.r_dot, s.theta, s.theta_dot)
+    ke_flight = 0.5 * params.m * (x_dot ** 2 + y_dot ** 2)
     assert ke_flight == pytest.approx(ke_stance, rel=1e-12, abs=1e-15)

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
-                     FailedLiftoff, FlightState, GroundFault,
-                     InsufficientEnergy, NonPhysical, SlipError, SlipParams,
-                     StanceState,
-                     UnreachableTouchdown, integrate_ascent, integrate_descent,
-                     integrate_stance, return_map_numeric, simulate,
-                     stance_map_analytic, stance_to_flight,
-                     write_trajectory_csv)
+                     FailedLiftoff, GroundFault, InsufficientEnergy,
+                     NonPhysical, SlipError, SlipParams, StanceState,
+                     UnreachableTouchdown, integrate_stance,
+                     return_map_numeric, simulate, write_trajectory_csv)
+from sliphop.analytic import flow_liftoff
+from sliphop.model import liftoff_reset
 from sliphop.simulate import (DEFAULT_DT, HybridTrajectory, TrajectoryEvent,
-                              TrajectorySample, _locate, _step, check_steps)
+                              TrajectorySample, _locate, _step, ascend,
+                              check_steps, descend)
 
 import _oracles
 from _oracles import (full_stance_oracle, reference_stance_core, rk4_step,
@@ -336,7 +336,8 @@ class TestIntegrateStance:
     # both stance maps start from the same touchdown check
     STANCE_MAPS = {
         "integrate_stance": lambda td, p: integrate_stance(td, None, p),
-        "stance_map_analytic": lambda td, p: stance_map_analytic(td, -1.0, p),
+        "flow_liftoff": lambda td, p: flow_liftoff(td.r, td.r_dot, td.theta,
+                                                   -1.0, p),
     }
 
     @pytest.mark.parametrize("stance_map", STANCE_MAPS)
@@ -389,54 +390,50 @@ class TestIntegrateStance:
 
 
 class TestFlightMaps:
+    """descend and ascend, on the flight state (x_dot, y, y_dot)."""
+
     def test_descent_zero_height_drop(self, params):
         apex = ApexState(x_dot=1.0, y=params.r0)
-        td = integrate_descent(apex, 0.0, params)
-        assert td.y == params.r0
-        assert td.y_dot == 0.0
-        assert td.x_dot == 1.0
+        assert descend(apex, 0.0, params) == (1.0, params.r0, 0.0)
 
     def test_descent_vertical_drop(self, params):
         # 0.4039 - 0.2 = y_dot^2 / (2*9.81)
-        td = integrate_descent(ApexState(x_dot=1.0, y=0.4039), 0.0, params)
-        assert td.y_dot == pytest.approx(-2.000129495807709, rel=1e-12)
+        _, _, y_dot = descend(ApexState(x_dot=1.0, y=0.4039), 0.0, params)
+        assert y_dot == pytest.approx(-2.000129495807709, rel=1e-12)
 
     def test_descent_general(self, params):
-        td = integrate_descent(ApexState(x_dot=1.5, y=0.3), 0.4, params)
-        assert td.y == pytest.approx(0.18421219880057704, rel=1e-14)
-        assert td.y_dot == pytest.approx(-1.5072347725330244, rel=1e-12)
-        assert td.x_dot == 1.5
+        x_dot, y, y_dot = descend(ApexState(x_dot=1.5, y=0.3), 0.4, params)
+        assert y == pytest.approx(0.18421219880057704, rel=1e-14)
+        assert y_dot == pytest.approx(-1.5072347725330244, rel=1e-12)
+        assert x_dot == 1.5
 
     def test_descent_unreachable(self, params):
         with pytest.raises(UnreachableTouchdown):
-            integrate_descent(ApexState(x_dot=1.0, y=0.15), 0.0, params)
+            descend(ApexState(x_dot=1.0, y=0.15), 0.0, params)
 
     def test_ascent_identity_at_apex(self, params):
-        apex = integrate_ascent(FlightState(x_dot=1.0, y=0.25, y_dot=0.0),
-                                params)
+        apex = ascend(1.0, 0.25, 0.0, params)
         assert apex.x_dot == 1.0
         assert apex.y == 0.25
 
     def test_ascent_examples(self, params):
-        a1 = integrate_ascent(FlightState(x_dot=1.0, y=0.2, y_dot=2.0),
-                              params)
+        a1 = ascend(1.0, 0.2, 2.0, params)
         assert a1.y == pytest.approx(0.4038735983690112, rel=1e-12)
-        a2 = integrate_ascent(FlightState(x_dot=2.0, y=0.19, y_dot=1.5),
-                              params)
+        a2 = ascend(2.0, 0.19, 1.5, params)
         assert a2.y == pytest.approx(0.3046788990825688, rel=1e-12)
         assert a2.x_dot == 2.0
 
     def test_ascent_rejects_descending(self, params):
         with pytest.raises(DescendingAtLiftoff):
-            integrate_ascent(FlightState(x_dot=1.0, y=0.2, y_dot=-0.1),
-                             params)
+            ascend(1.0, 0.2, -0.1, params)
 
     def test_flight_energy_conserved(self, params):
         apex = ApexState(x_dot=1.5, y=0.3)
-        td = integrate_descent(apex, 0.4, params)
+        x_dot, y, y_dot = descend(apex, 0.4, params)
         e_apex = 0.5 * params.m * apex.x_dot ** 2 \
             + params.m * params.g * apex.y
-        e_td = td.kinetic_energy(params) + params.m * params.g * td.y
+        e_td = 0.5 * params.m * (x_dot ** 2 + y_dot ** 2) \
+            + params.m * params.g * y
         assert e_td == pytest.approx(e_apex, rel=1e-10)
 
 
@@ -522,9 +519,9 @@ class TestReturnMap:
         stance = [s for s in traj.samples if s.phase == "stance"]
         assert len(stance) == len(seg.samples)
         for s in stance:
-            f = stance_to_flight(StanceState(s.r, s.r_dot, s.theta,
-                                             s.theta_dot))
-            assert (s.y, s.x_dot, s.y_dot) == (f.y, f.x_dot, f.y_dot)
+            x_dot, y, y_dot = liftoff_reset(s.r, s.r_dot, s.theta,
+                                            s.theta_dot)
+            assert (s.y, s.x_dot, s.y_dot) == (y, x_dot, y_dot)
             assert s.x == toe - s.r * math.sin(s.theta)
         first_ascent = next(s for s in traj.samples if s.phase == "ascent")
         assert first_ascent.t == events["liftoff"].t
@@ -580,7 +577,7 @@ class TestScalarType:
 
     def test_state_types_store_floats(self):
         f = np.float64
-        states = (FlightState(x_dot=f(1.0), y=f(0.2), y_dot=f(-1.0)),
+        states = (ApexState(x_dot=f(1.0), y=f(0.2)),
                   StanceState(r=f(0.2), r_dot=f(-1.0), theta=f(0.3),
                               theta_dot=f(-3.0)))
         for state in states:

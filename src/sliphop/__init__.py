@@ -10,8 +10,9 @@ landing velocity with the leg:
   ballistic flight),
 * a closed-form approximate return map built on the linearized stance
   flow, and
-* a fixed-point engine (closed-form quadratic solution plus Newton on
-  either return map) with spectral-radius stability classification.
+* a fixed-point engine (closed-form quadratic solution plus Broyden's
+  quasi-Newton iteration on either return map) with spectral-radius
+  stability classification.
 """
 
 from .errors import (DegenerateQuadratic, DescendingAtLiftoff, FailedLiftoff,

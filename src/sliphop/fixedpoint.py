@@ -2,8 +2,8 @@
 
 Three routes to a steady hop, named by the pipeline constants: the
 closed-form quadratic solution of the touchdown energy/speed
-constraints, Newton iteration on the analytic return map, and Newton
-iteration on the full simulator map. numeric_fixed_point takes any
+constraints, and Broyden's quasi-Newton iteration on the analytic
+return map or on the full simulator map. numeric_fixed_point takes any
 apex return map; harness.solve_point picks each pipeline's map and
 tolerance. Stability is the spectral radius of the 2x2 apex return-map
 Jacobian (central finite differences), held as a pair of float rows.
@@ -53,7 +53,8 @@ class FixedPointResult:
     not be evaluated around the apex point (stable is then False, and
     the output writers report the verdict as unknown);
     residual is the infinity norm of P(z*) - z* under the map that
-    produced (or checked) the point.
+    produced (or checked) the point; newton_steps counts the Broyden
+    steps numeric_fixed_point took to reach it.
     """
 
     apex: ApexState
@@ -224,40 +225,59 @@ def energy_speed_constraints(candidate: TouchdownFixedPoint, p_bar: float,
 def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
                         inputs: ControlInputs, params: SlipParams,
                         tol: float = 1e-9, max_steps: int = 50,
-                        prewarm: int = 0,
                         provenance: str = ANALYTIC_NUMERIC,
                         ) -> FixedPointResult:
-    """Newton fixed point of an apex return map.
+    """Broyden fixed point of an apex return map.
 
-    Newton iteration on the residual F(z) = P(z) - z with a central
-    finite-difference Jacobian (step max(1e-6, 1e-6|z|) per component),
-    converged when the residual infinity norm is at or below tol. A
-    backtracking halver guards steps that leave the gait's domain;
-    prewarm > 0 applies that many plain map iterations first (the fixed
-    points are attracting), which robustifies distant seeds. Raises
-    NoConvergence after max_steps, GaitFailure when a map evaluation
-    fails and backtracking cannot recover.
+    Quasi-Newton iteration on the residual F(z) = P(z) - z, converged
+    when the residual infinity norm is at or below tol. The matrix A of
+    J - I starts as the central-difference Jacobian at the seed (step
+    max(1e-6, 1e-6|z|) per component, as stability takes it). Each step
+    then updates it by Broyden's "good" rank-1 formula
+    A += ((dF - A dz) dz^T) / (dz . dz), from the step dz actually taken
+    and the change dF of the residual that the line search computed
+    (C. G. Broyden, Math. Comp. 19, 1965), so an update costs no map
+    evaluation. The differences are taken afresh at the new iterate
+    when a step did not reduce the residual, and at the current one when
+    an update left A singular. newton_steps counts the steps taken.
 
-    The iterate is a pair of Python floats whatever the seed's scalar
-    type; (J - I) s = r is solved in closed form. A line-search step is
-    accepted when its residual's Euclidean norm falls (or once the step
-    is down to a quarter), and the map value of the accepted candidate
-    is the next iteration's P(z), so no apex point is evaluated twice.
+    A backtracking halver guards steps that leave the gait's domain: a
+    candidate is accepted when its residual's Euclidean norm falls (or
+    once the step is down to a quarter), and the map value of the
+    accepted candidate is the next iteration's P(z), so no apex point is
+    evaluated twice. The iterate is a pair of Python floats whatever the
+    seed's scalar type; A s = r is solved in closed form. Stability is
+    the central-difference Jacobian at z*, not Broyden's matrix.
+
+    Raises NoConvergence after max_steps; GaitFailure when a map
+    evaluation fails at the seed or in a difference, or when no
+    line-search candidate is acceptable (tagged with the phase of the
+    last candidate's failure, None when it failed its ApexState check);
+    IllConditioned when freshly taken central differences are singular.
     """
-    def try_eval(x: float, y: float) -> tuple[float, float] | None:
+    def try_eval(x: float, y: float):
+        """(P(x, y), None), or (None, phase) when the evaluation fails."""
         try:
             nxt = return_map(ApexState(x, y), inputs, params)
-        except (SlipError, ValueError):
-            return None
-        return nxt.x_dot, nxt.y
+        except (SlipError, ValueError) as err:
+            return None, getattr(err, "phase", None)
+        return (nxt.x_dot, nxt.y), None
+
+    def fd_step(x: float, y: float, rx: float, ry: float):
+        """Central-difference J - I at (x, y) and the step it gives."""
+        try:
+            (a, b), (c, d) = _map_jacobian(return_map, ApexState(x, y),
+                                           inputs, params)
+        except SlipError as err:
+            raise GaitFailure(f"Jacobian evaluation failed: {err}",
+                              phase=err.phase) from err
+        jm = (a - 1.0, b, c, d - 1.0)
+        try:
+            return jm, solve_2x2(*jm, rx, ry)
+        except ZeroDivisionError as err:
+            raise IllConditioned("singular Newton system") from err
 
     x, y = float(seed.x_dot), float(seed.y)
-    for _ in range(prewarm):
-        nxt = try_eval(x, y)
-        if nxt is None:
-            break
-        x, y = nxt
-
     try:
         nxt = return_map(ApexState(x, y), inputs, params)
     except SlipError as err:
@@ -265,6 +285,7 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
             f"map evaluation failed at z = ({x:.4f}, {y:.4f}): {err}",
             phase=err.phase) from err
     mapped = nxt.x_dot, nxt.y  # P(x, y); later set by each accepted step
+    jm = None  # Broyden's J - I as (a, b, c, d); None: take differences
     steps = 0
     for steps in range(max_steps + 1):
         rx, ry = mapped[0] - x, mapped[1] - y
@@ -279,29 +300,37 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
                                     residual=res_norm, newton_steps=steps)
         if steps == max_steps:
             break
-        try:
-            (a, b), (c, d) = _map_jacobian(return_map, ApexState(x, y),
-                                           inputs, params)
-        except SlipError as err:
-            raise GaitFailure(f"Jacobian evaluation failed: {err}",
-                              phase=err.phase) from err
-        try:
-            sx, sy = solve_2x2(a - 1.0, b, c, d - 1.0, rx, ry)
-        except ZeroDivisionError as err:
-            raise IllConditioned("singular Newton system") from err
+        if jm is None:
+            jm, (sx, sy) = fd_step(x, y, rx, ry)
+        else:
+            try:
+                sx, sy = solve_2x2(*jm, rx, ry)
+            except ZeroDivisionError:  # the last update made A singular
+                jm, (sx, sy) = fd_step(x, y, rx, ry)
         res_len = math.hypot(rx, ry)
         lam = 1.0
         for _ in range(8):
             cx, cy = x - lam * sx, y - lam * sy
-            mapped = try_eval(cx, cy)
-            if mapped is not None and (
-                    math.hypot(mapped[0] - cx, mapped[1] - cy) < res_len
-                    or lam <= 0.25):
-                x, y = cx, cy
-                break
+            mapped, phase = try_eval(cx, cy)
+            if mapped is not None:
+                nrx, nry = mapped[0] - cx, mapped[1] - cy
+                reduced = math.hypot(nrx, nry) < res_len
+                if reduced or lam <= 0.25:
+                    break
             lam *= 0.5
         else:
             raise GaitFailure(
-                f"no acceptable Newton step from z = ({x:.4f}, {y:.4f})")
+                f"no acceptable Newton step from z = ({x:.4f}, {y:.4f})",
+                phase=phase)
+        if reduced:  # Broyden's update; dz != 0, as the residual moved
+            dx, dy = cx - x, cy - y
+            dz2 = dx * dx + dy * dy
+            a, b, c, d = jm
+            ux = (nrx - rx - a * dx - b * dy) / dz2
+            uy = (nry - ry - c * dx - d * dy) / dz2
+            jm = (a + ux * dx, b + ux * dy, c + uy * dx, d + uy * dy)
+        else:
+            jm = None
+        x, y = cx, cy
     raise NoConvergence(
         f"residual {res_norm:.2e} > {tol:.1e} after {max_steps} Newton steps")

@@ -41,9 +41,8 @@ from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, HybridTrajectory,
                        TrajectorySample, check_steps, return_map_numeric)
 
 ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
-SIM_TOL = 1e-6
+SIM_TOL = 1e-10
 ANALYTIC_TOL = 1e-9
-_PREWARM = 3
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
@@ -58,12 +57,12 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n - 1)] + [hi]
 
 
-def _check_count(name: str, n) -> None:
-    """Raise ValueError unless n is an integer, as range() takes, >= 1."""
+def _check_count(name: str, n, least: int = 1) -> None:
+    """Raise ValueError unless n is an integer, as range() takes, >= least."""
     if not hasattr(type(n), "__index__"):
         raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,9 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
     """The gait fixed point of one pipeline.
 
     The closed-form pipeline solves the touchdown constraints. The
-    Newton pipelines start from seed (default: the closed-form apex),
-    apply _PREWARM plain map iterations, and converge to ANALYTIC_TOL on
-    the analytic map or to SIM_TOL on the simulator map at
+    Newton pipelines run fixedpoint.numeric_fixed_point's Broyden
+    iteration from seed (default: the closed-form apex) to ANALYTIC_TOL
+    on the analytic map or to SIM_TOL on the simulator map at
     dt/control_dt. Raises SlipError when the gait has no fixed point
     there, ValueError when the steps fail simulate.check_steps.
     """
@@ -211,7 +210,7 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
     else:
         return_map, tol = fp.return_map_analytic, ANALYTIC_TOL
     return fp.numeric_fixed_point(return_map, seed, inputs, params, tol=tol,
-                                  prewarm=_PREWARM, provenance=pipeline)
+                                  provenance=pipeline)
 
 
 def _solve_cell(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
@@ -350,18 +349,18 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
     """Chain the simulator return map for n_hops, recording everything.
 
     k_theta_step = (hop_index, new_value) switches the touchdown gain
-    from that hop onward; a negative hop_index or a new_value that
-    ControlInputs rejects raises ValueError before any hop, and so does
-    an out_dir that cannot be created (OSError). Stops at the first gait
-    failure, keeping the partial trajectory and a failure record.
+    from that hop onward; a hop_index that is not an integer >= 0 or a
+    new_value that ControlInputs rejects raises ValueError before any
+    hop, and so does an out_dir that cannot be created (OSError). Stops
+    at the first gait failure, keeping the partial trajectory and a
+    failure record.
     """
     _check_count("n_hops", n_hops)
     check_steps(dt, control_dt)
     step_hop, stepped = n_hops, inputs
     if k_theta_step is not None:
         step_hop, k_theta = k_theta_step
-        if step_hop < 0:
-            raise ValueError(f"k_theta_step hop must be >= 0, got {step_hop}")
+        _check_count("k_theta_step hop", step_hop, least=0)
         stepped = replace(inputs, k_theta=k_theta)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

@@ -401,7 +401,9 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
     inputs=None runs the passive leg (tau = 0). The touchdown state must
     pass model.check_touchdown_leg and the steps check_steps. Raises
     FailedLiftoff if the leg force never returns to zero within the time
-    budget, GroundFault if the mass reaches the ground.
+    budget, GroundFault if the mass reaches the ground, InvalidState if
+    the stance state leaves the floats (a math domain error, an
+    overflow or a division by zero in the step).
     """
     nsub = check_steps(dt, control_dt)
     check_touchdown_leg(td.r, td.r_dot, params)
@@ -412,10 +414,15 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
     else:
         tau_max = math.inf if inputs.tau_max is None else float(inputs.tau_max)
         ctrl = (True, inputs.p_bar, inputs.kp, inputs.ki, inputs.kd, tau_max)
-    status, samples, t_end, r, dr, th, dth, t_bottom, _ = \
-        _stance_core(td.r, td.r_dot, td.theta, td.theta_dot,
-                     params.m, params.k, params.b, params.r0, params.g,
-                     *ctrl, dt, nsub, n_ctrl_max)
+    try:
+        status, samples, t_end, r, dr, th, dth, t_bottom, _ = \
+            _stance_core(td.r, td.r_dot, td.theta, td.theta_dot,
+                         params.m, params.k, params.b, params.r0, params.g,
+                         *ctrl, dt, nsub, n_ctrl_max)
+    except (ArithmeticError, ValueError) as err:
+        # a state that blows up mid-stance (math.cos of an infinite
+        # angle, an overflow) is a failed state of the hop, not a bug
+        raise InvalidState(f"stance state blew up: {err}") from err
     if status == _STATUS_GROUND:
         raise GroundFault(
             f"mass height reached 0 at t = {t_end:.6f} s (theta = {th:.3f})")

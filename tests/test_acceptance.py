@@ -224,8 +224,7 @@ def test_criterion_6_steady_state_gait_shape():
     inputs = ControlInputs(p_bar=-0.79, k_theta=0.64)
     seed = closed_form_fixed_point(-0.79, 0.64, PARAMS).apex
     res = numeric_fixed_point(simulator_return_map, seed, inputs, PARAMS,
-                              tol=1e-6, prewarm=3,
-                              provenance=SIMULATOR_NUMERIC)
+                              tol=1e-6, provenance=SIMULATOR_NUMERIC)
     _, traj = return_map_numeric(res.apex, inputs, PARAMS)
     events = {e.name: e for e in traj.events}
     theta_td = events["touchdown"].state["theta"]

@@ -132,6 +132,18 @@ def _constant_map(apex, inputs, params):
     return ApexState(1.0, 0.25)
 
 
+def _narrow_map(apex, inputs, params):
+    # defined only within 1e-4 of (1.0, 0.3)
+    if abs(apex.x_dot - 1.0) > 1e-4 or abs(apex.y - 0.3) > 1e-4:
+        raise InsufficientEnergy("outside the toy domain", phase="aoa")
+    return ApexState(0.5 * apex.x_dot, 0.5 * apex.y + 0.1)
+
+
+def _sinking_map(apex, inputs, params):
+    # from y = 0.3 the step in y is -7.8 even at 1/128: below the ground
+    return ApexState(0.5 * apex.x_dot, 2.0 * apex.y + 1000.0)
+
+
 class TestStability:
     def test_contraction_toy_map(self, params):
         inputs = ControlInputs(-1.0, 0.5)
@@ -241,8 +253,7 @@ class TestNumericFixedPoint:
         inputs = ControlInputs(-1.0, 0.5)
         seed = closed_form_fixed_point(-1.0, 0.5, params).apex
         res = numeric_fixed_point(simulator_return_map, seed, inputs, params,
-                                  tol=1e-6, prewarm=3,
-                                  provenance=SIMULATOR_NUMERIC)
+                                  tol=1e-6, provenance=SIMULATOR_NUMERIC)
         assert res.provenance == SIMULATOR_NUMERIC
         assert res.residual <= 1e-6
         nxt = simulator_return_map(res.apex, inputs, params)
@@ -260,12 +271,12 @@ class TestNumericFixedPoint:
             return return_map_analytic(apex, inputs, params)
 
         res = numeric_fixed_point(counting_map, seed, inputs, params,
-                                  tol=1e-9, prewarm=3)
-        assert res.newton_steps == 2
+                                  tol=1e-9)
+        assert res.newton_steps == 5
         assert len(seen) == len(set(seen))
-        # prewarm, P(seed), per step 4 differences and the accepted
-        # candidate, the 4-point stability Jacobian
-        assert len(seen) == 3 + 1 + 5 * res.newton_steps + 4
+        # P(seed), the 4 differences that start Broyden's matrix, the
+        # accepted candidate of each step, the 4-point stability Jacobian
+        assert len(seen) == 1 + 4 + res.newton_steps + 4
 
     @pytest.mark.parametrize("wrap", [
         lambda x, y: ApexState(np.float64(x), np.float64(y)),
@@ -275,10 +286,10 @@ class TestNumericFixedPoint:
         inputs = ControlInputs(-1.0, 0.5)
         seed = closed_form_fixed_point(-1.0, 0.5, params).apex
         want = numeric_fixed_point(return_map_analytic, seed, inputs, params,
-                                   tol=1e-9, prewarm=3)
+                                   tol=1e-9)
         got = numeric_fixed_point(return_map_analytic,
                                   wrap(seed.x_dot, seed.y), inputs, params,
-                                  tol=1e-9, prewarm=3)
+                                  tol=1e-9)
         assert type(got.apex.x_dot) is float and type(got.apex.y) is float
         assert got.apex == want.apex
         assert type(got.residual) is float and got.residual == want.residual
@@ -356,18 +367,49 @@ class TestNumericFixedPoint:
         assert half == pytest.approx(((seed[0] + full[0]) / 2,
                                       (seed[1] + full[1]) / 2), abs=1e-12)
         # one extra candidate, then the 4-point stability Jacobian
-        assert len(seen) == 1 + 5 * res.newton_steps + 1 + 4
+        assert len(seen) == 1 + 4 + res.newton_steps + 1 + 4
         assert res.stable and res.spectral_radius == pytest.approx(0.5)
 
-    def test_no_acceptable_newton_step(self, params):
-        # the map is defined only within 1e-4 of the seed, so every
-        # line-search candidate down to 1/128 of the step fails
-        def narrow_map(apex, inputs, params):
-            if abs(apex.x_dot - 1.0) > 1e-4 or abs(apex.y - 0.3) > 1e-4:
-                raise InsufficientEnergy("outside the toy domain")
-            return ApexState(0.5 * apex.x_dot, 0.5 * apex.y + 0.1)
+    def test_non_reducing_step_retakes_the_differences(self, params):
+        # Newton on x^3 - 2x + 2 from x = 0 goes to x = 1; the Broyden
+        # step from there reduces the residual at no line-search
+        # candidate, and the quarter step is taken
+        seen = []
+
+        def cubic_map(apex, inputs, params):
+            seen.append((apex.x_dot, apex.y))
+            x = apex.x_dot
+            return ApexState(x + x ** 3 - 2.0 * x + 2.0, 0.5 * apex.y + 0.1)
 
         inputs = ControlInputs(-1.0, 0.5)
-        with pytest.raises(GaitFailure, match="no acceptable Newton step"):
-            numeric_fixed_point(narrow_map, ApexState(1.0, 0.3), inputs,
+        with pytest.raises(NoConvergence, match="after 3 Newton steps"):
+            numeric_fixed_point(cubic_map, ApexState(0.0, 0.2), inputs,
+                                params, max_steps=3)
+        # P(seed), 4 differences, step 1, step 2's full, half and quarter
+        # candidates, 4 differences at the quarter step, step 3
+        assert len(seen) == 1 + 4 + 1 + 3 + 4 + 1
+        assert seen[5][0] == pytest.approx(1.0)
+        x1, quarter = seen[5][0], seen[8][0]
+        assert seen[6][0] - x1 == pytest.approx(4.0 * (quarter - x1))
+        assert sorted(seen[9:13]) == sorted([
+            (quarter + 1e-6 * quarter, 0.2), (quarter - 1e-6 * quarter, 0.2),
+            (quarter, 0.2 + 1e-6), (quarter, 0.2 - 1e-6)])
+
+    def test_no_acceptable_newton_step(self, params):
+        # every line-search candidate down to 1/128 of the step fails, and
+        # the failure carries the phase of the last one
+        inputs = ControlInputs(-1.0, 0.5)
+        with pytest.raises(GaitFailure,
+                           match="no acceptable Newton step") as exc:
+            numeric_fixed_point(_narrow_map, ApexState(1.0, 0.3), inputs,
                                 params)
+        assert exc.value.phase == "aoa"
+
+    def test_no_acceptable_newton_step_below_the_ground(self, params):
+        # the last candidate is no apex state (y <= 0): no phase
+        inputs = ControlInputs(-1.0, 0.5)
+        with pytest.raises(GaitFailure,
+                           match="no acceptable Newton step") as exc:
+            numeric_fixed_point(_sinking_map, ApexState(1.0, 0.3), inputs,
+                                params)
+        assert exc.value.phase is None

@@ -288,7 +288,7 @@ class TestRunSingle:
         report.trajectory.validate()
         # apex sequence settles onto the simulator fixed point
         fp = numeric_fixed_point(simulator_return_map, seed, inputs, params,
-                                 tol=1e-6, prewarm=3)
+                                 tol=1e-6)
         last = report.hops[-1]
         assert last.x_dot == pytest.approx(fp.apex.x_dot, abs=1e-4)
         assert last.y == pytest.approx(fp.apex.y, abs=1e-4)
@@ -301,7 +301,7 @@ class TestRunSingle:
         inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
         seed = closed_form_fixed_point(-1.0, 0.5, params).apex
         fp = numeric_fixed_point(simulator_return_map, seed, inputs, params,
-                                 tol=1e-9, prewarm=3)
+                                 tol=1e-9)
         report = run_single(fp.apex, inputs, params, n_hops=1)
         assert report.hops[0].x_dot == pytest.approx(fp.apex.x_dot, abs=1e-6)
         assert report.hops[0].y == pytest.approx(fp.apex.y, abs=1e-6)
@@ -368,6 +368,7 @@ class TestRunSingle:
     @pytest.mark.parametrize("step,message", [
         ((5, 1.5), "^k_theta must be in"),
         ((-3, 0.5), "^k_theta_step hop must be >= 0"),
+        ((2.5, 0.7), "^k_theta_step hop must be an integer, got 2.5$"),
     ])
     def test_rejects_bad_gain_step_before_any_hop(self, params, monkeypatch,
                                                   step, message):
@@ -593,6 +594,45 @@ class TestSolvePoint:
         assert len(sweep_calls) > 0
         assert calls[len(sweep_calls):] == sweep_calls
 
+    def test_stance_blow_up_is_a_stance_failure(self, params):
+        # this apex touches down at theta = 1.529 rad with r_dot = -28.7
+        # m/s; the stance state leaves the floats, and math.cos raised a
+        # bare "math domain error" that aborted a sweep
+        apex = ApexState(28.713207534728586, 0.08227044092320054)
+        inputs = ControlInputs(-4.0, 1.0)
+        with pytest.raises(InvalidState, match="math domain error") as info:
+            simulator_return_map(apex, inputs, params)
+        assert info.value.phase == "stance"
+        with pytest.raises(SlipError, match="math domain error") as info:
+            solve_point(SIMULATOR_NUMERIC, inputs, params, seed=apex)
+        assert info.value.phase == "stance"
+
+    @pytest.mark.parametrize("p_bar,k_theta", [
+        (-1.55, 0.3), (-1.55, 0.75), (-0.5, 0.3), (-0.5, 0.75), (-1.0, 0.5)])
+    def test_simulator_solve_takes_at_most_16_maps(self, params, monkeypatch,
+                                                   p_bar, k_theta):
+        # from the closed form: 1 + 4 + one per Broyden step + 4 for
+        # stability; Newton with a fresh Jacobian each step took up to 23
+        maps = _count_map_calls(monkeypatch)
+        res = solve_point(SIMULATOR_NUMERIC, ControlInputs(p_bar, k_theta),
+                          params)
+        assert res.residual <= harness.SIM_TOL
+        assert len(maps) <= 16
+
+    @pytest.mark.parametrize("p_bar,k_theta", [(-1.0, 0.5), (-1.55, 0.75)])
+    def test_simulator_fixed_point_does_not_depend_on_its_seed(
+            self, params, p_bar, k_theta):
+        # from the closed form and from the analytic fixed point, the two
+        # roots agree within 2*SIM_TOL/(1 - rho): each lies within
+        # SIM_TOL/(1 - rho) of the true fixed point
+        inputs = ControlInputs(p_bar, k_theta)
+        closed = solve_point(SIMULATOR_NUMERIC, inputs, params)
+        seed = solve_point(ANALYTIC_NUMERIC, inputs, params).apex
+        other = solve_point(SIMULATOR_NUMERIC, inputs, params, seed=seed)
+        bound = 2.0 * harness.SIM_TOL / (1.0 - closed.spectral_radius)
+        assert abs(other.apex.x_dot - closed.apex.x_dot) <= bound
+        assert abs(other.apex.y - closed.apex.y) <= bound
+
     def test_rejects_unknown_pipeline(self, params):
         with pytest.raises(ValueError, match="unknown pipeline"):
             solve_point("nonsense", ControlInputs(p_bar=-1.0, k_theta=0.5),
@@ -665,7 +705,7 @@ class TestCli:
         seed = closed_form_fixed_point(-1.0, 0.5, params).apex
         want = numeric_fixed_point(sim_map, seed,
                                    ControlInputs(p_bar=-1.0, k_theta=0.5),
-                                   params, tol=1e-6, prewarm=3)
+                                   params, tol=harness.SIM_TOL)
         assert halved["apex"] == {"x_dot": want.apex.x_dot,
                                   "y": want.apex.y}
         assert halved["apex"] != default["apex"]

@@ -6,7 +6,9 @@ constraints, and Broyden's quasi-Newton iteration on the analytic
 return map or on the full simulator map. numeric_fixed_point takes any
 apex return map; harness.solve_point picks each pipeline's map and
 tolerance. Stability is the spectral radius of the 2x2 apex return-map
-Jacobian (central finite differences), held as a pair of float rows.
+Jacobian (central finite differences), held as a pair of float rows;
+every FixedPointResult carries it, so a result seeds the next solve
+with its apex and a start matrix for Broyden's method.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ ReturnMap = Callable[[ApexState, ControlInputs, SlipParams], ApexState]
 Jacobian = tuple[tuple[float, float], tuple[float, float]]  # ((a, b), (c, d))
 
 FD_STEP = 1e-6  # map Jacobian step: h = max(FD_STEP, FD_STEP*|z_i|)
+MAX_STALLS = 3  # consecutive non-reducing Newton steps before giving up
 
 
 @dataclass(frozen=True)
@@ -226,20 +229,24 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
                         inputs: ControlInputs, params: SlipParams,
                         tol: float = 1e-9, max_steps: int = 50,
                         provenance: str = ANALYTIC_NUMERIC,
+                        jacobian: Jacobian | None = None,
                         ) -> FixedPointResult:
     """Broyden fixed point of an apex return map.
 
     Quasi-Newton iteration on the residual F(z) = P(z) - z, converged
     when the residual infinity norm is at or below tol. The matrix A of
-    J - I starts as the central-difference Jacobian at the seed (step
-    max(1e-6, 1e-6|z|) per component, as stability takes it). Each step
-    then updates it by Broyden's "good" rank-1 formula
-    A += ((dF - A dz) dz^T) / (dz . dz), from the step dz actually taken
-    and the change dF of the residual that the line search computed
-    (C. G. Broyden, Math. Comp. 19, 1965), so an update costs no map
-    evaluation. The differences are taken afresh at the new iterate
-    when a step did not reduce the residual, and at the current one when
-    an update left A singular. newton_steps counts the steps taken.
+    J - I starts from jacobian, the map's Jacobian at or near the seed
+    (a closed-form or a neighbouring fixed point's), when all its
+    entries are finite; otherwise, as the central-difference Jacobian
+    at the seed (step max(1e-6, 1e-6|z|) per component, as stability
+    takes it). Each step then updates it by Broyden's "good" rank-1
+    formula A += ((dF - A dz) dz^T) / (dz . dz), from the step dz
+    actually taken and the change dF of the residual that the line
+    search computed (C. G. Broyden, Math. Comp. 19, 1965), so an update
+    costs no map evaluation. The differences are taken afresh at the
+    new iterate when a step did not reduce the residual, and at the
+    current one when A is singular (a singular start matrix included).
+    newton_steps counts the steps taken.
 
     A backtracking halver guards steps that leave the gait's domain: a
     candidate is accepted when its residual's Euclidean norm falls (or
@@ -249,7 +256,8 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
     seed's scalar type; A s = r is solved in closed form. Stability is
     the central-difference Jacobian at z*, not Broyden's matrix.
 
-    Raises NoConvergence after max_steps; GaitFailure when a map
+    Raises NoConvergence after max_steps, or once MAX_STALLS
+    consecutive steps did not reduce the residual; GaitFailure when a map
     evaluation fails at the seed or in a difference, or when no
     line-search candidate is acceptable (tagged with the phase of the
     last candidate's failure, None when it failed its ApexState check);
@@ -286,6 +294,11 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
             phase=err.phase) from err
     mapped = nxt.x_dot, nxt.y  # P(x, y); later set by each accepted step
     jm = None  # Broyden's J - I as (a, b, c, d); None: take differences
+    if jacobian is not None:
+        (a, b), (c, d) = jacobian
+        if all(map(math.isfinite, (a, b, c, d))):
+            jm = (float(a) - 1.0, float(b), float(c), float(d) - 1.0)
+    stalls = 0  # consecutive accepted steps that did not reduce F
     steps = 0
     for steps in range(max_steps + 1):
         rx, ry = mapped[0] - x, mapped[1] - y
@@ -298,6 +311,10 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
                                     jacobian=jac, spectral_radius=rho,
                                     stable=stable, provenance=provenance,
                                     residual=res_norm, newton_steps=steps)
+        if stalls == MAX_STALLS:
+            raise NoConvergence(
+                f"residual {res_norm:.2e} > {tol:.1e}: {MAX_STALLS} "
+                "consecutive Newton steps did not reduce it")
         if steps == max_steps:
             break
         if jm is None:
@@ -322,6 +339,7 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
             raise GaitFailure(
                 f"no acceptable Newton step from z = ({x:.4f}, {y:.4f})",
                 phase=phase)
+        stalls = 0 if reduced else stalls + 1
         if reduced:  # Broyden's update; dz != 0, as the residual moved
             dx, dy = cx - x, cy - y
             dz2 = dx * dx + dy * dy

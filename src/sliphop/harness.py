@@ -182,17 +182,21 @@ def simulator_return_map(apex: ApexState, inputs: ControlInputs,
 
 
 def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
-                seed: ApexState | None = None, dt: float = DEFAULT_DT,
+                seed: ApexState | None = None,
+                jacobian: fp.Jacobian | None = None, dt: float = DEFAULT_DT,
                 control_dt: float = DEFAULT_CONTROL_DT,
                 ) -> fp.FixedPointResult:
     """The gait fixed point of one pipeline.
 
     The closed-form pipeline solves the touchdown constraints. The
     Newton pipelines run fixedpoint.numeric_fixed_point's Broyden
-    iteration from seed (default: the closed-form apex) to ANALYTIC_TOL
-    on the analytic map or to SIM_TOL on the simulator map at
-    dt/control_dt. Raises SlipError when the gait has no fixed point
-    there, ValueError when the steps fail simulate.check_steps.
+    iteration from seed to ANALYTIC_TOL on the analytic map or to
+    SIM_TOL on the simulator map at dt/control_dt, starting Broyden's
+    matrix from jacobian, a map Jacobian at or near seed (central
+    differences at seed when None). Without a seed, both come from the
+    closed form: its apex and its analytic-map Jacobian there. Raises
+    SlipError when the gait has no fixed point there, ValueError when
+    the steps fail simulate.check_steps.
     """
     if pipeline not in ALL_PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
@@ -201,8 +205,9 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
         return fp.closed_form_fixed_point(inputs.p_bar, inputs.k_theta,
                                           params)
     if seed is None:
-        seed = fp.closed_form_fixed_point(inputs.p_bar, inputs.k_theta,
-                                          params).apex
+        closed = fp.closed_form_fixed_point(inputs.p_bar, inputs.k_theta,
+                                            params)
+        seed, jacobian = closed.apex, closed.jacobian
     if pipeline == fp.SIMULATOR_NUMERIC:
         return_map = functools.partial(simulator_return_map, dt=dt,
                                        control_dt=control_dt)
@@ -210,18 +215,23 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
     else:
         return_map, tol = fp.return_map_analytic, ANALYTIC_TOL
     return fp.numeric_fixed_point(return_map, seed, inputs, params, tol=tol,
-                                  provenance=pipeline)
+                                  provenance=pipeline, jacobian=jacobian)
 
 
 def _solve_cell(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
-                seed: ApexState | None = None) -> PointOutcome:
+                seed: fp.FixedPointResult | None = None) -> PointOutcome:
+    """One cell; a Newton pipeline starts from seed's apex and Jacobian."""
     out = PointOutcome(inputs.p_bar, inputs.k_theta, pipeline)
     if seed is None and pipeline != fp.CLOSED_FORM:
         out.status = "NoSeed"
         return out
+    apex = jacobian = None
+    if seed is not None:
+        apex, jacobian = seed.apex, seed.jacobian
     try:
-        out.result = solve_point(pipeline, inputs, cfg.params, seed,
-                                 dt=cfg.dt, control_dt=cfg.control_dt)
+        out.result = solve_point(pipeline, inputs, cfg.params, apex,
+                                 jacobian=jacobian, dt=cfg.dt,
+                                 control_dt=cfg.control_dt)
     except SlipError as err:
         out.status = _fail_status(err)
     return out
@@ -230,30 +240,30 @@ def _solve_cell(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
 def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
     """Evaluate every pipeline along one constant-p_bar row.
 
-    Newton seeds come from the closed form; with seed chaining on, the
-    previous k_theta point's fixed point takes over once available
-    (row-local, so results do not depend on the worker count).
+    Newton seeds, apex and Jacobian, come from the closed form; with
+    seed chaining on, the previous k_theta point's fixed point takes
+    over once available (row-local, so results do not depend on the
+    worker count).
     """
     rows: list[PointOutcome] = []
-    chain: dict[str, ApexState | None] = {fp.ANALYTIC_NUMERIC: None,
-                                          fp.SIMULATOR_NUMERIC: None}
+    chain: dict[str, fp.FixedPointResult | None] = {
+        fp.ANALYTIC_NUMERIC: None, fp.SIMULATOR_NUMERIC: None}
     for k_theta in cfg.k_theta_values():
         inputs = cfg.inputs(p_bar, k_theta)
         closed = _solve_cell(cfg, inputs, fp.CLOSED_FORM)
-        closed_seed = closed.result.apex if closed.result else None
         if fp.CLOSED_FORM in cfg.pipelines:
             rows.append(closed)
         for pipeline in (fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC):
             if pipeline not in cfg.pipelines:
                 continue
             seed = chain[pipeline] if cfg.seed_chaining else None
-            point = _solve_cell(cfg, inputs, pipeline, seed or closed_seed)
+            point = _solve_cell(cfg, inputs, pipeline, seed or closed.result)
             if point.result is None and seed is not None:
                 # chained seed failed; retry once from the closed form
-                point = _solve_cell(cfg, inputs, pipeline, closed_seed)
+                point = _solve_cell(cfg, inputs, pipeline, closed.result)
             rows.append(point)
             if point.result is not None:
-                chain[pipeline] = point.result.apex
+                chain[pipeline] = point.result
     return rows
 
 

@@ -110,7 +110,7 @@ _FIXED_POINT_FILE = _COMMON_FILE + (
 _FIXED_POINT_FROM_FILE = dict(
     pipeline=ANALYTIC_NUMERIC,
     inputs=ControlInputs(p_bar=-1.1, k_theta=0.55, **_FILE_GAINS),
-    params=_FILE_PARAMS, seed=None, dt=2e-4, control_dt=2e-3)
+    params=_FILE_PARAMS, seed=None, jacobian=None, dt=2e-4, control_dt=2e-3)
 _FIXED_POINT_OUT = json.dumps({
     "status": "converged",
     "pipeline": _FIXED_POINT.provenance,

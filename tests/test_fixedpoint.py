@@ -144,6 +144,21 @@ def _sinking_map(apex, inputs, params):
     return ApexState(0.5 * apex.x_dot, 2.0 * apex.y + 1000.0)
 
 
+def _cusp_map(apex, inputs, params):
+    # residual 1 + sqrt|x| >= 1: no fixed point, and from |x| < 1/9 the
+    # full, half and quarter Newton steps all land higher on the cusp
+    x = apex.x_dot
+    return ApexState(x + 1.0 + math.sqrt(abs(x)), 0.5 * apex.y + 0.1)
+
+
+def _counted(return_map, seen):
+    """return_map, appending each point it is called at to seen."""
+    def counting_map(apex, inputs, params):
+        seen.append((apex.x_dot, apex.y))
+        return return_map(apex, inputs, params)
+    return counting_map
+
+
 class TestStability:
     def test_contraction_toy_map(self, params):
         inputs = ControlInputs(-1.0, 0.5)
@@ -278,6 +293,43 @@ class TestNumericFixedPoint:
         # accepted candidate of each step, the 4-point stability Jacobian
         assert len(seen) == 1 + 4 + res.newton_steps + 4
 
+    def test_closed_form_jacobian_starts_broyden(self, params):
+        # the closed form's Jacobian is the central-difference Jacobian of
+        # the analytic map at its apex: the same start, 4 maps fewer
+        inputs = ControlInputs(-1.0, 0.5)
+        closed = closed_form_fixed_point(-1.0, 0.5, params)
+        fd_seen, warm_seen = [], []
+        fd = numeric_fixed_point(_counted(return_map_analytic, fd_seen),
+                                 closed.apex, inputs, params)
+        warm = numeric_fixed_point(_counted(return_map_analytic, warm_seen),
+                                   closed.apex, inputs, params,
+                                   jacobian=closed.jacobian)
+        assert warm == fd
+        assert len(warm_seen) == len(fd_seen) - 4
+        wide = tuple(tuple(map(np.float64, row)) for row in closed.jacobian)
+        got = numeric_fixed_point(return_map_analytic, closed.apex, inputs,
+                                  params, jacobian=wide)
+        assert got == fd
+        assert type(got.apex.x_dot) is float and type(got.apex.y) is float
+
+    @pytest.mark.parametrize("jacobian", [
+        ((math.nan, math.nan), (math.nan, math.nan)),  # no Jacobian
+        ((1.0, 0.0), (0.0, 1.0)),  # J - I singular: refreshed by FD
+    ], ids=["nan", "singular"])
+    def test_unusable_start_jacobian_takes_differences(self, params,
+                                                       jacobian):
+        inputs = ControlInputs(-1.0, 0.5)
+        seed = closed_form_fixed_point(-1.0, 0.5, params).apex
+        fd_seen, seen = [], []
+        fd = numeric_fixed_point(_counted(return_map_analytic, fd_seen),
+                                 seed, inputs, params)
+        res = numeric_fixed_point(_counted(return_map_analytic, seen), seed,
+                                  inputs, params, jacobian=jacobian)
+        assert res == fd and res.residual <= 1e-9
+        # the same points as the FD start: the 4 differences at the seed
+        # that a usable Jacobian skips included
+        assert seen == fd_seen
+
     @pytest.mark.parametrize("wrap", [
         lambda x, y: ApexState(np.float64(x), np.float64(y)),
         lambda x, y: SimpleNamespace(x_dot=np.float64(x), y=np.float64(y)),
@@ -345,6 +397,22 @@ class TestNumericFixedPoint:
         with pytest.raises(NoConvergence, match="after 5 Newton steps"):
             numeric_fixed_point(double_root_map, ApexState(0.9, 0.25),
                                 inputs, params, max_steps=5)
+
+    def test_stalled_solve_stops_before_max_steps(self, params):
+        # three consecutive steps that do not reduce the residual end the
+        # solve: P(seed), then per step 4 differences and the full, half
+        # and quarter candidates, against a budget of 50 steps
+        seen = []
+        inputs = ControlInputs(-1.0, 0.5)
+        with pytest.raises(NoConvergence,
+                           match="3 consecutive Newton steps did not"):
+            numeric_fixed_point(_counted(_cusp_map, seen),
+                                ApexState(0.01, 0.2), inputs, params)
+        assert len(seen) == 1 + 3 * (4 + 3)
+        quarters = [x for x, _ in seen[7::7]]
+        assert quarters[0] == pytest.approx(-0.045)
+        assert all(abs(b) > abs(a) for a, b in zip([0.01] + quarters,
+                                                   quarters))
 
     def test_line_search_halves_an_overshooting_step(self, params):
         # Newton on the residual -0.9*atan(x) overshoots from x = 1.5 to

@@ -17,9 +17,9 @@ from hypothesis import example, given, strategies as st
 
 from sliphop import (ApexState, ControlInputs, InvalidState, SlipError,
                      SweepConfig, analytic, closed_form_fixed_point,
-                     harness, numeric_fixed_point, return_map_analytic,
-                     run_single, run_sweep, simulate, simulator_return_map,
-                     solve_point)
+                     fixedpoint, harness, numeric_fixed_point,
+                     return_map_analytic, run_single, run_sweep, simulate,
+                     simulator_return_map, solve_point)
 from sliphop.cli import main, parse_config_file
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
@@ -164,6 +164,41 @@ class TestRunSweep:
         for name in ("sweep.csv", "errors.csv"):
             assert (tmp_path / name).read_bytes() == (
                 GOLDEN_ANALYTIC_SWEEP / name).read_bytes(), name
+
+    def test_closed_form_jacobian_start_writes_the_fd_start_bytes(
+            self, params, tmp_path, monkeypatch):
+        # unchained, every Newton cell starts at the closed-form apex,
+        # where the closed form's Jacobian is the one differences give
+        cfg = SweepConfig(params=params, p_bar_range=(-1.55, -0.5, 5),
+                          k_theta_range=(0.3, 0.75, 5),
+                          pipelines=(CLOSED_FORM, ANALYTIC_NUMERIC),
+                          seed_chaining=False)
+        maps = []
+        real_map = fixedpoint.return_map_analytic
+
+        def counted(*args):
+            maps.append(args[0])
+            return real_map(*args)
+
+        monkeypatch.setattr(fixedpoint, "return_map_analytic", counted)
+        warm = run_sweep(dataclasses.replace(cfg,
+                                             out_dir=str(tmp_path / "j")))
+        warm_maps = len(maps)
+        real_solve = fixedpoint.numeric_fixed_point
+
+        def fd_start(*args, jacobian=None, **kwargs):
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(fixedpoint, "numeric_fixed_point", fd_start)
+        run_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "fd")))
+        for name in ("sweep.csv", "errors.csv", "report.json"):
+            assert (tmp_path / "j" / name).read_bytes() == \
+                (tmp_path / "fd" / name).read_bytes(), name
+        # the differences skipped wherever the closed form has a Jacobian
+        warm_started = sum(not math.isnan(r.spectral_radius)
+                           for r in warm.converged(CLOSED_FORM).values())
+        fd_maps = len(maps) - warm_maps
+        assert fd_maps == warm_maps + 4 * warm_started
 
     def test_deterministic_outputs(self, params, tmp_path):
         cfg1 = SweepConfig(params=params, p_bar_range=(-1.1, -0.9, 2),
@@ -609,15 +644,17 @@ class TestSolvePoint:
 
     @pytest.mark.parametrize("p_bar,k_theta", [
         (-1.55, 0.3), (-1.55, 0.75), (-0.5, 0.3), (-0.5, 0.75), (-1.0, 0.5)])
-    def test_simulator_solve_takes_at_most_16_maps(self, params, monkeypatch,
+    def test_simulator_solve_takes_at_most_13_maps(self, params, monkeypatch,
                                                    p_bar, k_theta):
-        # from the closed form: 1 + 4 + one per Broyden step + 4 for
-        # stability; Newton with a fresh Jacobian each step took up to 23
+        # from the closed form: 1 + one per Broyden step + 4 for
+        # stability, with no start differences (Broyden starts from the
+        # closed form's Jacobian); 10-13 here. Differences at the seed
+        # took up to 16, Newton with a fresh Jacobian each step up to 23
         maps = _count_map_calls(monkeypatch)
         res = solve_point(SIMULATOR_NUMERIC, ControlInputs(p_bar, k_theta),
                           params)
         assert res.residual <= harness.SIM_TOL
-        assert len(maps) <= 16
+        assert len(maps) <= 13
 
     @pytest.mark.parametrize("p_bar,k_theta", [(-1.0, 0.5), (-1.55, 0.75)])
     def test_simulator_fixed_point_does_not_depend_on_its_seed(
@@ -702,10 +739,11 @@ class TestCli:
         assert main(argv + ["--dt", "5e-4"]) == 0
         halved = json.loads(capsys.readouterr().out)
         sim_map = functools.partial(simulator_return_map, dt=5e-4)
-        seed = closed_form_fixed_point(-1.0, 0.5, params).apex
-        want = numeric_fixed_point(sim_map, seed,
+        closed = closed_form_fixed_point(-1.0, 0.5, params)
+        want = numeric_fixed_point(sim_map, closed.apex,
                                    ControlInputs(p_bar=-1.0, k_theta=0.5),
-                                   params, tol=harness.SIM_TOL)
+                                   params, tol=harness.SIM_TOL,
+                                   jacobian=closed.jacobian)
         assert halved["apex"] == {"x_dot": want.apex.x_dot,
                                   "y": want.apex.y}
         assert halved["apex"] != default["apex"]

@@ -28,8 +28,9 @@ from .simulate import (HybridTrajectory, StanceSegment, TrajectoryEvent,
                        TrajectorySample, integrate_stance, return_map_numeric)
 from .analytic import (StanceFlowCoeffs, StanceMapConstants, flow_coeffs,
                        bottom_time, liftoff_time, liftoff_time_bisect,
-                       return_map_analytic, simplified_map_constants,
-                       simplified_stance_map, stance_flow, theta_offset)
+                       return_map_analytic, return_map_analytic_jacobian,
+                       simplified_map_constants, simplified_stance_map,
+                       stance_flow, theta_offset)
 from .fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM, FixedPointResult,
                          SIMULATOR_NUMERIC, TouchdownFixedPoint,
                          closed_form_fixed_point, energy_speed_constraints,

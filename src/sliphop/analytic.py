@@ -15,7 +15,8 @@ nominal condition collapses the stance map to an affine map in
 (r_dot_td, theta_td) with constants C1..C4, which is what the
 closed-form fixed points are built on. The analytic return map is the
 simulator's hop chain (simulate.compose_return_map) with the quadratic
-angle-of-attack approximation and the closed-form stance map.
+angle-of-attack approximation and the closed-form stance map, and
+return_map_analytic_jacobian is its exact Jacobian.
 
 The flow constants split in two. The gait part (_gait_constants)
 depends only on (p_bar, params) and is computed once per gait behind a
@@ -395,3 +396,104 @@ def return_map_analytic(apex: ApexState, inputs: ControlInputs,
     """
     return compose_return_map(apex, inputs, params, solve_aoa_approx,
                               _stance_map)
+
+
+# ((dx_dot'/dx_dot, dx_dot'/dy), (dy'/dx_dot, dy'/dy)) of an apex map
+Jacobian = tuple[tuple[float, float], tuple[float, float]]
+_NAN_JACOBIAN = ((math.nan, math.nan), (math.nan, math.nan))
+
+
+def return_map_analytic_jacobian(apex: ApexState, inputs: ControlInputs,
+                                 params: SlipParams) -> Jacobian:
+    """Exact Jacobian of return_map_analytic at apex, as rows of floats.
+
+    The chain rule through the laws the map composes, in one pass: the
+    angle-of-attack quadratic's root q = theta0^2 and Phi, theta_td =
+    k_theta*theta_aoa, descent and the touchdown reset give (r_dot_td,
+    theta_td) and their partials in (x_dot, y); the stance flow at the
+    liftoff time (through its arccos), the liftoff reset and ascent are
+    differentiated in r_dot_td, and theta_td enters them only by adding
+    to the stance angle. Call it where return_map_analytic has just
+    evaluated: it repeats none of the map's state checks or branch
+    tests. A derivative that is not finite (an arccos argument of +-1)
+    gives a NaN Jacobian.
+    """
+    m, g, r0 = params.m, params.g, params.r0
+    x, y = apex.x_dot, apex.y
+    p_bar, k_theta = float(inputs.p_bar), float(inputs.k_theta)
+    try:
+        # angle of attack: Phi's radicand rad = 2*g*y - 2*g*r0*cos(s) at
+        # s = k_theta*sqrt(q); d cos(s)/dq = -k_theta^2/2 * sin(s)/s,
+        # which is -k_theta^2/2 at q = 0 (x_dot = 0)
+        e2 = 2.0 * g * y
+        qa = 16.0 * g * r0
+        qb = 16.0 * (e2 - 2.0 * g * r0)
+        sq = math.sqrt(qb * qb + 4.0 * qa * x * x * math.pi * math.pi)
+        s = k_theta * math.sqrt((sq - qb) / (2.0 * qa))
+        rad_q = g * r0 * k_theta * k_theta * (math.sin(s) / s if s else 1.0)
+        rad = e2 - 2.0 * g * r0 * math.cos(s)
+        rad_x = rad_q * 2.0 * math.pi * math.pi * x / sq
+        rad_y = 2.0 * g + rad_q * 16.0 * g * (qb / sq - 1.0) / qa
+        u = x / math.sqrt(rad)
+        du = k_theta / ((1.0 + u * u) * math.sqrt(rad))
+        th = k_theta * math.atan(u)
+        th_x = du * (1.0 - 0.5 * x * rad_x / rad)
+        th_y = -du * 0.5 * x * rad_y / rad
+        # descent and the touchdown reset
+        c, sn = math.cos(th), math.sin(th)
+        y_dot = -math.sqrt(2.0 * g * (y - r0 * c))
+        yd_x = g * r0 * sn * th_x / y_dot
+        yd_y = g * (1.0 + r0 * sn * th_y) / y_dot
+        r_dot = c * y_dot - sn * x
+        lat = c * x + sn * y_dot
+        rd_x = c * yd_x - sn - lat * th_x
+        rd_y = c * yd_y - lat * th_y
+        # stance: the flow at the liftoff time, and each quantity's
+        # derivative in r_dot_td (suffix _d)
+        gait = _gait_constants(p_bar, params)
+        w, zeta, wd, gamma, psi2, _, _, _, m2_force, psi4 = gait
+        (_, _, _, _, a, b, amp, psi, _, x_rate, y_amp,
+         _) = _flow_coeffs(r0, r_dot, p_bar, gait)
+        amp_d = b / (amp * wd) / amp  # relative: amp'/amp = y_amp'/y_amp
+        psi_d = -a / (amp * amp * wd)
+        zw = zeta * w
+        decay = math.exp(-2.0 * zw * (0.5 * math.pi - psi - psi2) / wd)
+        arg = params.k * (r0 * w * w - gamma) / (m2_force * amp * w * w
+                                                 * decay)
+        arg_d = -arg * (amp_d + 2.0 * zw * psi_d / wd)
+        t = (2.0 * math.pi - math.acos(arg) - psi - psi4) / wd
+        t_d = (arg_d / math.sqrt(1.0 - arg * arg) - psi_d) / wd
+        e = math.exp(-zw * t)
+        ph = wd * t + psi
+        ph_d = wd * t_d + psi_d
+        ea = amp * e
+        ea_d = ea * (amp_d - zw * t_d)
+        r = ea * math.cos(ph) + gamma / (w * w)
+        r_d = ea_d * math.cos(ph) - ea * math.sin(ph) * ph_d
+        rl_dot = -w * ea * math.cos(ph + psi2)
+        rl_dot_d = -w * (ea_d * math.cos(ph + psi2)
+                         - ea * math.sin(ph + psi2) * ph_d)
+        osc = e * math.cos(ph - psi2) - math.cos(psi - psi2)
+        theta = th + x_rate * t + y_amp * osc
+        theta_d = x_rate * t_d + y_amp * (
+            amp_d * osc - zw * t_d * e * math.cos(ph - psi2)
+            - e * math.sin(ph - psi2) * ph_d + math.sin(psi - psi2) * psi_d)
+        # liftoff reset with r*theta_dot = p_bar/(m*r), then ascent; in
+        # theta_td only the stance angle moves, by 1
+        lr = p_bar / (m * r)
+        lr_d = -lr * r_d / r
+        cl, sl = math.cos(theta), math.sin(theta)
+        xl_dot = -lr * cl - rl_dot * sl
+        yl_dot = -lr * sl + rl_dot * cl
+        x_d = -lr_d * cl - rl_dot_d * sl - yl_dot * theta_d
+        y_d = r_d * cl - r * sl * theta_d + yl_dot * (
+            -lr_d * sl + rl_dot_d * cl + xl_dot * theta_d) / g
+        y_th = -r * sl + yl_dot * xl_dot / g
+        jac = ((x_d * rd_x - yl_dot * th_x, x_d * rd_y - yl_dot * th_y),
+               (y_d * rd_x + y_th * th_x, y_d * rd_y + y_th * th_y))
+    except (ArithmeticError, ValueError):
+        return _NAN_JACOBIAN
+    (j11, j12), (j21, j22) = jac
+    if not 0.0 * j11 * j12 * j21 * j22 == 0.0:
+        return _NAN_JACOBIAN
+    return jac

@@ -4,11 +4,15 @@ Three routes to a steady hop, named by the pipeline constants: the
 closed-form quadratic solution of the touchdown energy/speed
 constraints, and Broyden's quasi-Newton iteration on the analytic
 return map or on the full simulator map. numeric_fixed_point takes any
-apex return map; harness.solve_point picks each pipeline's map and
-tolerance. Stability is the spectral radius of the 2x2 apex return-map
-Jacobian (central finite differences), held as a pair of float rows;
-every FixedPointResult carries it, so a result seeds the next solve
-with its apex and a start matrix for Broyden's method.
+apex return map and, when the map has one, its Jacobian function;
+harness.solve_point picks each pipeline's map, Jacobian and tolerance.
+Stability is the spectral radius of the 2x2 apex return-map Jacobian,
+held as a pair of float rows: the exact Jacobian of the analytic map
+(analytic.return_map_analytic_jacobian) for the closed form and
+analytic-numeric, central finite differences for a map without a
+Jacobian function, such as the simulator's. Every FixedPointResult
+carries it, so a result seeds the next solve with its apex and a start
+matrix for Broyden's method.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .analytic import (return_map_analytic, simplified_map_constants,
+from .analytic import (Jacobian, return_map_analytic,
+                       return_map_analytic_jacobian, simplified_map_constants,
                        theta_offset)
 from .errors import (GaitFailure, IllConditioned, NegativeDiscriminant,
                      NoConvergence, NonPhysical, NoRealFixedPoint, SlipError)
@@ -31,7 +36,8 @@ ANALYTIC_NUMERIC = "analytic-numeric"
 SIMULATOR_NUMERIC = "simulator-numeric"
 
 ReturnMap = Callable[[ApexState, ControlInputs, SlipParams], ApexState]
-Jacobian = tuple[tuple[float, float], tuple[float, float]]  # ((a, b), (c, d))
+# a return map's Jacobian function, called with the map's own arguments
+MapJacobian = Callable[[ApexState, ControlInputs, SlipParams], Jacobian]
 
 FD_STEP = 1e-6  # map Jacobian step: h = max(FD_STEP, FD_STEP*|z_i|)
 MAX_STALLS = 3  # consecutive non-reducing Newton steps before giving up
@@ -52,8 +58,10 @@ class TouchdownFixedPoint:
 class FixedPointResult:
     """A gait fixed point with its local stability information.
 
-    jacobian/spectral_radius are NaN-filled when the return map could
-    not be evaluated around the apex point (stable is then False, and
+    jacobian is the map's Jacobian at apex: exact on the analytic map
+    (closed form and analytic-numeric), central differences on the
+    simulator map. jacobian/spectral_radius are NaN-filled when it could
+    not be evaluated or is not finite there (stable is then False, and
     the output writers report the verdict as unknown);
     residual is the infinity norm of P(z*) - z* under the map that
     produced (or checked) the point; newton_steps counts the Broyden
@@ -70,9 +78,9 @@ class FixedPointResult:
     newton_steps: int = 0
 
 
-def _map_jacobian(return_map: ReturnMap, z: ApexState,
-                  inputs: ControlInputs, params: SlipParams,
-                  ) -> Jacobian:
+def _fd_jacobian(return_map: ReturnMap, z: ApexState,
+                 inputs: ControlInputs, params: SlipParams,
+                 ) -> Jacobian:
     """Central-difference Jacobian of the apex map at z, as rows of floats.
 
     Step h = max(FD_STEP, FD_STEP*|z_i|) per component. Raises
@@ -101,21 +109,35 @@ def _map_jacobian(return_map: ReturnMap, z: ApexState,
 
 def stability(return_map: ReturnMap, z_star: ApexState,
               inputs: ControlInputs, params: SlipParams,
+              map_jacobian: MapJacobian | None = None,
               ) -> tuple[Jacobian, float, bool]:
     """Return-map Jacobian at a fixed point, its spectral radius, and the
-    stability verdict (spectral radius < 1)."""
-    jac = _map_jacobian(return_map, z_star, inputs, params)
+    stability verdict (spectral radius < 1).
+
+    The Jacobian is map_jacobian(z_star, inputs, params) when given, the
+    map's own (the caller has evaluated the map at z_star), and the
+    central-difference Jacobian of return_map otherwise. A NaN Jacobian
+    gives a NaN spectral radius and the verdict False.
+    """
+    if map_jacobian is None:
+        jac = _fd_jacobian(return_map, z_star, inputs, params)
+    else:
+        jac = map_jacobian(z_star, inputs, params)
     rho = spectral_radius_2x2(*jac[0], *jac[1])
     return jac, rho, rho < 1.0
 
 
+_NO_STABILITY = ((math.nan, math.nan), (math.nan, math.nan)), math.nan, False
+
+
 def _stability_or_nan(return_map: ReturnMap, z: ApexState,
                       inputs: ControlInputs, params: SlipParams,
+                      map_jacobian: MapJacobian | None,
                       ) -> tuple[Jacobian, float, bool]:
     try:
-        return stability(return_map, z, inputs, params)
+        return stability(return_map, z, inputs, params, map_jacobian)
     except SlipError:
-        return ((math.nan, math.nan), (math.nan, math.nan)), math.nan, False
+        return _NO_STABILITY
 
 
 def closed_form_fixed_point(p_bar: float, k_theta: float,
@@ -130,8 +152,10 @@ def closed_form_fixed_point(p_bar: float, k_theta: float,
     theta_dot = -r_dot/r0 * tan(theta_offset). The apex point is the
     touchdown state run backward through the model's own laws: the
     liftoff reset inverts the touchdown reset, and the descent reversed
-    in time is an ascent. Stability is evaluated on the analytic return
-    map at the apex.
+    in time is an ascent. The residual is the analytic return map's at
+    the apex, and stability its exact Jacobian there
+    (return_map_analytic_jacobian), taken only once the map has
+    evaluated: NaN, with the verdict unknown, when it failed.
 
     Raises NoRealFixedPoint when a constraint quadratic has no real
     root, NonPhysical when the chosen branch is not a descending-
@@ -188,13 +212,15 @@ def closed_form_fixed_point(p_bar: float, k_theta: float,
     if apex.y <= y:
         raise NonPhysical(f"apex height {apex.y:.4f} <= touchdown height")
 
-    jac, rho, stable = _stability_or_nan(return_map_analytic, apex,
-                                         inputs, params)
     try:
         nxt = return_map_analytic(apex, inputs, params)
-        residual = max(abs(nxt.x_dot - apex.x_dot), abs(nxt.y - apex.y))
     except SlipError:
         residual = math.nan
+        jac, rho, stable = _NO_STABILITY
+    else:
+        residual = max(abs(nxt.x_dot - apex.x_dot), abs(nxt.y - apex.y))
+        jac, rho, stable = stability(return_map_analytic, apex, inputs,
+                                     params, return_map_analytic_jacobian)
     return FixedPointResult(apex=apex, touchdown=touchdown, jacobian=jac,
                             spectral_radius=rho, stable=stable,
                             provenance=CLOSED_FORM, residual=residual)
@@ -230,23 +256,27 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
                         tol: float = 1e-9, max_steps: int = 50,
                         provenance: str = ANALYTIC_NUMERIC,
                         jacobian: Jacobian | None = None,
+                        map_jacobian: MapJacobian | None = None,
                         ) -> FixedPointResult:
     """Broyden fixed point of an apex return map.
 
     Quasi-Newton iteration on the residual F(z) = P(z) - z, converged
-    when the residual infinity norm is at or below tol. The matrix A of
-    J - I starts from jacobian, the map's Jacobian at or near the seed
-    (a closed-form or a neighbouring fixed point's), when all its
-    entries are finite; otherwise, as the central-difference Jacobian
-    at the seed (step max(1e-6, 1e-6|z|) per component, as stability
-    takes it). Each step then updates it by Broyden's "good" rank-1
-    formula A += ((dF - A dz) dz^T) / (dz . dz), from the step dz
-    actually taken and the change dF of the residual that the line
-    search computed (C. G. Broyden, Math. Comp. 19, 1965), so an update
-    costs no map evaluation. The differences are taken afresh at the
-    new iterate when a step did not reduce the residual, and at the
-    current one when A is singular (a singular start matrix included).
-    newton_steps counts the steps taken.
+    when the residual infinity norm is at or below tol. map_jacobian is
+    the map's own Jacobian function, if it has one (for the analytic
+    map, return_map_analytic_jacobian); it is called only at points
+    where return_map has just evaluated, and without it the Jacobian is
+    the central-difference one (step max(1e-6, 1e-6|z|) per component).
+    The matrix A of J - I starts from jacobian, the map's Jacobian at or
+    near the seed (a closed-form or a neighbouring fixed point's), when
+    all its entries are finite; otherwise, as the Jacobian at the seed.
+    Each step then updates it by Broyden's "good" rank-1 formula
+    A += ((dF - A dz) dz^T) / (dz . dz), from the step dz actually taken
+    and the change dF of the residual that the line search computed
+    (C. G. Broyden, Math. Comp. 19, 1965), so an update costs no map
+    evaluation. The Jacobian is taken afresh at the new iterate when a
+    step did not reduce the residual, and at the current one when A is
+    singular (a singular start matrix included). newton_steps counts the
+    steps taken.
 
     A backtracking halver guards steps that leave the gait's domain: a
     candidate is accepted when its residual's Euclidean norm falls (or
@@ -254,14 +284,15 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
     accepted candidate is the next iteration's P(z), so no apex point is
     evaluated twice. The iterate is a pair of Python floats whatever the
     seed's scalar type; A s = r is solved in closed form. Stability is
-    the central-difference Jacobian at z*, not Broyden's matrix.
+    the Jacobian at z*, not Broyden's matrix.
 
     Raises NoConvergence after max_steps, or once MAX_STALLS
     consecutive steps did not reduce the residual; GaitFailure when a map
     evaluation fails at the seed or in a difference, or when no
     line-search candidate is acceptable (tagged with the phase of the
     last candidate's failure, None when it failed its ApexState check);
-    IllConditioned when freshly taken central differences are singular.
+    IllConditioned when a freshly taken Jacobian is not finite or
+    leaves J - I singular.
     """
     def try_eval(x: float, y: float):
         """(P(x, y), None), or (None, phase) when the evaluation fails."""
@@ -271,15 +302,21 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
             return None, getattr(err, "phase", None)
         return (nxt.x_dot, nxt.y), None
 
-    def fd_step(x: float, y: float, rx: float, ry: float):
-        """Central-difference J - I at (x, y) and the step it gives."""
-        try:
-            (a, b), (c, d) = _map_jacobian(return_map, ApexState(x, y),
-                                           inputs, params)
-        except SlipError as err:
-            raise GaitFailure(f"Jacobian evaluation failed: {err}",
-                              phase=err.phase) from err
+    def fresh_step(x: float, y: float, rx: float, ry: float):
+        """J - I from the Jacobian at (x, y), and the step it gives."""
+        z = ApexState(x, y)
+        if map_jacobian is not None:
+            (a, b), (c, d) = map_jacobian(z, inputs, params)
+        else:
+            try:
+                (a, b), (c, d) = _fd_jacobian(return_map, z, inputs, params)
+            except SlipError as err:
+                raise GaitFailure(f"Jacobian evaluation failed: {err}",
+                                  phase=err.phase) from err
         jm = (a - 1.0, b, c, d - 1.0)
+        if not all(map(math.isfinite, jm)):
+            raise IllConditioned(
+                f"map Jacobian not finite at z = ({x:.4f}, {y:.4f})")
         try:
             return jm, solve_2x2(*jm, rx, ry)
         except ZeroDivisionError as err:
@@ -293,7 +330,7 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
             f"map evaluation failed at z = ({x:.4f}, {y:.4f}): {err}",
             phase=err.phase) from err
     mapped = nxt.x_dot, nxt.y  # P(x, y); later set by each accepted step
-    jm = None  # Broyden's J - I as (a, b, c, d); None: take differences
+    jm = None  # Broyden's J - I as (a, b, c, d); None: take it afresh
     if jacobian is not None:
         (a, b), (c, d) = jacobian
         if all(map(math.isfinite, (a, b, c, d))):
@@ -306,7 +343,7 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
         if res_norm <= tol:
             z_star = ApexState(x, y)
             jac, rho, stable = _stability_or_nan(return_map, z_star,
-                                                 inputs, params)
+                                                 inputs, params, map_jacobian)
             return FixedPointResult(apex=z_star, touchdown=None,
                                     jacobian=jac, spectral_radius=rho,
                                     stable=stable, provenance=provenance,
@@ -318,12 +355,12 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
         if steps == max_steps:
             break
         if jm is None:
-            jm, (sx, sy) = fd_step(x, y, rx, ry)
+            jm, (sx, sy) = fresh_step(x, y, rx, ry)
         else:
             try:
                 sx, sy = solve_2x2(*jm, rx, ry)
             except ZeroDivisionError:  # the last update made A singular
-                jm, (sx, sy) = fd_step(x, y, rx, ry)
+                jm, (sx, sy) = fresh_step(x, y, rx, ry)
         res_len = math.hypot(rx, ry)
         lam = 1.0
         for _ in range(8):

@@ -190,13 +190,15 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
 
     The closed-form pipeline solves the touchdown constraints. The
     Newton pipelines run fixedpoint.numeric_fixed_point's Broyden
-    iteration from seed to ANALYTIC_TOL on the analytic map or to
-    SIM_TOL on the simulator map at dt/control_dt, starting Broyden's
-    matrix from jacobian, a map Jacobian at or near seed (central
-    differences at seed when None). Without a seed, both come from the
-    closed form: its apex and its analytic-map Jacobian there. Raises
-    SlipError when the gait has no fixed point there, ValueError when
-    the steps fail simulate.check_steps.
+    iteration from seed: to ANALYTIC_TOL on the analytic map, with its
+    exact Jacobian function (return_map_analytic_jacobian) for the
+    start, the refreshes and stability, or to SIM_TOL on the simulator
+    map at dt/control_dt, which has none and takes central differences.
+    Broyden's matrix starts from jacobian, a map Jacobian at or near
+    seed (the map's own Jacobian at seed when None). Without a seed,
+    both come from the closed form: its apex and its analytic-map
+    Jacobian there. Raises SlipError when the gait has no fixed point
+    there, ValueError when the steps fail simulate.check_steps.
     """
     if pipeline not in ALL_PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
@@ -211,11 +213,13 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
     if pipeline == fp.SIMULATOR_NUMERIC:
         return_map = functools.partial(simulator_return_map, dt=dt,
                                        control_dt=control_dt)
-        tol = SIM_TOL
+        tol, map_jacobian = SIM_TOL, None
     else:
         return_map, tol = fp.return_map_analytic, ANALYTIC_TOL
+        map_jacobian = fp.return_map_analytic_jacobian
     return fp.numeric_fixed_point(return_map, seed, inputs, params, tol=tol,
-                                  provenance=pipeline, jacobian=jacobian)
+                                  provenance=pipeline, jacobian=jacobian,
+                                  map_jacobian=map_jacobian)
 
 
 def _solve_cell(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,

@@ -4,15 +4,19 @@ import random
 import pytest
 
 from sliphop import (ApexState, ControlInputs, NoLiftoffRoot, Overdamped,
-                     SlipParams, StanceState, bottom_time,
+                     SlipError, SlipParams, StanceState, bottom_time,
                      closed_form_fixed_point, flow_coeffs, integrate_stance,
                      liftoff_time, liftoff_time_bisect, return_map_analytic,
                      simplified_map_constants, simplified_stance_map,
-                     stance_flow)
+                     solve_point, stance_flow)
 from sliphop.analytic import (_gait_constants, flow_liftoff,
-                              nominal_touchdown_r_dot)
+                              nominal_touchdown_r_dot,
+                              return_map_analytic_jacobian)
+from sliphop.fixedpoint import ANALYTIC_NUMERIC
+from sliphop.harness import SweepConfig
 
-from _oracles import _taylor_rk4, taylor_flow_oracle
+from _oracles import (_taylor_rk4, reference_return_map_analytic,
+                      taylor_flow_oracle)
 
 GRID_P_BAR = (-1.55, -1.2, -0.85, -0.5)
 GRID_K_THETA = (0.3, 0.5, 0.75)
@@ -341,3 +345,92 @@ class TestReturnMapAnalytic:
         nxt = return_map_analytic(apex, ControlInputs(-1.0, 0.5), params)
         assert built == [ApexState]
         assert nxt.y > 0.0
+
+
+def _richardson_jacobian(apex, inputs, params, h=1e-5):
+    """(4*J(h/2) - J(h))/3 of central differences of the independent
+    dataclass map, step h*max(1, |z_i|) per component."""
+    def differences(h):
+        cols = []
+        for j in range(2):
+            z = [apex.x_dot, apex.y]
+            step = h * max(1.0, abs(z[j]))
+            zp, zm = list(z), list(z)
+            zp[j] += step
+            zm[j] -= step
+            pp = reference_return_map_analytic(ApexState(*zp), inputs, params)
+            pm = reference_return_map_analytic(ApexState(*zm), inputs, params)
+            cols.append(((pp.x_dot - pm.x_dot) / (zp[j] - zm[j]),
+                         (pp.y - pm.y) / (zp[j] - zm[j])))
+        return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
+
+    fine, coarse = differences(0.5 * h), differences(h)
+    return [[(4.0 * f - c) / 3.0 for f, c in zip(rf, rc)]
+            for rf, rc in zip(fine, coarse)]
+
+
+def _relative_gap(exact, reference):
+    scale = max(abs(v) for row in exact for v in row)
+    return max(abs(e - r) for re, rr in zip(exact, reference)
+               for e, r in zip(re, rr)) / scale
+
+
+class TestReturnMapAnalyticJacobian:
+    def test_matches_richardson_differences_over_the_criterion_1_grid(
+            self, params):
+        # every closed-form and analytic-numeric apex of the 20x20 grid
+        # where the map evaluates; the worst gap is 5.7e-7, at the
+        # closed-form apex of (-1.4395, 0.3), where rho is 3.27
+        cfg = SweepConfig(params=params)
+        checked = 0
+        for p_bar in cfg.p_bar_values():
+            for k_theta in cfg.k_theta_values():
+                inputs = cfg.inputs(p_bar, k_theta)
+                apexes = []
+                try:
+                    apexes.append(
+                        closed_form_fixed_point(p_bar, k_theta, params).apex)
+                    apexes.append(solve_point(ANALYTIC_NUMERIC, inputs,
+                                              params).apex)
+                except SlipError:
+                    pass
+                for apex in apexes:
+                    try:
+                        return_map_analytic(apex, inputs, params)
+                    except SlipError:
+                        continue
+                    exact = return_map_analytic_jacobian(apex, inputs, params)
+                    assert _relative_gap(exact, _richardson_jacobian(
+                        apex, inputs, params)) <= 1e-6, (p_bar, k_theta, apex)
+                    checked += 1
+        assert checked >= 700
+
+    def test_closed_form_spectral_radius(self, params):
+        # central differences at h = 1e-6 give 3.26983001 here, at 1e-7
+        # 3.2698085
+        p_bar = SweepConfig(params=params).p_bar_values()[2]
+        assert p_bar == pytest.approx(-1.4395, abs=1e-4)
+        closed = closed_form_fixed_point(p_bar, 0.3, params)
+        assert closed.spectral_radius == pytest.approx(3.26980824, abs=1e-8)
+
+    @pytest.mark.parametrize("p_bar,y", [(0.0, 0.3), (-0.2, 0.3),
+                                         (-0.5, 0.35)])
+    def test_finite_at_zero_speed(self, params, p_bar, y):
+        # theta0 = sqrt(q) is 0 at x_dot = 0, where the map is smooth;
+        # d cos(k*sqrt(q))/dq is -k^2/2 there, not 0/0
+        apex, inputs = ApexState(0.0, y), ControlInputs(p_bar, 0.5)
+        exact = return_map_analytic_jacobian(apex, inputs, params)
+        assert all(math.isfinite(v) for row in exact for v in row)
+        assert _relative_gap(exact, _richardson_jacobian(
+            apex, inputs, params)) <= 1e-6
+
+    def test_nan_where_the_liftoff_arccos_is_at_its_edge(self):
+        # at this damping and apex the arccos argument of liftoff_time is
+        # exactly 1: the map lifts off, its liftoff time has an infinite
+        # derivative there
+        params = SlipParams(m=3.3, k=4000.0, b=19.999999999999947, r0=0.2)
+        apex = ApexState(0.0, 0.20552544723661112)
+        inputs = ControlInputs(0.0, 0.5)
+        return_map_analytic(apex, inputs, params)
+        exact = return_map_analytic_jacobian(apex, inputs, params)
+        assert all(math.isnan(v) for row in exact for v in row)

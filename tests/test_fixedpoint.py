@@ -12,6 +12,7 @@ from sliphop import (ApexState, ControlInputs, GaitFailure, IllConditioned,
                      fixedpoint, numeric_fixed_point, return_map_analytic,
                      simulator_return_map, solve_point, stability,
                      theta_offset)
+from sliphop.analytic import return_map_analytic_jacobian
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
 from sliphop.numerics import solve_2x2, spectral_radius_2x2
@@ -294,23 +295,49 @@ class TestNumericFixedPoint:
         assert len(seen) == 1 + 4 + res.newton_steps + 4
 
     def test_closed_form_jacobian_starts_broyden(self, params):
-        # the closed form's Jacobian is the central-difference Jacobian of
-        # the analytic map at its apex: the same start, 4 maps fewer
+        # the closed form's Jacobian is the analytic map's exact Jacobian
+        # at its apex: as a start matrix it gives the solve that takes the
+        # exact Jacobian at that seed, at the same points, and no
+        # difference stencil anywhere
         inputs = ControlInputs(-1.0, 0.5)
         closed = closed_form_fixed_point(-1.0, 0.5, params)
-        fd_seen, warm_seen = [], []
-        fd = numeric_fixed_point(_counted(return_map_analytic, fd_seen),
-                                 closed.apex, inputs, params)
+        assert closed.jacobian == return_map_analytic_jacobian(
+            closed.apex, inputs, params)
+        cold_seen, warm_seen = [], []
+        cold = numeric_fixed_point(_counted(return_map_analytic, cold_seen),
+                                   closed.apex, inputs, params,
+                                   map_jacobian=return_map_analytic_jacobian)
         warm = numeric_fixed_point(_counted(return_map_analytic, warm_seen),
                                    closed.apex, inputs, params,
-                                   jacobian=closed.jacobian)
-        assert warm == fd
-        assert len(warm_seen) == len(fd_seen) - 4
+                                   jacobian=closed.jacobian,
+                                   map_jacobian=return_map_analytic_jacobian)
+        assert warm == cold and warm_seen == cold_seen
+        assert len(warm_seen) == 1 + warm.newton_steps
+        assert warm.jacobian == return_map_analytic_jacobian(
+            warm.apex, inputs, params)
         wide = tuple(tuple(map(np.float64, row)) for row in closed.jacobian)
         got = numeric_fixed_point(return_map_analytic, closed.apex, inputs,
-                                  params, jacobian=wide)
-        assert got == fd
+                                  params, jacobian=wide,
+                                  map_jacobian=return_map_analytic_jacobian)
+        assert got == warm
         assert type(got.apex.x_dot) is float and type(got.apex.y) is float
+
+    def test_nan_map_jacobian_is_ill_conditioned(self, params):
+        # a Jacobian function that gives no finite Jacobian ends the solve
+        # with a SlipError, and no differences are taken
+        def nan_jacobian(apex, inputs, params):
+            return ((math.nan, math.nan), (math.nan, math.nan))
+
+        seen = []
+        inputs = ControlInputs(-1.0, 0.5)
+        seed = closed_form_fixed_point(-1.0, 0.5, params).apex
+        with pytest.raises(IllConditioned, match="not finite"):
+            numeric_fixed_point(_counted(return_map_analytic, seen), seed,
+                                inputs, params, map_jacobian=nan_jacobian)
+        assert seen == [(seed.x_dot, seed.y)]
+        jac, rho, stable = stability(return_map_analytic, seed, inputs,
+                                     params, nan_jacobian)
+        assert math.isnan(rho) and not stable
 
     @pytest.mark.parametrize("jacobian", [
         ((math.nan, math.nan), (math.nan, math.nan)),  # no Jacobian

@@ -165,10 +165,11 @@ class TestRunSweep:
             assert (tmp_path / name).read_bytes() == (
                 GOLDEN_ANALYTIC_SWEEP / name).read_bytes(), name
 
-    def test_closed_form_jacobian_start_writes_the_fd_start_bytes(
+    def test_closed_form_jacobian_start_writes_the_exact_start_bytes(
             self, params, tmp_path, monkeypatch):
         # unchained, every Newton cell starts at the closed-form apex,
-        # where the closed form's Jacobian is the one differences give
+        # whose Jacobian is the exact one the solve would take there: the
+        # same bytes and the same map evaluations without it
         cfg = SweepConfig(params=params, p_bar_range=(-1.55, -0.5, 5),
                           k_theta_range=(0.3, 0.75, 5),
                           pipelines=(CLOSED_FORM, ANALYTIC_NUMERIC),
@@ -181,24 +182,41 @@ class TestRunSweep:
             return real_map(*args)
 
         monkeypatch.setattr(fixedpoint, "return_map_analytic", counted)
-        warm = run_sweep(dataclasses.replace(cfg,
-                                             out_dir=str(tmp_path / "j")))
+        run_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "j")))
         warm_maps = len(maps)
         real_solve = fixedpoint.numeric_fixed_point
 
-        def fd_start(*args, jacobian=None, **kwargs):
+        def exact_start(*args, jacobian=None, **kwargs):
             return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(fixedpoint, "numeric_fixed_point", fd_start)
-        run_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "fd")))
+        monkeypatch.setattr(fixedpoint, "numeric_fixed_point", exact_start)
+        run_sweep(dataclasses.replace(cfg, out_dir=str(tmp_path / "x")))
         for name in ("sweep.csv", "errors.csv", "report.json"):
             assert (tmp_path / "j" / name).read_bytes() == \
-                (tmp_path / "fd" / name).read_bytes(), name
-        # the differences skipped wherever the closed form has a Jacobian
-        warm_started = sum(not math.isnan(r.spectral_radius)
-                           for r in warm.converged(CLOSED_FORM).values())
-        fd_maps = len(maps) - warm_maps
-        assert fd_maps == warm_maps + 4 * warm_started
+                (tmp_path / "x" / name).read_bytes(), name
+        assert len(maps) == 2 * warm_maps
+
+    def test_nan_jacobian_is_an_unknown_verdict(self, params, tmp_path,
+                                                monkeypatch):
+        # a Jacobian that is not finite (an arccos argument of +-1 in the
+        # liftoff time) writes an unknown verdict and a failed Newton
+        # cell; the sweep does not raise
+        def nan_jacobian(apex, inputs, params):
+            return ((math.nan, math.nan), (math.nan, math.nan))
+
+        monkeypatch.setattr(fixedpoint, "return_map_analytic_jacobian",
+                            nan_jacobian)
+        report = run_sweep(SweepConfig(
+            params=params, p_bar_range=(-1.1, -0.9, 2),
+            k_theta_range=(0.45, 0.55, 2),
+            pipelines=(CLOSED_FORM, ANALYTIC_NUMERIC), out_dir=str(tmp_path)))
+        counts = report.status_counts()
+        assert counts[CLOSED_FORM] == {"converged": 4}
+        assert counts[ANALYTIC_NUMERIC] == {"IllConditioned": 4}
+        header, *rows = _read_csv(tmp_path / "sweep.csv")
+        cells = [dict(zip(header, row)) for row in rows]
+        assert [(c["spectral_radius"], c["stable"]) for c in cells
+                if c["pipeline"] == CLOSED_FORM] == [("", "")] * 4
 
     def test_deterministic_outputs(self, params, tmp_path):
         cfg1 = SweepConfig(params=params, p_bar_range=(-1.1, -0.9, 2),
@@ -656,12 +674,19 @@ class TestSolvePoint:
         assert res.residual <= harness.SIM_TOL
         assert len(maps) <= 13
 
-    @pytest.mark.parametrize("p_bar,k_theta", [(-1.0, 0.5), (-1.55, 0.75)])
+    @pytest.mark.parametrize("p_bar,k_theta", [
+        (-1.0, 0.5), (-1.55, 0.75),
+        (-0.9421052631578948, 0.6078947368421053)],
+        ids=["-1.0-0.5", "-1.55-0.75", "-0.942-0.608"])
     def test_simulator_fixed_point_does_not_depend_on_its_seed(
             self, params, p_bar, k_theta):
-        # from the closed form and from the analytic fixed point, the two
-        # roots agree within 2*SIM_TOL/(1 - rho): each lies within
-        # SIM_TOL/(1 - rho) of the true fixed point
+        # a root within SIM_TOL of its image lies, to first order, within
+        # SIM_TOL*||(I - J)^-1||_inf of the true fixed point, so two roots
+        # agree within twice that. 1/(1 - rho) is that norm only for a
+        # normal J: at (-0.942, 0.608) the roots from the neighbouring
+        # cell's fixed point, started from its Jacobian and from
+        # differences, lie 4.8e-10 apart, above 2*SIM_TOL/(1 - rho) =
+        # 4.1e-10 and inside 2*SIM_TOL*||(I - J)^-1||_inf = 1.25e-9
         inputs = ControlInputs(p_bar, k_theta)
         closed = solve_point(SIMULATOR_NUMERIC, inputs, params)
         seed = solve_point(ANALYTIC_NUMERIC, inputs, params).apex
@@ -669,6 +694,41 @@ class TestSolvePoint:
         bound = 2.0 * harness.SIM_TOL / (1.0 - closed.spectral_radius)
         assert abs(other.apex.x_dot - closed.apex.x_dot) <= bound
         assert abs(other.apex.y - closed.apex.y) <= bound
+
+        near = solve_point(SIMULATOR_NUMERIC,
+                           ControlInputs(p_bar, k_theta - 0.45 / 19), params)
+        roots = [other, solve_point(
+            SIMULATOR_NUMERIC, inputs, params,
+            seed=closed_form_fixed_point(p_bar, k_theta, params).apex)]
+        roots += [solve_point(SIMULATOR_NUMERIC, inputs, params,
+                              seed=near.apex, jacobian=jacobian)
+                  for jacobian in (near.jacobian, None)]
+        (a, b), (c, d) = closed.jacobian
+        det = (1.0 - a) * (1.0 - d) - b * c
+        bound = 2.0 * harness.SIM_TOL * max(
+            abs(1.0 - d) + abs(b), abs(c) + abs(1.0 - a)) / abs(det)
+        for root in roots:
+            assert abs(root.apex.x_dot - closed.apex.x_dot) <= bound
+            assert abs(root.apex.y - closed.apex.y) <= bound
+
+    def test_analytic_solve_takes_no_difference_stencil(self, params,
+                                                        monkeypatch):
+        # through a wrapped fixedpoint.return_map_analytic: the closed
+        # form's residual, P(seed) and one map per Broyden step; the
+        # Jacobians are exact
+        maps = []
+        real_map = fixedpoint.return_map_analytic
+
+        def counted(*args):
+            maps.append(args[0])
+            return real_map(*args)
+
+        monkeypatch.setattr(fixedpoint, "return_map_analytic", counted)
+        for p_bar, k_theta in ((-1.55, 0.3), (-0.5, 0.75), (-1.0, 0.5)):
+            maps.clear()
+            res = solve_point(ANALYTIC_NUMERIC, ControlInputs(p_bar, k_theta),
+                              params)
+            assert len(maps) == 2 + res.newton_steps
 
     def test_rejects_unknown_pipeline(self, params):
         with pytest.raises(ValueError, match="unknown pipeline"):

@@ -13,6 +13,12 @@ landing velocity with the leg:
 * a fixed-point engine (closed-form quadratic solution plus Broyden's
   quasi-Newton iteration on either return map) with spectral-radius
   stability classification.
+
+`import sliphop` loads the map and solver layers alone: errors, model,
+numerics, control, simulate, analytic and fixedpoint. The batch front
+end's names (SweepConfig, SweepReport, run_single, run_sweep,
+simulator_return_map, solve_point, write_trajectory_csv) load
+sliphop.harness on first use.
 """
 
 from .errors import (DegenerateQuadratic, DescendingAtLiftoff, FailedLiftoff,
@@ -35,7 +41,17 @@ from .fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM, FixedPointResult,
                          SIMULATOR_NUMERIC, TouchdownFixedPoint,
                          closed_form_fixed_point, energy_speed_constraints,
                          numeric_fixed_point, quadratic_roots, stability)
-from .harness import (SweepConfig, SweepReport, run_single, run_sweep,
-                      simulator_return_map, solve_point, write_trajectory_csv)
 
 __version__ = "0.1.0"
+
+_HARNESS_NAMES = frozenset((
+    "SweepConfig", "SweepReport", "run_single", "run_sweep",
+    "simulator_return_map", "solve_point", "write_trajectory_csv"))
+
+
+def __getattr__(name):
+    # PEP 562: called only for names the package does not yet hold
+    if name in _HARNESS_NAMES:
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

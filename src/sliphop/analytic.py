@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .control import solve_aoa_approx
@@ -319,8 +318,7 @@ def nominal_touchdown_r_dot(p_bar: float, k_theta: float,
     return -abs(v) * math.cos(theta_offset(p_bar, k_theta))
 
 
-@dataclass(frozen=True)
-class StanceMapConstants:
+class StanceMapConstants(NamedTuple):
     """Affine stance-map constants and the frozen nominal liftoff time.
 
     z_lo = [r0, c1*r_dot_td + c2, theta_td + c3*r_dot_td + c4, p_bar/(m*r0^2)]

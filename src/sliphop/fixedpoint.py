@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .analytic import (Jacobian, return_map_analytic,
                        return_map_analytic_jacobian, simplified_map_constants,
@@ -54,8 +54,7 @@ class TouchdownFixedPoint:
     theta_offset: float
 
 
-@dataclass
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     """A gait fixed point with its local stability information.
 
     jacobian is the map's Jacobian at apex: exact on the analytic map

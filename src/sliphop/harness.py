@@ -17,7 +17,10 @@ to_json. A trajectory.csv row is a TrajectorySample and a hops.csv row
 a HopSummary, whose fields are the columns; the JSON objects of
 parameters, control inputs and apex states are their dataclass fields.
 
-Importing this module loads no process pool and no statistics module:
+`import sliphop` does not load this module: the package's batch names
+(SweepConfig, run_sweep, ...) import it on first use, so a fresh
+process that only evaluates maps or solves fixed points compiles none
+of it. Importing it loads no process pool and no statistics module:
 run_sweep imports the pool only when it runs more than one worker.
 """
 
@@ -104,8 +107,7 @@ class SweepConfig:
             raise ValueError(f"unknown pipelines: {sorted(unknown)}")
         if not self.pipelines:
             raise ValueError("at least one pipeline required")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        _check_count("workers", self.workers)
         check_steps(self.dt, self.control_dt)
 
     def inputs(self, p_bar: float, k_theta: float) -> ControlInputs:

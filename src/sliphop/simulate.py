@@ -27,7 +27,7 @@ ascend, each making the checks of the state it stands for; only the
 ApexState at the end is built, and a failed state check leaves the
 chain as a phase-tagged InvalidState. Each law is one function, which
 the chain and the trajectory recorder both call; the stance stepper's
-samples are a list of tuples.
+samples, kept for a recorded hop only, are a list of tuples.
 """
 
 from __future__ import annotations
@@ -199,12 +199,13 @@ def _locate(rp, drp, thp, dthp, r1, dr1, th1, dth1, tau, a, c, dt,
 
 def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                  use_ctrl, p_bar, kp, ki, kd, tau_max,
-                 dt, nsub, n_ctrl_max):
+                 dt, nsub, n_ctrl_max, record):
     """ZOH control loop around the stance step with event localization.
 
     Returns (status, rows, t, r, dr, th, dth, t_bottom, steps), one row
     (t, r, r_dot, theta, theta_dot, tau) per control step; steps counts
-    the full steps, not those of event location.
+    the full steps, not those of event location. With record false there
+    are no rows and no search for the bottom, and t_bottom stays -1.0.
 
     Each full step is _step written out, operation for operation, so it
     gives the same floats: k/m, b/m and the scaled tableau are formed
@@ -242,7 +243,8 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
             else:
                 integral = cand
             tm = tau / m
-        rows.append((istep * dt, r, dr, th, dth, tau))
+        if record:
+            rows.append((istep * dt, r, dr, th, dth, tau))
         for _ in range(nsub):
             rp, drp, thp, dthp, f_prev = r, dr, th, dth, force
             b1 = r * dth * dth - km * (r - r0) - bm * dr - g * cth
@@ -305,7 +307,7 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
             if r <= 0.0 or r * cth <= 0.0:
                 return (_STATUS_GROUND, rows, istep * dt, r, dr, th, dth,
                         t_bottom, istep)
-            if t_bottom < 0.0 and drp < 0.0 <= dr:
+            if record and t_bottom < 0.0 and drp < 0.0 <= dr:
                 hi_h = _locate(rp, drp, thp, dthp, r, dr, th, dth, tau,
                                0.0, 1.0, dt, m, k, b, r0, g)[1]
                 t_bottom = (istep - 1) * dt + hi_h
@@ -347,8 +349,7 @@ class TrajectorySample(NamedTuple):
     tau: float | None
 
 
-@dataclass(frozen=True)
-class TrajectoryEvent:
+class TrajectoryEvent(NamedTuple):
     name: str  # "touchdown" | "bottom" | "liftoff" | "apex"
     t: float
     state: dict[str, float] | None = None  # event-localized state snapshot
@@ -380,9 +381,10 @@ class HybridTrajectory:
                 raise ValueError(f"event times not increasing: {a} >= {b}")
 
 
-@dataclass(frozen=True)
-class StanceSegment:
-    """Stance integration record returned alongside the liftoff state."""
+class StanceSegment(NamedTuple):
+    """Stance integration record returned alongside the liftoff state.
+    An unrecorded stance (integrate_stance with record=False) has
+    t_bottom None and no samples."""
 
     t_liftoff: float           # stance duration (s, from touchdown)
     t_bottom: float | None     # first r_dot zero crossing, None if none
@@ -395,10 +397,14 @@ class StanceSegment:
 def integrate_stance(td: StanceState, inputs: ControlInputs | None,
                      params: SlipParams, dt: float = DEFAULT_DT,
                      control_dt: float = DEFAULT_CONTROL_DT,
+                     record: bool = True,
                      ) -> tuple[StanceState, StanceSegment]:
     """Integrate stance from touchdown until the leg force vanishes.
 
-    inputs=None runs the passive leg (tau = 0). The touchdown state must
+    inputs=None runs the passive leg (tau = 0). With record=False the
+    segment carries no samples and no bottom time, which the kernel
+    then does not search for; the liftoff state and time are the same
+    floats in both modes. The touchdown state must
     pass model.check_touchdown_leg and the steps check_steps. Raises
     FailedLiftoff if the leg force never returns to zero within the time
     budget, GroundFault if the mass reaches the ground, InvalidState if
@@ -418,7 +424,7 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
         status, samples, t_end, r, dr, th, dth, t_bottom, _ = \
             _stance_core(td.r, td.r_dot, td.theta, td.theta_dot,
                          params.m, params.k, params.b, params.r0, params.g,
-                         *ctrl, dt, nsub, n_ctrl_max)
+                         *ctrl, dt, nsub, n_ctrl_max, record)
     except (ArithmeticError, ValueError) as err:
         # a state that blows up mid-stance (math.cos of an infinite
         # angle, an overflow) is a failed state of the hop, not a bug
@@ -558,7 +564,7 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
         # the touchdown as a StanceState
         td = StanceState(params.r0, r_dot, theta, theta_dot)
         s_lo, seg = integrate_stance(td, inputs, params, dt=dt,
-                                     control_dt=control_dt)
+                                     control_dt=control_dt, record=record)
         stance.append((td, s_lo, seg))
         return s_lo.r, s_lo.r_dot, s_lo.theta, s_lo.theta_dot
 

@@ -624,11 +624,12 @@ def reference_return_map_numeric(apex: ApexState, inputs: ControlInputs,
 
 def reference_stance_core(r, dr, th, dth, m, k, b, r0, g,
                           use_ctrl, p_bar, kp, ki, kd, tau_max,
-                          dt, nsub, n_ctrl_max):
+                          dt, nsub, n_ctrl_max, record):
     """ZOH control loop around the stance step with event localization.
 
     Returns (status, rows, t, r, dr, th, dth, t_bottom), one row
-    (t, r, r_dot, theta, theta_dot, tau) per control step.
+    (t, r, r_dot, theta, theta_dot, tau) per control step. With record
+    false there are no rows and no bottom search (t_bottom stays -1.0).
     """
     ctrl_dt = dt * nsub
     integral = 0.0
@@ -653,7 +654,8 @@ def reference_stance_core(r, dr, th, dth, m, k, b, r0, g,
                 tau = -tau_max
             else:
                 integral = cand
-        rows.append((istep * dt, r, dr, th, dth, tau))
+        if record:
+            rows.append((istep * dt, r, dr, th, dth, tau))
         for _ in range(nsub):
             rp, drp, thp, dthp, f_prev = r, dr, th, dth, force
             r, dr, th, dth = _step(r, dr, th, dth, dt, tau, m, k, b, r0, g)
@@ -661,7 +663,7 @@ def reference_stance_core(r, dr, th, dth, m, k, b, r0, g,
             if r <= 0.0 or r * math.cos(th) <= 0.0:
                 return (_STATUS_GROUND, rows, istep * dt, r, dr, th, dth,
                         t_bottom)
-            if t_bottom < 0.0 and drp < 0.0 <= dr:
+            if record and t_bottom < 0.0 and drp < 0.0 <= dr:
                 hi_h = _locate(rp, drp, thp, dthp, r, dr, th, dth, tau,
                                0.0, 1.0, dt, m, k, b, r0, g)[1]
                 t_bottom = (istep - 1) * dt + hi_h

@@ -80,6 +80,18 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=message):
             SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize("workers", [2.0, 2.5])
+    def test_rejects_a_fractional_worker_count_up_front(self, tmp_path,
+                                                        workers):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="^workers must be an integer, "
+                                             f"got {workers}$"):
+            run_sweep(SweepConfig(p_bar_range=(-1.0, -0.8, 2),
+                                  k_theta_range=(0.5, 0.6, 2),
+                                  pipelines=(CLOSED_FORM,), workers=workers,
+                                  out_dir=str(out)))
+        assert not out.exists()
+
     # gap: a span, or a count of ulps above lo
     @given(lo=st.floats(-1e6, 1e6),
            gap=st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-300),

@@ -158,12 +158,13 @@ class TestStanceKernel:
          simulate._STATUS_NO_LIFTOFF),
     ]
 
+    @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("state,b,ctrl,dt,nsub,n_ctrl_max,status",
                              CASES)
     def test_matches_the_reference_kernel(self, params, state, b, ctrl, dt,
-                                          nsub, n_ctrl_max, status):
+                                          nsub, n_ctrl_max, status, record):
         args = (*state, params.m, params.k, b, params.r0, params.g, *ctrl,
-                dt, nsub, n_ctrl_max)
+                dt, nsub, n_ctrl_max, record)
         assert _assert_kernel_matches_reference(args) == status
 
     @settings(max_examples=200)
@@ -179,12 +180,13 @@ class TestStanceKernel:
                                    st.floats(0.05, 20.0)))),
            steps=st.sampled_from([(2.5e-4, 4), (1e-3, 1), (1e-4, 10),
                                   (5e-4, 2)]),
-           n_ctrl_max=st.one_of(st.integers(1, 6), st.just(1000)))
+           n_ctrl_max=st.one_of(st.integers(1, 6), st.just(1000)),
+           record=st.booleans())
     def test_random_stances_match_the_reference_kernel(
-            self, params, state, b, ctrl, steps, n_ctrl_max):
+            self, params, state, b, ctrl, steps, n_ctrl_max, record):
         _assert_kernel_matches_reference(
             (*state, params.m, params.k, b, params.r0, params.g, *ctrl,
-             *steps, n_ctrl_max))
+             *steps, n_ctrl_max, record))
 
 
 class TestIntegrateStance:
@@ -252,6 +254,31 @@ class TestIntegrateStance:
         assert lo.r_dot > 0.0
         assert seg.p_liftoff == pytest.approx(
             lo.angular_momentum(params), rel=1e-12)
+
+    def test_unrecorded_stance_skips_the_bottom_search(self, params,
+                                                       monkeypatch):
+        # record=False takes the same steps to the same liftoff, and
+        # locates liftoff alone: no rows, no bottom time
+        td = StanceState(r=0.2, r_dot=-1.7, theta=0.42, theta_dot=-3.5)
+        inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
+        located = []
+        real_locate = simulate._locate
+
+        def counted(*args):
+            located.append(args[9:11])  # the event function's (a, c)
+            return real_locate(*args)
+
+        monkeypatch.setattr(simulate, "_locate", counted)
+        lo, seg = integrate_stance(td, inputs, params)
+        assert located == [(0.0, 1.0), (params.k, params.b)]
+        located.clear()
+        lo_bare, seg_bare = integrate_stance(td, inputs, params, record=False)
+        assert located == [(params.k, params.b)]
+        assert (seg_bare.t_bottom, seg_bare.samples) == (None, [])
+        assert seg.t_bottom is not None and len(seg.samples) > 0
+        assert lo_bare == lo
+        assert (seg_bare.t_liftoff.hex(), seg_bare.p_liftoff.hex()) == (
+            seg.t_liftoff.hex(), seg.p_liftoff.hex())
 
     @pytest.mark.parametrize("td", [
         StanceState(r=0.2, r_dot=-1.5, theta=0.3, theta_dot=-4.0),
@@ -527,13 +554,26 @@ class TestReturnMap:
         assert first_ascent.t == events["liftoff"].t
         assert first_ascent.x == toe - lo.r * math.sin(lo.theta)
 
-    def test_record_false_skips_trajectory(self, params):
+    def test_record_false_skips_trajectory(self, params, monkeypatch):
+        # and hands record=False on to the stance, which then carries no
+        # samples and no bottom time
+        segments = []
+        real = simulate.integrate_stance
+
+        def kept(*args, **kwargs):
+            lo, seg = real(*args, **kwargs)
+            segments.append(seg)
+            return lo, seg
+
+        monkeypatch.setattr(simulate, "integrate_stance", kept)
         apex = ApexState(x_dot=1.2, y=0.24)
         inputs = ControlInputs(p_bar=-0.9, k_theta=0.55)
         nxt, traj = return_map_numeric(apex, inputs, params, record=False)
         assert traj is None
         nxt2, _ = return_map_numeric(apex, inputs, params, record=True)
         assert nxt2.x_dot == nxt.x_dot and nxt2.y == nxt.y
+        assert [(s.t_bottom is None, len(s.samples) == 0)
+                for s in segments] == [(True, True), (False, False)]
 
 
 class TestTrajectoryValidate:

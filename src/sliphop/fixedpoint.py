@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .analytic import (Jacobian, return_map_analytic,
@@ -119,9 +120,8 @@ def stability(return_map: ReturnMap, z_star: ApexState,
     gives a NaN spectral radius and the verdict False.
     """
     if map_jacobian is None:
-        jac = _fd_jacobian(return_map, z_star, inputs, params)
-    else:
-        jac = map_jacobian(z_star, inputs, params)
+        map_jacobian = partial(_fd_jacobian, return_map)
+    jac = map_jacobian(z_star, inputs, params)
     rho = spectral_radius_2x2(*jac[0], *jac[1])
     return jac, rho, rho < 1.0
 
@@ -293,6 +293,9 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
     IllConditioned when a freshly taken Jacobian is not finite or
     leaves J - I singular.
     """
+    if map_jacobian is None:
+        map_jacobian = partial(_fd_jacobian, return_map)
+
     def try_eval(x: float, y: float):
         """(P(x, y), None), or (None, phase) when the evaluation fails."""
         try:
@@ -303,15 +306,11 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
 
     def fresh_step(x: float, y: float, rx: float, ry: float):
         """J - I from the Jacobian at (x, y), and the step it gives."""
-        z = ApexState(x, y)
-        if map_jacobian is not None:
-            (a, b), (c, d) = map_jacobian(z, inputs, params)
-        else:
-            try:
-                (a, b), (c, d) = _fd_jacobian(return_map, z, inputs, params)
-            except SlipError as err:
-                raise GaitFailure(f"Jacobian evaluation failed: {err}",
-                                  phase=err.phase) from err
+        try:
+            (a, b), (c, d) = map_jacobian(ApexState(x, y), inputs, params)
+        except SlipError as err:
+            raise GaitFailure(f"Jacobian evaluation failed: {err}",
+                              phase=err.phase) from err
         jm = (a - 1.0, b, c, d - 1.0)
         if not all(map(math.isfinite, jm)):
             raise IllConditioned(

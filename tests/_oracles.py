@@ -12,12 +12,10 @@ bisection backstop, a fixed 200 halvings, that the solver's stopping
 rule must match bit for bit. reference_return_map_analytic and
 reference_return_map_numeric are the apex maps as a chain of validated
 dataclass states, one per phase boundary; both float-chain maps must
-match them bit for bit, failures included. reference_stance_core is the
-stance kernel with a call of simulate._step for each full step; the
-kernel, which takes that step inline, must match it bit for bit.
-rk6_tableau_step is Butcher's sixth-order step from its tableau in exact
-fractions, the reference simulate._step is checked against; RK4
-(rk4_step) stays the fine-step reference of full_stance_oracle.
+match them bit for bit, failures included. rk6_tableau_step is
+Butcher's sixth-order step from its tableau in exact fractions;
+simulate._step, the package's one stance step, is checked against it.
+RK4 (rk4_step) stays the fine-step reference of full_stance_oracle.
 """
 
 from __future__ import annotations
@@ -39,9 +37,8 @@ from sliphop.control import (AOA_MAX_ITER, AOA_THETA_MAX, AOA_TOL, _phi,
                              solve_aoa_approx, solve_aoa_implicit,
                              vertical_energy)
 from sliphop.model import TOUCHDOWN_TOL, check_flight, polar_to_cartesian
-from sliphop.simulate import (_STATUS_GROUND, _STATUS_LIFTOFF,
-                              _STATUS_NO_LIFTOFF, DEFAULT_CONTROL_DT,
-                              DEFAULT_DT, _locate, _step, integrate_stance)
+from sliphop.simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT,
+                              integrate_stance)
 
 
 def _linear_coeffs(m, k, b, r0, g, p_bar):
@@ -616,63 +613,3 @@ def reference_return_map_numeric(apex: ApexState, inputs: ControlInputs,
     return _compose_return_map(apex, inputs, params, solve_aoa_implicit,
                                stance_map)
 
-
-# --- the stance kernel with a call per step ----------------------------------
-#
-# simulate._stance_core as a loop that calls simulate._step for each full
-# step: the inline step must give the same floats as _step.
-
-def reference_stance_core(r, dr, th, dth, m, k, b, r0, g,
-                          use_ctrl, p_bar, kp, ki, kd, tau_max,
-                          dt, nsub, n_ctrl_max, record):
-    """ZOH control loop around the stance step with event localization.
-
-    Returns (status, rows, t, r, dr, th, dth, t_bottom), one row
-    (t, r, r_dot, theta, theta_dot, tau) per control step. With record
-    false there are no rows and no bottom search (t_bottom stays -1.0).
-    """
-    ctrl_dt = dt * nsub
-    integral = 0.0
-    p_prev = m * r * r * dth
-    force = k * (r - r0) + b * dr
-    t_bottom = -1.0
-    istep = 0
-    rows = []
-    tau = 0.0
-    for _ in range(n_ctrl_max):
-        if use_ctrl:
-            p = m * r * r * dth
-            err = p_bar - p
-            p_dot = (p - p_prev) / ctrl_dt
-            p_prev = p
-            cand = integral + err
-            tau = kp * err + ki * cand - kd * p_dot \
-                - m * g * r * math.sin(th)
-            if tau > tau_max:
-                tau = tau_max
-            elif tau < -tau_max:
-                tau = -tau_max
-            else:
-                integral = cand
-        if record:
-            rows.append((istep * dt, r, dr, th, dth, tau))
-        for _ in range(nsub):
-            rp, drp, thp, dthp, f_prev = r, dr, th, dth, force
-            r, dr, th, dth = _step(r, dr, th, dth, dt, tau, m, k, b, r0, g)
-            istep += 1
-            if r <= 0.0 or r * math.cos(th) <= 0.0:
-                return (_STATUS_GROUND, rows, istep * dt, r, dr, th, dth,
-                        t_bottom)
-            if record and t_bottom < 0.0 and drp < 0.0 <= dr:
-                hi_h = _locate(rp, drp, thp, dthp, r, dr, th, dth, tau,
-                               0.0, 1.0, dt, m, k, b, r0, g)[1]
-                t_bottom = (istep - 1) * dt + hi_h
-            force = k * (r - r0) + b * dr
-            if f_prev < 0.0 <= force and dr > 0.0:
-                _, hi_h, r, dr, th, dth = _locate(rp, drp, thp, dthp,
-                                                  r, dr, th, dth, tau, k, b,
-                                                  dt, m, k, b, r0, g)
-                t_lo = (istep - 1) * dt + hi_h
-                return (_STATUS_LIFTOFF, rows, t_lo, r, dr, th, dth,
-                        t_bottom)
-    return (_STATUS_NO_LIFTOFF, rows, istep * dt, r, dr, th, dth, t_bottom)

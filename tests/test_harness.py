@@ -29,6 +29,7 @@ from _oracles import _write_csv as reference_write_csv
 
 
 GOLDEN_ANALYTIC_SWEEP = Path(__file__).parent / "data" / "analytic_sweep_5x5"
+GOLDEN_SIM_SWEEP = Path(__file__).parent / "data" / "sim_sweep_2x2"
 
 
 def _read_csv(path):
@@ -176,6 +177,20 @@ class TestRunSweep:
         for name in ("sweep.csv", "errors.csv"):
             assert (tmp_path / name).read_bytes() == (
                 GOLDEN_ANALYTIC_SWEEP / name).read_bytes(), name
+
+    def test_simulator_pipeline_writes_the_golden_bytes(self, params,
+                                                        tmp_path):
+        # sweep.csv and errors.csv of the closed form and Newton on the
+        # full simulator at the four corners of criterion 1's ranges,
+        # each solve started at its closed-form apex, as the stance loop
+        # wrote them when it took each full step inline
+        run_sweep(SweepConfig(params=params, p_bar_range=(-1.55, -0.5, 2),
+                              k_theta_range=(0.3, 0.75, 2),
+                              pipelines=(CLOSED_FORM, SIMULATOR_NUMERIC),
+                              seed_chaining=False, out_dir=str(tmp_path)))
+        for name in ("sweep.csv", "errors.csv"):
+            assert (tmp_path / name).read_bytes() == (
+                GOLDEN_SIM_SWEEP / name).read_bytes(), name
 
     def test_closed_form_jacobian_start_writes_the_exact_start_bytes(
             self, params, tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 import dataclasses
+import hashlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +14,11 @@ from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
 from sliphop.analytic import flow_liftoff
 from sliphop.model import liftoff_reset
 from sliphop.simulate import (DEFAULT_DT, HybridTrajectory, TrajectoryEvent,
-                              TrajectorySample, _locate, _step, ascend,
-                              check_steps, descend)
+                              TrajectorySample, _locate, _scaled_tableau,
+                              _step, ascend, check_steps, descend)
 
-import _oracles
-from _oracles import (full_stance_oracle, reference_stance_core, rk4_step,
-                      rk6_tableau_step, stance_rhs, stance_step)
+from _oracles import (full_stance_oracle, rk4_step, rk6_tableau_step,
+                      stance_rhs, stance_step)
 
 
 def stance_energy(params, r, r_dot, theta, theta_dot):
@@ -74,6 +73,11 @@ class TestRk4Step:
         assert got == stance_step(state, h, tau, params)
 
 
+def _step_consts(params):
+    """_step's per-stance constants after the torque: k/m, b/m, r0, g."""
+    return params.k / params.m, params.b / params.m, params.r0, params.g
+
+
 class TestStep:
     @pytest.mark.parametrize("h", [1e-3, 1e-4, 3.7e-5])
     @pytest.mark.parametrize("tau", [0.0, 2.0, -7.25])
@@ -82,8 +86,8 @@ class TestStep:
         # Butcher's tableau on the oracle's right-hand side, summed in
         # exact fractions: the step sums in floats, in another order, so
         # it agrees to a few ulps and not bit for bit
-        got = _step(*state, h, tau, params.m, params.k, params.b,
-                    params.r0, params.g)
+        got = _step(*state, tau / params.m, *_step_consts(params),
+                    _scaled_tableau(h))
         want = rk6_tableau_step(state, h, tau, params)
         for g, w in zip(got, want):
             assert abs(g - w) <= 4.0 * math.ulp(w)
@@ -92,12 +96,13 @@ class TestStep:
         # a constant-torque stance over 16 ms: halving the step divides
         # the error by 2^6 for a sixth-order step, and by at least 2^5.5
         # here, from 4 ms down to the default 1 ms
-        consts = (params.m, params.k, params.b, params.r0, params.g)
+        consts = _step_consts(params)
 
         def run(h):
+            tab = _scaled_tableau(h)
             s = (0.2, -1.6, 0.45, -7.0)
             for _ in range(round(0.016 / h)):
-                s = _step(*s, h, 2.0, *consts)
+                s = _step(*s, 2.0 / params.m, *consts, tab)
             return s
 
         ref = run(1.25e-4)
@@ -107,65 +112,87 @@ class TestStep:
             assert coarse / fine >= 2.0 ** 5.5
 
 
-def _kernel_bits(result) -> tuple:
-    """A stance kernel's status, rows, end state and t_bottom as float
-    hex."""
-    status, rows, *floats = result
-    return (status, [tuple(v.hex() for v in row) for row in rows],
-            tuple(v.hex() for v in floats))
-
-
-def _assert_kernel_matches_reference(args) -> int:
-    """The stance kernel, which takes each full step inline, returns
-    exactly what the kernel calling _step returns, and counts the full
-    steps that kernel took. Returns the status."""
-    full_steps = []
-
-    def counted(*step_args):
-        full_steps.append(step_args)
-        return _step(*step_args)
-
-    # _locate's steps go through simulate._step and are not counted
-    with mock.patch.object(_oracles, "_step", counted):
-        ref = reference_stance_core(*args)
-    got = simulate._stance_core(*args)
-    assert _kernel_bits(got[:-1]) == _kernel_bits(ref)
-    assert got[-1] == len(full_steps)
-    return got[0]
+def _rows_digest(rows) -> str:
+    """sha256 of a stance kernel's rows, one line of float hex per row."""
+    return hashlib.sha256("\n".join(
+        ",".join(v.hex() for v in row) for row in rows).encode()).hexdigest()
 
 
 _PASSIVE = (False, 0.0, 0.0, 0.0, 0.0, math.inf)
+_NO_ROWS = hashlib.sha256(b"").hexdigest()
 
 
 class TestStanceKernel:
-    # (touchdown state, b, control, dt, nsub, n_ctrl_max) -> status
+    # (touchdown state, b, control, dt, nsub, n_ctrl_max) -> status, end
+    # time and state (t, r, r_dot, theta, theta_dot) as float hex, and
+    # the recorded stance's t_bottom as float hex, full steps, row count
+    # and _rows_digest. The reference kernel is the one that wrote each
+    # full step out inline before it called _step; these are its floats.
     CASES = [
         ((0.2, -1.5, 0.0, 0.0), 20.0, _PASSIVE, 2.5e-4, 4, 1000,
-         simulate._STATUS_LIFTOFF),
+         simulate._STATUS_LIFTOFF,
+         ("0x1.92af476456e57p-4", "0x1.8e4c9467ed53dp-3",
+          "0x1.1a8581d9d2d24p+0", "0x0.0p+0", "0x0.0p+0"),
+         ("0x1.8ad5017a862a2p-5", 394, 99,
+          "2f6ada67d06708d62773a3f95ba2e677bf049a689adb1c37db29eca8b4821499")),
         ((0.2, -1.6, 0.45, -7.0), 20.0, (True, -1.0, 100.0, 0.2, 0.05,
                                          math.inf), 2.5e-4, 4, 1000,
-         simulate._STATUS_LIFTOFF),
+         simulate._STATUS_LIFTOFF,
+         ("0x1.36d48b3e1775dp-4", "0x1.8c9687576070ep-3",
+          "0x1.454cc87794fc3p+0", "-0x1.31fea8dc8aed0p-2",
+          "-0x1.0306929174766p+3"),
+         ("0x1.3b2070dc476e7p-5", 304, 76,
+          "4f82086e62672e5642b479f8a29651fd6b112b4c8e64b2509c10cbdccdeff848")),
         # tau_max 0.5 saturates the torque for the whole stance
         ((0.2, -1.7, 0.42, -3.5), 20.0, (True, -1.3, 100.0, 0.2, 0.05,
                                          0.5), 1e-3, 1, 1000,
-         simulate._STATUS_LIFTOFF),
+         simulate._STATUS_LIFTOFF,
+         ("0x1.7a636e59ef5bfp-4", "0x1.8cc0624780e8dp-3",
+          "0x1.41366704694a3p+0", "0x1.07632ebf7ca1dp-7",
+          "-0x1.a0857efb7f229p+1"),
+         ("0x1.7484c7423e14bp-5", 93, 93,
+          "8d4c763b7431712b52805818afe21797dc85548842e0f0fd1d40704cb4a6cbe5")),
         ((0.2, -0.5, 1.3, -1.0), 0.0, (True, -1.3, 100.0, 0.2, 0.05, 0.5),
-         5e-4, 2, 1000, simulate._STATUS_LIFTOFF),
+         5e-4, 2, 1000, simulate._STATUS_LIFTOFF,
+         ("0x1.8cdf7a10aae91p-4", "0x1.999999999999ap-3",
+          "0x1.1ce8370c1a1dfp-1", "0x1.6831b8f35f68fp+0",
+          "0x1.7ecd866c6000ep+1"),
+         ("0x1.94af6b89d3e29p-5", 194, 97,
+          "09a7fa2c604869407403542bab707b0bfa430ac48444a05fe7339f87d26c4b03")),
         ((0.2, -1.0, 1.2, 15.0), 20.0, _PASSIVE, 2.5e-4, 4, 1000,
-         simulate._STATUS_GROUND),
+         simulate._STATUS_GROUND,
+         ("0x1.70a3d70a3d70ap-6", "0x1.89d00258d678bp-3",
+          "0x1.87798485a50efp-2", "0x1.92c685a8a4d84p+0",
+          "0x1.15abd86632d0cp+4"),
+         ("0x1.12091959c87dcp-6", 90, 23,
+          "6624a98ff0f62318631b17317b657ad3cf2607096dfc770cb9f0f8bf15db6f88")),
         ((0.2, -1.0, 0.3, -3.0), 20.0, (True, -1.0, 100.0, 0.2, 0.05,
                                         math.inf), 1e-4, 10, 3,
-         simulate._STATUS_NO_LIFTOFF),
+         simulate._STATUS_NO_LIFTOFF,
+         ("0x1.89374bc6a7efap-9", "0x1.9375799781240p-3",
+          "-0x1.fe1db06fe9d21p-1", "0x1.27d92b3c726d4p-2",
+          "-0x1.155fa09464254p+2"),
+         ("-0x1.0000000000000p+0", 30, 3,
+          "4c7524af9057a7793305ec548c4f3f8df5cad076a3a2f89fffd6b3ffd0d574bc")),
     ]
 
     @pytest.mark.parametrize("record", [True, False])
-    @pytest.mark.parametrize("state,b,ctrl,dt,nsub,n_ctrl_max,status",
-                             CASES)
-    def test_matches_the_reference_kernel(self, params, state, b, ctrl, dt,
-                                          nsub, n_ctrl_max, status, record):
-        args = (*state, params.m, params.k, b, params.r0, params.g, *ctrl,
-                dt, nsub, n_ctrl_max, record)
-        assert _assert_kernel_matches_reference(args) == status
+    @pytest.mark.parametrize("state,b,ctrl,dt,nsub,n_ctrl_max,status,end,"
+                             "recorded", CASES)
+    def test_matches_the_reference_kernel(self, params, state, b, ctrl,
+                                          dt, nsub, n_ctrl_max, status, end,
+                                          recorded, record):
+        # both modes end in the same state after the same steps; only
+        # the recorded one has rows and a bottom time
+        got_status, rows, *floats, t_bottom, steps = simulate._stance_core(
+            *state, params.m, params.k, b, params.r0, params.g, *ctrl, dt,
+            nsub, n_ctrl_max, record)
+        assert (got_status, tuple(v.hex() for v in floats)) == (status, end)
+        t_bottom_hex, n_steps, n_rows, digest = recorded
+        if not record:
+            t_bottom_hex, n_rows, digest = (-1.0).hex(), 0, _NO_ROWS
+        assert (t_bottom.hex(), steps, len(rows), _rows_digest(rows)) == (
+            t_bottom_hex, n_steps, n_rows, digest)
 
     @settings(max_examples=200)
     @given(state=st.tuples(st.floats(0.12, 0.22), st.floats(-4.0, 0.5),
@@ -180,13 +207,22 @@ class TestStanceKernel:
                                    st.floats(0.05, 20.0)))),
            steps=st.sampled_from([(2.5e-4, 4), (1e-3, 1), (1e-4, 10),
                                   (5e-4, 2)]),
-           n_ctrl_max=st.one_of(st.integers(1, 6), st.just(1000)),
-           record=st.booleans())
-    def test_random_stances_match_the_reference_kernel(
-            self, params, state, b, ctrl, steps, n_ctrl_max, record):
-        _assert_kernel_matches_reference(
-            (*state, params.m, params.k, b, params.r0, params.g, *ctrl,
-             *steps, n_ctrl_max, record))
+           n_ctrl_max=st.one_of(st.integers(1, 6), st.just(1000)))
+    def test_unrecorded_stances_end_as_recorded_ones(
+            self, params, state, b, ctrl, steps, n_ctrl_max):
+        # the README contract over random stances, gains, saturated and
+        # passive legs and step sizes: record=False returns the recorded
+        # stance's status, end time, end state and step count, as the
+        # same floats, with no rows and no bottom time
+        args = (*state, params.m, params.k, b, params.r0, params.g, *ctrl,
+                *steps, n_ctrl_max)
+        status, rows, *floats, t_bottom, n = simulate._stance_core(*args,
+                                                                   True)
+        bare = simulate._stance_core(*args, False)
+        assert bare[0] == status and bare[-1] == n
+        assert [v.hex() for v in bare[2:7]] == [v.hex() for v in floats]
+        assert (bare[1], bare[7]) == ([], -1.0)
+        assert len(rows) == math.ceil(n / steps[1])
 
 
 class TestIntegrateStance:
@@ -291,10 +327,10 @@ class TestIntegrateStance:
         # returns the state of the latter, and so does integrate_stance
         # at liftoff
         p = params
-        consts = (p.m, p.k, p.b, p.r0, p.g)
+        consts = _step_consts(p)
 
         def step(s, h):
-            return _step(*s, h, 0.0, *consts)
+            return _step(*s, 0.0, *consts, _scaled_tableau(h))
 
         def force(s):
             return p.k * (s[0] - p.r0) + p.b * s[1]
@@ -321,15 +357,16 @@ class TestIntegrateStance:
         assert force(step(prev, hi_h)) <= 1e-10
 
     def test_event_location_repeats_no_step(self, params, monkeypatch):
-        # one recorded hop takes 88 steps: the stance loop's full
-        # steps, which the kernel counts, and _locate's sub-steps, each
-        # shorter than dt and taken once, so no step is taken twice; the
-        # liftoff state is pinned bit for bit
-        located, full_steps = [], []
+        # one recorded hop takes 88 steps, each a call of _step: the
+        # stance loop's 77 full steps of length dt, which the kernel
+        # counts, and _locate's 11 sub-steps, each shorter and taken
+        # once, so no step is taken twice; the liftoff state is pinned
+        # bit for bit
+        steps, full_steps = [], []
         real_step, real_core = simulate._step, simulate._stance_core
 
         def counted_step(*args):
-            located.append(args)
+            steps.append(args)
             return real_step(*args)
 
         def counted_core(*args):
@@ -342,9 +379,12 @@ class TestIntegrateStance:
         _, traj = return_map_numeric(ApexState(x_dot=1.5, y=0.25),
                                      ControlInputs(p_bar=-1.0, k_theta=0.5),
                                      params)
-        assert (full_steps[0], len(located)) == (77, 11)  # 88 in all
-        assert len(set(located)) == len(located)
-        assert all(0.0 < args[4] < DEFAULT_DT for args in located)
+        full_tab = _scaled_tableau(DEFAULT_DT)
+        # the tableau's first entry is h/3, so it orders the lengths
+        sub_steps = [args for args in steps if args[-1] != full_tab]
+        assert (len(steps), full_steps, len(sub_steps)) == (88, [77], 11)
+        assert len(set(steps)) == len(steps)
+        assert all(0.0 < args[-1][0] < full_tab[0] for args in sub_steps)
         liftoff = next(e for e in traj.events if e.name == "liftoff")
         assert {name: v.hex() for name, v in liftoff.state.items()} == {
             "r": "0x1.8b06cef2ddad6p-3", "r_dot": "0x1.6c55ca485a132p+0",

@@ -32,11 +32,10 @@ from .model import (ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams,
 from .control import solve_aoa_approx, solve_aoa_implicit, vertical_energy
 from .simulate import (HybridTrajectory, StanceSegment, TrajectoryEvent,
                        TrajectorySample, integrate_stance, return_map_numeric)
-from .analytic import (StanceFlowCoeffs, StanceMapConstants, flow_coeffs,
-                       bottom_time, liftoff_time, liftoff_time_bisect,
+from .analytic import (StanceMapConstants, bottom_time, liftoff_time,
                        return_map_analytic, return_map_analytic_jacobian,
                        simplified_map_constants, simplified_stance_map,
-                       stance_flow, theta_offset)
+                       theta_offset)
 from .fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM, FixedPointResult,
                          SIMULATOR_NUMERIC, TouchdownFixedPoint,
                          closed_form_fixed_point, energy_speed_constraints,

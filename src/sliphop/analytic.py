@@ -18,15 +18,14 @@ simulator's hop chain (simulate.compose_return_map) with the quadratic
 angle-of-attack approximation and the closed-form stance map, and
 return_map_analytic_jacobian is its exact Jacobian.
 
-The flow constants split in two. The gait part (_gait_constants)
-depends only on (p_bar, params) and is computed once per gait behind a
-small bounded cache; the touchdown part (_flow_coeffs) is computed per
-call. Each law is one function: the closed-form stance map is
-flow_liftoff, on floats, which the analytic hop chain runs.
-flow_coeffs and stance_flow take a touchdown StanceState and build
-StanceFlowCoeffs and the StanceState at any time; liftoff_time,
-bottom_time and _flow read the coefficients as a plain tuple in
-StanceFlowCoeffs order, so both kinds go through the same code.
+The flow constants come in one form, a plain tuple of floats built by
+_flow_coeffs: the gait part (_gait_constants) depends only on
+(p_bar, params) and is computed once per gait behind a small bounded
+cache, and the touchdown part is computed per call. The flow (_flow),
+bottom_time and liftoff_time read that tuple; flow_liftoff, the
+closed-form stance map the analytic hop chain runs, the affine
+constants (simplified_map_constants) and the exact Jacobian all build
+it through _flow_coeffs.
 """
 
 from __future__ import annotations
@@ -40,40 +39,6 @@ from .errors import NoLiftoffRoot, NonpositiveTime, Overdamped
 from .model import (ApexState, ControlInputs, SlipParams, StanceState,
                     check_stance, check_touchdown_leg)
 from .simulate import compose_return_map
-
-
-class StanceFlowCoeffs(NamedTuple):
-    """Constants of the closed-form stance flow.
-
-    An immutable named tuple (fields read by name, as on a dataclass).
-    The functions that read it unpack it as a plain tuple, so the hop
-    chain passes them a tuple of the same floats in this order.
-
-    omega    radial natural frequency sqrt(k/m + 3*p_bar^2/(m^2*r_g^4))
-    zeta     damping ratio b/(2*m*omega), must be < 1
-    omega_d  damped frequency omega*sqrt(1 - zeta^2)
-    gamma    constant radial forcing; equilibrium length is gamma/omega^2
-    a, b     cosine/sine amplitudes set by the touchdown state
-    m_amp    oscillation amplitude sqrt(a^2 + b^2)
-    psi      radial phase atan2(-b, a)
-    psi2     velocity phase lag atan2(-sqrt(1-zeta^2), zeta)
-    x_rate   secular leg-angle drift rate
-    y_amp    leg-angle oscillation amplitude
-    m2_force leg-force amplitude sqrt(k^2 + b^2*omega^2 - 2*b*k*omega*cos(psi2))
-    """
-
-    omega: float
-    zeta: float
-    omega_d: float
-    gamma: float
-    a: float
-    b: float
-    m_amp: float
-    psi: float
-    psi2: float
-    x_rate: float
-    y_amp: float
-    m2_force: float
 
 
 class _GaitConstants(NamedTuple):
@@ -127,8 +92,21 @@ def _gait_constants(p_bar: float, params: SlipParams) -> _GaitConstants:
 
 def _flow_coeffs(r: float, r_dot: float, p_bar: float,
                  gait: _GaitConstants) -> tuple[float, ...]:
-    """The flow constants, in StanceFlowCoeffs order, for a touchdown leg
-    state (r, r_dot): the gait's, plus the touchdown part."""
+    """The flow constants for a touchdown leg state (r, r_dot): the
+    gait's, plus the touchdown part, as the tuple
+
+    omega    radial natural frequency sqrt(k/m + 3*p_bar^2/(m^2*r_g^4))
+    zeta     damping ratio b/(2*m*omega), must be < 1
+    omega_d  damped frequency omega*sqrt(1 - zeta^2)
+    gamma    constant radial forcing; equilibrium length is gamma/omega^2
+    a, b     cosine/sine amplitudes set by the touchdown state
+    m_amp    oscillation amplitude sqrt(a^2 + b^2)
+    psi      radial phase atan2(-b, a)
+    psi2     velocity phase lag atan2(-sqrt(1-zeta^2), zeta)
+    x_rate   secular leg-angle drift rate
+    y_amp    leg-angle oscillation amplitude
+    m2_force leg-force amplitude sqrt(k^2 + b^2*omega^2 - 2*b*k*omega*cos(psi2))
+    """
     omega, zeta, omega_d, gamma, psi2, x_den, x_fac, y_den, m2_force, _ = gait
     a = r - gamma / (omega * omega)
     b = (r_dot + zeta * omega * a) / omega_d
@@ -138,19 +116,15 @@ def _flow_coeffs(r: float, r_dot: float, p_bar: float,
             p_bar / x_den * x_fac, 2.0 * p_bar * m_amp / y_den, m2_force)
 
 
-def flow_coeffs(td: StanceState, p_bar: float,
-                params: SlipParams) -> StanceFlowCoeffs:
-    """Stance-flow constants for a touchdown state and momentum target.
-
-    Raises Overdamped when the damping ratio reaches 1.
-    """
-    return StanceFlowCoeffs._make(_flow_coeffs(
-        td.r, td.r_dot, p_bar, _gait_constants(p_bar, params)))
-
-
 def _flow(t: float, coeffs: tuple[float, ...],
           theta_td: float) -> tuple[float, float, float]:
-    """(r, r_dot, theta) of the closed-form flow at time t."""
+    """(r, r_dot, theta) of the closed-form flow at time t after touchdown:
+
+        r(t)     = M e^{-zw t} cos(wd t + psi) + Gamma/w^2
+        r_dot(t) = -M w e^{-zw t} cos(wd t + psi + psi2)
+        theta(t) = theta_td + X t
+                   + Y (e^{-zw t} cos(wd t + psi - psi2) - cos(psi - psi2))
+    """
     w, zeta, wd, gamma, _, _, m_amp, psi, psi2, x_rate, y_amp, _ = coeffs
     g_over_w2 = gamma / (w * w)
     e = math.exp(-zeta * w * t)
@@ -162,46 +136,13 @@ def _flow(t: float, coeffs: tuple[float, ...],
     return r, r_dot, theta
 
 
-def _flow_theta_dot(t: float, coeffs: tuple[float, ...], p_bar: float,
-                    params: SlipParams) -> float:
-    """theta_dot of the closed-form flow at time t, from the momentum
-    expansion. Apart from _flow because the stance map reports theta_dot
-    from constant momentum instead."""
-    w, zeta, wd, gamma, _, _, m_amp, psi, _, _, _, _ = coeffs
-    e = math.exp(-zeta * w * t)
-    c = math.cos(wd * t + psi)
-    r_g = params.r_g
-    return p_bar / (params.m * r_g * r_g) * (
-        3.0 - 2.0 * (m_amp / r_g) * e * c
-        - 2.0 * gamma / (r_g * w * w))
-
-
-def stance_flow(t: float, coeffs: StanceFlowCoeffs, td: StanceState,
-                p_bar: float, params: SlipParams) -> StanceState:
-    """Closed-form stance state at time t after touchdown.
-
-        r(t)     = M e^{-zw t} cos(wd t + psi) + Gamma/w^2
-        r_dot(t) = -M w e^{-zw t} cos(wd t + psi + psi2)
-        theta(t) = theta_td + X t
-                   + Y (e^{-zw t} cos(wd t + psi - psi2) - cos(psi - psi2))
-
-    theta_dot comes from the momentum expansion
-    p_bar/(m r_g^2) (3 - 2(M/r_g) e^{-zw t} cos(wd t + psi) - 2 Gamma/(r_g w^2)).
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    r, r_dot, theta = _flow(t, coeffs, td.theta)
-    return StanceState(r=r, r_dot=r_dot, theta=theta,
-                       theta_dot=_flow_theta_dot(t, coeffs, p_bar, params))
-
-
-def bottom_time(coeffs: StanceFlowCoeffs) -> float:
+def bottom_time(coeffs: tuple[float, ...]) -> float:
     """First zero of the radial velocity: t_b = (pi/2 - psi - psi2)/omega_d."""
     _, _, wd, _, _, _, _, psi, psi2, _, _, _ = coeffs
     return (0.5 * math.pi - psi - psi2) / wd
 
 
-def liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
+def liftoff_time(coeffs: tuple[float, ...], params: SlipParams,
                  psi4: float) -> float:
     """Approximate liftoff time: zero of the leg force on the closed flow.
 
@@ -212,7 +153,8 @@ def liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
                 - psi - psi4) / omega_d.
 
     psi4 is the leg-force phase, _gait_constants(p_bar, params).psi4;
-    any other value should be validated against liftoff_time_bisect.
+    any other value should be validated against the bisection oracle
+    in tests/_oracles.py.
     Raises NoLiftoffRoot when the arccos argument leaves [-1, 1],
     NonpositiveTime when the branch selection does not yield
     t_lo > t_b > 0.
@@ -229,44 +171,6 @@ def liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
         raise NonpositiveTime(
             f"branch selection gave t_lo = {t_lo:.3e}, t_b = {t_b:.3e}")
     return t_lo
-
-
-def liftoff_time_bisect(coeffs: StanceFlowCoeffs,
-                        params: SlipParams) -> float:
-    """Oracle for liftoff_time: bisect k*(r - r0) + b*r_dot = 0 on the flow.
-
-    Scans forward from the bottom time in 1e-4 s steps for the first
-    upward force crossing and bisects it to 1e-12 s. Independent of the
-    arccos branch arithmetic; used to validate psi4 and the n1/n2 branch
-    choices.
-    """
-    w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
-    g_over_w2 = coeffs.gamma / (w * w)
-
-    def force(t: float) -> float:
-        e = math.exp(-zeta * w * t)
-        r = coeffs.m_amp * e * math.cos(wd * t + coeffs.psi) + g_over_w2
-        r_dot = -coeffs.m_amp * w * e * math.cos(wd * t + coeffs.psi
-                                                 + coeffs.psi2)
-        return params.k * (r - params.r0) + params.b * r_dot
-
-    t = bottom_time(coeffs)
-    f_prev = force(t)
-    t_stop = t + 4.0 * math.pi / wd
-    while t < t_stop:
-        t_next = t + 1e-4
-        f_next = force(t_next)
-        if f_prev < 0.0 <= f_next:
-            lo, hi = t, t_next
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                if force(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        t, f_prev = t_next, f_next
-    raise NoLiftoffRoot("no upward force crossing within two periods")
 
 
 def flow_liftoff(r: float, r_dot: float, theta: float, p_bar: float,
@@ -341,14 +245,13 @@ def simplified_map_constants(p_bar: float, k_theta: float,
     on the gait knobs and the physical parameters.
     """
     r_dot_nom = nominal_touchdown_r_dot(p_bar, k_theta, params)
-    td_nom = StanceState(r=params.r0, r_dot=r_dot_nom, theta=0.0,
-                         theta_dot=0.0)
-    coeffs = flow_coeffs(td_nom, p_bar, params)
-    t_lo = liftoff_time(coeffs, params, _gait_constants(p_bar, params).psi4)
+    check_stance(params.r0, r_dot_nom, 0.0, 0.0)  # a finite nominal touchdown
+    gait = _gait_constants(p_bar, params)
+    coeffs = _flow_coeffs(params.r0, r_dot_nom, p_bar, gait)
+    t_lo = liftoff_time(coeffs, params, gait.psi4)
 
-    w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
+    w, zeta, wd, _, a, _, _, _, _, x_rate, _, _ = coeffs
     m, r_g = params.m, params.r_g
-    a = params.r0 - coeffs.gamma / (w * w)
     s1 = math.sqrt(1.0 - zeta * zeta)
     e = math.exp(-zeta * w * t_lo)
     cwt = math.cos(wd * t_lo)
@@ -358,7 +261,7 @@ def simplified_map_constants(p_bar: float, k_theta: float,
     c2 = -a * w * w * e * swt / wd
     c3 = (2.0 * p_bar / (m * r_g ** 3 * w * wd)) \
         * (e * (s1 * cwt + zeta * swt) - s1)
-    c4 = coeffs.x_rate * t_lo + (2.0 * p_bar * a / (m * r_g ** 3 * w)) * (
+    c4 = x_rate * t_lo + (2.0 * p_bar * a / (m * r_g ** 3 * w)) * (
         e * (2.0 * zeta * cwt + (2.0 * zeta * zeta - 1.0) / s1 * swt)
         - 2.0 * zeta)
     return StanceMapConstants(c1=c1, c2=c2, c3=c3, c4=c4, t_lo=t_lo)

@@ -218,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("single", _cmd_single, "chained hop simulation"),
             ("fixed-point", _cmd_fixed_point, "single fixed point as JSON")):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("config", nargs="?", help="key=value config file"
-                       if name == "sweep" else None)
+        p.add_argument("config", nargs="?", help="key=value config file")
         for key in COMMAND_KEYS[name]:
             flag = "out" if key == "out_dir" else key.replace("_", "-")
             p.add_argument(f"--{flag}", dest=key,

@@ -16,6 +16,10 @@ match them bit for bit, failures included. rk6_tableau_step is
 Butcher's sixth-order step from its tableau in exact fractions;
 simulate._step, the package's one stance step, is checked against it.
 RK4 (rk4_step) stays the fine-step reference of full_stance_oracle.
+flow_coeffs and stance_flow are the package's own closed-form flow by
+name and as a StanceState (they are not independent); the flow tests
+check it against taylor_flow_oracle, and its liftoff time against
+liftoff_time_bisect, which bisects the leg force on the flow.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +36,7 @@ from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
                      InsufficientEnergy, NoConvergence, NoLiftoffRoot,
                      NonPhysical, NonpositiveTime, Overdamped, SlipError,
                      SlipParams, StanceState, TouchdownMismatch,
-                     UnreachableTouchdown)
-from sliphop.analytic import StanceFlowCoeffs
+                     UnreachableTouchdown, analytic, bottom_time)
 from sliphop.control import (AOA_MAX_ITER, AOA_THETA_MAX, AOA_TOL, _phi,
                              solve_aoa_approx, solve_aoa_implicit,
                              vertical_energy)
@@ -124,6 +128,111 @@ def taylor_flow_oracle(td: StanceState, p_bar: float, params: SlipParams,
     x0 = np.array([td.r, td.r_dot, td.theta, 1.0])
     r, r_dot, theta, _ = (x0 + total @ x0).tolist()
     return r, r_dot, theta, coeffs[4] - coeffs[5] * r
+
+
+# --- the package's closed-form flow, by name and as a StanceState -------------
+#
+# The package keeps the flow constants as a plain tuple
+# (analytic._flow_coeffs). flow_coeffs names its fields and stance_flow
+# gives the flow's StanceState at any time, both through the package's
+# own _gait_constants, _flow_coeffs and _flow, so the flow tests and
+# criterion 4 check the production flow against the RK4 oracle. Only
+# theta_dot, which the package reports from constant momentum instead,
+# is computed here, from the momentum expansion.
+
+class StanceFlowCoeffs(NamedTuple):
+    """The tuple analytic._flow_coeffs returns, its fields by name (their
+    meaning is listed in its docstring)."""
+
+    omega: float
+    zeta: float
+    omega_d: float
+    gamma: float
+    a: float
+    b: float
+    m_amp: float
+    psi: float
+    psi2: float
+    x_rate: float
+    y_amp: float
+    m2_force: float
+
+
+def flow_coeffs(td: StanceState, p_bar: float,
+                params: SlipParams) -> StanceFlowCoeffs:
+    """Stance-flow constants for a touchdown state and momentum target.
+
+    Raises Overdamped when the damping ratio reaches 1.
+    """
+    return StanceFlowCoeffs._make(analytic._flow_coeffs(
+        td.r, td.r_dot, p_bar, analytic._gait_constants(p_bar, params)))
+
+
+def _flow_theta_dot(t: float, coeffs: tuple[float, ...], p_bar: float,
+                    params: SlipParams) -> float:
+    """theta_dot of the closed-form flow at time t, from the momentum
+    expansion. Not in analytic._flow because the package's stance map
+    reports theta_dot from constant momentum instead."""
+    w, zeta, wd, gamma, _, _, m_amp, psi, _, _, _, _ = coeffs
+    e = math.exp(-zeta * w * t)
+    c = math.cos(wd * t + psi)
+    r_g = params.r_g
+    return p_bar / (params.m * r_g * r_g) * (
+        3.0 - 2.0 * (m_amp / r_g) * e * c
+        - 2.0 * gamma / (r_g * w * w))
+
+
+def stance_flow(t: float, coeffs: StanceFlowCoeffs, td: StanceState,
+                p_bar: float, params: SlipParams) -> StanceState:
+    """Closed-form stance state at time t after touchdown: (r, r_dot,
+    theta) from analytic._flow, and theta_dot from the momentum expansion
+
+        p_bar/(m r_g^2) (3 - 2(M/r_g) e^{-zw t} cos(wd t + psi)
+                         - 2 Gamma/(r_g w^2)).
+    """
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    r, r_dot, theta = analytic._flow(t, coeffs, td.theta)
+    return StanceState(r=r, r_dot=r_dot, theta=theta,
+                       theta_dot=_flow_theta_dot(t, coeffs, p_bar, params))
+
+
+def liftoff_time_bisect(coeffs: StanceFlowCoeffs,
+                        params: SlipParams) -> float:
+    """Oracle for liftoff_time: bisect k*(r - r0) + b*r_dot = 0 on the flow.
+
+    Scans forward from the bottom time in 1e-4 s steps for the first
+    upward force crossing and bisects it to 1e-12 s. Independent of the
+    arccos branch arithmetic; used to validate psi4 and the n1/n2 branch
+    choices.
+    """
+    w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
+    g_over_w2 = coeffs.gamma / (w * w)
+
+    def force(t: float) -> float:
+        e = math.exp(-zeta * w * t)
+        r = coeffs.m_amp * e * math.cos(wd * t + coeffs.psi) + g_over_w2
+        r_dot = -coeffs.m_amp * w * e * math.cos(wd * t + coeffs.psi
+                                                 + coeffs.psi2)
+        return params.k * (r - params.r0) + params.b * r_dot
+
+    t = bottom_time(coeffs)
+    f_prev = force(t)
+    t_stop = t + 4.0 * math.pi / wd
+    while t < t_stop:
+        t_next = t + 1e-4
+        f_next = force(t_next)
+        if f_prev < 0.0 <= f_next:
+            lo, hi = t, t_next
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                if force(mid) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+        t, f_prev = t_next, f_next
+    raise NoLiftoffRoot("no upward force crossing within two periods")
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,17 @@ import pytest
 
 from sliphop import (ApexState, ControlInputs, DEFAULT_PARAMS, StanceState,
                      SweepConfig, closed_form_fixed_point,
-                     energy_speed_constraints, flow_coeffs, integrate_stance,
+                     energy_speed_constraints, integrate_stance,
                      numeric_fixed_point, return_map_numeric, run_sweep,
                      simulator_return_map, solve_aoa_approx,
-                     solve_aoa_implicit, stance_flow, vertical_energy)
+                     solve_aoa_implicit, vertical_energy)
 from sliphop.errors import SlipError
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
 from sliphop.model import SlipParams, liftoff_reset
 from sliphop.simulate import descend
 
-from _oracles import taylor_flow_oracle
+from _oracles import flow_coeffs, stance_flow, taylor_flow_oracle
 
 PARAMS = DEFAULT_PARAMS
 

@@ -5,17 +5,17 @@ import pytest
 
 from sliphop import (ApexState, ControlInputs, NoLiftoffRoot, Overdamped,
                      SlipError, SlipParams, StanceState, bottom_time,
-                     closed_form_fixed_point, flow_coeffs, integrate_stance,
-                     liftoff_time, liftoff_time_bisect, return_map_analytic,
-                     simplified_map_constants, simplified_stance_map,
-                     solve_point, stance_flow)
+                     closed_form_fixed_point, integrate_stance, liftoff_time,
+                     return_map_analytic, simplified_map_constants,
+                     simplified_stance_map, solve_point)
 from sliphop.analytic import (_gait_constants, flow_liftoff,
                               nominal_touchdown_r_dot,
                               return_map_analytic_jacobian)
 from sliphop.fixedpoint import ANALYTIC_NUMERIC
 from sliphop.harness import SweepConfig
 
-from _oracles import (_taylor_rk4, reference_return_map_analytic,
+from _oracles import (_taylor_rk4, flow_coeffs, liftoff_time_bisect,
+                      reference_return_map_analytic, stance_flow,
                       taylor_flow_oracle)
 
 GRID_P_BAR = (-1.55, -1.2, -0.85, -0.5)
@@ -159,8 +159,9 @@ class TestStanceFlow:
         assert s.theta_dot == pytest.approx(oracle[3], abs=1e-8)
 
     def test_pinned_bit_exact(self, params):
-        # frozen from stance_flow itself: any change to the flow
-        # arithmetic, even its evaluation order, shows here
+        # frozen from the flow itself (analytic._flow, and theta_dot from
+        # the momentum expansion): any change to the flow arithmetic, even
+        # its evaluation order, shows here
         td = _td()
         s = stance_flow(0.03, flow_coeffs(td, -1.0, params), td, -1.0, params)
         assert (s.r, s.r_dot, s.theta, s.theta_dot) == (

@@ -230,6 +230,15 @@ def test_key_set_twice_is_a_config_error(calls, tmp_path, capsys):
         "line 1\n")
 
 
+@pytest.mark.parametrize("command", ["sweep", "single", "fixed-point"])
+def test_help_describes_the_config_file(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, err) == (0, "")
+    assert re.search(r"^  config +key=value config file$", out, re.MULTILINE)
+
+
 def _readme_config(tmp_path) -> dict[str, str]:
     """The README's fenced key=value block, parsed as a config file."""
     blocks = re.findall(r"^```\w*\n(.*?)^```$", README.read_text(),

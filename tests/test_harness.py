@@ -336,10 +336,15 @@ class TestRunSweep:
         cfg = SweepConfig(params=params, p_bar_range=(-1.0, -0.9, 2),
                           k_theta_range=(0.5, 0.5, 1))
         report = run_sweep(cfg)
-        pairs = {(s.predicted, s.reference) for s in report.error_stats}
-        assert (CLOSED_FORM, SIMULATOR_NUMERIC) in pairs
-        assert (ANALYTIC_NUMERIC, SIMULATOR_NUMERIC) in pairs
-        assert (CLOSED_FORM, ANALYTIC_NUMERIC) in pairs
+        # the row order of errors.csv
+        assert [(s.predicted, s.reference, s.quantity)
+                for s in report.error_stats] == [
+            (CLOSED_FORM, SIMULATOR_NUMERIC, "x_dot"),
+            (CLOSED_FORM, SIMULATOR_NUMERIC, "y"),
+            (ANALYTIC_NUMERIC, SIMULATOR_NUMERIC, "x_dot"),
+            (ANALYTIC_NUMERIC, SIMULATOR_NUMERIC, "y"),
+            (CLOSED_FORM, ANALYTIC_NUMERIC, "x_dot"),
+            (CLOSED_FORM, ANALYTIC_NUMERIC, "y")]
         for s in report.error_stats:
             assert s.rms >= 0.0
             assert s.n == 2

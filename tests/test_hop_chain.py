@@ -17,13 +17,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sliphop import (ApexState, ControlInputs, InvalidState, StanceState,
-                     analytic, flow_coeffs, liftoff_time, return_map_analytic,
-                     simulate, simulator_return_map, stance_flow)
+                     analytic, liftoff_time, return_map_analytic, simulate,
+                     simulator_return_map)
 from sliphop.analytic import flow_liftoff
 
 from sliphop.model import StateCheckError
 
-from _oracles import (reference_flow, reference_flow_coeffs,
+from _oracles import (flow_coeffs, reference_flow, reference_flow_coeffs,
                       reference_liftoff_time, reference_return_map_analytic,
                       reference_return_map_numeric,
                       reference_stance_map_analytic)
@@ -126,12 +126,13 @@ _TOUCHDOWN = st.builds(StanceState, st.floats(0.05, 0.4),
 @settings(max_examples=300)
 @given(td=_TOUCHDOWN, p_bar=st.one_of(st.floats(-3.0, 3.0), _FINITE),
        t=st.floats(0.0, 0.2))
-def test_wrappers_match_the_dataclass_chain(params, td, p_bar, t):
-    # the dataclass functions flow_coeffs and stance_flow wrap the float
-    # laws, and the float laws liftoff_time (at the gait's force phase)
-    # and flow_liftoff keep the dataclass chain's results bit for bit
-    assert _outcome(lambda: flow_coeffs(td, p_bar, params)) == _outcome(
-        lambda: reference_flow_coeffs(td, p_bar, params))
+def test_flow_laws_match_the_dataclass_chain(params, td, p_bar, t):
+    # the float laws _flow_coeffs (on the gait's cached constants, named
+    # by the oracle module's flow_coeffs), _flow, liftoff_time (at the
+    # gait's force phase) and flow_liftoff keep the dataclass chain's
+    # results bit for bit
+    assert _outcome(flow_coeffs, td, p_bar, params) == _outcome(
+        reference_flow_coeffs, td, p_bar, params)
     try:
         coeffs = flow_coeffs(td, p_bar, params)
     except Exception:
@@ -140,9 +141,8 @@ def test_wrappers_match_the_dataclass_chain(params, td, p_bar, t):
     psi4 = analytic._gait_constants(p_bar, params).psi4
     assert _outcome(liftoff_time, coeffs, params, psi4) == _outcome(
         reference_liftoff_time, ref, params)
-    assert _outcome(stance_flow, t, coeffs, td, p_bar, params) == _outcome(
-        lambda: StanceState(*reference_flow(t, ref, td.theta, p_bar,
-                                            params)))
+    assert _outcome(analytic._flow, t, coeffs, td.theta) == _outcome(
+        lambda: reference_flow(t, ref, td.theta, p_bar, params)[:3])
     touchdown = StanceState(params.r0, td.r_dot, td.theta, td.theta_dot)
     assert _outcome(flow_liftoff, params.r0, td.r_dot, td.theta, p_bar,
                     params) == _outcome(reference_stance_map_analytic,

@@ -5,7 +5,9 @@ renames one, or that stops calling one through its module, would crash
 traced runs or quietly zero a layer's counts; these tests catch both.
 The benchmark's own tests are not part of this suite, so the names that
 benchmarks/workloads.py imports, that run.py's fresh-interpreter setup
-code imports and that run.py reads from simulate are checked here too.
+code imports and that run.py reads from simulate are checked here too,
+and the workloads' correctness pass runs here on a small sweep: it
+calls the package by name at run time, after the timed call.
 """
 
 import ast
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import sliphop
 from sliphop import SweepConfig, harness, simulate
-from sliphop.fixedpoint import ANALYTIC_NUMERIC, CLOSED_FORM
+from sliphop.fixedpoint import ANALYTIC_NUMERIC, CLOSED_FORM, SIMULATOR_NUMERIC
 
 _BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -63,6 +65,26 @@ def test_run_uses_only_names_the_package_has():
         assert hasattr(simulate, name), f"simulate.{name}"
 
 
+def test_correctness_pass_checks_every_converged_cell():
+    workloads = _load("workloads")
+    cfg = SweepConfig(p_bar_range=(-1.2, -0.8, 2),
+                      k_theta_range=(0.4, 0.6, 2),
+                      pipelines=(CLOSED_FORM, ANALYTIC_NUMERIC))
+    report = harness.run_sweep(cfg)
+    converged = sum(counts["converged"]
+                    for counts in report.status_counts().values())
+    check = workloads.check_sweep(cfg, report)
+    assert check.misses == []
+    assert check.checked == converged > 0
+
+
+def _span_counts(tracer) -> dict[str, int]:
+    calls = {}
+    for span in tracer.spans:
+        calls[span.name] = calls.get(span.name, 0) + 1
+    return calls
+
+
 def test_analytic_sweep_counts_map_and_angle_spans():
     originals = [getattr(t.module, t.attr) for t in tracing.TARGETS]
     with tracing.Tracer() as tracer:
@@ -70,10 +92,24 @@ def test_analytic_sweep_counts_map_and_angle_spans():
                                       k_theta_range=(0.4, 0.6, 2),
                                       pipelines=(CLOSED_FORM,
                                                  ANALYTIC_NUMERIC)))
-    calls = {}
-    for span in tracer.spans:
-        calls[span.name] = calls.get(span.name, 0) + 1
+    calls = _span_counts(tracer)
     maps = calls.get("analytic.return_map_analytic", 0)
     assert maps > 0
     assert calls.get("control.solve_aoa_approx", 0) == maps
     assert [getattr(t.module, t.attr) for t in tracing.TARGETS] == originals
+
+
+def test_simulator_sweep_counts_closed_form_and_newton_spans():
+    with tracing.Tracer() as tracer:
+        harness.run_sweep(SweepConfig(p_bar_range=(-1.0, -1.0, 1),
+                                      k_theta_range=(0.45, 0.55, 2),
+                                      pipelines=(CLOSED_FORM,
+                                                 SIMULATOR_NUMERIC)))
+    calls = _span_counts(tracer)
+    closed = calls.get("fixedpoint.closed_form_fixed_point", 0)
+    assert calls.get("analytic.simplified_map_constants", 0) == closed > 0
+    assert calls.get("simulate.return_map_numeric", 0) > 0
+    solves = [span for span in tracer.spans
+              if span.name == "fixedpoint.numeric_fixed_point"]
+    assert solves
+    assert all(span.info["pipeline"] == "sim" for span in solves)

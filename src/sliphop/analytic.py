@@ -60,9 +60,8 @@ class _GaitConstants(NamedTuple):
     psi4: float
 
 
-# keeps 64 gaits (the default sweep has 20 p_bar values); typed, since
-# an int p_bar squares in exact integer arithmetic
-@functools.lru_cache(maxsize=64, typed=True)
+# keeps 64 gaits (the default sweep has 20 p_bar values)
+@functools.lru_cache(maxsize=64)
 def _gait_constants(p_bar: float, params: SlipParams) -> _GaitConstants:
     """The gait part of the flow constants, once per (p_bar, params).
 
@@ -211,11 +210,12 @@ def nominal_touchdown_r_dot(p_bar: float, k_theta: float,
     Chains the touchdown-angle geometry: nominal speed from the
     momentum line x_dot = -p_bar/(m*r0), touchdown speed magnitude
     x_dot/sin(theta_aoa_nom) with theta_aoa_nom = |p_bar|/0.7 * pi/4,
-    then r_dot = -|v|*cos(theta_offset). Continuous at p_bar = 0.
+    then r_dot = -|v|*cos(theta_offset). Continuous at p_bar = 0: below
+    theta_aoa_nom = 1e-9, where the sine's floor would bind, v is its limit.
     """
     x_dot_nom = abs(p_bar) / (params.m * params.r0)
     theta_nom = abs(p_bar) / 0.7 * 0.25 * math.pi
-    if theta_nom < 1e-12:
+    if theta_nom < 1e-9:
         v = (4.0 * 0.7 / math.pi) / (params.m * params.r0)
     else:
         v = x_dot_nom / max(math.sin(theta_nom), 1e-9)
@@ -242,8 +242,9 @@ def simplified_map_constants(p_bar: float, k_theta: float,
     The flow amplitude A is evaluated at r_td = r0 (the touchdown reset
     always returns the rest length), and the liftoff time at the nominal
     touchdown induced by (p_bar, k_theta), so the constants depend only
-    on the gait knobs and the physical parameters.
+    on the gait knobs (as Python floats) and the physical parameters.
     """
+    p_bar, k_theta = float(p_bar), float(k_theta)
     r_dot_nom = nominal_touchdown_r_dot(p_bar, k_theta, params)
     check_stance(params.r0, r_dot_nom, 0.0, 0.0)  # a finite nominal touchdown
     gait = _gait_constants(p_bar, params)
@@ -321,7 +322,7 @@ def return_map_analytic_jacobian(apex: ApexState, inputs: ControlInputs,
     """
     m, g, r0 = params.m, params.g, params.r0
     x, y = apex.x_dot, apex.y
-    p_bar, k_theta = float(inputs.p_bar), float(inputs.k_theta)
+    p_bar, k_theta = inputs.p_bar, inputs.k_theta
     try:
         # angle of attack: Phi's radicand rad = 2*g*y - 2*g*r0*cos(s) at
         # s = k_theta*sqrt(q); d cos(s)/dq = -k_theta^2/2 * sin(s)/s,

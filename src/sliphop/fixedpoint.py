@@ -163,6 +163,7 @@ def closed_form_fixed_point(p_bar: float, k_theta: float,
     branch swapping.
     """
     inputs = ControlInputs(p_bar=p_bar, k_theta=k_theta)
+    p_bar, k_theta = inputs.p_bar, inputs.k_theta
     m, r0 = params.m, params.r0
     t_off = theta_offset(p_bar, k_theta)
     tan_off = math.tan(t_off)

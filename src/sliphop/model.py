@@ -40,19 +40,20 @@ def _require_finite(name: str, value: float,
         raise error(f"{name} must be finite, got {value!r}")
 
 
-def _finite_floats(state, names: tuple[str, ...]) -> None:
+def _finite_floats(obj, names: tuple[str, ...],
+                   error: type[ValueError] = StateCheckError) -> None:
     """Check each field is finite and store it as a Python float.
 
-    This is the path of a state whose fields are not all exact floats:
-    the first non-finite field raises StateCheckError by name, a non-number
-    raises TypeError, and numpy scalars and ints are stored as float, so
-    they cannot carry into the pure-Python stance kernel.
+    The path of the parameters, the gait inputs and a state whose fields
+    are not all exact floats: the first non-finite field raises error by
+    name, a non-number raises TypeError, and numpy scalars and ints are
+    stored as float, so they cannot carry into the pure-Python maps.
     """
     for name in names:
-        value = getattr(state, name)
-        _require_finite(name, value, StateCheckError)
+        value = getattr(obj, name)
+        _require_finite(name, value, error)
         if type(value) is not float:
-            object.__setattr__(state, name, float(value))
+            object.__setattr__(obj, name, float(value))
 
 
 def _raise_nonfinite(names: tuple[str, ...], values: tuple) -> None:
@@ -107,8 +108,7 @@ class SlipParams:
     g: float = 9.81
 
     def __post_init__(self):
-        for name in ("m", "k", "b", "r0", "g"):
-            _require_finite(name, getattr(self, name))
+        _finite_floats(self, ("m", "k", "b", "r0", "g"), ValueError)
         if self.m <= 0.0:
             raise ValueError(f"m must be > 0, got {self.m}")
         if self.k <= 0.0:
@@ -158,12 +158,14 @@ class ControlInputs:
     tau_max: float | None = None
 
     def __post_init__(self):
-        for name in ("p_bar", "k_theta", "kp", "ki", "kd"):
-            _require_finite(name, getattr(self, name))
+        _finite_floats(self, ("p_bar", "k_theta", "kp", "ki", "kd"),
+                       ValueError)
         if not 0.0 <= self.k_theta <= 1.0:
             raise ValueError(f"k_theta must be in [0, 1], got {self.k_theta}")
         if self.tau_max is not None and not self.tau_max > 0.0:
             raise ValueError(f"tau_max must be > 0 when set, got {self.tau_max}")
+        if self.tau_max is not None:
+            object.__setattr__(self, "tau_max", float(self.tau_max))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ its order); liftoff is the upward zero crossing of the leg force
 k*(r - r0) + b*r_dot, located to round-off by regula falsi on the
 length of the sub-step. _step is the one step law and the one place
 the stance equations are written: the stance loop (_stance_core) calls
-it for each full step and the event locator for each sub-step.
+it for each full step and the event locator for each sub-step; the
+loop returns the liftoff and raises GroundFault and FailedLiftoff.
 Flight is ballistic and handled in closed form.
 compose_return_map chains touchdown-angle selection, descent, the
 touchdown reset, stance, the liftoff reset and ascent into an
@@ -52,10 +53,6 @@ DEFAULT_DT = 1e-3
 DEFAULT_CONTROL_DT = 1e-3
 # FailedLiftoff budget: 10x the undamped half period pi/omega0.
 TIME_BUDGET_HALF_PERIODS = 10.0
-
-_STATUS_LIFTOFF = 0
-_STATUS_NO_LIFTOFF = 1
-_STATUS_GROUND = 2
 
 
 def check_steps(dt: float, control_dt: float) -> int:
@@ -198,19 +195,26 @@ def _locate(rp, drp, thp, dthp, r1, dr1, th1, dth1, tm, a, c, dt,
     return lo, hi, r1, dr1, th1, dth1
 
 
-def _stance_core(r, dr, th, dth, m, k, b, r0, g,
-                 use_ctrl, p_bar, kp, ki, kd, tau_max,
-                 dt, nsub, n_ctrl_max, record):
+def _stance_core(r, dr, th, dth, params, inputs, dt, nsub, t_budget,
+                 record):
     """ZOH control loop around the stance step with event localization.
 
-    Returns (status, rows, t, r, dr, th, dth, t_bottom, steps), one row
-    (t, r, r_dot, theta, theta_dot, tau) per control step; steps counts
-    the full steps, not those of event location. With record false there
-    are no rows and no search for the bottom, and t_bottom stays -1.0.
+    Reads params and inputs (None: the passive leg) once per stance.
+    Returns (rows, t_liftoff, r, dr, th, dth, t_bottom, steps), one row
+    (t, r, r_dot, theta, theta_dot, tau) per control tick; steps counts
+    the full steps, not those of event location. t_bottom is None when
+    no bottom was found; with record false there are no rows and no
+    search for it. Raises GroundFault when the mass reaches the ground,
+    FailedLiftoff after ceil(t_budget / (dt*nsub)) ticks without liftoff.
 
     Each full step is one call of _step, with k/m, b/m and the tableau
     scaled to dt formed once per stance and tau/m once per control step.
     """
+    m, k, b, r0, g = params.m, params.k, params.b, params.r0, params.g
+    use_ctrl = inputs is not None
+    if use_ctrl:
+        p_bar, kp, ki, kd = inputs.p_bar, inputs.kp, inputs.ki, inputs.kd
+        tau_max = math.inf if inputs.tau_max is None else inputs.tau_max
     ctrl_dt = dt * nsub
     km = k / m
     bm = b / m
@@ -218,12 +222,12 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
     integral = 0.0
     p_prev = m * r * r * dth
     force = k * (r - r0) + b * dr
-    t_bottom = -1.0
+    t_bottom = None
     istep = 0
     rows = []
     tau = 0.0
     tm = 0.0
-    for _ in range(n_ctrl_max):
+    for _ in range(math.ceil(t_budget / ctrl_dt)):
         if use_ctrl:
             p = m * r * r * dth
             err = p_bar - p
@@ -245,9 +249,9 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
             r, dr, th, dth = _step(r, dr, th, dth, tm, km, bm, r0, g, tab)
             istep += 1
             if r <= 0.0 or r * math.cos(th) <= 0.0:
-                return (_STATUS_GROUND, rows, istep * dt, r, dr, th, dth,
-                        t_bottom, istep)
-            if record and t_bottom < 0.0 and drp < 0.0 <= dr:
+                raise GroundFault(f"mass height reached 0 at t = "
+                                  f"{istep * dt:.6f} s (theta = {th:.3f})")
+            if record and t_bottom is None and drp < 0.0 <= dr:
                 hi_h = _locate(rp, drp, thp, dthp, r, dr, th, dth, tm,
                                0.0, 1.0, dt, km, bm, r0, g)[1]
                 t_bottom = (istep - 1) * dt + hi_h
@@ -256,11 +260,9 @@ def _stance_core(r, dr, th, dth, m, k, b, r0, g,
                 _, hi_h, r, dr, th, dth = _locate(rp, drp, thp, dthp,
                                                   r, dr, th, dth, tm, k, b,
                                                   dt, km, bm, r0, g)
-                t_lo = (istep - 1) * dt + hi_h
-                return (_STATUS_LIFTOFF, rows, t_lo, r, dr, th, dth,
+                return (rows, (istep - 1) * dt + hi_h, r, dr, th, dth,
                         t_bottom, istep)
-    return (_STATUS_NO_LIFTOFF, rows, istep * dt, r, dr, th, dth, t_bottom,
-            istep)
+    raise FailedLiftoff(f"leg force never vanished within {t_budget:.3f} s")
 
 
 # Read only by benchmarks/run.py's have_numba environment stamp; ROADMAP
@@ -341,46 +343,31 @@ def integrate_stance(td: StanceState, inputs: ControlInputs | None,
     """Integrate stance from touchdown until the leg force vanishes.
 
     inputs=None runs the passive leg (tau = 0). With record=False the
-    segment carries no samples and no bottom time, which the kernel
+    segment carries no samples and no bottom time, which the stance loop
     then does not search for; the liftoff state and time are the same
-    floats in both modes. The touchdown state must
-    pass model.check_touchdown_leg and the steps check_steps. Raises
-    FailedLiftoff if the leg force never returns to zero within the time
-    budget, GroundFault if the mass reaches the ground, InvalidState if
-    the stance state leaves the floats (a math domain error, an
-    overflow or a division by zero in the step).
+    floats in both modes. The touchdown state must pass
+    model.check_touchdown_leg and the steps check_steps. The stance loop
+    raises FailedLiftoff if the leg force does not vanish within
+    TIME_BUDGET_HALF_PERIODS half periods pi/omega0, GroundFault if the
+    mass reaches the ground; InvalidState wraps a stance state that
+    leaves the floats (a math domain error, an overflow or a division
+    by zero in the step).
     """
     nsub = check_steps(dt, control_dt)
     check_touchdown_leg(td.r, td.r_dot, params)
     t_budget = TIME_BUDGET_HALF_PERIODS * math.pi / params.omega0
-    n_ctrl_max = int(math.ceil(t_budget / (dt * nsub)))
-    if inputs is None:
-        ctrl = (False, 0.0, 0.0, 0.0, 0.0, math.inf)
-    else:
-        tau_max = math.inf if inputs.tau_max is None else float(inputs.tau_max)
-        ctrl = (True, inputs.p_bar, inputs.kp, inputs.ki, inputs.kd, tau_max)
     try:
-        status, samples, t_end, r, dr, th, dth, t_bottom, _ = \
-            _stance_core(td.r, td.r_dot, td.theta, td.theta_dot,
-                         params.m, params.k, params.b, params.r0, params.g,
-                         *ctrl, dt, nsub, n_ctrl_max, record)
+        samples, t_liftoff, r, dr, th, dth, t_bottom, _ = _stance_core(
+            td.r, td.r_dot, td.theta, td.theta_dot, params, inputs, dt,
+            nsub, t_budget, record)
     except (ArithmeticError, ValueError) as err:
         # a state that blows up mid-stance (math.cos of an infinite
         # angle, an overflow) is a failed state of the hop, not a bug
         raise InvalidState(f"stance state blew up: {err}") from err
-    if status == _STATUS_GROUND:
-        raise GroundFault(
-            f"mass height reached 0 at t = {t_end:.6f} s (theta = {th:.3f})")
-    if status == _STATUS_NO_LIFTOFF:
-        raise FailedLiftoff(
-            f"leg force never vanished within {t_budget:.3f} s")
     lo = StanceState(r=r, r_dot=dr, theta=th, theta_dot=dth)
-    segment = StanceSegment(
-        t_liftoff=t_end,
-        t_bottom=None if t_bottom < 0.0 else t_bottom,
-        p_liftoff=lo.angular_momentum(params),
-        samples=samples,
-    )
+    segment = StanceSegment(t_liftoff=t_liftoff, t_bottom=t_bottom,
+                            p_liftoff=lo.angular_momentum(params),
+                            samples=samples)
     return lo, segment
 
 

@@ -296,6 +296,16 @@ class TestSimplifiedStanceMap:
         assert lo.theta_dot == pytest.approx(
             -1.0 / (params.m * params.r0 ** 2), rel=1e-14)
 
+    @pytest.mark.parametrize("k_theta", [0.3, 1.0])
+    def test_nominal_touchdown_speed_continuous_at_zero(self, params,
+                                                        k_theta):
+        # |p_bar| from 1e-14 to 1e-6, four points a decade, both signs
+        limit = nominal_touchdown_r_dot(0.0, k_theta, params)
+        for i in range(-56, -23):
+            for p_bar in (10.0 ** (i / 4), -10.0 ** (i / 4)):
+                got = nominal_touchdown_r_dot(p_bar, k_theta, params)
+                assert abs(got - limit) <= 1e-9 * abs(limit), p_bar
+
     def test_tracks_full_closed_form_at_nominal(self, params):
         # Assumption: frozen liftoff phase; deviation from the full
         # closed-form stance map stays within 15% per component

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -6,13 +7,15 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from sliphop import (ApexState, ControlInputs, GaitFailure, IllConditioned,
-                     InsufficientEnergy, NoConvergence, NonPhysical,
-                     NonpositiveTime, NoRealFixedPoint, SlipError,
-                     closed_form_fixed_point, energy_speed_constraints,
-                     fixedpoint, numeric_fixed_point, return_map_analytic,
+                     InsufficientEnergy, InvalidState, NoConvergence,
+                     NonPhysical, NonpositiveTime, NoRealFixedPoint,
+                     SlipError, closed_form_fixed_point,
+                     energy_speed_constraints, fixedpoint, harness,
+                     numeric_fixed_point, return_map_analytic,
                      simulator_return_map, solve_point, stability,
                      theta_offset)
-from sliphop.analytic import return_map_analytic_jacobian
+from sliphop.analytic import (_gait_constants, return_map_analytic_jacobian,
+                              simplified_map_constants)
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
 from sliphop.numerics import solve_2x2, spectral_radius_2x2
@@ -89,6 +92,39 @@ class TestClosedForm:
         with pytest.raises(error, match=message) as exc:
             closed_form_fixed_point(p_bar, k_theta, params)
         assert exc.value.phase is None
+
+
+def _leaves(value):
+    """The scalars of a result, depth first, through its dataclasses and
+    tuples."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+class TestGaitScalarType:
+    def test_float_int_and_numpy_gaits_give_the_same_floats(self, params):
+        # the gait knobs are stored as Python floats, so every result is
+        # made of floats, bit for bit the same, and the flow constants
+        # are cached once for the gait
+        _gait_constants.cache_clear()
+        results = []
+        for scalar in (float, int, np.float64):
+            p_bar, k_theta = scalar(-1), scalar(1)
+            inputs = ControlInputs(p_bar=p_bar, k_theta=k_theta)
+            results.append([
+                (type(v), v.hex() if isinstance(v, float) else v)
+                for v in _leaves((
+                    simplified_map_constants(p_bar, k_theta, params),
+                    closed_form_fixed_point(p_bar, k_theta, params),
+                    solve_point(CLOSED_FORM, inputs, params),
+                    solve_point(ANALYTIC_NUMERIC, inputs, params)))])
+        assert results[1] == results[0] and results[2] == results[0]
+        assert {t for t, _ in results[0]} == {float, bool, str, int,
+                                              type(None)}
+        assert _gait_constants.cache_info().currsize == 1
 
 
 class TestConstraints:
@@ -401,6 +437,26 @@ class TestNumericFixedPoint:
             numeric_fixed_point(cliff_map, ApexState(1.0, 0.3), inputs,
                                 params)
         assert exc.value.phase == "stance"
+
+    def test_unknown_stability_when_a_difference_fails(self, params):
+        # a contraction to z* that fails above y* + h/2: Newton converges
+        # below the cliff, then the stability differences step over it,
+        # so the fixed point is kept with its stability unknown
+        x_star, y_star = 1.2, 0.3
+        h = fixedpoint.FD_STEP  # the difference step in y, as |y*| < 1
+
+        def cliff_map(apex, inputs, params):
+            if apex.y > y_star + 0.5 * h:
+                raise InvalidState("over the cliff", phase="ascent")
+            return ApexState(x_star + 0.5 * (apex.x_dot - x_star),
+                             y_star + 0.5 * (apex.y - y_star))
+
+        res = numeric_fixed_point(cliff_map, ApexState(1.0, 0.25),
+                                  ControlInputs(-1.0, 0.5), params)
+        assert res.residual <= 1e-9 and res.apex.y <= y_star + 0.5 * h
+        assert all(math.isnan(v) for row in res.jacobian for v in row)
+        assert math.isnan(res.spectral_radius) and res.stable is False
+        assert harness._result_cells(res)[3] is None  # an empty cell
 
     def test_drift_map_is_ill_conditioned(self, params):
         # P(z) = z + (1, 0) has no fixed point, and its identity Jacobian

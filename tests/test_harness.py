@@ -580,7 +580,7 @@ class TestCsvWriter:
             samples = report.trajectory.samples
             assert {s.phase for s in samples} == {
                 "descent", "stance", "ascent"}
-            if isinstance(inputs.tau_max, int):
+            if inputs.tau_max is not None:
                 stance_taus = [s.tau for s in samples if s.phase == "stance"]
                 assert max(map(abs, stance_taus)) == 10.0
                 assert {type(tau) for tau in stance_taus} == {float}

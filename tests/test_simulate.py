@@ -118,110 +118,127 @@ def _rows_digest(rows) -> str:
         ",".join(v.hex() for v in row) for row in rows).encode()).hexdigest()
 
 
-_PASSIVE = (False, 0.0, 0.0, 0.0, 0.0, math.inf)
-_NO_ROWS = hashlib.sha256(b"").hexdigest()
+def _run_core(state, b, ctrl, dt, nsub, ticks, record, params):
+    """_stance_core with damping b, the controller gains ctrl = (p_bar,
+    kp, ki, kd, tau_max) or () for the passive leg, and a budget of
+    ticks control ticks."""
+    inputs = None
+    if ctrl:
+        p_bar, kp, ki, kd, tau_max = ctrl
+        # k_theta does not act in stance
+        inputs = ControlInputs(p_bar, 0.5, kp, ki, kd, tau_max)
+    return simulate._stance_core(*state, dataclasses.replace(params, b=b),
+                                 inputs, dt, nsub, (ticks - 0.5) * dt * nsub,
+                                 record)
 
 
 class TestStanceKernel:
-    # (touchdown state, b, control, dt, nsub, n_ctrl_max) -> status, end
+    # (touchdown state, b, gains, dt, nsub, control ticks) -> liftoff
     # time and state (t, r, r_dot, theta, theta_dot) as float hex, and
     # the recorded stance's t_bottom as float hex, full steps, row count
     # and _rows_digest. The reference kernel is the one that wrote each
     # full step out inline before it called _step; these are its floats.
     CASES = [
-        ((0.2, -1.5, 0.0, 0.0), 20.0, _PASSIVE, 2.5e-4, 4, 1000,
-         simulate._STATUS_LIFTOFF,
+        ((0.2, -1.5, 0.0, 0.0), 20.0, (), 2.5e-4, 4, 1000,
          ("0x1.92af476456e57p-4", "0x1.8e4c9467ed53dp-3",
           "0x1.1a8581d9d2d24p+0", "0x0.0p+0", "0x0.0p+0"),
          ("0x1.8ad5017a862a2p-5", 394, 99,
           "2f6ada67d06708d62773a3f95ba2e677bf049a689adb1c37db29eca8b4821499")),
-        ((0.2, -1.6, 0.45, -7.0), 20.0, (True, -1.0, 100.0, 0.2, 0.05,
-                                         math.inf), 2.5e-4, 4, 1000,
-         simulate._STATUS_LIFTOFF,
+        ((0.2, -1.6, 0.45, -7.0), 20.0, (-1.0, 100.0, 0.2, 0.05, None),
+         2.5e-4, 4, 1000,
          ("0x1.36d48b3e1775dp-4", "0x1.8c9687576070ep-3",
           "0x1.454cc87794fc3p+0", "-0x1.31fea8dc8aed0p-2",
           "-0x1.0306929174766p+3"),
          ("0x1.3b2070dc476e7p-5", 304, 76,
           "4f82086e62672e5642b479f8a29651fd6b112b4c8e64b2509c10cbdccdeff848")),
         # tau_max 0.5 saturates the torque for the whole stance
-        ((0.2, -1.7, 0.42, -3.5), 20.0, (True, -1.3, 100.0, 0.2, 0.05,
-                                         0.5), 1e-3, 1, 1000,
-         simulate._STATUS_LIFTOFF,
+        ((0.2, -1.7, 0.42, -3.5), 20.0, (-1.3, 100.0, 0.2, 0.05, 0.5),
+         1e-3, 1, 1000,
          ("0x1.7a636e59ef5bfp-4", "0x1.8cc0624780e8dp-3",
           "0x1.41366704694a3p+0", "0x1.07632ebf7ca1dp-7",
           "-0x1.a0857efb7f229p+1"),
          ("0x1.7484c7423e14bp-5", 93, 93,
           "8d4c763b7431712b52805818afe21797dc85548842e0f0fd1d40704cb4a6cbe5")),
-        ((0.2, -0.5, 1.3, -1.0), 0.0, (True, -1.3, 100.0, 0.2, 0.05, 0.5),
-         5e-4, 2, 1000, simulate._STATUS_LIFTOFF,
+        ((0.2, -0.5, 1.3, -1.0), 0.0, (-1.3, 100.0, 0.2, 0.05, 0.5),
+         5e-4, 2, 1000,
          ("0x1.8cdf7a10aae91p-4", "0x1.999999999999ap-3",
           "0x1.1ce8370c1a1dfp-1", "0x1.6831b8f35f68fp+0",
           "0x1.7ecd866c6000ep+1"),
          ("0x1.94af6b89d3e29p-5", 194, 97,
           "09a7fa2c604869407403542bab707b0bfa430ac48444a05fe7339f87d26c4b03")),
-        ((0.2, -1.0, 1.2, 15.0), 20.0, _PASSIVE, 2.5e-4, 4, 1000,
-         simulate._STATUS_GROUND,
-         ("0x1.70a3d70a3d70ap-6", "0x1.89d00258d678bp-3",
-          "0x1.87798485a50efp-2", "0x1.92c685a8a4d84p+0",
-          "0x1.15abd86632d0cp+4"),
-         ("0x1.12091959c87dcp-6", 90, 23,
-          "6624a98ff0f62318631b17317b657ad3cf2607096dfc770cb9f0f8bf15db6f88")),
-        ((0.2, -1.0, 0.3, -3.0), 20.0, (True, -1.0, 100.0, 0.2, 0.05,
-                                        math.inf), 1e-4, 10, 3,
-         simulate._STATUS_NO_LIFTOFF,
-         ("0x1.89374bc6a7efap-9", "0x1.9375799781240p-3",
-          "-0x1.fe1db06fe9d21p-1", "0x1.27d92b3c726d4p-2",
-          "-0x1.155fa09464254p+2"),
-         ("-0x1.0000000000000p+0", 30, 3,
-          "4c7524af9057a7793305ec548c4f3f8df5cad076a3a2f89fffd6b3ffd0d574bc")),
+    ]
+    # (touchdown state, b, gains, dt, nsub, control ticks) -> the
+    # error the stance raises and its message
+    FAILURES = [
+        ((0.2, -1.0, 1.2, 15.0), 20.0, (), 2.5e-4, 4, 1000, GroundFault,
+         "mass height reached 0 at t = 0.022500 s (theta = 1.573)"),
+        ((0.2, -1.0, 0.3, -3.0), 20.0, (-1.0, 100.0, 0.2, 0.05, None),
+         1e-4, 10, 3, FailedLiftoff,
+         "leg force never vanished within 0.003 s"),
     ]
 
     @pytest.mark.parametrize("record", [True, False])
-    @pytest.mark.parametrize("state,b,ctrl,dt,nsub,n_ctrl_max,status,end,"
-                             "recorded", CASES)
+    @pytest.mark.parametrize("state,b,ctrl,dt,nsub,ticks,end,recorded",
+                             CASES)
     def test_matches_the_reference_kernel(self, params, state, b, ctrl,
-                                          dt, nsub, n_ctrl_max, status, end,
-                                          recorded, record):
-        # both modes end in the same state after the same steps; only
-        # the recorded one has rows and a bottom time
-        got_status, rows, *floats, t_bottom, steps = simulate._stance_core(
-            *state, params.m, params.k, b, params.r0, params.g, *ctrl, dt,
-            nsub, n_ctrl_max, record)
-        assert (got_status, tuple(v.hex() for v in floats)) == (status, end)
-        t_bottom_hex, n_steps, n_rows, digest = recorded
-        if not record:
-            t_bottom_hex, n_rows, digest = (-1.0).hex(), 0, _NO_ROWS
-        assert (t_bottom.hex(), steps, len(rows), _rows_digest(rows)) == (
-            t_bottom_hex, n_steps, n_rows, digest)
+                                          dt, nsub, ticks, end, recorded,
+                                          record):
+        # both modes lift off in the same state after the same steps;
+        # only the recorded one has rows and a bottom time
+        rows, *floats, t_bottom, steps = _run_core(state, b, ctrl, dt,
+                                                   nsub, ticks, record,
+                                                   params)
+        assert tuple(v.hex() for v in floats) == end
+        if record:
+            assert (t_bottom.hex(), steps, len(rows),
+                    _rows_digest(rows)) == recorded
+        else:
+            assert (t_bottom, steps, rows) == (None, recorded[1], [])
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("state,b,ctrl,dt,nsub,ticks,error,message",
+                             FAILURES)
+    def test_failures_raise_the_hops_errors(self, params, state, b, ctrl,
+                                            dt, nsub, ticks, error, message,
+                                            record):
+        with pytest.raises(error) as info:
+            _run_core(state, b, ctrl, dt, nsub, ticks, record, params)
+        assert type(info.value) is error and str(info.value) == message
 
     @settings(max_examples=200)
     @given(state=st.tuples(st.floats(0.12, 0.22), st.floats(-4.0, 0.5),
                            st.floats(-1.4, 1.4), st.floats(-25.0, 25.0)),
            b=st.floats(0.0, 60.0),
            ctrl=st.one_of(
-               st.just(_PASSIVE),
-               st.tuples(st.just(True), st.floats(-3.0, 3.0),
-                         st.floats(0.0, 300.0), st.floats(0.0, 1.0),
-                         st.floats(0.0, 0.2),
-                         st.one_of(st.just(math.inf),
-                                   st.floats(0.05, 20.0)))),
+               st.just(()),
+               st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 300.0),
+                         st.floats(0.0, 1.0), st.floats(0.0, 0.2),
+                         st.one_of(st.none(), st.floats(0.05, 20.0)))),
            steps=st.sampled_from([(2.5e-4, 4), (1e-3, 1), (1e-4, 10),
                                   (5e-4, 2)]),
-           n_ctrl_max=st.one_of(st.integers(1, 6), st.just(1000)))
+           ticks=st.one_of(st.integers(1, 6), st.just(1000)))
     def test_unrecorded_stances_end_as_recorded_ones(
-            self, params, state, b, ctrl, steps, n_ctrl_max):
+            self, params, state, b, ctrl, steps, ticks):
         # the README contract over random stances, gains, saturated and
-        # passive legs and step sizes: record=False returns the recorded
-        # stance's status, end time, end state and step count, as the
-        # same floats, with no rows and no bottom time
-        args = (*state, params.m, params.k, b, params.r0, params.g, *ctrl,
-                *steps, n_ctrl_max)
-        status, rows, *floats, t_bottom, n = simulate._stance_core(*args,
-                                                                   True)
-        bare = simulate._stance_core(*args, False)
-        assert bare[0] == status and bare[-1] == n
-        assert [v.hex() for v in bare[2:7]] == [v.hex() for v in floats]
-        assert (bare[1], bare[7]) == ([], -1.0)
+        # passive legs and step sizes: record=False lifts off at the
+        # recorded stance's time, in its state and after its steps, as
+        # the same floats, with no rows and no bottom time, and a stance
+        # that fails raises the same error in both modes
+        def end(record):
+            try:
+                return _run_core(state, b, ctrl, *steps, ticks, record,
+                                 params)
+            except (GroundFault, FailedLiftoff) as err:
+                return type(err), str(err)
+
+        recorded, bare = end(True), end(False)
+        if recorded[0] in (GroundFault, FailedLiftoff):
+            assert bare == recorded
+            return
+        rows, *floats, t_bottom, n = recorded
+        assert bare[-1] == n
+        assert [v.hex() for v in bare[1:6]] == [v.hex() for v in floats]
+        assert (bare[0], bare[6]) == ([], None)
         assert len(rows) == math.ceil(n / steps[1])
 
 

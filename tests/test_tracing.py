@@ -6,8 +6,9 @@ traced runs or quietly zero a layer's counts; these tests catch both.
 The benchmark's own tests are not part of this suite, so the names that
 benchmarks/workloads.py imports, that run.py's fresh-interpreter setup
 code imports and that run.py reads from simulate are checked here too,
-and the workloads' correctness pass runs here on a small sweep: it
-calls the package by name at run time, after the timed call.
+and the workloads' correctness passes run here on a small sweep and a
+two-hop single run: they call the package by name at run time, after
+the timed call.
 """
 
 import ast
@@ -113,3 +114,29 @@ def test_simulator_sweep_counts_closed_form_and_newton_spans():
               if span.name == "fixedpoint.numeric_fixed_point"]
     assert solves
     assert all(span.info["pipeline"] == "sim" for span in solves)
+
+
+def test_single_hop_correctness_pass_checks_every_hop(tmp_path):
+    workloads = _load("workloads")
+    single = workloads.WORKLOADS["single-hop"]
+    w = workloads._single_inputs(1, n_hops=2)
+    check = single.check(w, single.run(w, tmp_path))
+    assert check.misses == []
+    assert check.checked == 2
+
+
+def test_single_hop_counts_map_stance_and_writer_spans(tmp_path):
+    workloads = _load("workloads")
+    single = workloads.WORKLOADS["single-hop"]
+    w = workloads._single_inputs(1, n_hops=2)
+    with tracing.Tracer() as tracer:
+        report = single.run(w, tmp_path)
+    assert len(report.hops) == 2
+    calls = _span_counts(tracer)
+    assert [calls.get(name, 0) for name in (
+        "harness.run_single", "simulate.return_map_numeric",
+        "simulate.integrate_stance", "simulate.write_trajectory_csv")] == [
+        1, 2, 2, 1]
+    stances = [span for span in tracer.spans
+               if span.name == "simulate.integrate_stance"]
+    assert all(span.info["steps"] > 0 for span in stances)

@@ -30,6 +30,7 @@ from _oracles import _write_csv as reference_write_csv
 
 GOLDEN_ANALYTIC_SWEEP = Path(__file__).parent / "data" / "analytic_sweep_5x5"
 GOLDEN_SIM_SWEEP = Path(__file__).parent / "data" / "sim_sweep_2x2"
+GOLDEN_SINGLE = Path(__file__).parent / "data" / "single_2hops"
 
 
 def _read_csv(path):
@@ -846,6 +847,19 @@ class TestCli:
                    "0.24", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "trajectory.csv").exists()
+
+    def test_single_command_writes_the_golden_bytes(self, tmp_path):
+        # trajectory.csv, hops.csv and single.json of two recorded hops
+        # with a k_theta step at hop 1, as the writer wrote them when it
+        # compared the cell types of each phase run
+        rc = main(["single", "--p-bar", "-1.0", "--k-theta", "0.5",
+                   "--n-hops", "2", "--apex-x-dot", "1.5", "--apex-y",
+                   "0.24", "--k-theta-step-hop", "1",
+                   "--k-theta-step-value", "0.7", "--out", str(tmp_path)])
+        assert rc == 0
+        for name in ("trajectory.csv", "hops.csv", "single.json"):
+            assert (tmp_path / name).read_bytes() == (
+                GOLDEN_SINGLE / name).read_bytes(), name
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

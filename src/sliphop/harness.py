@@ -9,12 +9,15 @@ errors between pipelines (RMS and percent RMS of the apex speed and
 height).
 
 Output files are deterministic: fixed column order, fixed grid order.
-Every CSV goes through _write_csv, which formats each row with the %
-string of its cell types (9-significant-digit floats, "" for None and
-NaN, CRLF line ends), and trajectory.csv a phase's run of rows with
-one % at a time; every JSON document, the CLI's included, goes through
-to_json. A trajectory.csv row is a TrajectorySample and a hops.csv row
-a HopSummary, whose fields are the columns; the JSON objects of
+Every CSV row is formatted by _csv_lines with the % string of its cell
+types (9-significant-digit floats, "" for None and NaN, CRLF line
+ends), except in trajectory.csv: there a sample's phase fixes its
+layout, so write_trajectory_csv formats each phase run of rows with one
+% of the phase's row format, which takes the float cells alone, and
+leaves only a run that breaks its layout or shows a NaN to _csv_lines.
+Every JSON document, the CLI's included, goes through to_json. A
+trajectory.csv row is a TrajectorySample and a hops.csv row a
+HopSummary, whose fields are the columns; the JSON objects of
 parameters, control inputs and apex states are their dataclass fields.
 
 `import sliphop` does not load this module: the package's batch names
@@ -422,54 +425,37 @@ def _plain(v):
     return None if v != v else v
 
 
-def _write_csv(path, header, rows, run_key=None) -> None:
-    """Write the header, then each row (a tuple) as one % format of its
-    cells: floats to 9 significant digits, None and NaN empty, lines
-    ended by CRLF.
+def _csv_lines(rows):
+    """Each row (a tuple) as one % format of its cells: floats to 9
+    significant digits, None and NaN empty, lines ended by CRLF.
 
     The format of a row is cached by its cell types; a cell of any other
     type (a bool, say) raises KeyError. A row whose text shows a NaN
     ("nan") is formatted again from its _plain cells. Cells are not
     quoted, so no string cell may hold a comma, a quote or a line break.
-
-    With run_key, consecutive rows of equal run_key form a run, and a
-    run whose cells all have its first row's types is formatted with one
-    % of that row's format repeated. A run whose types differ or whose
-    text shows "nan" is written row by row as above, so the bytes are
-    the same either way; run_key only sets how long the runs are.
     """
     formats = {}
 
-    def format_of(types) -> str:
+    def format_of(row) -> str:
+        types = tuple(map(type, row))
         fmt = formats.get(types)
         if fmt is None:
             fmt = formats[types] = ",".join(map(_CELL_FORMATS.__getitem__,
                                                 types)) + "\r\n"
         return fmt
 
-    def row_lines(rows):
-        for row in rows:
-            text = format_of(tuple(map(type, row))) % row
-            if "nan" in text:
-                row = tuple(map(_plain, row))
-                text = format_of(tuple(map(type, row))) % row
-            yield text
+    for row in rows:
+        text = format_of(row) % row
+        if "nan" in text:
+            row = tuple(map(_plain, row))
+            text = format_of(row) % row
+        yield text
 
-    def run_lines():
-        for _, run in groupby(rows, run_key):
-            run = list(run)
-            cells = tuple(chain.from_iterable(run))
-            types = tuple(map(type, run[0]))
-            if tuple(map(type, cells)) == types * len(run):
-                text = format_of(types) * len(run) % cells
-                if "nan" not in text:
-                    yield text
-                    continue
-            yield from row_lines(run)
 
+def _write_csv(path, header, rows) -> None:
+    """Write the header, then the rows, as _csv_lines formats them."""
     with open(path, "w", newline="") as fh:
-        fh.writelines(row_lines([header]))
-        fh.writelines(row_lines(rows) if run_key is None else run_lines())
+        fh.writelines(_csv_lines(chain([header], rows)))
 
 
 def to_json(doc) -> str:
@@ -487,14 +473,55 @@ def _result_cells(r: fp.FixedPointResult | None) -> tuple:
     return (r.apex.x_dot, r.apex.y, r.spectral_radius, stable, r.residual)
 
 
+# A sample's phase fixes its layout (TrajectorySample). Per phase: the
+# float cells, the row format that takes them, with the phase and the
+# empty cells as literal text, and in flight the cells that are None.
+_FLIGHT_FLOATS = itemgetter(0, 6, 7, 8, 9)
+_FLIGHT_EMPTY = itemgetter(2, 3, 4, 5, 10)
+_PHASE_ROWS = {
+    "descent": (_FLIGHT_FLOATS, "%.9g,descent,,,,,%.9g,%.9g,%.9g,%.9g,\r\n",
+                _FLIGHT_EMPTY),
+    "stance": (itemgetter(0, *range(2, 11)),
+               "%.9g,stance" + ",%.9g" * 9 + "\r\n", None),
+    "ascent": (_FLIGHT_FLOATS, "%.9g,ascent,,,,,%.9g,%.9g,%.9g,%.9g,\r\n",
+               _FLIGHT_EMPTY),
+}
+
+
+def _phase_run_text(phase: str, run: list) -> str | None:
+    """The rows of one phase run in one % of the phase's row format; None
+    where that would not give _csv_lines' bytes: an unknown phase, a
+    flight sample with a leg or tau value, a None or a string in a float
+    cell (TypeError), or text that shows a NaN."""
+    layout = _PHASE_ROWS.get(phase)
+    if layout is None:
+        return None
+    floats, fmt, empty = layout
+    if empty and list(map(empty, run)).count((None,) * 5) < len(run):
+        return None
+    try:
+        text = fmt * len(run) % tuple(chain.from_iterable(map(floats, run)))
+    except TypeError:
+        return None
+    return None if "nan" in text else text
+
+
 def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
     """Write the 1 kHz sample rows; 9 significant digits, '.' decimal.
 
-    A sample's phase fixes which of its cells are None, so each phase's
-    run of rows is formatted at once.
+    A sample's phase fixes its layout (TrajectorySample), so each phase
+    run of rows is formatted with one % of its phase's row format, which
+    takes the float cells alone. A run that breaks its layout or shows a
+    NaN is written row by row by _csv_lines, so every sample is written
+    with the bytes _write_csv gives it. The float cells must be floats:
+    an int or a bool there is written as %.9g writes it.
     """
-    _write_csv(path, TrajectorySample._fields, traj.samples,
-               run_key=itemgetter(1))
+    with open(path, "w", newline="") as fh:
+        fh.writelines(_csv_lines([TrajectorySample._fields]))
+        for phase, run in groupby(traj.samples, itemgetter(1)):
+            run = list(run)
+            text = _phase_run_text(phase, run)
+            fh.writelines(_csv_lines(run) if text is None else (text,))
 
 
 def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:

@@ -34,7 +34,8 @@ samples, kept for a recorded hop only, are a list of tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .control import solve_aoa_implicit, vertical_energy
@@ -273,9 +274,10 @@ HAVE_NUMBA = False
 # --- trajectory containers ---------------------------------------------------
 
 class TrajectorySample(NamedTuple):
-    """One 1 kHz row of trajectory.csv, its fields the columns in order;
-    the stance-only fields (leg state and hip torque tau) are None in
-    flight."""
+    """One 1 kHz row of trajectory.csv, its fields the columns in order.
+    Its phase fixes its layout, which the writer relies on: in flight the
+    leg state and hip torque tau are None; each other cell but the
+    phase is a float."""
 
     t: float
     phase: str  # "descent" | "stance" | "ascent"
@@ -455,20 +457,13 @@ def compose_return_map(apex: ApexState, inputs: ControlInputs,
         raise InvalidState(str(err), phase=phase) from err
 
 
-def _flight_samples(t0: float, duration: float, x0: float, x_dot: float,
-                    y0: float, y_dot0: float, g: float, phase: str,
-                    sample_dt: float) -> list[TrajectorySample]:
-    rows = []
-    n = int(math.floor(duration / sample_dt)) + 1
-    for i in range(n):
-        t = i * sample_dt
-        if t > duration:
-            break
-        # positional: a keyword NamedTuple call costs about twice as much
-        rows.append(TrajectorySample(
-            t0 + t, phase, None, None, None, None, x0 + x_dot * t,
-            y0 + y_dot0 * t - 0.5 * g * t * t, x_dot, y_dot0 - g * t, None))
-    return rows
+def _flight_rows(t0: float, duration: float, x0: float, x_dot: float,
+                 y0: float, y_dot0: float, g: float, phase: str,
+                 sample_dt: float) -> list[tuple]:
+    return [(t0 + t, phase, None, None, None, None, x0 + x_dot * t,
+             y0 + y_dot0 * t - 0.5 * g * t * t, x_dot, y_dot0 - g * t, None)
+            for i in range(int(math.floor(duration / sample_dt)) + 1)
+            if (t := i * sample_dt) <= duration]
 
 
 def return_map_numeric(apex: ApexState, inputs: ControlInputs,
@@ -509,22 +504,24 @@ def return_map_numeric(apex: ApexState, inputs: ControlInputs,
     # stance: the body moves about the toe, which stays where it landed
     toe_x = x0 + apex.x_dot * t_td - polar_to_cartesian(
         s_td.r, s_td.r_dot, s_td.theta, s_td.theta_dot)[0]
-    samples = _flight_samples(t0, t_td, x0, apex.x_dot, apex.y, 0.0,
-                              params.g, "descent", control_dt)
+    rows = _flight_rows(t0, t_td, x0, apex.x_dot, apex.y, 0.0, params.g,
+                        "descent", control_dt)
     for t, r, dr, th, dth, tau in seg.samples:
         x, y, x_dot, y_dot = polar_to_cartesian(r, dr, th, dth)
-        samples.append(TrajectorySample(t_touch + t, "stance", r, dr, th, dth,
-                                        toe_x + x, y, x_dot, y_dot, tau))
+        rows.append((t_touch + t, "stance", r, dr, th, dth, toe_x + x, y,
+                     x_dot, y_dot, tau))
     x_lo = toe_x + polar_to_cartesian(s_lo.r, s_lo.r_dot, s_lo.theta,
                                       s_lo.theta_dot)[0]
-    samples += _flight_samples(t_lift, t_up, x_lo, x_dot_lo, y_lo, y_dot_lo,
-                               params.g, "ascent", control_dt)
-    events = [TrajectoryEvent("touchdown", t_touch, asdict(s_td))]
+    rows += _flight_rows(t_lift, t_up, x_lo, x_dot_lo, y_lo, y_dot_lo,
+                         params.g, "ascent", control_dt)
+    # tuple.__new__: the NamedTuple's own __new__ is a Python call per row
+    samples = list(map(tuple.__new__, repeat(TrajectorySample), rows))
+    events = [TrajectoryEvent("touchdown", t_touch, {**vars(s_td)})]
     if seg.t_bottom is not None:
         events.append(TrajectoryEvent("bottom", t_touch + seg.t_bottom))
     events += [
         TrajectoryEvent("liftoff", t_lift,
-                        {**asdict(s_lo), "p_theta": seg.p_liftoff}),
+                        {**vars(s_lo), "p_theta": seg.p_liftoff}),
         TrajectoryEvent("apex", t_lift + t_up,
-                        {**asdict(next_apex), "x": x_lo + x_dot_lo * t_up})]
+                        {**vars(next_apex), "x": x_lo + x_dot_lo * t_up})]
     return next_apex, HybridTrajectory(samples, events)

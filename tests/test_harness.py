@@ -523,38 +523,136 @@ _CSV_CELL_KINDS = (
     st.integers(), st.none(), _CSV_STRINGS)
 _CSV_ROWS = st.lists(st.one_of(*_CSV_CELL_KINDS), min_size=2,
                      max_size=12).map(tuple)
-# consecutive runs of rows that share their cell types, as the phases of
-# trajectory.csv do
-_CSV_RUNS = st.lists(
-    st.lists(st.sampled_from(_CSV_CELL_KINDS), min_size=2, max_size=12)
-    .flatmap(lambda kinds: st.lists(st.tuples(*kinds), min_size=1,
-                                    max_size=8)),
-    max_size=5).map(lambda runs: [row for run in runs for row in run])
+_CSV_FLOATS = _CSV_CELL_KINDS[0]
 
 
-def _cell_types(row):
-    return tuple(map(type, row))
+def _sample(phase, cells):
+    """A TrajectorySample of phase from its ten other cells in order."""
+    return TrajectorySample(cells[0], phase, *cells[1:])
+
+
+def _phase_run(phase):
+    """1-8 samples of phase in its layout: floats, and None for a flight
+    sample's leg state and tau."""
+    leg = _CSV_FLOATS if phase == "stance" else st.none()
+    cells = (_CSV_FLOATS, leg, leg, leg, leg, *[_CSV_FLOATS] * 4, leg)
+    return st.lists(st.tuples(*cells).map(
+        functools.partial(_sample, phase)), min_size=1, max_size=8)
+
+
+# consecutive phase runs of samples, as in trajectory.csv; the phases come
+# in any order, and the writer takes adjacent runs of one phase as one
+_TRAJECTORY_RUNS = st.lists(
+    st.sampled_from(("descent", "stance", "ascent")).flatmap(_phase_run),
+    max_size=5).map(lambda runs: [s for run in runs for s in run])
+
+
+def _traj_bytes(tmp_path, samples):
+    """(written, reference) bytes of trajectory.csv for samples."""
+    harness.write_trajectory_csv(simulate.HybridTrajectory(samples),
+                                 tmp_path / "new.csv")
+    reference_write_csv(tmp_path / "ref.csv", TrajectorySample._fields,
+                        samples)
+    return ((tmp_path / "new.csv").read_bytes(),
+            (tmp_path / "ref.csv").read_bytes())
+
+
+def _flight(phase, t, v):
+    """A flight sample at time t whose other float cells are v."""
+    return _sample(phase, (t, None, None, None, None, v, v, v, v, None))
+
+
+def _stance(t, v):
+    """A stance sample at time t whose other cells are v."""
+    return _sample("stance", (t,) + (v,) * 9)
+
+
+def _spy_row_path(monkeypatch):
+    """The list of samples that write_trajectory_csv hands to
+    harness._csv_lines, its row-by-row path, from now on."""
+    rows = []
+    real = harness._csv_lines
+
+    def spy(lines):
+        lines = list(lines)
+        rows.extend(r for r in lines if isinstance(r, TrajectorySample))
+        return real(lines)
+
+    monkeypatch.setattr(harness, "_csv_lines", spy)
+    return rows
 
 
 class TestCsvWriter:
-    """harness._write_csv against the reference writer, one _fmt call per
-    cell through csv.writer."""
+    """harness._write_csv and harness.write_trajectory_csv against the
+    reference writer, one _fmt call per cell through csv.writer."""
 
     @given(header=st.lists(_CSV_STRINGS, min_size=2, max_size=12).map(tuple),
-           rows=st.one_of(st.lists(_CSV_ROWS, max_size=20), _CSV_RUNS))
-    @example(header=("a", "b", "c"),  # a NaN run between two clean ones
-             rows=[(1.0, 2, "x"), (3.0, 4, "y"), (math.nan, 5, "z"),
-                   (6.0, 7, "w"), (8.0, 9, "v"), (0.5, 1, "u")])
+           rows=st.lists(_CSV_ROWS, max_size=20))
     def test_matches_the_reference_writer(self, tmp_path_factory, header,
                                           rows):
         out = tmp_path_factory.mktemp("csv")
         reference_write_csv(out / "ref.csv", header, rows)
-        # row by row; in runs of equal cell types; and in runs of equal
-        # length, whose types may differ
-        for run_key in (None, _cell_types, len):
-            harness._write_csv(out / "new.csv", header, rows, run_key)
-            assert (out / "new.csv").read_bytes() == (
-                out / "ref.csv").read_bytes(), run_key
+        harness._write_csv(out / "new.csv", header, rows)
+        assert (out / "new.csv").read_bytes() == (
+            out / "ref.csv").read_bytes()
+
+    @given(samples=_TRAJECTORY_RUNS)
+    @example(samples=[  # a NaN run between two clean ones
+        _sample("descent", (0.0, None, None, None, None, 1.0, 2.0, 3.0, 4.0,
+                            None)),
+        _sample("stance", (1.0, 0.2, -1.0, 0.3, math.nan, 5.0, 0.1, 2.0,
+                           -1.0, 3.0)),
+        _sample("stance", (2.0, 0.2, -1.0, 0.3, -3.0, 5.0, 0.1, 2.0, -1.0,
+                           3.0)),
+        _sample("ascent", (3.0, None, None, None, None, 6.0, 0.2, 2.0, 1.0,
+                           None))])
+    def test_trajectory_runs_match_the_reference_writer(
+            self, tmp_path_factory, samples):
+        new, ref = _traj_bytes(tmp_path_factory.mktemp("traj"), samples)
+        assert new == ref
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, -0.0,
+                                   5e-324, 1e300, -1e300])
+    def test_trajectory_special_floats_in_one_row_runs(self, tmp_path,
+                                                       monkeypatch, v):
+        # one-row runs of a hop and the next hop's descent (an ascent to
+        # descent boundary), every float cell v: a run that shows a NaN
+        # is written row by row, the others with one % per run
+        row_by_row = _spy_row_path(monkeypatch)
+        samples = [_flight("descent", 0.0, v), _stance(1.0, v),
+                   _flight("ascent", 2.0, v), _flight("descent", 3.0, v)]
+        new, ref = _traj_bytes(tmp_path, samples)
+        assert new == ref
+        assert row_by_row == (samples if v != v else [])
+
+    def test_empty_trajectory_writes_the_header(self, tmp_path):
+        new, ref = _traj_bytes(tmp_path, [])
+        assert new == ref == (
+            b"t,phase,r,r_dot,theta,theta_dot,x,y,x_dot,y_dot,tau\r\n")
+
+    @pytest.mark.parametrize("field", ["r", "r_dot", "theta", "theta_dot",
+                                       "tau"])
+    def test_flight_sample_with_a_leg_value_is_written_row_by_row(
+            self, tmp_path, monkeypatch, field):
+        # never dropped: its run is written row by row, the value shown
+        row_by_row = _spy_row_path(monkeypatch)
+        odd = _flight("ascent", 0.001, 1.5)._replace(**{field: 0.25})
+        samples = [_stance(0.0, 2.0), _flight("ascent", 0.0005, 1.5), odd,
+                   _flight("ascent", 0.002, 1.5)]
+        new, ref = _traj_bytes(tmp_path, samples)
+        assert new == ref
+        assert new.count(b"0.25") == 1
+        assert row_by_row == samples[1:]
+
+    def test_stance_sample_without_tau_is_written_row_by_row(
+            self, tmp_path, monkeypatch):
+        row_by_row = _spy_row_path(monkeypatch)
+        samples = [_flight("descent", 0.0, 1.5), _stance(0.001, 2.0),
+                   _stance(0.002, 2.0)._replace(tau=None)]
+        new, ref = _traj_bytes(tmp_path, samples)
+        assert new == ref
+        assert new.endswith(b"\r\n0.002,stance,2,2,2,2,2,2,2,2,\r\n")
+        assert row_by_row == samples[1:]
 
     @pytest.mark.parametrize("cell", [True, False])
     def test_bool_cell_raises(self, tmp_path, cell):

@@ -13,8 +13,10 @@ Every CSV row is formatted by _csv_lines with the % string of its cell
 types (9-significant-digit floats, "" for None and NaN, CRLF line
 ends), except in trajectory.csv: there a sample's phase fixes its
 layout, so write_trajectory_csv formats each phase run of rows with one
-% of the phase's row format, which takes the float cells alone, and
-leaves only a run that breaks its layout or shows a NaN to _csv_lines.
+% of the phase's row format, which takes the float cells alone; a
+flight run's one launch speed x_dot is formatted once, as literal text
+of that format. Only a run that breaks its layout, or whose float cells
+sum to NaN, is left to _csv_lines.
 Every JSON document, the CLI's included, goes through to_json. A
 trajectory.csv row is a TrajectorySample and a hops.csv row a
 HopSummary, whose fields are the columns; the JSON objects of
@@ -35,7 +37,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, replace
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -473,37 +475,48 @@ def _result_cells(r: fp.FixedPointResult | None) -> tuple:
     return (r.apex.x_dot, r.apex.y, r.spectral_radius, stable, r.residual)
 
 
-# A sample's phase fixes its layout (TrajectorySample). Per phase: the
-# float cells, the row format that takes them, with the phase and the
-# empty cells as literal text, and in flight the cells that are None.
-_FLIGHT_FLOATS = itemgetter(0, 6, 7, 8, 9)
-_FLIGHT_EMPTY = itemgetter(2, 3, 4, 5, 10)
-_PHASE_ROWS = {
-    "descent": (_FLIGHT_FLOATS, "%.9g,descent,,,,,%.9g,%.9g,%.9g,%.9g,\r\n",
-                _FLIGHT_EMPTY),
-    "stance": (itemgetter(0, *range(2, 11)),
-               "%.9g,stance" + ",%.9g" * 9 + "\r\n", None),
-    "ascent": (_FLIGHT_FLOATS, "%.9g,ascent,,,,,%.9g,%.9g,%.9g,%.9g,\r\n",
-               _FLIGHT_EMPTY),
-}
+_STANCE_ROW = "%.9g,stance" + ",%.9g" * 9 + "\r\n"
 
 
 def _phase_run_text(phase: str, run: list) -> str | None:
-    """The rows of one phase run in one % of the phase's row format; None
-    where that would not give _csv_lines' bytes: an unknown phase, a
-    flight sample with a leg or tau value, a None or a string in a float
-    cell (TypeError), or text that shows a NaN."""
-    layout = _PHASE_ROWS.get(phase)
-    if layout is None:
+    """The rows of one phase run in one % of the phase's row format, with
+    the phase name and flight's empty cells as literal text; None where
+    that would not give _csv_lines' bytes.
+
+    The run is checked column by column (TrajectorySample's layout). In
+    flight the leg-state and tau columns must be all None and the x_dot
+    column must hold one float, the launch speed, which goes into the
+    format as literal text, so a flight row passes only t, x, y and
+    y_dot through %. An unknown phase, a None or a string in a float
+    cell (TypeError) and a NaN there, which makes the cells' sum NaN,
+    also give None.
+    """
+    n = len(run)
+    t, _, *leg, x, y, x_dot, y_dot, tau = zip(*run)
+    if phase == "stance":
+        fmt, floats = _STANCE_ROW, (t, *leg, x, y, x_dot, y_dot, tau)
+    elif phase in ("descent", "ascent"):
+        v = x_dot[0]
+        # count matches by identity first and 0.0 == -0.0, so a NaN and
+        # the signs of a zero speed are checked apart
+        if (type(v) is not float or v != v or x_dot.count(v) < n
+                or any(col.count(None) < n for col in (*leg, tau))):
+            return None
+        if not v and len({*map(math.copysign, repeat(1.0), x_dot)}) > 1:
+            return None
+        fmt, floats = f"%.9g,{phase},,,,,%.9g,%.9g,{v:.9g},%.9g,\r\n", (
+            t, x, y, y_dot)
+    else:
         return None
-    floats, fmt, empty = layout
-    if empty and list(map(empty, run)).count((None,) * 5) < len(run):
-        return None
+    k = len(floats)
+    cells = [None] * (k * n)
+    for i, col in enumerate(floats):
+        cells[i::k] = col
     try:
-        text = fmt * len(run) % tuple(chain.from_iterable(map(floats, run)))
+        total = sum(cells)
     except TypeError:
         return None
-    return None if "nan" in text else text
+    return None if total != total else fmt * n % tuple(cells)
 
 
 def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
@@ -511,10 +524,13 @@ def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
 
     A sample's phase fixes its layout (TrajectorySample), so each phase
     run of rows is formatted with one % of its phase's row format, which
-    takes the float cells alone. A run that breaks its layout or shows a
-    NaN is written row by row by _csv_lines, so every sample is written
-    with the bytes _write_csv gives it. The float cells must be floats:
-    an int or a bool there is written as %.9g writes it.
+    takes the float cells alone; a flight run's launch speed, its one
+    x_dot, is formatted once into that format as literal text. A run
+    that breaks its layout, or whose float cells sum to NaN (a NaN, or
+    infinities of both signs), is written row by row by _csv_lines, so
+    every sample is written with the bytes _write_csv gives it. The
+    float cells must be floats: an int or a bool there, but for a flight
+    run's x_dot, is written as %.9g writes it.
     """
     with open(path, "w", newline="") as fh:
         fh.writelines(_csv_lines([TrajectorySample._fields]))

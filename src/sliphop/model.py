@@ -123,6 +123,13 @@ class SlipParams:
             raise ValueError(
                 f"gravity-loaded length r_g = r0 - m*g/k = {self.r_g:.6g} "
                 f"must lie in (0, r0)")
+        # the dataclass hash of the fields, once: the gait caches hash
+        # the parameters on every call
+        object.__setattr__(self, "_hash", hash(
+            (self.m, self.k, self.b, self.r0, self.g)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def r_g(self) -> float:
@@ -158,8 +165,13 @@ class ControlInputs:
     tau_max: float | None = None
 
     def __post_init__(self):
-        _finite_floats(self, ("p_bar", "k_theta", "kp", "ki", "kd"),
-                       ValueError)
+        p_bar, k_theta, kp, ki, kd = (self.p_bar, self.k_theta, self.kp,
+                                      self.ki, self.kd)
+        if not (float is type(p_bar) is type(k_theta) is type(kp)
+                is type(ki) is type(kd)
+                and 0.0 * p_bar * k_theta * kp * ki * kd == 0.0):
+            _finite_floats(self, ("p_bar", "k_theta", "kp", "ki", "kd"),
+                           ValueError)
         if not 0.0 <= self.k_theta <= 1.0:
             raise ValueError(f"k_theta must be in [0, 1], got {self.k_theta}")
         if self.tau_max is not None and not self.tau_max > 0.0:

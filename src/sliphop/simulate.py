@@ -275,9 +275,10 @@ HAVE_NUMBA = False
 
 class TrajectorySample(NamedTuple):
     """One 1 kHz row of trajectory.csv, its fields the columns in order.
-    Its phase fixes its layout, which the writer relies on: in flight the
-    leg state and hip torque tau are None; each other cell but the
-    phase is a float."""
+    Its phase fixes its layout, which the writer relies on and validate
+    checks: in flight the leg state and hip torque tau are None and
+    x_dot is the run's one launch speed, written once; each other cell
+    but the phase is a float."""
 
     t: float
     phase: str  # "descent" | "stance" | "ascent"
@@ -309,15 +310,23 @@ class HybridTrajectory:
     events: list[TrajectoryEvent] = field(default_factory=list)
 
     def validate(self) -> None:
-        """Check phase alternation and strictly increasing event times."""
-        prev_phase = None
+        """Check phase alternation, each sample's phase layout (one x_dot
+        per flight run) and strictly increasing event times."""
+        prev = None
         for s in self.samples:
-            if prev_phase is not None and s.phase != prev_phase:
-                if s.phase != _PHASE_NEXT[prev_phase]:
+            if (None in s if s.phase == "stance"
+                    else s[2:6] + s[10:] != (None,) * 5):
+                raise ValueError(f"{s.phase} sample at t = {s.t} breaks "
+                                 "its phase's layout")
+            if prev and s.phase != prev.phase:
+                if s.phase != _PHASE_NEXT[prev.phase]:
                     raise ValueError(
-                        f"phase {prev_phase!r} -> {s.phase!r} breaks the "
+                        f"phase {prev.phase!r} -> {s.phase!r} breaks the "
                         "descent->stance->ascent cycle")
-            prev_phase = s.phase
+            elif prev and s.phase != "stance" and s.x_dot != prev.x_dot:
+                raise ValueError(f"x_dot changes within the {s.phase} run "
+                                 f"at t = {s.t}")
+            prev = s
         times = [e.t for e in self.events]
         for a, b in zip(times, times[1:]):
             if not b > a:

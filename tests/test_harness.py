@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -514,16 +515,18 @@ def _subclasses(cls):
 # generated rows have at least 2.
 _CSV_STRINGS = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
                        "0123456789_@.-")
+_CSV_SPECIAL_FLOATS = [math.inf, -math.inf, -0.0, 5e-324,
+                       -2.2250738585072014e-308, 1e300, -1e300]
 # one strategy per cell type, since a row's format is picked by its types
 _CSV_CELL_KINDS = (
     st.one_of(st.floats(),
-              st.sampled_from([math.nan, -math.nan, math.inf, -math.inf,
-                               -0.0, 5e-324, -2.2250738585072014e-308, 1e300,
-                               -1e300])),
+              st.sampled_from([math.nan, -math.nan, *_CSV_SPECIAL_FLOATS])),
     st.integers(), st.none(), _CSV_STRINGS)
 _CSV_ROWS = st.lists(st.one_of(*_CSV_CELL_KINDS), min_size=2,
                      max_size=12).map(tuple)
 _CSV_FLOATS = _CSV_CELL_KINDS[0]
+_CSV_NUMBERS = st.one_of(st.floats(allow_nan=False),
+                         st.sampled_from(_CSV_SPECIAL_FLOATS))
 
 
 def _sample(phase, cells):
@@ -531,13 +534,23 @@ def _sample(phase, cells):
     return TrajectorySample(cells[0], phase, *cells[1:])
 
 
-def _phase_run(phase):
+@st.composite
+def _phase_run(draw, phase):
     """1-8 samples of phase in its layout: floats, and None for a flight
-    sample's leg state and tau."""
-    leg = _CSV_FLOATS if phase == "stance" else st.none()
-    cells = (_CSV_FLOATS, leg, leg, leg, leg, *[_CSV_FLOATS] * 4, leg)
-    return st.lists(st.tuples(*cells).map(
-        functools.partial(_sample, phase)), min_size=1, max_size=8)
+    sample's leg state and tau. Three runs in four hold no NaN, and
+    three flight runs in four one launch speed, one float object in
+    every x_dot cell as the recorder writes it, so that multi-row runs
+    reach the one-% path."""
+    floats = draw(st.sampled_from((_CSV_NUMBERS,) * 3 + (_CSV_FLOATS,)))
+    if phase == "stance":
+        cells = (floats,) * 10
+    else:
+        shared = draw(st.sampled_from((True,) * 3 + (False,)))
+        x_dot = st.just(draw(floats)) if shared else floats
+        cells = (floats, *[st.none()] * 4, floats, floats, x_dot, floats,
+                 st.none())
+    rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=8))
+    return [_sample(phase, row) for row in rows]
 
 
 # consecutive phase runs of samples, as in trajectory.csv; the phases come
@@ -653,6 +666,42 @@ class TestCsvWriter:
         assert new == ref
         assert new.endswith(b"\r\n0.002,stance,2,2,2,2,2,2,2,2,\r\n")
         assert row_by_row == samples[1:]
+
+    @pytest.mark.parametrize("speeds, one_format", [
+        ((0.0, -0.0, 0.0), False),  # equal, but written 0 and -0
+        ((-0.0,) * 3, True),
+        ((math.nan,) * 3, False),  # one object: count finds it in each row
+        ((1.5, 1.5, 2.5), False),
+        ((2, 2, 2), False),  # an int speed
+    ])
+    def test_flight_run_launch_speed(self, tmp_path, monkeypatch, speeds,
+                                     one_format):
+        # a flight run's x_dot is written as one literal only where every
+        # row would print it the same
+        row_by_row = _spy_row_path(monkeypatch)
+        samples = [_flight("descent", 0.001 * i, 1.25)._replace(x_dot=v)
+                   for i, v in enumerate(speeds)]
+        new, ref = _traj_bytes(tmp_path, samples)
+        assert new == ref
+        assert row_by_row == ([] if one_format else samples)
+
+    def test_recorded_runs_take_one_format_each(self, params, tmp_path,
+                                                monkeypatch):
+        # every phase run the recorder writes is in its phase's layout,
+        # and each flight run holds one launch speed, so no run is
+        # written row by row
+        report = run_single(ApexState(1.5, 0.24),
+                            ControlInputs(p_bar=-1.0, k_theta=0.5), params,
+                            n_hops=2)
+        assert report.failure is None
+        runs = [(phase, list(run)) for phase, run in itertools.groupby(
+            report.trajectory.samples, lambda s: s.phase)]
+        assert [phase for phase, _ in runs] == [
+            "descent", "stance", "ascent"] * 2
+        assert min(len(run) for _, run in runs) > 1
+        row_by_row = _spy_row_path(monkeypatch)
+        harness.write_trajectory_csv(report.trajectory, tmp_path / "t.csv")
+        assert row_by_row == []
 
     @pytest.mark.parametrize("cell", [True, False])
     def test_bool_cell_raises(self, tmp_path, cell):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -35,6 +37,25 @@ class TestSlipParams:
             SlipParams(m=100.0, k=10.0, b=0.0, r0=0.2)
 
 
+    def test_hash_is_the_dataclass_hash_of_the_fields(self, params):
+        # computed once, at construction, with the dataclass's value;
+        # equality, asdict, replace and fields see the five fields only
+        assert hash(params) == hash((params.m, params.k, params.b,
+                                     params.r0, params.g))
+        assert [f.name for f in dataclasses.fields(params)] == [
+            "m", "k", "b", "r0", "g"]
+        assert dataclasses.asdict(params) == {
+            "m": params.m, "k": params.k, "b": params.b, "r0": params.r0,
+            "g": params.g}
+        twin = SlipParams(np.float64(params.m), int(params.k), params.b,
+                          params.r0, params.g)
+        assert twin == params and hash(twin) == hash(params)
+        heavier = dataclasses.replace(params, m=4.0)
+        assert heavier != params
+        assert hash(heavier) == hash(dataclasses.astuple(heavier))
+        assert hash(pickle.loads(pickle.dumps(params))) == hash(params)
+
+
 class TestControlInputs:
     def test_k_theta_bounds(self):
         with pytest.raises(ValueError):
@@ -56,6 +77,24 @@ class TestControlInputs:
         # time budget and surface as a stance failure
         with pytest.raises(ValueError, match=f"^{gain} must be finite"):
             ControlInputs(p_bar=-1.0, k_theta=0.5, **{gain: value})
+
+
+    @pytest.mark.parametrize("kind", [float, np.float64, int])
+    def test_gains_stored_as_floats(self, kind):
+        values = {"p_bar": -1.0, "k_theta": 1.0, "kp": 100.0, "ki": 2.0,
+                  "kd": 5.0}
+        inputs = ControlInputs(**{n: kind(v) for n, v in values.items()})
+        assert {n: type(getattr(inputs, n)) for n in values} == dict.fromkeys(
+            values, float)
+        assert inputs == ControlInputs(**values)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf,
+                                       np.float64(-math.inf)])
+    def test_first_non_finite_input_named(self, value):
+        for name in ("p_bar", "k_theta"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ControlInputs(**{"p_bar": -1.0, "k_theta": 0.5, name: value,
+                                 "kd": math.nan})
 
 
 class TestStateValidation:

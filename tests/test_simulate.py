@@ -646,6 +646,38 @@ class TestTrajectoryValidate:
                                              "breaks the"):
             traj.validate()
 
+    def test_rejects_a_sample_out_of_its_layout(self):
+        # a descent sample with a leg length and a torque, then a stance
+        # sample without a torque: each breaks its phase's layout
+        descent = self.flight(0.0, "descent")._replace(r=0.2, tau=5.0)
+        stance = TrajectorySample(0.001, "stance", 0.2, -1.0, 0.3, -2.0,
+                                  0.0, 0.2, 1.0, 0.0, None)
+        for samples in ([descent, stance], [stance]):
+            with pytest.raises(ValueError, match=(
+                    f"^{samples[0].phase} sample at t = {samples[0].t} "
+                    "breaks its phase's layout$")):
+                HybridTrajectory(samples).validate()
+        HybridTrajectory([stance._replace(tau=0.5)]).validate()
+
+    def test_rejects_a_flight_speed_that_changes(self):
+        samples = [self.flight(0.0, "ascent"), self.flight(0.001, "ascent"),
+                   self.flight(0.002, "ascent")._replace(x_dot=1.5)]
+        HybridTrajectory(samples[:2]).validate()
+        with pytest.raises(ValueError, match="^x_dot changes within the "
+                                             "ascent run at t = 0.002$"):
+            HybridTrajectory(samples).validate()
+
+    def test_a_recorded_trajectory_validates(self, params):
+        _, traj = return_map_numeric(ApexState(x_dot=1.2, y=0.24),
+                                     ControlInputs(p_bar=-0.9, k_theta=0.55),
+                                     params)
+        traj.validate()
+        # one launch speed in each flight run: the one float object
+        assert {(s.phase, id(s.x_dot)) for s in traj.samples
+                if s.phase != "stance"} == {
+            ("descent", id(traj.samples[0].x_dot)),
+            ("ascent", id(traj.samples[-1].x_dot))}
+
     def test_rejects_event_times_not_increasing(self):
         traj = HybridTrajectory(events=[TrajectoryEvent("touchdown", 0.1),
                                         TrajectoryEvent("liftoff", 0.1)])

@@ -5,7 +5,8 @@ closed-form quadratic solution of the touchdown energy/speed
 constraints, and Broyden's quasi-Newton iteration on the analytic
 return map or on the full simulator map. numeric_fixed_point takes any
 apex return map and, when the map has one, its Jacobian function;
-harness.solve_point picks each pipeline's map, Jacobian and tolerance.
+harness.solve_point picks each pipeline's map, Jacobian and tolerance,
+and harness.ALL_PIPELINES lists the three, cheapest first.
 Stability is the spectral radius of the 2x2 apex return-map Jacobian,
 held as a pair of float rows: the exact Jacobian of the analytic map
 (analytic.return_map_analytic_jacobian) for the closed form and

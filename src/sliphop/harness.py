@@ -3,10 +3,10 @@ every output writer.
 
 solve_point is the one place that maps a pipeline name to its solver,
 return map and tolerance; the sweep and the CLI both call it. A sweep
-evaluates the requested pipelines over a (p_bar, k_theta) grid, records
-per-point results or phase-tagged failures, and aggregates prediction
-errors between pipelines (RMS and percent RMS of the apex speed and
-height).
+evaluates the requested pipelines over a (p_bar, k_theta) grid in
+ALL_PIPELINES order, cheapest first, records per-point results or
+phase-tagged failures, and aggregates the apex speed and height errors
+of each pipeline against each costlier one (RMS and percent RMS).
 
 Output files are deterministic: fixed column order, fixed grid order.
 Every CSV row is formatted by _csv_lines with the % string of its cell
@@ -107,9 +107,11 @@ class SweepConfig:
         k_lo, k_hi, _ = self.k_theta_range
         self.inputs(p_lo, k_lo)
         self.inputs(p_hi, k_hi)
-        unknown = set(self.pipelines) - set(ALL_PIPELINES)
-        if unknown:
-            raise ValueError(f"unknown pipelines: {sorted(unknown)}")
+        for pipeline in self.pipelines:
+            if pipeline not in ALL_PIPELINES:
+                raise ValueError(f"unknown pipeline {pipeline!r}")
+            if self.pipelines.count(pipeline) > 1:
+                raise ValueError(f"pipeline {pipeline!r} repeated")
         if not self.pipelines:
             raise ValueError("at least one pipeline required")
         _check_count("workers", self.workers)
@@ -210,12 +212,11 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
     if pipeline not in ALL_PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     check_steps(dt, control_dt)
-    if pipeline == fp.CLOSED_FORM:
-        return fp.closed_form_fixed_point(inputs.p_bar, inputs.k_theta,
-                                          params)
-    if seed is None:
+    if pipeline == fp.CLOSED_FORM or seed is None:
         closed = fp.closed_form_fixed_point(inputs.p_bar, inputs.k_theta,
                                             params)
+        if pipeline == fp.CLOSED_FORM:
+            return closed
         seed, jacobian = closed.apex, closed.jacobian
     if pipeline == fp.SIMULATOR_NUMERIC:
         return_map = functools.partial(simulator_return_map, dt=dt,
@@ -249,25 +250,25 @@ def _solve_cell(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
 
 
 def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
-    """Evaluate every pipeline along one constant-p_bar row.
+    """Evaluate one constant-p_bar row, pipelines in ALL_PIPELINES order.
 
-    Newton seeds, apex and Jacobian, come from the closed form; with
-    seed chaining on, the previous k_theta point's fixed point takes
-    over once available (row-local, so results do not depend on the
-    worker count).
+    Newton seeds, apex and Jacobian, come from every cell's closed form;
+    with seed chaining on, the previous k_theta point's fixed point
+    takes over once available (row-local, so results do not depend on
+    the worker count).
     """
     rows: list[PointOutcome] = []
-    chain: dict[str, fp.FixedPointResult | None] = {
-        fp.ANALYTIC_NUMERIC: None, fp.SIMULATOR_NUMERIC: None}
+    chain: dict[str, fp.FixedPointResult] = {}
     for k_theta in cfg.k_theta_values():
         inputs = cfg.inputs(p_bar, k_theta)
         closed = _solve_cell(cfg, inputs, fp.CLOSED_FORM)
-        if fp.CLOSED_FORM in cfg.pipelines:
-            rows.append(closed)
-        for pipeline in (fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC):
+        for pipeline in ALL_PIPELINES:
             if pipeline not in cfg.pipelines:
                 continue
-            seed = chain[pipeline] if cfg.seed_chaining else None
+            if pipeline == fp.CLOSED_FORM:
+                rows.append(closed)
+                continue
+            seed = chain.get(pipeline) if cfg.seed_chaining else None
             point = _solve_cell(cfg, inputs, pipeline, seed or closed.result)
             if point.result is None and seed is not None:
                 # chained seed failed; retry once from the closed form
@@ -285,14 +286,12 @@ def _mean(xs: list[float]) -> float:
 
 
 def _error_stats(report: SweepReport) -> list[ErrorStats]:
-    pairs = [(fp.CLOSED_FORM, fp.SIMULATOR_NUMERIC),
-             (fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC),
-             (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC)]
-    pipelines = report.config.pipelines
+    """Each pipeline against each costlier one, costliest reference first."""
+    ranked = [p for p in ALL_PIPELINES if p in report.config.pipelines]
+    pairs = [(pred, ranked[i]) for i in reversed(range(len(ranked)))
+             for pred in ranked[:i]]
     stats: list[ErrorStats] = []
     for pred_name, ref_name in pairs:
-        if pred_name not in pipelines or ref_name not in pipelines:
-            continue
         pred = report.converged(pred_name)
         ref = report.converged(ref_name)
         keys = sorted(set(pred) & set(ref))

@@ -1,4 +1,4 @@
-"""What `sliphop` hands the library, and the README key block.
+"""What `sliphop` hands the library.
 
 The library calls are replaced by recorders, so these tests pin the
 objects each subcommand builds from its config (file, flags, defaults)
@@ -9,7 +9,6 @@ import dataclasses
 import inspect
 import json
 import re
-from pathlib import Path
 
 import pytest
 
@@ -21,8 +20,6 @@ from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
 from sliphop.harness import (ErrorStats, HopSummary, PointOutcome,
                              SingleRunReport, SweepReport)
 from sliphop.simulate import HybridTrajectory
-
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 _FIXED_POINT = closed_form_fixed_point(-1.0, 0.5, DEFAULT_PARAMS)
 _STATS = ErrorStats(CLOSED_FORM, ANALYTIC_NUMERIC, "x_dot", 1, 1.5e-3,
@@ -237,46 +234,6 @@ def test_help_describes_the_config_file(command, capsys):
     out, err = capsys.readouterr()
     assert (exit_info.value.code, err) == (0, "")
     assert re.search(r"^  config +key=value config file$", out, re.MULTILINE)
-
-
-def _readme_config(tmp_path) -> dict[str, str]:
-    """The README's fenced key=value block, parsed as a config file."""
-    blocks = re.findall(r"^```\w*\n(.*?)^```$", README.read_text(),
-                        re.MULTILINE | re.DOTALL)
-    [block] = [b for b in blocks if "p_bar_min =" in b]
-    path = tmp_path / "readme.cfg"
-    path.write_text(block)
-    return cli.parse_config_file(path)
-
-
-def _library_defaults() -> dict:
-    steps = inspect.signature(harness.run_single).parameters
-    sweep = SweepConfig()
-    defaults = {f.name: getattr(DEFAULT_PARAMS, f.name)
-                for f in dataclasses.fields(SlipParams)}
-    defaults.update({name: getattr(ControlInputs, name)
-                     for name in ("kp", "ki", "kd", "tau_max")})
-    defaults.update({name: steps[name].default
-                     for name in ("dt", "control_dt")})
-    for name in ("p_bar", "k_theta"):
-        lo, hi, n = getattr(sweep, f"{name}_range")
-        defaults.update({f"{name}_min": lo, f"{name}_max": hi,
-                         f"{name}_count": n})
-    defaults.update(pipelines=sweep.pipelines, workers=sweep.workers,
-                    seed_chaining=sweep.seed_chaining)
-    return defaults
-
-
-def test_readme_config_block_matches_the_cli(tmp_path):
-    shown = _readme_config(tmp_path)
-    tables = cli.COMMAND_KEYS.values()
-    assert set(shown) == set().union(*tables)
-    parse = {key: cast for table in tables for key, cast in table.items()}
-    defaults = {**_library_defaults(), **cli.SINGLE_DEFAULTS}
-    for key, want in defaults.items():
-        assert parse[key](shown[key]) == want, key
-    for key in ("k_theta_step_hop", "k_theta_step_value"):
-        assert shown[key] == "", key
 
 
 @pytest.mark.parametrize("argv,ratio", [

@@ -59,6 +59,10 @@ class TestSweepConfig:
             SweepConfig(pipelines=("nonsense",))
         with pytest.raises(ValueError, match="equal ends"):
             SweepConfig(p_bar_range=(-1.0, -1.0, 3))  # one cell, 3 times
+        with pytest.raises(ValueError,
+                           match="^pipeline 'closed-form' repeated$"):
+            SweepConfig(pipelines=(CLOSED_FORM, CLOSED_FORM,
+                                   ANALYTIC_NUMERIC))
 
     @pytest.mark.parametrize("field,value,message", [
         ("k_theta_range", (0.9, 1.1, 2), "k_theta must be in"),
@@ -334,19 +338,29 @@ class TestRunSweep:
 
         assert cells(got) == cells(want)
 
-    def test_error_stats_pairs(self, params):
+    @pytest.mark.parametrize("pipelines", [
+        order for n in (2, 3)
+        for subset in itertools.combinations(harness.ALL_PIPELINES, n)
+        for order in (subset, subset[::-1])], ids=",".join)
+    def test_error_stats_pairs(self, params, tmp_path, pipelines):
         cfg = SweepConfig(params=params, p_bar_range=(-1.0, -0.9, 2),
-                          k_theta_range=(0.5, 0.5, 1))
+                          k_theta_range=(0.5, 0.5, 1), pipelines=pipelines,
+                          out_dir=str(tmp_path))
         report = run_sweep(cfg)
-        # the row order of errors.csv
-        assert [(s.predicted, s.reference, s.quantity)
-                for s in report.error_stats] == [
-            (CLOSED_FORM, SIMULATOR_NUMERIC, "x_dot"),
-            (CLOSED_FORM, SIMULATOR_NUMERIC, "y"),
-            (ANALYTIC_NUMERIC, SIMULATOR_NUMERIC, "x_dot"),
-            (ANALYTIC_NUMERIC, SIMULATOR_NUMERIC, "y"),
-            (CLOSED_FORM, ANALYTIC_NUMERIC, "x_dot"),
-            (CLOSED_FORM, ANALYTIC_NUMERIC, "y")]
+        # each cell's sweep.csv rows in ALL_PIPELINES order, cheapest first
+        ranked = [p for p in harness.ALL_PIPELINES if p in pipelines]
+        rows = _read_csv(tmp_path / "sweep.csv")[1:]
+        assert [row[2] for row in rows] == ranked * 2
+        # errors.csv: each pipeline against each costlier one, the
+        # costliest reference first, whatever order pipelines lists them
+        pairs = [(pred, ref) for pred, ref in (
+            (CLOSED_FORM, SIMULATOR_NUMERIC),
+            (ANALYTIC_NUMERIC, SIMULATOR_NUMERIC),
+            (CLOSED_FORM, ANALYTIC_NUMERIC)) if {pred, ref} <= {*pipelines}]
+        want = [(pred, ref, qty) for pred, ref in pairs
+                for qty in ("x_dot", "y")]
+        assert [tuple(row[:3]) for row in
+                _read_csv(tmp_path / "errors.csv")[1:]] == want
         for s in report.error_stats:
             assert s.rms >= 0.0
             assert s.n == 2

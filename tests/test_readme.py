@@ -1,7 +1,14 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart runs as written, and its config block
+lists the CLI's keys with the library's defaults."""
 
+import dataclasses
+import inspect
 import re
 from pathlib import Path
+
+from sliphop import (ControlInputs, DEFAULT_PARAMS, SlipParams, SweepConfig,
+                     cli, harness)
+from sliphop.harness import ALL_PIPELINES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +21,46 @@ def test_library_quickstart_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert out.startswith("ApexState(") and out.count("\n") == 1
+
+
+def _readme_config(tmp_path) -> dict[str, str]:
+    """The README's fenced key=value block, parsed as a config file."""
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    [block] = [b for b in blocks if "p_bar_min =" in b]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    return cli.parse_config_file(path)
+
+
+def _library_defaults() -> dict:
+    steps = inspect.signature(harness.run_single).parameters
+    sweep = SweepConfig()
+    defaults = {f.name: getattr(DEFAULT_PARAMS, f.name)
+                for f in dataclasses.fields(SlipParams)}
+    defaults.update({name: getattr(ControlInputs, name)
+                     for name in ("kp", "ki", "kd", "tau_max")})
+    defaults.update({name: steps[name].default
+                     for name in ("dt", "control_dt")})
+    for name in ("p_bar", "k_theta"):
+        lo, hi, n = getattr(sweep, f"{name}_range")
+        defaults.update({f"{name}_min": lo, f"{name}_max": hi,
+                         f"{name}_count": n})
+    defaults.update(pipelines=sweep.pipelines, workers=sweep.workers,
+                    seed_chaining=sweep.seed_chaining)
+    return defaults
+
+
+def test_readme_config_block_matches_the_cli(tmp_path):
+    shown = _readme_config(tmp_path)
+    tables = cli.COMMAND_KEYS.values()
+    # every key the CLI reads, and no other: a key dropped from the CLI
+    # cannot stay behind in the README
+    assert set(shown) == set().union(*tables)
+    assert shown["pipelines"] == ",".join(ALL_PIPELINES)
+    parse = {key: cast for table in tables for key, cast in table.items()}
+    defaults = {**_library_defaults(), **cli.SINGLE_DEFAULTS}
+    for key, want in defaults.items():
+        assert parse[key](shown[key]) == want, key
+    for key in ("k_theta_step_hop", "k_theta_step_value"):
+        assert shown[key] == "", key

@@ -15,10 +15,14 @@ landing velocity with the leg:
   stability classification.
 
 `import sliphop` loads the map and solver layers alone: errors, model,
-numerics, control, simulate, analytic and fixedpoint. The batch front
-end's names (SweepConfig, SweepReport, run_single, run_sweep,
+numerics, control, simulate, analytic and fixedpoint. The stance kernel
+(sliphop.stance) loads with the first stance integration and the hop
+recorder (sliphop.trajectory) with the first recorded hop. The batch
+front end's names (SweepConfig, SweepReport, run_single, run_sweep,
 simulator_return_map, solve_point, write_trajectory_csv) load
-sliphop.harness on first use.
+sliphop.harness on first use, and the trajectory records
+(HybridTrajectory, TrajectorySample, TrajectoryEvent) sliphop.trajectory;
+_LAZY maps each such name to its module.
 """
 
 from .errors import (DegenerateQuadratic, DescendingAtLiftoff, FailedLiftoff,
@@ -30,8 +34,7 @@ from .errors import (DegenerateQuadratic, DescendingAtLiftoff, FailedLiftoff,
 from .model import (ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams,
                     StanceState)
 from .control import solve_aoa_approx, solve_aoa_implicit, vertical_energy
-from .simulate import (HybridTrajectory, StanceSegment, TrajectoryEvent,
-                       TrajectorySample, integrate_stance, return_map_numeric)
+from .simulate import StanceSegment, integrate_stance, return_map_numeric
 from .analytic import (StanceMapConstants, bottom_time, liftoff_time,
                        return_map_analytic, return_map_analytic_jacobian,
                        simplified_map_constants, simplified_stance_map,
@@ -43,14 +46,19 @@ from .fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM, FixedPointResult,
 
 __version__ = "0.1.0"
 
-_HARNESS_NAMES = frozenset((
-    "SweepConfig", "SweepReport", "run_single", "run_sweep",
-    "simulator_return_map", "solve_point", "write_trajectory_csv"))
+# name -> the submodule that owns it, imported on first use
+_LAZY = {
+    **dict.fromkeys(("SweepConfig", "SweepReport", "run_single", "run_sweep",
+                     "simulator_return_map", "solve_point",
+                     "write_trajectory_csv"), "harness"),
+    **dict.fromkeys(("HybridTrajectory", "TrajectorySample",
+                     "TrajectoryEvent"), "trajectory"),
+}
 
 
 def __getattr__(name):
     # PEP 562: called only for names the package does not yet hold
-    if name in _HARNESS_NAMES:
-        from . import harness
-        return getattr(harness, name)
+    if name in _LAZY:
+        from importlib import import_module
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,7 @@ constraint
 with E_v the vertical energy at touchdown. Both solvers here return the
 signed theta_aoa as a float. The stance policy is a PID
 plus gravity feed-forward on the angular momentum p_theta = m*r^2*theta_dot;
-it runs inside the stance kernel (simulate._stance_core), which keeps its
+it runs inside the stance kernel (stance._stance_core), which keeps its
 integral and previous momentum sample in locals.
 """
 

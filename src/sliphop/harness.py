@@ -25,8 +25,11 @@ parameters, control inputs and apex states are their dataclass fields.
 `import sliphop` does not load this module: the package's batch names
 (SweepConfig, run_sweep, ...) import it on first use, so a fresh
 process that only evaluates maps or solves fixed points compiles none
-of it. Importing it loads no process pool and no statistics module:
-run_sweep imports the pool only when it runs more than one worker.
+of it. Importing it loads the hop recorder (sliphop.trajectory), whose
+records run_single and write_trajectory_csv handle, but no process pool
+and no statistics module: run_sweep imports the pool only when it runs
+more than one worker, and the stance kernel loads with the first
+stance integration.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ from typing import NamedTuple
 from . import fixedpoint as fp
 from .errors import SlipError
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
-from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, HybridTrajectory,
-                       TrajectorySample, check_steps, return_map_numeric)
+from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, check_steps,
+                       return_map_numeric)
+from .trajectory import HybridTrajectory, TrajectorySample
 
 ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
 SIM_TOL = 1e-10

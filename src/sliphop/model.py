@@ -153,7 +153,11 @@ class ControlInputs:
     p_bar    target angular momentum in stance (kg*m^2/s, negative for
              forward travel)
     k_theta  touchdown-angle gain in [0, 1]
-    kp/ki/kd PID gains on the angular-momentum error
+    kp/ki/kd PID gains on the angular-momentum error; ki is a gain per
+             control tick: the stance loop adds the error to its
+             integral once per tick (no factor control_dt), so the
+             integral gain per second is ki/control_dt, and a finer
+             hold also raises it
     tau_max  hip torque saturation (N*m), None for unlimited
     """
 

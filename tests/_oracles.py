@@ -14,7 +14,7 @@ reference_return_map_numeric are the apex maps as a chain of validated
 dataclass states, one per phase boundary; both float-chain maps must
 match them bit for bit, failures included. rk6_tableau_step is
 Butcher's sixth-order step from its tableau in exact fractions;
-simulate._step, the package's one stance step, is checked against it.
+stance._step, the package's one stance step, is checked against it.
 RK4 (rk4_step) stays the fine-step reference of full_stance_oracle.
 flow_coeffs and stance_flow are the package's own closed-form flow by
 name and as a StanceState (they are not independent); the flow tests

@@ -19,7 +19,7 @@ from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
 from sliphop.harness import (ErrorStats, HopSummary, PointOutcome,
                              SingleRunReport, SweepReport)
-from sliphop.simulate import HybridTrajectory
+from sliphop.trajectory import HybridTrajectory
 
 _FIXED_POINT = closed_form_fixed_point(-1.0, 0.5, DEFAULT_PARAMS)
 _STATS = ErrorStats(CLOSED_FORM, ANALYTIC_NUMERIC, "x_dot", 1, 1.5e-3,

@@ -24,7 +24,7 @@ from sliphop import (ApexState, ControlInputs, InvalidState, SlipError,
 from sliphop.cli import main, parse_config_file
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
-from sliphop.simulate import TrajectorySample
+from sliphop.trajectory import HybridTrajectory, TrajectorySample
 
 from _oracles import _write_csv as reference_write_csv
 
@@ -576,7 +576,7 @@ _TRAJECTORY_RUNS = st.lists(
 
 def _traj_bytes(tmp_path, samples):
     """(written, reference) bytes of trajectory.csv for samples."""
-    harness.write_trajectory_csv(simulate.HybridTrajectory(samples),
+    harness.write_trajectory_csv(HybridTrajectory(samples),
                                  tmp_path / "new.csv")
     reference_write_csv(tmp_path / "ref.csv", TrajectorySample._fields,
                         samples)

@@ -1,5 +1,6 @@
-"""The package's import surface: what `import sliphop` loads, the batch
-names it hands on to sliphop.harness, and the record types."""
+"""The package's import surface: what `import sliphop` loads, what the
+first stance and the first recorded hop load, the names it hands on to
+sliphop.harness and sliphop.trajectory, and the record types."""
 
 import dataclasses
 import os
@@ -11,37 +12,83 @@ from pathlib import Path
 import pytest
 
 import sliphop
-from sliphop import harness
+from sliphop import harness, trajectory
 from sliphop.analytic import StanceMapConstants
 from sliphop.fixedpoint import FixedPointResult
-from sliphop.simulate import StanceSegment, TrajectoryEvent
+from sliphop.simulate import StanceSegment
+from sliphop.trajectory import TrajectoryEvent
 
 BATCH_NAMES = ("SweepConfig", "SweepReport", "run_single", "run_sweep",
                "simulator_return_map", "solve_point", "write_trajectory_csv")
+TRAJECTORY_NAMES = ("HybridTrajectory", "TrajectorySample", "TrajectoryEvent")
+# each name the package loads on first use, and the module that owns it
+LAZY_NAMES = {**dict.fromkeys(BATCH_NAMES, harness),
+              **dict.fromkeys(TRAJECTORY_NAMES, trajectory)}
+
+
+def _fresh_stdout(code: str) -> str:
+    """What code prints in a fresh interpreter that imports this src/."""
+    src = str(Path(sliphop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_import_leaves_out_the_batch_front_end():
-    code = textwrap.dedent("""
+    assert _fresh_stdout("""
         import sys
         import sliphop
         print(sorted(m for m in ("sliphop.harness", "sliphop.cli")
                      if m in sys.modules))
-    """)
-    src = str(Path(sliphop.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    """) == "[]\n"
 
 
-@pytest.mark.parametrize("name", BATCH_NAMES)
-def test_batch_names_resolve_to_the_harness(name):
-    want = getattr(harness, name)
+def test_maps_load_the_stance_kernel_and_the_recorder_on_first_use():
+    # the closed form and the analytic map need neither the stance
+    # kernel nor the recorder; an unrecorded simulator hop loads the
+    # kernel alone, and the first recorded hop the recorder
+    assert _fresh_stdout("""
+        import sys
+        from sliphop import (ControlInputs, DEFAULT_PARAMS,
+                             closed_form_fixed_point, return_map_analytic,
+                             return_map_analytic_jacobian,
+                             return_map_numeric)
+
+        def loaded():
+            print([m for m in ("sliphop.stance", "sliphop.trajectory",
+                               "sliphop.harness") if m in sys.modules])
+
+        inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
+        apex = closed_form_fixed_point(-1.0, 0.5, DEFAULT_PARAMS).apex
+        return_map_analytic(apex, inputs, DEFAULT_PARAMS)
+        return_map_analytic_jacobian(apex, inputs, DEFAULT_PARAMS)
+        loaded()
+        return_map_numeric(apex, inputs, DEFAULT_PARAMS, record=False)
+        loaded()
+        return_map_numeric(apex, inputs, DEFAULT_PARAMS, record=True)
+        loaded()
+    """) == ("[]\n['sliphop.stance']\n"
+             "['sliphop.stance', 'sliphop.trajectory']\n")
+
+
+def _resolves_to_its_module(name):
+    want = getattr(LAZY_NAMES[name], name)
     assert getattr(sliphop, name) is want
     namespace = {}
     exec(f"from sliphop import {name}", namespace)
     assert namespace[name] is want
+
+
+@pytest.mark.parametrize("name", BATCH_NAMES)
+def test_batch_names_resolve_to_the_harness(name):
+    _resolves_to_its_module(name)
+
+
+@pytest.mark.parametrize("name", TRAJECTORY_NAMES)
+def test_trajectory_names_resolve_to_the_recorder(name):
+    _resolves_to_its_module(name)
 
 
 def test_unknown_name_raises_attribute_error():

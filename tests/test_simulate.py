@@ -10,12 +10,14 @@ from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
                      FailedLiftoff, GroundFault, InsufficientEnergy,
                      NonPhysical, SlipError, SlipParams, StanceState,
                      UnreachableTouchdown, integrate_stance,
-                     return_map_numeric, simulate, write_trajectory_csv)
+                     return_map_numeric, simulate, stance,
+                     write_trajectory_csv)
 from sliphop.analytic import flow_liftoff
 from sliphop.model import liftoff_reset
-from sliphop.simulate import (DEFAULT_DT, HybridTrajectory, TrajectoryEvent,
-                              TrajectorySample, _locate, _scaled_tableau,
-                              _step, ascend, check_steps, descend)
+from sliphop.simulate import DEFAULT_DT, ascend, check_steps, descend
+from sliphop.stance import _locate, _scaled_tableau, _step
+from sliphop.trajectory import (HybridTrajectory, TrajectoryEvent,
+                                TrajectorySample)
 
 from _oracles import (full_stance_oracle, rk4_step, rk6_tableau_step,
                       stance_rhs, stance_step)
@@ -127,7 +129,7 @@ def _run_core(state, b, ctrl, dt, nsub, ticks, record, params):
         p_bar, kp, ki, kd, tau_max = ctrl
         # k_theta does not act in stance
         inputs = ControlInputs(p_bar, 0.5, kp, ki, kd, tau_max)
-    return simulate._stance_core(*state, dataclasses.replace(params, b=b),
+    return stance._stance_core(*state, dataclasses.replace(params, b=b),
                                  inputs, dt, nsub, (ticks - 0.5) * dt * nsub,
                                  record)
 
@@ -315,13 +317,13 @@ class TestIntegrateStance:
         td = StanceState(r=0.2, r_dot=-1.7, theta=0.42, theta_dot=-3.5)
         inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
         located = []
-        real_locate = simulate._locate
+        real_locate = stance._locate
 
         def counted(*args):
             located.append(args[9:11])  # the event function's (a, c)
             return real_locate(*args)
 
-        monkeypatch.setattr(simulate, "_locate", counted)
+        monkeypatch.setattr(stance, "_locate", counted)
         lo, seg = integrate_stance(td, inputs, params)
         assert located == [(0.0, 1.0), (params.k, params.b)]
         located.clear()
@@ -380,7 +382,7 @@ class TestIntegrateStance:
         # once, so no step is taken twice; the liftoff state is pinned
         # bit for bit
         steps, full_steps = [], []
-        real_step, real_core = simulate._step, simulate._stance_core
+        real_step, real_core = stance._step, stance._stance_core
 
         def counted_step(*args):
             steps.append(args)
@@ -391,8 +393,8 @@ class TestIntegrateStance:
             full_steps.append(result[-1])
             return result
 
-        monkeypatch.setattr(simulate, "_step", counted_step)
-        monkeypatch.setattr(simulate, "_stance_core", counted_core)
+        monkeypatch.setattr(stance, "_step", counted_step)
+        monkeypatch.setattr(stance, "_stance_core", counted_core)
         _, traj = return_map_numeric(ApexState(x_dot=1.5, y=0.25),
                                      ControlInputs(p_bar=-1.0, k_theta=0.5),
                                      params)
@@ -645,6 +647,13 @@ class TestTrajectoryValidate:
         with pytest.raises(ValueError, match="^phase 'descent' -> 'ascent' "
                                              "breaks the"):
             traj.validate()
+        # a phase outside the cycle, alone or followed by one in it
+        for samples in ([self.flight(0.0, "hover")],
+                        [self.flight(0.0, "hover"),
+                         self.flight(0.001, "descent")]):
+            with pytest.raises(ValueError, match="^unknown phase 'hover' at "
+                                                 "t = 0.0$"):
+                HybridTrajectory(samples).validate()
 
     def test_rejects_a_sample_out_of_its_layout(self):
         # a descent sample with a leg length and a torque, then a stance

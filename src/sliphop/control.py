@@ -58,7 +58,7 @@ def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
     the admissible interval until the bracket stops shrinking. The
     solution carries the sign of x_dot (Phi is odd in x_dot, even in
     theta). Raises InsufficientEnergy when no admissible angle exists in
-    (0, 0.99*pi/2], NoConvergence if the backstop cannot bracket a root.
+    (0, AOA_THETA_MAX], NoConvergence if the backstop cannot bracket one.
     """
     if x_dot == 0.0:
         return 0.0
@@ -86,6 +86,8 @@ def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
         except InsufficientEnergy:
             break  # iterate left the domain; bisection handles it
         if abs(nxt - theta) <= AOA_TOL:
+            if nxt > AOA_THETA_MAX:
+                break  # past the bound: the bracket check below raises
             return sign * nxt
         theta = nxt
 
@@ -97,8 +99,12 @@ def solve_aoa_implicit(x_dot: float, e_v: float, k_theta: float,
             # Phi -> pi/2 at the domain edge
             return math.pi / 2.0 - t
 
+    # Phi falls as theta grows: above theta at the bound, it meets theta
+    # only past it
     hi = AOA_THETA_MAX
-    if gap(lo) < 0.0 or gap(hi) > 0.0:
+    if gap(hi) > 0.0:
+        raise InsufficientEnergy(f"angle of attack beyond {hi:.7f} rad")
+    if gap(lo) < 0.0:
         raise NoConvergence(
             f"no bracket for Phi(theta) = theta on ({lo:.4f}, {hi:.4f})")
     a, b = lo, hi

@@ -12,11 +12,10 @@ Output files are deterministic: fixed column order, fixed grid order.
 Every CSV row is formatted by _csv_lines with the % string of its cell
 types (9-significant-digit floats, "" for None and NaN, CRLF line
 ends), except in trajectory.csv: there a sample's phase fixes its
-layout, so write_trajectory_csv formats each phase run of rows with one
-% of the phase's row format, which takes the float cells alone; a
-flight run's one launch speed x_dot is formatted once, as literal text
-of that format. Only a run that breaks its layout, or whose float cells
-sum to NaN, is left to _csv_lines.
+layout (trajectory.phase_runs), so write_trajectory_csv formats each
+phase run with one % of the phase's row format, which takes the float
+cells alone; a flight run's one launch speed x_dot is literal text of
+that format. A trajectory that validate() rejects writes nothing.
 Every JSON document, the CLI's included, goes through to_json. A
 trajectory.csv row is a TrajectorySample and a hops.csv row a
 HopSummary, whose fields are the columns; the JSON objects of
@@ -40,8 +39,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, replace
-from itertools import chain, groupby, repeat
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,7 +48,7 @@ from .errors import SlipError
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
 from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, check_steps,
                        return_map_numeric)
-from .trajectory import HybridTrajectory, TrajectorySample
+from .trajectory import HybridTrajectory, TrajectorySample, phase_runs
 
 ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
 SIM_TOL = 1e-10
@@ -481,66 +479,31 @@ def _result_cells(r: fp.FixedPointResult | None) -> tuple:
 _STANCE_ROW = "%.9g,stance" + ",%.9g" * 9 + "\r\n"
 
 
-def _phase_run_text(phase: str, run: list) -> str | None:
-    """The rows of one phase run in one % of the phase's row format, with
-    the phase name and flight's empty cells as literal text; None where
-    that would not give _csv_lines' bytes.
-
-    The run is checked column by column (TrajectorySample's layout). In
-    flight the leg-state and tau columns must be all None and the x_dot
-    column must hold one float, the launch speed, which goes into the
-    format as literal text, so a flight row passes only t, x, y and
-    y_dot through %. An unknown phase, a None or a string in a float
-    cell (TypeError) and a NaN there, which makes the cells' sum NaN,
-    also give None.
-    """
-    n = len(run)
-    t, _, *leg, x, y, x_dot, y_dot, tau = zip(*run)
-    if phase == "stance":
-        fmt, floats = _STANCE_ROW, (t, *leg, x, y, x_dot, y_dot, tau)
-    elif phase in ("descent", "ascent"):
-        v = x_dot[0]
-        # count matches by identity first and 0.0 == -0.0, so a NaN and
-        # the signs of a zero speed are checked apart
-        if (type(v) is not float or v != v or x_dot.count(v) < n
-                or any(col.count(None) < n for col in (*leg, tau))):
-            return None
-        if not v and len({*map(math.copysign, repeat(1.0), x_dot)}) > 1:
-            return None
-        fmt, floats = f"%.9g,{phase},,,,,%.9g,%.9g,{v:.9g},%.9g,\r\n", (
-            t, x, y, y_dot)
-    else:
-        return None
-    k = len(floats)
-    cells = [None] * (k * n)
-    for i, col in enumerate(floats):
-        cells[i::k] = col
-    try:
-        total = sum(cells)
-    except TypeError:
-        return None
-    return None if total != total else fmt * n % tuple(cells)
-
-
 def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
-    """Write the 1 kHz sample rows; 9 significant digits, '.' decimal.
-
-    A sample's phase fixes its layout (TrajectorySample), so each phase
-    run of rows is formatted with one % of its phase's row format, which
-    takes the float cells alone; a flight run's launch speed, its one
-    x_dot, is formatted once into that format as literal text. A run
-    that breaks its layout, or whose float cells sum to NaN (a NaN, or
-    infinities of both signs), is written row by row by _csv_lines, so
-    every sample is written with the bytes _write_csv gives it. The
-    float cells must be floats: an int or a bool there, but for a flight
-    run's x_dot, is written as %.9g writes it.
-    """
+    """Write the 1 kHz sample rows; 9 significant digits, '.' decimal,
+    NaN empty. trajectory.phase_runs checks the samples, as validate()
+    does, before the file is opened: a trajectory that breaks the rule
+    raises validate()'s ValueError and writes nothing. Each phase run is
+    one % of its phase's row format, which takes the float cells alone;
+    the phase, flight's empty cells and a flight run's launch speed are
+    literal text, so "nan" shows only in a NaN cell, written empty. An
+    int or a bool in a float cell is written as %.9g writes it."""
+    texts = []
+    for phase, (t, _, *leg, x, y, x_dot, y_dot, tau) in phase_runs(
+            traj.samples):
+        if phase == "stance":
+            fmt, floats = _STANCE_ROW, (t, *leg, x, y, x_dot, y_dot, tau)
+        else:
+            fmt = f"%.9g,{phase},,,,,%.9g,%.9g,{x_dot[0]:.9g},%.9g,\r\n"
+            floats = t, x, y, y_dot
+        n, k = len(t), len(floats)
+        cells = [None] * (k * n)
+        for i, col in enumerate(floats):
+            cells[i::k] = col
+        texts.append((fmt * n % tuple(cells)).replace("nan", ""))
     with open(path, "w", newline="") as fh:
         fh.writelines(_csv_lines([TrajectorySample._fields]))
-        for phase, run in groupby(traj.samples, itemgetter(1)):
-            run = list(run)
-            text = _phase_run_text(phase, run)
-            fh.writelines(_csv_lines(run) if text is None else (text,))
+        fh.writelines(texts)
 
 
 def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:

@@ -7,6 +7,10 @@ stance loop's own, moved to Cartesian coordinates about the toe, and
 the events carry the states the hop passed through. A trajectory.csv
 row is a TrajectorySample.
 
+phase_runs, the samples' one layout rule, checks each phase run and
+yields it transposed; HybridTrajectory.validate and
+harness.write_trajectory_csv both run it.
+
 simulate.return_map_numeric imports this module the first time it
 records a hop, so a process that never records compiles none of it.
 """
@@ -15,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .model import (ApexState, SlipParams, StanceState, liftoff_reset,
@@ -25,10 +30,9 @@ from .simulate import StanceSegment, ascent_time, descent_time
 
 class TrajectorySample(NamedTuple):
     """One 1 kHz row of trajectory.csv, its fields the columns in order.
-    Its phase fixes its layout, which the writer relies on and validate
-    checks: in flight the leg state and hip torque tau are None and
-    x_dot is the run's one launch speed, written once; each other cell
-    but the phase is a float."""
+    Its phase fixes its layout (phase_runs): in flight the leg state and
+    hip torque tau are None and x_dot is the run's one launch speed;
+    each other cell but the phase is a float."""
 
     t: float
     phase: str  # "descent" | "stance" | "ascent"
@@ -52,6 +56,44 @@ class TrajectoryEvent(NamedTuple):
 _PHASE_NEXT = {"descent": "stance", "stance": "ascent", "ascent": "descent"}
 
 
+def phase_runs(samples):
+    """Each phase run of samples as (phase, columns), its columns in
+    TrajectorySample's order, once the run is checked: its phase is one
+    of the cycle's and follows the previous run's, its float cells are
+    real numbers (float() of their sum raises no TypeError; NaN and
+    infinities are numbers), and in flight its leg-state and tau
+    columns are all None and x_dot holds one float launch speed, not
+    NaN, zeros of one sign. Raises ValueError naming the first run that
+    breaks this rule."""
+    prev = None
+    for phase, run in groupby(samples, itemgetter(1)):
+        columns = tuple(zip(*run))
+        t, x_dot = columns[0], columns[8]
+        if phase not in _PHASE_NEXT:
+            raise ValueError(f"unknown phase {phase!r} at t = {t[0]}")
+        if prev is not None and phase != _PHASE_NEXT[prev]:
+            raise ValueError(f"phase {prev!r} -> {phase!r} breaks the "
+                             "descent->stance->ascent cycle")
+        prev, n, v = phase, len(t), x_dot[0]
+        if phase == "stance":
+            floats = columns[:1] + columns[2:]
+        # count matches by identity first and 0.0 == -0.0, so a NaN and
+        # the signs of a zero speed are checked apart
+        elif (any(col.count(None) < n for col in columns[2:6] + columns[10:])
+              or type(v) is not float or v != v or x_dot.count(v) < n
+              or not v and len({*map(math.copysign, repeat(1.0), x_dot)}) > 1):
+            raise ValueError(f"{phase} run at t = {t[0]} breaks its "
+                             "phase's layout")
+        else:
+            floats = t, *columns[6:8], columns[9]  # t, x, y, y_dot
+        try:
+            float(sum(map(sum, floats)))
+        except TypeError:
+            raise ValueError(f"{phase} run at t = {t[0]} breaks its "
+                             "phase's layout") from None
+        yield phase, columns
+
+
 @dataclass
 class HybridTrajectory:
     """Time-stamped hop record: 1 kHz samples plus the hybrid event log."""
@@ -60,26 +102,10 @@ class HybridTrajectory:
     events: list[TrajectoryEvent] = field(default_factory=list)
 
     def validate(self) -> None:
-        """Check that each sample's phase is one of the cycle's, phase
-        alternation, each sample's phase layout (one x_dot per flight
-        run) and strictly increasing event times."""
-        prev = None
-        for s in self.samples:
-            if s.phase not in _PHASE_NEXT:
-                raise ValueError(f"unknown phase {s.phase!r} at t = {s.t}")
-            if (None in s if s.phase == "stance"
-                    else s[2:6] + s[10:] != (None,) * 5):
-                raise ValueError(f"{s.phase} sample at t = {s.t} breaks "
-                                 "its phase's layout")
-            if prev and s.phase != prev.phase:
-                if s.phase != _PHASE_NEXT[prev.phase]:
-                    raise ValueError(
-                        f"phase {prev.phase!r} -> {s.phase!r} breaks the "
-                        "descent->stance->ascent cycle")
-            elif prev and s.phase != "stance" and s.x_dot != prev.x_dot:
-                raise ValueError(f"x_dot changes within the {s.phase} run "
-                                 f"at t = {s.t}")
-            prev = s
+        """Check the samples against phase_runs' layout rule and the
+        event times for strict increase; raise ValueError otherwise."""
+        for _ in phase_runs(self.samples):
+            pass
         times = [e.t for e in self.events]
         for a, b in zip(times, times[1:]):
             if not b > a:

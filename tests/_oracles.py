@@ -462,7 +462,8 @@ def _write_csv(path, header, rows) -> None:
 def solve_aoa_200_halvings(x_dot: float, e_v: float, k_theta: float,
                            params: SlipParams) -> float:
     """control.solve_aoa_implicit as it was when its bisection backstop
-    halved the bracket a fixed 200 times."""
+    halved the bracket a fixed 200 times, with its bound on the angle
+    (InsufficientEnergy past AOA_THETA_MAX, from either branch)."""
     if x_dot == 0.0:
         return 0.0
     sign = 1.0 if x_dot > 0.0 else -1.0
@@ -489,6 +490,8 @@ def solve_aoa_200_halvings(x_dot: float, e_v: float, k_theta: float,
         except InsufficientEnergy:
             break  # iterate left the domain; bisection handles it
         if abs(nxt - theta) <= AOA_TOL:
+            if nxt > AOA_THETA_MAX:
+                break
             return sign * nxt
         theta = nxt
 
@@ -501,7 +504,9 @@ def solve_aoa_200_halvings(x_dot: float, e_v: float, k_theta: float,
             return math.pi / 2.0 - t
 
     hi = AOA_THETA_MAX
-    if gap(lo) < 0.0 or gap(hi) > 0.0:
+    if gap(hi) > 0.0:
+        raise InsufficientEnergy(f"angle of attack beyond {hi:.7f} rad")
+    if gap(lo) < 0.0:
         raise NoConvergence(
             f"no bracket for Phi(theta) = theta on ({lo:.4f}, {hi:.4f})")
     a, b = lo, hi

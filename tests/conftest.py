@@ -3,7 +3,9 @@ from hypothesis import settings
 
 from sliphop import DEFAULT_PARAMS, SlipParams
 
-# JIT compilation on first kernel use would trip hypothesis' deadline.
+# No deadline: examples run whole simulator hops, and the CPU speed of
+# the reference machine swings by up to 1.6x, so an example's time says
+# nothing about the code under test.
 settings.register_profile("sliphop", deadline=None, max_examples=60)
 settings.load_profile("sliphop")
 

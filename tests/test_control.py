@@ -76,6 +76,19 @@ class TestImplicitSolver:
         with pytest.raises(InsufficientEnergy):
             solve_aoa_implicit(1.0, params.m * params.g * 0.05, 0.1, params)
 
+    # apexes of 50 m/s and more, whose one root lies past AOA_THETA_MAX:
+    # the fixed-point iteration converges to it (1.5577591 and 1.5562707)
+    # in the first two, not at all in the third
+    @pytest.mark.parametrize("x_dot,apex_y,k_theta", [
+        (50.0, 0.10, 0.75), (100.0, 0.25, 0.5), (50.0, 0.15, 0.5)])
+    def test_angle_past_the_bound_is_insufficient_energy(
+            self, params, x_dot, apex_y, k_theta):
+        e_v = params.m * params.g * apex_y
+        for sign in (1.0, -1.0):
+            with pytest.raises(InsufficientEnergy, match=(
+                    r"^angle of attack beyond 1\.5550884 rad$")):
+                solve_aoa_implicit(sign * x_dot, e_v, k_theta, params)
+
     @given(st.floats(0.1, 3.0), st.floats(0.22, 0.45), st.floats(0.0, 1.0))
     def test_odd_in_x_dot(self, x_dot, apex_y, k_theta):
         params = SlipParams(m=3.3, k=4000.0, b=20.0, r0=0.2)

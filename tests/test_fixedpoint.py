@@ -9,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 from sliphop import (ApexState, ControlInputs, GaitFailure, IllConditioned,
                      InsufficientEnergy, InvalidState, NoConvergence,
                      NonPhysical, NonpositiveTime, NoRealFixedPoint,
-                     SlipError, closed_form_fixed_point,
+                     SlipError, SlipParams, closed_form_fixed_point,
                      energy_speed_constraints, fixedpoint, harness,
                      numeric_fixed_point, return_map_analytic,
                      simulator_return_map, solve_point, stability,
@@ -81,16 +81,23 @@ class TestClosedForm:
 
 
     # each branch fails where the closed form has no gait; the closed form
-    # is not a hop chain, so its errors carry no phase
-    @pytest.mark.parametrize("p_bar,k_theta,error,message", [
-        (-3.125, 0.0, NoRealFixedPoint, "^speed quadratic: discriminant"),
-        (-4.0, 0.7875, NonPhysical, "^touchdown y_dot = .* >= 0$"),
+    # is not a hop chain, so its errors carry no phase. slip replaces the
+    # default parameters where it is given.
+    @pytest.mark.parametrize("p_bar,k_theta,error,message,slip", [
+        (-3.125, 0.0, NoRealFixedPoint, "^speed quadratic: discriminant",
+         None),
+        (-4.0, 0.7875, NonPhysical, "^touchdown y_dot = .* >= 0$", None),
         (-4.0, 0.65, NonpositiveTime, r"^branch selection gave "
-         r"t_lo = 1\.821e-09, t_b = 2\.160e-09$"),
+         r"t_lo = 1\.821e-09, t_b = 2\.160e-09$", None),
+        # a light, soft hopper: the ascent from touchdown peaks at r0
+        (-1.4, 0.0, NonPhysical,
+         r"^apex height 0\.2000 <= touchdown height$",
+         SlipParams(m=1.0, k=500.0, b=5.0, r0=0.2)),
     ])
-    def test_failure_branches(self, params, p_bar, k_theta, error, message):
+    def test_failure_branches(self, params, p_bar, k_theta, error, message,
+                              slip):
         with pytest.raises(error, match=message) as exc:
-            closed_form_fixed_point(p_bar, k_theta, params)
+            closed_form_fixed_point(p_bar, k_theta, slip or params)
         assert exc.value.phase is None
 
 

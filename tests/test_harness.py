@@ -550,38 +550,68 @@ def _sample(phase, cells):
 
 @st.composite
 def _phase_run(draw, phase):
-    """1-8 samples of phase in its layout: floats, and None for a flight
-    sample's leg state and tau. Three runs in four hold no NaN, and
-    three flight runs in four one launch speed, one float object in
-    every x_dot cell as the recorder writes it, so that multi-row runs
-    reach the one-% path."""
+    """1-8 samples of phase. Three runs in four hold no NaN, and three
+    in four keep their phase's layout: floats, and None for a flight
+    sample's leg state and tau; the fourth may hold a None in a float
+    cell or a float in a None cell. Three flight runs in four hold one
+    launch speed, one float object in every x_dot cell as the recorder
+    writes it."""
     floats = draw(st.sampled_from((_CSV_NUMBERS,) * 3 + (_CSV_FLOATS,)))
+    none = st.none()
+    if draw(st.sampled_from((False,) * 3 + (True,))):
+        floats = none = st.one_of(floats, none)
     if phase == "stance":
         cells = (floats,) * 10
     else:
         shared = draw(st.sampled_from((True,) * 3 + (False,)))
         x_dot = st.just(draw(floats)) if shared else floats
-        cells = (floats, *[st.none()] * 4, floats, floats, x_dot, floats,
-                 st.none())
+        cells = (floats, *[none] * 4, floats, floats, x_dot, floats, none)
     rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=8))
     return [_sample(phase, row) for row in rows]
 
 
-# consecutive phase runs of samples, as in trajectory.csv; the phases come
-# in any order, and the writer takes adjacent runs of one phase as one
-_TRAJECTORY_RUNS = st.lists(
-    st.sampled_from(("descent", "stance", "ascent")).flatmap(_phase_run),
-    max_size=5).map(lambda runs: [s for run in runs for s in run])
+_CYCLE = ("descent", "stance", "ascent")
 
 
-def _traj_bytes(tmp_path, samples):
-    """(written, reference) bytes of trajectory.csv for samples."""
-    harness.write_trajectory_csv(HybridTrajectory(samples),
-                                 tmp_path / "new.csv")
-    reference_write_csv(tmp_path / "ref.csv", TrajectorySample._fields,
-                        samples)
-    return ((tmp_path / "new.csv").read_bytes(),
-            (tmp_path / "ref.csv").read_bytes())
+@st.composite
+def _trajectory_runs(draw):
+    """Up to 5 consecutive phase runs of samples, as in trajectory.csv. In
+    three lists in four the phases follow the cycle from any phase; in
+    the fourth they come in any order, and adjacent runs of one phase
+    make one run."""
+    if draw(st.sampled_from((True,) * 3 + (False,))):
+        start = draw(st.integers(0, 2))
+        phases = [_CYCLE[(start + i) % 3] for i in range(5)]
+    else:
+        phases = draw(st.lists(st.sampled_from(_CYCLE), min_size=5,
+                               max_size=5))
+    n_runs = draw(st.integers(0, 5))
+    return [s for phase in phases[:n_runs] for s in draw(_phase_run(phase))]
+
+
+_TRAJECTORY_RUNS = _trajectory_runs()
+
+
+def _traj_bytes(out, samples):
+    """The bytes that harness.write_trajectory_csv writes for samples into
+    the directory out, checked against HybridTrajectory.validate: where
+    validate accepts the samples, they are the reference writer's bytes;
+    where validate raises a ValueError, the writer raises the same one
+    and writes no file, and that error is returned instead."""
+    traj, path = HybridTrajectory(samples), out / "new.csv"
+    try:
+        traj.validate()
+    except ValueError as err:
+        with pytest.raises(ValueError) as written:
+            harness.write_trajectory_csv(traj, path)
+        assert (type(written.value), str(written.value)) == (
+            ValueError, str(err))
+        assert not path.exists()
+        return err
+    harness.write_trajectory_csv(traj, path)
+    reference_write_csv(out / "ref.csv", TrajectorySample._fields, samples)
+    assert path.read_bytes() == (out / "ref.csv").read_bytes()
+    return path.read_bytes()
 
 
 def _flight(phase, t, v):
@@ -592,21 +622,6 @@ def _flight(phase, t, v):
 def _stance(t, v):
     """A stance sample at time t whose other cells are v."""
     return _sample("stance", (t,) + (v,) * 9)
-
-
-def _spy_row_path(monkeypatch):
-    """The list of samples that write_trajectory_csv hands to
-    harness._csv_lines, its row-by-row path, from now on."""
-    rows = []
-    real = harness._csv_lines
-
-    def spy(lines):
-        lines = list(lines)
-        rows.extend(r for r in lines if isinstance(r, TrajectorySample))
-        return real(lines)
-
-    monkeypatch.setattr(harness, "_csv_lines", spy)
-    return rows
 
 
 class TestCsvWriter:
@@ -635,75 +650,80 @@ class TestCsvWriter:
                            None))])
     def test_trajectory_runs_match_the_reference_writer(
             self, tmp_path_factory, samples):
-        new, ref = _traj_bytes(tmp_path_factory.mktemp("traj"), samples)
-        assert new == ref
+        # the writer writes exactly the sample lists that validate accepts
+        _traj_bytes(tmp_path_factory.mktemp("traj"), samples)
 
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, -0.0,
                                    5e-324, 1e300, -1e300])
-    def test_trajectory_special_floats_in_one_row_runs(self, tmp_path,
-                                                       monkeypatch, v):
+    def test_trajectory_special_floats_in_one_row_runs(self, tmp_path, v):
         # one-row runs of a hop and the next hop's descent (an ascent to
-        # descent boundary), every float cell v: a run that shows a NaN
-        # is written row by row, the others with one % per run
-        row_by_row = _spy_row_path(monkeypatch)
+        # descent boundary), every float cell v: a NaN is written empty,
+        # but a NaN launch speed breaks the flight layout
         samples = [_flight("descent", 0.0, v), _stance(1.0, v),
                    _flight("ascent", 2.0, v), _flight("descent", 3.0, v)]
-        new, ref = _traj_bytes(tmp_path, samples)
-        assert new == ref
-        assert row_by_row == (samples if v != v else [])
+        written = _traj_bytes(tmp_path, samples)
+        assert isinstance(written, bytes) == (v == v)
+        (tmp_path / "speed").mkdir()
+        samples = [s._replace(x_dot=1.5) if s.phase != "stance" else s
+                   for s in samples]
+        assert isinstance(_traj_bytes(tmp_path / "speed", samples), bytes)
 
     def test_empty_trajectory_writes_the_header(self, tmp_path):
-        new, ref = _traj_bytes(tmp_path, [])
-        assert new == ref == (
+        assert _traj_bytes(tmp_path, []) == (
             b"t,phase,r,r_dot,theta,theta_dot,x,y,x_dot,y_dot,tau\r\n")
 
     @pytest.mark.parametrize("field", ["r", "r_dot", "theta", "theta_dot",
                                        "tau"])
-    def test_flight_sample_with_a_leg_value_is_written_row_by_row(
-            self, tmp_path, monkeypatch, field):
-        # never dropped: its run is written row by row, the value shown
-        row_by_row = _spy_row_path(monkeypatch)
+    def test_flight_sample_with_a_leg_value_is_rejected(self, tmp_path,
+                                                         field):
         odd = _flight("ascent", 0.001, 1.5)._replace(**{field: 0.25})
         samples = [_stance(0.0, 2.0), _flight("ascent", 0.0005, 1.5), odd,
                    _flight("ascent", 0.002, 1.5)]
-        new, ref = _traj_bytes(tmp_path, samples)
-        assert new == ref
-        assert new.count(b"0.25") == 1
-        assert row_by_row == samples[1:]
+        err = _traj_bytes(tmp_path, samples)
+        assert str(err) == "ascent run at t = 0.0005 breaks its phase's layout"
 
-    def test_stance_sample_without_tau_is_written_row_by_row(
-            self, tmp_path, monkeypatch):
-        row_by_row = _spy_row_path(monkeypatch)
+    def test_stance_sample_without_tau_is_rejected(self, tmp_path):
         samples = [_flight("descent", 0.0, 1.5), _stance(0.001, 2.0),
                    _stance(0.002, 2.0)._replace(tau=None)]
-        new, ref = _traj_bytes(tmp_path, samples)
-        assert new == ref
-        assert new.endswith(b"\r\n0.002,stance,2,2,2,2,2,2,2,2,\r\n")
-        assert row_by_row == samples[1:]
+        err = _traj_bytes(tmp_path, samples)
+        assert str(err) == "stance run at t = 0.001 breaks its phase's layout"
 
-    @pytest.mark.parametrize("speeds, one_format", [
+    @pytest.mark.parametrize("cell", ["2.0", 2j])
+    def test_float_cell_that_percent_g_cannot_write_is_rejected(
+            self, tmp_path, cell):
+        samples = [_stance(0.0, 2.0), _flight("ascent", 0.001, 1.5),
+                   _flight("ascent", 0.002, 1.5)._replace(y=cell)]
+        err = _traj_bytes(tmp_path, samples)
+        assert str(err) == "ascent run at t = 0.001 breaks its phase's layout"
+
+    def test_stance_run_then_descent_is_rejected(self, tmp_path):
+        samples = [_stance(0.0, 2.0), _flight("descent", 0.001, 1.5)]
+        err = _traj_bytes(tmp_path, samples)
+        assert str(err) == ("phase 'stance' -> 'descent' breaks the "
+                            "descent->stance->ascent cycle")
+
+    @pytest.mark.parametrize("speeds, accepted", [
         ((0.0, -0.0, 0.0), False),  # equal, but written 0 and -0
         ((-0.0,) * 3, True),
         ((math.nan,) * 3, False),  # one object: count finds it in each row
         ((1.5, 1.5, 2.5), False),
         ((2, 2, 2), False),  # an int speed
     ])
-    def test_flight_run_launch_speed(self, tmp_path, monkeypatch, speeds,
-                                     one_format):
-        # a flight run's x_dot is written as one literal only where every
-        # row would print it the same
-        row_by_row = _spy_row_path(monkeypatch)
+    def test_flight_run_launch_speed(self, tmp_path, speeds, accepted):
+        # a flight run holds one float launch speed, which every row
+        # prints the same
         samples = [_flight("descent", 0.001 * i, 1.25)._replace(x_dot=v)
                    for i, v in enumerate(speeds)]
-        new, ref = _traj_bytes(tmp_path, samples)
-        assert new == ref
-        assert row_by_row == ([] if one_format else samples)
+        written = _traj_bytes(tmp_path, samples)
+        if accepted:
+            assert written.count(b",-0,") == 3
+        else:
+            assert str(written) == ("descent run at t = 0.0 breaks its "
+                                    "phase's layout")
 
-    def test_recorded_runs_take_one_format_each(self, params, tmp_path,
-                                                monkeypatch):
-        # every phase run the recorder writes is in its phase's layout,
-        # and each flight run holds one launch speed, so no run is
-        # written row by row
+    def test_recorded_runs_take_one_format_each(self, params, tmp_path):
+        # every phase run the recorder writes keeps its phase's layout,
+        # and each flight run holds one launch speed
         report = run_single(ApexState(1.5, 0.24),
                             ControlInputs(p_bar=-1.0, k_theta=0.5), params,
                             n_hops=2)
@@ -713,9 +733,8 @@ class TestCsvWriter:
         assert [phase for phase, _ in runs] == [
             "descent", "stance", "ascent"] * 2
         assert min(len(run) for _, run in runs) > 1
-        row_by_row = _spy_row_path(monkeypatch)
-        harness.write_trajectory_csv(report.trajectory, tmp_path / "t.csv")
-        assert row_by_row == []
+        assert isinstance(_traj_bytes(tmp_path, report.trajectory.samples),
+                          bytes)
 
     @pytest.mark.parametrize("cell", [True, False])
     def test_bool_cell_raises(self, tmp_path, cell):

@@ -19,10 +19,10 @@ numerics, control, simulate, analytic and fixedpoint. The stance kernel
 (sliphop.stance) loads with the first stance integration and the hop
 recorder (sliphop.trajectory) with the first recorded hop. The batch
 front end's names (SweepConfig, SweepReport, run_single, run_sweep,
-simulator_return_map, solve_point, write_trajectory_csv) load
-sliphop.harness on first use, and the trajectory records
-(HybridTrajectory, TrajectorySample, TrajectoryEvent) sliphop.trajectory;
-_LAZY maps each such name to its module.
+simulator_return_map, solve_point) load sliphop.harness on first use,
+and the trajectory records (HybridTrajectory, TrajectorySample,
+TrajectoryEvent) and their writer (write_trajectory_csv)
+sliphop.trajectory; _LAZY maps each such name to its module.
 """
 
 from .errors import (DegenerateQuadratic, DescendingAtLiftoff, FailedLiftoff,
@@ -49,10 +49,10 @@ __version__ = "0.1.0"
 # name -> the submodule that owns it, imported on first use
 _LAZY = {
     **dict.fromkeys(("SweepConfig", "SweepReport", "run_single", "run_sweep",
-                     "simulator_return_map", "solve_point",
-                     "write_trajectory_csv"), "harness"),
+                     "simulator_return_map", "solve_point"), "harness"),
     **dict.fromkeys(("HybridTrajectory", "TrajectorySample",
-                     "TrajectoryEvent"), "trajectory"),
+                     "TrajectoryEvent", "write_trajectory_csv"),
+                    "trajectory"),
 }
 
 

@@ -1,5 +1,5 @@
-"""Batch front end: fixed-point dispatch, grid sweeps, single runs, and
-every output writer.
+"""Batch front end: fixed-point dispatch, grid sweeps, single runs and
+their output files.
 
 solve_point is the one place that maps a pipeline name to its solver,
 return map and tolerance; the sweep and the CLI both call it. A sweep
@@ -9,26 +9,24 @@ phase-tagged failures, and aggregates the apex speed and height errors
 of each pipeline against each costlier one (RMS and percent RMS).
 
 Output files are deterministic: fixed column order, fixed grid order.
-Every CSV row is formatted by _csv_lines with the % string of its cell
-types (9-significant-digit floats, "" for None and NaN, CRLF line
-ends), except in trajectory.csv: there a sample's phase fixes its
-layout (trajectory.phase_runs), so write_trajectory_csv formats each
-phase run with one % of the phase's row format, which takes the float
-cells alone; a flight run's one launch speed x_dot is literal text of
-that format. A trajectory that validate() rejects writes nothing.
-Every JSON document, the CLI's included, goes through to_json. A
-trajectory.csv row is a TrajectorySample and a hops.csv row a
-HopSummary, whose fields are the columns; the JSON objects of
-parameters, control inputs and apex states are their dataclass fields.
+Every table (sweep.csv, errors.csv, hops.csv) goes through _write_csv,
+whose one cell rule writes each cell by its type's % conversion
+(9-significant-digit floats, "" for None and NaN, CRLF line ends);
+trajectory.csv is written by sliphop.trajectory.write_trajectory_csv,
+next to the samples' layout rule. Every JSON document, the CLI's
+included, goes through to_json. A hops.csv row is a HopSummary, whose
+fields are the columns; the JSON objects of parameters, control inputs
+and apex states are their dataclass fields.
 
 `import sliphop` does not load this module: the package's batch names
 (SweepConfig, run_sweep, ...) import it on first use, so a fresh
 process that only evaluates maps or solves fixed points compiles none
-of it. Importing it loads the hop recorder (sliphop.trajectory), whose
-records run_single and write_trajectory_csv handle, but no process pool
-and no statistics module: run_sweep imports the pool only when it runs
-more than one worker, and the stance kernel loads with the first
-stance integration.
+of it. Importing it loads the hop recorder (sliphop.trajectory): run_single
+builds its records, and write_single_outputs calls its
+write_trajectory_csv through this module's global of that name. It loads
+no process pool and no statistics module: run_sweep imports the pool
+only when it runs more than one worker, and the stance kernel loads with
+the first stance integration.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .errors import SlipError
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
 from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, check_steps,
                        return_map_numeric)
-from .trajectory import HybridTrajectory, TrajectorySample, phase_runs
+from .trajectory import HybridTrajectory, write_trajectory_csv
 
 ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
 SIM_TOL = 1e-10
@@ -423,42 +421,17 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
 _CELL_FORMATS = {float: "%.9g", int: "%d", str: "%s", type(None): "%.0s"}
 
 
-def _plain(v):
-    """A NaN cell as None."""
-    return None if v != v else v
-
-
-def _csv_lines(rows):
-    """Each row (a tuple) as one % format of its cells: floats to 9
-    significant digits, None and NaN empty, lines ended by CRLF.
-
-    The format of a row is cached by its cell types; a cell of any other
-    type (a bool, say) raises KeyError. A row whose text shows a NaN
-    ("nan") is formatted again from its _plain cells. Cells are not
-    quoted, so no string cell may hold a comma, a quote or a line break.
-    """
-    formats = {}
-
-    def format_of(row) -> str:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(map(_CELL_FORMATS.__getitem__,
-                                                types)) + "\r\n"
-        return fmt
-
-    for row in rows:
-        text = format_of(row) % row
-        if "nan" in text:
-            row = tuple(map(_plain, row))
-            text = format_of(row) % row
-        yield text
-
-
 def _write_csv(path, header, rows) -> None:
-    """Write the header, then the rows, as _csv_lines formats them."""
+    """Write the header, then the rows: each cell by its type's %
+    conversion (floats to 9 significant digits, None and NaN empty),
+    lines ended by CRLF. A cell of any other type (a bool, say) raises
+    KeyError. Cells are not quoted, so no string cell may hold a comma,
+    a quote or a line break."""
+    text = "".join([",".join(["" if v != v else _CELL_FORMATS[type(v)] % v
+                              for v in row]) + "\r\n"
+                    for row in chain([header], rows)])
     with open(path, "w", newline="") as fh:
-        fh.writelines(_csv_lines(chain([header], rows)))
+        fh.write(text)
 
 
 def to_json(doc) -> str:
@@ -474,36 +447,6 @@ def _result_cells(r: fp.FixedPointResult | None) -> tuple:
     stable = (None if r.spectral_radius != r.spectral_radius
               else "true" if r.stable else "false")
     return (r.apex.x_dot, r.apex.y, r.spectral_radius, stable, r.residual)
-
-
-_STANCE_ROW = "%.9g,stance" + ",%.9g" * 9 + "\r\n"
-
-
-def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
-    """Write the 1 kHz sample rows; 9 significant digits, '.' decimal,
-    NaN empty. trajectory.phase_runs checks the samples, as validate()
-    does, before the file is opened: a trajectory that breaks the rule
-    raises validate()'s ValueError and writes nothing. Each phase run is
-    one % of its phase's row format, which takes the float cells alone;
-    the phase, flight's empty cells and a flight run's launch speed are
-    literal text, so "nan" shows only in a NaN cell, written empty. An
-    int or a bool in a float cell is written as %.9g writes it."""
-    texts = []
-    for phase, (t, _, *leg, x, y, x_dot, y_dot, tau) in phase_runs(
-            traj.samples):
-        if phase == "stance":
-            fmt, floats = _STANCE_ROW, (t, *leg, x, y, x_dot, y_dot, tau)
-        else:
-            fmt = f"%.9g,{phase},,,,,%.9g,%.9g,{x_dot[0]:.9g},%.9g,\r\n"
-            floats = t, x, y, y_dot
-        n, k = len(t), len(floats)
-        cells = [None] * (k * n)
-        for i, col in enumerate(floats):
-            cells[i::k] = col
-        texts.append((fmt * n % tuple(cells)).replace("nan", ""))
-    with open(path, "w", newline="") as fh:
-        fh.writelines(_csv_lines([TrajectorySample._fields]))
-        fh.writelines(texts)
 
 
 def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:

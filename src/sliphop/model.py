@@ -158,7 +158,8 @@ class ControlInputs:
              integral once per tick (no factor control_dt), so the
              integral gain per second is ki/control_dt, and a finer
              hold also raises it
-    tau_max  hip torque saturation (N*m), None for unlimited
+    tau_max  hip torque saturation (N*m), > 0 and finite, or None
+             for unlimited
     """
 
     p_bar: float
@@ -178,9 +179,10 @@ class ControlInputs:
                            ValueError)
         if not 0.0 <= self.k_theta <= 1.0:
             raise ValueError(f"k_theta must be in [0, 1], got {self.k_theta}")
-        if self.tau_max is not None and not self.tau_max > 0.0:
-            raise ValueError(f"tau_max must be > 0 when set, got {self.tau_max}")
         if self.tau_max is not None:
+            if not 0.0 < self.tau_max < math.inf:
+                raise ValueError("tau_max must be > 0 and finite when set "
+                                 f"(None for unlimited), got {self.tau_max}")
             object.__setattr__(self, "tau_max", float(self.tau_max))
 
 

@@ -8,8 +8,13 @@ the events carry the states the hop passed through. A trajectory.csv
 row is a TrajectorySample.
 
 phase_runs, the samples' one layout rule, checks each phase run and
-yields it transposed; HybridTrajectory.validate and
-harness.write_trajectory_csv both run it.
+yields its float columns; HybridTrajectory.validate and
+write_trajectory_csv both run it, so this is the one module that knows
+a sample's columns. The writer formats each run with one % of the row
+format its phase fixes, taking the float cells alone: the phase,
+flight's empty cells and a flight run's launch speed are literal text,
+so "nan" shows only in a NaN float cell, and only a run whose float sum
+is NaN is searched for it, to write it empty.
 
 simulate.return_map_numeric imports this module the first time it
 records a hop, so a process that never records compiles none of it.
@@ -57,14 +62,16 @@ _PHASE_NEXT = {"descent": "stance", "stance": "ascent", "ascent": "descent"}
 
 
 def phase_runs(samples):
-    """Each phase run of samples as (phase, columns), its columns in
-    TrajectorySample's order, once the run is checked: its phase is one
-    of the cycle's and follows the previous run's, its float cells are
-    real numbers (float() of their sum raises no TypeError; NaN and
-    infinities are numbers), and in flight its leg-state and tau
-    columns are all None and x_dot holds one float launch speed, not
-    NaN, zeros of one sign. Raises ValueError naming the first run that
-    breaks this rule."""
+    """Each phase run of samples as (phase, launch_speed, floats, total),
+    once the run is checked: its phase is one of the cycle's and follows
+    the previous run's, its float cells are real numbers (float() of
+    their sum raises no TypeError; NaN and infinities are numbers), and
+    in flight its leg-state and tau columns are all None and x_dot holds
+    one float launch speed, not NaN, zeros of one sign. floats are the
+    run's float columns in row order, launch_speed is the flight run's
+    one x_dot (None in stance) and total is float() of the floats' sum,
+    NaN where a cell is NaN or infinities of both signs meet. Raises
+    ValueError naming the first run that breaks this rule."""
     prev = None
     for phase, run in groupby(samples, itemgetter(1)):
         columns = tuple(zip(*run))
@@ -76,7 +83,7 @@ def phase_runs(samples):
                              "descent->stance->ascent cycle")
         prev, n, v = phase, len(t), x_dot[0]
         if phase == "stance":
-            floats = columns[:1] + columns[2:]
+            v, floats = None, columns[:1] + columns[2:]
         # count matches by identity first and 0.0 == -0.0, so a NaN and
         # the signs of a zero speed are checked apart
         elif (any(col.count(None) < n for col in columns[2:6] + columns[10:])
@@ -87,11 +94,35 @@ def phase_runs(samples):
         else:
             floats = t, *columns[6:8], columns[9]  # t, x, y, y_dot
         try:
-            float(sum(map(sum, floats)))
+            total = float(sum(map(sum, floats)))
         except TypeError:
             raise ValueError(f"{phase} run at t = {t[0]} breaks its "
                              "phase's layout") from None
-        yield phase, columns
+        yield phase, v, floats, total
+
+
+_HEADER = ",".join(TrajectorySample._fields) + "\r\n"
+_STANCE_ROW = "%.9g,stance" + ",%.9g" * 9 + "\r\n"
+
+
+def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
+    """Write the 1 kHz sample rows; 9 significant digits, '.' decimal,
+    NaN empty, lines ended by CRLF. phase_runs checks the samples, as
+    validate() does, before the file is opened: a trajectory that breaks
+    the rule raises validate()'s ValueError and writes nothing. An int
+    or a bool in a float cell is written as %.9g writes it."""
+    texts = [_HEADER]
+    for phase, speed, floats, total in phase_runs(traj.samples):
+        fmt = (_STANCE_ROW if speed is None else
+               f"%.9g,{phase},,,,,%.9g,%.9g,{speed:.9g},%.9g,\r\n")
+        n, k = len(floats[0]), len(floats)
+        cells = [None] * (k * n)
+        for i, col in enumerate(floats):
+            cells[i::k] = col
+        text = fmt * n % tuple(cells)
+        texts.append(text if total == total else text.replace("nan", ""))
+    with open(path, "w", newline="") as fh:
+        fh.writelines(texts)
 
 
 @dataclass

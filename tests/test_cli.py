@@ -251,6 +251,19 @@ def test_control_dt_not_a_multiple_of_dt_runs_nothing(argv, ratio, tmp_path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "single"])
+def test_infinite_tau_max_runs_nothing(command, calls, tmp_path, capsys):
+    # "none" and "inf" mean unlimited; a value that overflows to inf
+    # would reach report.json or single.json as Infinity, which is not JSON
+    out_dir = tmp_path / "out"
+    rc = cli.main([command, "--tau-max", "1e400", "--out", str(out_dir)])
+    assert calls == []
+    assert (rc, *capsys.readouterr()) == (
+        2, "", "config error: tau_max must be > 0 and finite when set "
+        "(None for unlimited), got inf\n")
+    assert not out_dir.exists()
+
+
 def test_touchdown_past_horizontal_is_a_failed_cell(tmp_path, capsys):
     # the closed form's Q+ touchdown angle is 22.6 rad at this point
     rc = cli.main(["sweep", "--p-bar-min", "-2.0", "--p-bar-max", "-2.0",

@@ -24,7 +24,8 @@ from sliphop import (ApexState, ControlInputs, InvalidState, SlipError,
 from sliphop.cli import main, parse_config_file
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
-from sliphop.trajectory import HybridTrajectory, TrajectorySample
+from sliphop.trajectory import (HybridTrajectory, TrajectorySample,
+                                phase_runs)
 
 from _oracles import _write_csv as reference_write_csv
 
@@ -72,6 +73,7 @@ class TestSweepConfig:
         ("p_bar_range", (-1.0, math.nan, 2), "p_bar must be finite"),
         ("p_bar_range", (-math.inf, -0.5, 2), "p_bar must be finite"),
         ("tau_max", 0.0, "tau_max must be > 0"),
+        ("tau_max", math.inf, "^tau_max must be > 0 and finite"),
         ("dt", 0.0, "^dt must be finite and > 0"),
         ("dt", math.nan, "^dt must be finite and > 0"),
         ("control_dt", -1e-4, "^control_dt must be finite and > 0"),
@@ -593,7 +595,7 @@ _TRAJECTORY_RUNS = _trajectory_runs()
 
 
 def _traj_bytes(out, samples):
-    """The bytes that harness.write_trajectory_csv writes for samples into
+    """The bytes that write_trajectory_csv writes for samples into
     the directory out, checked against HybridTrajectory.validate: where
     validate accepts the samples, they are the reference writer's bytes;
     where validate raises a ValueError, the writer raises the same one
@@ -625,8 +627,9 @@ def _stance(t, v):
 
 
 class TestCsvWriter:
-    """harness._write_csv and harness.write_trajectory_csv against the
-    reference writer, one _fmt call per cell through csv.writer."""
+    """harness._write_csv and trajectory.write_trajectory_csv (which
+    harness names as its own) against the reference writer, one _fmt
+    call per cell through csv.writer."""
 
     @given(header=st.lists(_CSV_STRINGS, min_size=2, max_size=12).map(tuple),
            rows=st.lists(_CSV_ROWS, max_size=20))
@@ -723,7 +726,8 @@ class TestCsvWriter:
 
     def test_recorded_runs_take_one_format_each(self, params, tmp_path):
         # every phase run the recorder writes keeps its phase's layout,
-        # and each flight run holds one launch speed
+        # each flight run holds one launch speed, and no run's float sum
+        # is NaN, so no run's text is searched for "nan"
         report = run_single(ApexState(1.5, 0.24),
                             ControlInputs(p_bar=-1.0, k_theta=0.5), params,
                             n_hops=2)
@@ -733,8 +737,35 @@ class TestCsvWriter:
         assert [phase for phase, _ in runs] == [
             "descent", "stance", "ascent"] * 2
         assert min(len(run) for _, run in runs) > 1
+        assert [(phase, speed is None, math.isfinite(total))
+                for phase, speed, _, total in phase_runs(
+                    report.trajectory.samples)] == [
+            ("descent", False, True), ("stance", True, True),
+            ("ascent", False, True)] * 2
         assert isinstance(_traj_bytes(tmp_path, report.trajectory.samples),
                           bytes)
+
+    def test_infinities_of_both_signs_blank_nothing(self, tmp_path):
+        # the run's float sum is NaN, but it holds no NaN cell to blank
+        samples = [_stance(0.0, 2.0)._replace(r=math.inf, tau=-math.inf),
+                   _stance(0.001, 2.0)]
+        [(phase, speed, floats, total)] = phase_runs(samples)
+        assert (phase, speed, len(floats), total != total) == (
+            "stance", None, 10, True)
+        assert _traj_bytes(tmp_path, samples).splitlines()[1:] == [
+            b"0,stance,inf,2,2,2,2,2,2,2,-inf",
+            b"0.001,stance,2,2,2,2,2,2,2,2,2"]
+
+    @pytest.mark.parametrize("sample, row", [
+        (_stance(0.0, 2.0)._replace(r=math.nan, r_dot=math.inf),
+         b"0,stance,,inf,2,2,2,2,2,2,2"),
+        (_flight("ascent", 0.0, 2.0)._replace(x=-math.inf, y=math.nan,
+                                              x_dot=1.5),
+         b"0,ascent,,,,,-inf,,1.5,2,"),
+    ])
+    def test_nan_next_to_an_infinity_is_blanked(self, tmp_path, sample,
+                                                row):
+        assert _traj_bytes(tmp_path, [sample]).splitlines()[1:] == [row]
 
     @pytest.mark.parametrize("cell", [True, False])
     def test_bool_cell_raises(self, tmp_path, cell):
@@ -772,18 +803,15 @@ class TestCsvWriter:
             assert (tmp_path / "new.csv").read_bytes() == (
                 tmp_path / "ref.csv").read_bytes(), (inputs, k_theta_step)
 
-    def test_converged_rows_are_formatted_once(self, params, tmp_path,
-                                               monkeypatch):
+    def test_converged_rows_are_formatted_once(self, params, tmp_path):
+        # each cell of a converged row by its type's % conversion: the
+        # stable flag a string, the residual a float
         report = run_sweep(SweepConfig(
             params=params, p_bar_range=(-1.2, -0.8, 2),
             k_theta_range=(0.4, 0.6, 2),
             pipelines=(CLOSED_FORM, ANALYTIC_NUMERIC)))
         assert all(o.status == "converged" for o in report.outcomes)
-        plain = []
-        monkeypatch.setattr(harness, "_plain",
-                            lambda v: plain.append(v) or v)
         harness.write_sweep_outputs(report, tmp_path)
-        assert plain == []
         reference_write_csv(
             tmp_path / "ref.csv", _read_csv(tmp_path / "sweep.csv")[0],
             ((o.p_bar, o.k_theta, o.pipeline, o.result.apex.x_dot,

@@ -70,6 +70,14 @@ class TestControlInputs:
         with pytest.raises(ValueError):
             ControlInputs(p_bar=-1.0, k_theta=0.5, tau_max=math.nan)
 
+    def test_tau_max_finite(self):
+        # None means unlimited; an infinite tau_max would be written to
+        # report.json and single.json as Infinity, which is not JSON
+        with pytest.raises(ValueError, match="^tau_max must be > 0 and "
+                                             r"finite when set \(None for "
+                                             r"unlimited\), got inf$"):
+            ControlInputs(p_bar=-1.0, k_theta=0.5, tau_max=math.inf)
+
     @pytest.mark.parametrize("gain", ["kp", "ki", "kd"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_gains_finite(self, gain, value):

@@ -19,8 +19,9 @@ from sliphop.simulate import StanceSegment
 from sliphop.trajectory import TrajectoryEvent
 
 BATCH_NAMES = ("SweepConfig", "SweepReport", "run_single", "run_sweep",
-               "simulator_return_map", "solve_point", "write_trajectory_csv")
-TRAJECTORY_NAMES = ("HybridTrajectory", "TrajectorySample", "TrajectoryEvent")
+               "simulator_return_map", "solve_point")
+TRAJECTORY_NAMES = ("HybridTrajectory", "TrajectorySample", "TrajectoryEvent",
+                    "write_trajectory_csv")
 # each name the package loads on first use, and the module that owns it
 LAZY_NAMES = {**dict.fromkeys(BATCH_NAMES, harness),
               **dict.fromkeys(TRAJECTORY_NAMES, trajectory)}

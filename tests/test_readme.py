@@ -1,11 +1,13 @@
-"""The README's library quickstart runs as written, and its config block
-lists the CLI's keys with the library's defaults."""
+"""The README's library quickstart runs as written, its config block
+lists the CLI's keys with the library's defaults, and its Layout block
+names the package's modules."""
 
 import dataclasses
 import inspect
 import re
 from pathlib import Path
 
+import sliphop
 from sliphop import (ControlInputs, DEFAULT_PARAMS, SlipParams, SweepConfig,
                      cli, harness)
 from sliphop.harness import ALL_PIPELINES
@@ -64,3 +66,13 @@ def test_readme_config_block_matches_the_cli(tmp_path):
         assert parse[key](shown[key]) == want, key
     for key in ("k_theta_step_hop", "k_theta_step_value"):
         assert shown[key] == "", key
+
+
+def test_readme_layout_names_every_module():
+    section = README.read_text().split("## Layout\n", 1)[1]
+    [block] = re.findall(r"^```\n(.*?)^```$", section,
+                         re.MULTILINE | re.DOTALL)
+    shown = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
+    package = Path(sliphop.__file__).parent
+    modules = [p.name for p in package.glob("*.py") if p.name != "__init__.py"]
+    assert sorted(shown) == sorted(modules)

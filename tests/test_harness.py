@@ -73,7 +73,6 @@ class TestSweepConfig:
         ("p_bar_range", (-1.0, math.nan, 2), "p_bar must be finite"),
         ("p_bar_range", (-math.inf, -0.5, 2), "p_bar must be finite"),
         ("tau_max", 0.0, "tau_max must be > 0"),
-        ("tau_max", math.inf, "^tau_max must be > 0 and finite"),
         ("dt", 0.0, "^dt must be finite and > 0"),
         ("dt", math.nan, "^dt must be finite and > 0"),
         ("control_dt", -1e-4, "^control_dt must be finite and > 0"),
@@ -84,6 +83,7 @@ class TestSweepConfig:
          "^k_theta_range count must be an integer, got 2.0$"),
         ("p_bar_range", (-1.0, -0.5, 2.5),
          "^p_bar_range count must be an integer, got 2.5$"),
+        ("tau_max", math.inf, "^tau_max must be > 0 and finite"),
     ])
     def test_rejects_bad_grid_up_front(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -19,9 +19,10 @@ angle-of-attack approximation and the closed-form stance map, and
 return_map_analytic_jacobian is its exact Jacobian.
 
 The flow constants come in one form, a plain tuple of floats built by
-_flow_coeffs: the gait part (_gait_constants) depends only on
-(p_bar, params) and is computed once per gait behind a small bounded
-cache, and the touchdown part is computed per call. The flow (_flow),
+_flow_coeffs, the one reader of the gait part (_gait_constants): that
+part, the leg-force phase psi4 among it, depends only on (p_bar,
+params) and is computed once per gait behind a small bounded cache,
+and the touchdown part is computed per call. The flow (_flow),
 bottom_time and liftoff_time read that tuple; flow_liftoff, the
 closed-form stance map the analytic hop chain runs, the affine
 constants (simplified_map_constants) and the exact Jacobian all build
@@ -41,32 +42,19 @@ from .model import (ApexState, ControlInputs, SlipParams, StanceState,
 from .simulate import compose_return_map
 
 
-class _GaitConstants(NamedTuple):
-    """The flow constants that depend only on (p_bar, params), through
-    p_bar^2 alone: x_rate = p_bar / x_den * x_fac and
-    y_amp = 2*p_bar*m_amp / y_den take the sign of p_bar per call, so
-    the cache, which cannot tell -0.0 from 0.0, returns the same floats
-    for both. psi4 is the leg-force phase that liftoff_time takes."""
-
-    omega: float
-    zeta: float
-    omega_d: float
-    gamma: float
-    psi2: float
-    x_den: float
-    x_fac: float
-    y_den: float
-    m2_force: float
-    psi4: float
-
-
 # keeps 64 gaits (the default sweep has 20 p_bar values)
 @functools.lru_cache(maxsize=64)
-def _gait_constants(p_bar: float, params: SlipParams) -> _GaitConstants:
-    """The gait part of the flow constants, once per (p_bar, params).
+def _gait_constants(p_bar: float, params: SlipParams) -> tuple[float, ...]:
+    """The gait part of the flow constants, once per (p_bar, params), as
+    the tuple (omega, zeta, omega_d, gamma, psi2, x_den, x_fac, y_den,
+    m2_force, psi4), read only by _flow_coeffs.
 
-    Raises Overdamped when the damping ratio reaches 1 (an exception is
-    not cached, so every call raises it again).
+    They depend on p_bar through p_bar^2 alone: x_rate = p_bar / x_den
+    * x_fac and y_amp = 2*p_bar*m_amp / y_den take the sign of p_bar
+    per call, so the cache, which cannot tell -0.0 from 0.0, returns the
+    same floats for both. Raises Overdamped when the damping ratio
+    reaches 1 (an exception is not cached, so every call raises it
+    again).
     """
     m, k, bb, r_g = params.m, params.k, params.b, params.r_g
     omega = math.sqrt(k / m + 3.0 * p_bar * p_bar / (m * m * r_g ** 4))
@@ -83,14 +71,13 @@ def _gait_constants(p_bar: float, params: SlipParams) -> _GaitConstants:
     # where the liftoff-time formula is exact
     bw = bb * omega
     psi4 = math.atan2(bw * math.sqrt(1.0 - zeta ** 2), k - bw * zeta)
-    return _GaitConstants(
-        omega, zeta, omega_d, gamma, psi2, m * r_g * r_g,
-        3.0 - 2.0 * gamma / (r_g * omega * omega), m * r_g ** 3 * omega,
-        m2_force, psi4)
+    return (omega, zeta, omega_d, gamma, psi2, m * r_g * r_g,
+            3.0 - 2.0 * gamma / (r_g * omega * omega), m * r_g ** 3 * omega,
+            m2_force, psi4)
 
 
 def _flow_coeffs(r: float, r_dot: float, p_bar: float,
-                 gait: _GaitConstants) -> tuple[float, ...]:
+                 params: SlipParams) -> tuple[float, ...]:
     """The flow constants for a touchdown leg state (r, r_dot): the
     gait's, plus the touchdown part, as the tuple
 
@@ -105,14 +92,17 @@ def _flow_coeffs(r: float, r_dot: float, p_bar: float,
     x_rate   secular leg-angle drift rate
     y_amp    leg-angle oscillation amplitude
     m2_force leg-force amplitude sqrt(k^2 + b^2*omega^2 - 2*b*k*omega*cos(psi2))
+    psi4     leg-force phase: k - b*omega*e^{i*psi2} = m2_force*e^{i*psi4}
     """
-    omega, zeta, omega_d, gamma, psi2, x_den, x_fac, y_den, m2_force, _ = gait
+    (omega, zeta, omega_d, gamma, psi2, x_den, x_fac, y_den, m2_force,
+     psi4) = _gait_constants(p_bar, params)
     a = r - gamma / (omega * omega)
     b = (r_dot + zeta * omega * a) / omega_d
     m_amp = math.hypot(a, b)
     psi = math.atan2(-b, a)
     return (omega, zeta, omega_d, gamma, a, b, m_amp, psi, psi2,
-            p_bar / x_den * x_fac, 2.0 * p_bar * m_amp / y_den, m2_force)
+            p_bar / x_den * x_fac, 2.0 * p_bar * m_amp / y_den, m2_force,
+            psi4)
 
 
 def _flow(t: float, coeffs: tuple[float, ...],
@@ -124,7 +114,7 @@ def _flow(t: float, coeffs: tuple[float, ...],
         theta(t) = theta_td + X t
                    + Y (e^{-zw t} cos(wd t + psi - psi2) - cos(psi - psi2))
     """
-    w, zeta, wd, gamma, _, _, m_amp, psi, psi2, x_rate, y_amp, _ = coeffs
+    w, zeta, wd, gamma, _, _, m_amp, psi, psi2, x_rate, y_amp, _, _ = coeffs
     g_over_w2 = gamma / (w * w)
     e = math.exp(-zeta * w * t)
     c = math.cos(wd * t + psi)
@@ -137,12 +127,11 @@ def _flow(t: float, coeffs: tuple[float, ...],
 
 def bottom_time(coeffs: tuple[float, ...]) -> float:
     """First zero of the radial velocity: t_b = (pi/2 - psi - psi2)/omega_d."""
-    _, _, wd, _, _, _, _, psi, psi2, _, _, _ = coeffs
+    _, _, wd, _, _, _, _, psi, psi2, _, _, _, _ = coeffs
     return (0.5 * math.pi - psi - psi2) / wd
 
 
-def liftoff_time(coeffs: tuple[float, ...], params: SlipParams,
-                 psi4: float) -> float:
+def liftoff_time(coeffs: tuple[float, ...], params: SlipParams) -> float:
     """Approximate liftoff time: zero of the leg force on the closed flow.
 
     With t_b the bottom time and the decompression assumed to mirror the
@@ -151,14 +140,13 @@ def liftoff_time(coeffs: tuple[float, ...], params: SlipParams,
         t_lo = (2 pi - arccos(k (r0 w^2 - Gamma) / (M2 M w^2 e^{-2 zw t_b}))
                 - psi - psi4) / omega_d.
 
-    psi4 is the leg-force phase, _gait_constants(p_bar, params).psi4;
-    any other value should be validated against the bisection oracle
-    in tests/_oracles.py.
+    psi4 is the leg-force phase, carried in the flow constants and
+    computed once per gait.
     Raises NoLiftoffRoot when the arccos argument leaves [-1, 1],
     NonpositiveTime when the branch selection does not yield
     t_lo > t_b > 0.
     """
-    w, zeta, wd, gamma, _, _, m_amp, psi, _, _, _, m2_force = coeffs
+    w, zeta, wd, gamma, _, _, m_amp, psi, _, _, _, m2_force, psi4 = coeffs
     t_b = bottom_time(coeffs)
     decay = math.exp(-2.0 * zeta * w * t_b)
     arg = params.k * (params.r0 * w * w - gamma) \
@@ -183,9 +171,8 @@ def flow_liftoff(r: float, r_dot: float, theta: float, p_bar: float,
     model.check_touchdown_leg.
     """
     check_touchdown_leg(r, r_dot, params)
-    gait = _gait_constants(p_bar, params)
-    coeffs = _flow_coeffs(r, r_dot, p_bar, gait)
-    t_lo = liftoff_time(coeffs, params, gait.psi4)
+    coeffs = _flow_coeffs(r, r_dot, p_bar, params)
+    t_lo = liftoff_time(coeffs, params)
     r, r_dot, theta = _flow(t_lo, coeffs, theta)
     theta_dot = p_bar / (params.m * r * r)
     check_stance(r, r_dot, theta, theta_dot)
@@ -247,11 +234,10 @@ def simplified_map_constants(p_bar: float, k_theta: float,
     p_bar, k_theta = float(p_bar), float(k_theta)
     r_dot_nom = nominal_touchdown_r_dot(p_bar, k_theta, params)
     check_stance(params.r0, r_dot_nom, 0.0, 0.0)  # a finite nominal touchdown
-    gait = _gait_constants(p_bar, params)
-    coeffs = _flow_coeffs(params.r0, r_dot_nom, p_bar, gait)
-    t_lo = liftoff_time(coeffs, params, gait.psi4)
+    coeffs = _flow_coeffs(params.r0, r_dot_nom, p_bar, params)
+    t_lo = liftoff_time(coeffs, params)
 
-    w, zeta, wd, _, a, _, _, _, _, x_rate, _, _ = coeffs
+    w, zeta, wd, _, a, _, _, _, _, x_rate, _, _, _ = coeffs
     m, r_g = params.m, params.r_g
     s1 = math.sqrt(1.0 - zeta * zeta)
     e = math.exp(-zeta * w * t_lo)
@@ -352,10 +338,8 @@ def return_map_analytic_jacobian(apex: ApexState, inputs: ControlInputs,
         rd_y = c * yd_y - lat * th_y
         # stance: the flow at the liftoff time, and each quantity's
         # derivative in r_dot_td (suffix _d)
-        gait = _gait_constants(p_bar, params)
-        w, zeta, wd, gamma, psi2, _, _, _, m2_force, psi4 = gait
-        (_, _, _, _, a, b, amp, psi, _, x_rate, y_amp,
-         _) = _flow_coeffs(r0, r_dot, p_bar, gait)
+        (w, zeta, wd, gamma, a, b, amp, psi, psi2, x_rate, y_amp,
+         m2_force, psi4) = _flow_coeffs(r0, r_dot, p_bar, params)
         amp_d = b / (amp * wd) / amp  # relative: amp'/amp = y_amp'/y_amp
         psi_d = -a / (amp * amp * wd)
         zw = zeta * w

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, replace
@@ -66,11 +67,14 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _check_count(name: str, n, least: int = 1) -> None:
-    """Raise ValueError unless n is an integer, as range() takes, >= least."""
+    """Raise ValueError unless n is an integer, as range() takes, >= least
+    and <= sys.maxsize, the most items a list can hold."""
     if not hasattr(type(n), "__index__"):
         raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < least:
         raise ValueError(f"{name} must be >= {least}, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"{name} must be <= {sys.maxsize}, got {n}")
 
 
 @dataclass(frozen=True)

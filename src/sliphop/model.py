@@ -36,7 +36,12 @@ class StateCheckError(ValueError):
 
 def _require_finite(name: str, value: float,
                     error: type[ValueError] = ValueError) -> None:
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise error(f"{name} must be finite, got an int too large for a "
+                    "float") from None
+    if not finite:
         raise error(f"{name} must be finite, got {value!r}")
 
 
@@ -57,11 +62,11 @@ def _finite_floats(obj, names: tuple[str, ...],
 
 
 def _raise_nonfinite(names: tuple[str, ...], values: tuple) -> None:
-    """Raise StateCheckError naming the first non-finite value.
+    """Raise StateCheckError naming the first non-finite value, if any.
 
     The callers first test all values in one expression: 0.0 * x1 * ...
-    * xn == 0.0 holds only when none is NaN or infinite, and cannot
-    overflow.
+    * xn == 0.0 holds only when none is NaN or infinite, and overflows
+    only on an int too large for a float.
     """
     for name, value in zip(names, values):
         _require_finite(name, value, StateCheckError)
@@ -75,19 +80,25 @@ def check_stance(r: float, r_dot: float, theta: float,
                  theta_dot: float) -> None:
     """The checks of a StanceState on its fields: each finite
     (StateCheckError naming the first that is not), and r > 0."""
-    if not 0.0 * r * r_dot * theta * theta_dot == 0.0:
-        _raise_nonfinite(_STANCE_FIELDS, (r, r_dot, theta, theta_dot))
-    if r <= 0.0:
-        raise StateCheckError(f"r must be > 0, got {r}")
+    try:
+        if 0.0 * r * r_dot * theta * theta_dot == 0.0 and r > 0.0:
+            return
+    except OverflowError:  # an int too large for a float
+        pass
+    _raise_nonfinite(_STANCE_FIELDS, (r, r_dot, theta, theta_dot))
+    raise StateCheckError(f"r must be > 0, got {r}")
 
 
 def check_flight(x_dot: float, y: float, y_dot: float) -> None:
     """The checks of a flight state (x_dot, y, y_dot): each finite
     (StateCheckError naming the first that is not), and y > 0."""
-    if not 0.0 * x_dot * y * y_dot == 0.0:
-        _raise_nonfinite(_FLIGHT_FIELDS, (x_dot, y, y_dot))
-    if y <= 0.0:
-        raise StateCheckError(f"y must be > 0, got {y}")
+    try:
+        if 0.0 * x_dot * y * y_dot == 0.0 and y > 0.0:
+            return
+    except OverflowError:  # an int too large for a float
+        pass
+    _raise_nonfinite(_FLIGHT_FIELDS, (x_dot, y, y_dot))
+    raise StateCheckError(f"y must be > 0, got {y}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +194,7 @@ class ControlInputs:
             if not 0.0 < self.tau_max < math.inf:
                 raise ValueError("tau_max must be > 0 and finite when set "
                                  f"(None for unlimited), got {self.tau_max}")
-            object.__setattr__(self, "tau_max", float(self.tau_max))
+            _finite_floats(self, ("tau_max",), ValueError)
 
 
 @dataclass(frozen=True)

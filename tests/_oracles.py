@@ -135,10 +135,10 @@ def taylor_flow_oracle(td: StanceState, p_bar: float, params: SlipParams,
 # The package keeps the flow constants as a plain tuple
 # (analytic._flow_coeffs). flow_coeffs names its fields and stance_flow
 # gives the flow's StanceState at any time, both through the package's
-# own _gait_constants, _flow_coeffs and _flow, so the flow tests and
-# criterion 4 check the production flow against the RK4 oracle. Only
-# theta_dot, which the package reports from constant momentum instead,
-# is computed here, from the momentum expansion.
+# own _flow_coeffs and _flow, so the flow tests and criterion 4 check
+# the production flow against the RK4 oracle. Only theta_dot, which the
+# package reports from constant momentum instead, is computed here, from
+# the momentum expansion.
 
 class StanceFlowCoeffs(NamedTuple):
     """The tuple analytic._flow_coeffs returns, its fields by name (their
@@ -156,6 +156,7 @@ class StanceFlowCoeffs(NamedTuple):
     x_rate: float
     y_amp: float
     m2_force: float
+    psi4: float
 
 
 def flow_coeffs(td: StanceState, p_bar: float,
@@ -165,7 +166,7 @@ def flow_coeffs(td: StanceState, p_bar: float,
     Raises Overdamped when the damping ratio reaches 1.
     """
     return StanceFlowCoeffs._make(analytic._flow_coeffs(
-        td.r, td.r_dot, p_bar, analytic._gait_constants(p_bar, params)))
+        td.r, td.r_dot, p_bar, params))
 
 
 def _flow_theta_dot(t: float, coeffs: tuple[float, ...], p_bar: float,
@@ -173,7 +174,7 @@ def _flow_theta_dot(t: float, coeffs: tuple[float, ...], p_bar: float,
     """theta_dot of the closed-form flow at time t, from the momentum
     expansion. Not in analytic._flow because the package's stance map
     reports theta_dot from constant momentum instead."""
-    w, zeta, wd, gamma, _, _, m_amp, psi, _, _, _, _ = coeffs
+    w, zeta, wd, gamma, _, _, m_amp, psi, _, _, _, _, _ = coeffs
     e = math.exp(-zeta * w * t)
     c = math.cos(wd * t + psi)
     r_g = params.r_g
@@ -643,10 +644,12 @@ def reference_flow_coeffs(td: StanceState, p_bar: float,
     y_amp = 2.0 * p_bar * m_amp / (m * r_g ** 3 * omega)
     m2_force = math.sqrt(k * k + bb * bb * omega * omega
                          - 2.0 * bb * k * omega * math.cos(psi2))
+    bw = bb * omega
+    psi4 = math.atan2(bw * math.sqrt(1.0 - zeta ** 2), k - bw * zeta)
     return StanceFlowCoeffs(omega=omega, zeta=zeta, omega_d=omega_d,
                             gamma=gamma, a=a, b=b, m_amp=m_amp, psi=psi,
                             psi2=psi2, x_rate=x_rate, y_amp=y_amp,
-                            m2_force=m2_force)
+                            m2_force=m2_force, psi4=psi4)
 
 
 def reference_flow(t: float, coeffs: StanceFlowCoeffs, theta_td: float,
@@ -672,24 +675,16 @@ def _bottom_time(coeffs: StanceFlowCoeffs) -> float:
     return (0.5 * math.pi - coeffs.psi - coeffs.psi2) / coeffs.omega_d
 
 
-def _default_psi4(coeffs: StanceFlowCoeffs, params: SlipParams) -> float:
-    bw = params.b * coeffs.omega
-    return math.atan2(bw * math.sqrt(1.0 - coeffs.zeta ** 2),
-                      params.k - bw * coeffs.zeta)
-
-
-def reference_liftoff_time(coeffs: StanceFlowCoeffs, params: SlipParams,
-                           psi4: float | None = None) -> float:
+def reference_liftoff_time(coeffs: StanceFlowCoeffs,
+                           params: SlipParams) -> float:
     w, zeta, wd = coeffs.omega, coeffs.zeta, coeffs.omega_d
     t_b = _bottom_time(coeffs)
-    if psi4 is None:
-        psi4 = _default_psi4(coeffs, params)
     decay = math.exp(-2.0 * zeta * w * t_b)
     arg = params.k * (params.r0 * w * w - coeffs.gamma) \
         / (coeffs.m2_force * coeffs.m_amp * w * w * decay)
     if not -1.0 <= arg <= 1.0:
         raise NoLiftoffRoot(f"arccos argument {arg:.4f} outside [-1, 1]")
-    t_lo = (2.0 * math.pi - math.acos(arg) - coeffs.psi - psi4) / wd
+    t_lo = (2.0 * math.pi - math.acos(arg) - coeffs.psi - coeffs.psi4) / wd
     if not t_lo > t_b > 0.0:
         raise NonpositiveTime(
             f"branch selection gave t_lo = {t_lo:.3e}, t_b = {t_b:.3e}")

@@ -8,8 +8,7 @@ from sliphop import (ApexState, ControlInputs, NoLiftoffRoot, Overdamped,
                      closed_form_fixed_point, integrate_stance, liftoff_time,
                      return_map_analytic, simplified_map_constants,
                      simplified_stance_map, solve_point)
-from sliphop.analytic import (_gait_constants, flow_liftoff,
-                              nominal_touchdown_r_dot,
+from sliphop.analytic import (flow_liftoff, nominal_touchdown_r_dot,
                               return_map_analytic_jacobian)
 from sliphop.fixedpoint import ANALYTIC_NUMERIC
 from sliphop.harness import SweepConfig
@@ -24,12 +23,6 @@ GRID_K_THETA = (0.3, 0.5, 0.75)
 
 def _td(r_dot=-1.8, theta=0.35, theta_dot=-0.5):
     return StanceState(r=0.2, r_dot=r_dot, theta=theta, theta_dot=theta_dot)
-
-
-def _liftoff_time(c, p_bar, params):
-    """liftoff_time at the gait's leg-force phase, as the stance map
-    calls it."""
-    return liftoff_time(c, params, _gait_constants(p_bar, params).psi4)
 
 
 class TestFlowCoeffs:
@@ -173,7 +166,7 @@ class TestLiftoffTime:
     def test_undamped_formula_is_exact(self, undamped_params):
         td = StanceState(r=0.2, r_dot=-3.0, theta=0.0, theta_dot=0.0)
         c = flow_coeffs(td, 0.0, undamped_params)
-        t_lo = _liftoff_time(c, 0.0, undamped_params)
+        t_lo = liftoff_time(c, undamped_params)
         t_oracle = liftoff_time_bisect(c, undamped_params)
         assert t_lo == pytest.approx(t_oracle, abs=1e-9)
         # fast compression limit: half period of the vertical spring
@@ -186,7 +179,7 @@ class TestLiftoffTime:
                 c = flow_coeffs(StanceState(r=0.2, r_dot=r_dot, theta=0.0,
                                             theta_dot=0.0), p_bar, params)
                 t_b = bottom_time(c)
-                t_lo = _liftoff_time(c, p_bar, params)
+                t_lo = liftoff_time(c, params)
                 assert 0.0 < t_b < t_lo
 
     def test_against_bisection_oracle_over_grid(self, params):
@@ -196,7 +189,7 @@ class TestLiftoffTime:
                 r_dot = nominal_touchdown_r_dot(p_bar, k_theta, params)
                 c = flow_coeffs(StanceState(r=0.2, r_dot=r_dot, theta=0.0,
                                             theta_dot=0.0), p_bar, params)
-                worst = max(worst, abs(_liftoff_time(c, p_bar, params)
+                worst = max(worst, abs(liftoff_time(c, params)
                                        - liftoff_time_bisect(c, params)))
         # only error source: exp(-zw*t_lo) ~ exp(-2zw*t_b) symmetry
         assert worst <= 5e-4
@@ -206,23 +199,22 @@ class TestLiftoffTime:
         td = _td()
         c = flow_coeffs(td, -1.0, params)
         t_oracle = liftoff_time_bisect(c, params)
-        t_derived = _liftoff_time(c, -1.0, params)
-        t_psi2 = liftoff_time(c, params, psi4=c.psi2)
+        t_derived = liftoff_time(c, params)
+        t_psi2 = liftoff_time(c._replace(psi4=c.psi2), params)
         assert abs(t_derived - t_oracle) < 1e-4
         assert abs(t_psi2 - t_oracle) > 1e-2
 
     def test_derived_phase_small_damping_limit(self, params):
         td = _td()
         c = flow_coeffs(td, -1.0, params)
-        psi4 = _gait_constants(-1.0, params).psi4
         approx = params.b * c.omega / params.k  # first order in b
-        assert psi4 == pytest.approx(approx, rel=0.05)
+        assert c.psi4 == pytest.approx(approx, rel=0.05)
 
     def test_no_root_for_vanishing_compression(self, params):
         c = flow_coeffs(StanceState(r=0.2, r_dot=-1e-4, theta=0.0,
                                     theta_dot=0.0), 0.0, params)
         with pytest.raises(NoLiftoffRoot):
-            _liftoff_time(c, 0.0, params)
+            liftoff_time(c, params)
 
 
 class TestStanceMapAnalytic:

@@ -9,6 +9,7 @@ import dataclasses
 import inspect
 import json
 import re
+import sys
 
 import pytest
 
@@ -261,6 +262,18 @@ def test_infinite_tau_max_runs_nothing(command, calls, tmp_path, capsys):
     assert (rc, *capsys.readouterr()) == (
         2, "", "config error: tau_max must be > 0 and finite when set "
         "(None for unlimited), got inf\n")
+    assert not out_dir.exists()
+
+
+def test_grid_count_too_large_for_a_float_runs_nothing(tmp_path, capsys):
+    # the grid's step divides by count - 1, which no float can hold here
+    out_dir = tmp_path / "out"
+    count = 10 ** 400
+    rc = cli.main(["sweep", "--p-bar-count", str(count), "--out",
+                   str(out_dir)])
+    assert (rc, *capsys.readouterr()) == (
+        2, "", f"config error: p_bar_range count must be <= {sys.maxsize}, "
+        f"got {count}\n")
     assert not out_dir.exists()
 
 

@@ -84,6 +84,22 @@ class TestSweepConfig:
         ("p_bar_range", (-1.0, -0.5, 2.5),
          "^p_bar_range count must be an integer, got 2.5$"),
         ("tau_max", math.inf, "^tau_max must be > 0 and finite"),
+        # an int too large for a float (10**400) or for a list's length
+        pytest.param("kp", 10 ** 400,
+                     "^kp must be finite, got an int too large",
+                     id="kp-int_too_large"),
+        pytest.param("tau_max", 10 ** 400,
+                     "^tau_max must be finite, got an int too large",
+                     id="tau_max-int_too_large"),
+        pytest.param("p_bar_range", (-10 ** 400, -0.5, 2),
+                     "^p_bar must be finite, got an int too large",
+                     id="p_bar_range-int_too_large_end"),
+        pytest.param("p_bar_range", (-1.0, -0.5, 10 ** 400),
+                     f"^p_bar_range count must be <= {sys.maxsize}, got 1000",
+                     id="p_bar_range-int_too_large_count"),
+        pytest.param("workers", sys.maxsize + 1,
+                     f"^workers must be <= {sys.maxsize}, got",
+                     id="workers-above_maxsize"),
     ])
     def test_rejects_bad_grid_up_front(self, field, value, message):
         with pytest.raises(ValueError, match=message):

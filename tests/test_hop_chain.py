@@ -128,9 +128,8 @@ _TOUCHDOWN = st.builds(StanceState, st.floats(0.05, 0.4),
        t=st.floats(0.0, 0.2))
 def test_flow_laws_match_the_dataclass_chain(params, td, p_bar, t):
     # the float laws _flow_coeffs (on the gait's cached constants, named
-    # by the oracle module's flow_coeffs), _flow, liftoff_time (at the
-    # gait's force phase) and flow_liftoff keep the dataclass chain's
-    # results bit for bit
+    # by the oracle module's flow_coeffs), _flow, liftoff_time and
+    # flow_liftoff keep the dataclass chain's results bit for bit
     assert _outcome(flow_coeffs, td, p_bar, params) == _outcome(
         reference_flow_coeffs, td, p_bar, params)
     try:
@@ -138,8 +137,7 @@ def test_flow_laws_match_the_dataclass_chain(params, td, p_bar, t):
     except Exception:
         return
     ref = reference_flow_coeffs(td, p_bar, params)
-    psi4 = analytic._gait_constants(p_bar, params).psi4
-    assert _outcome(liftoff_time, coeffs, params, psi4) == _outcome(
+    assert _outcome(liftoff_time, coeffs, params) == _outcome(
         reference_liftoff_time, ref, params)
     assert _outcome(analytic._flow, t, coeffs, td.theta) == _outcome(
         lambda: reference_flow(t, ref, td.theta, p_bar, params)[:3])

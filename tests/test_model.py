@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 
 from sliphop import (ApexState, ControlInputs, NonPhysical, SlipError,
                      SlipParams, StanceState, TouchdownMismatch)
-from sliphop.model import (TOUCHDOWN_TOL, check_flight, check_touchdown_leg,
-                           liftoff_reset, polar_to_cartesian, touchdown_reset)
+from sliphop.model import (TOUCHDOWN_TOL, check_flight, check_stance,
+                           check_touchdown_leg, liftoff_reset,
+                           polar_to_cartesian, touchdown_reset)
 
 
 class TestSlipParams:
@@ -136,6 +137,29 @@ class TestStateValidation:
     def test_rejects_non_numbers(self, bad):
         with pytest.raises(TypeError):
             StanceState(r=0.2, r_dot=bad, theta=0.0, theta_dot=0.0)
+
+
+_HUGE = 10 ** 400  # an int that no float can hold
+
+
+@pytest.mark.parametrize("name,build", [
+    ("kp", lambda: ControlInputs(-1.0, 0.5, kp=_HUGE)),
+    ("p_bar", lambda: ControlInputs(-_HUGE, 0.5)),
+    ("tau_max", lambda: ControlInputs(-1.0, 0.5, tau_max=_HUGE)),
+    ("k", lambda: SlipParams(m=3.3, k=_HUGE, b=20.0, r0=0.2)),
+    ("x_dot", lambda: ApexState(_HUGE, 0.2)),
+    ("r_dot", lambda: StanceState(0.2, _HUGE, 0, 0)),
+    ("x_dot", lambda: check_flight(_HUGE, 0.2, 0)),
+    ("theta", lambda: check_stance(0.2, -1.0, _HUGE, 0.0)),
+], ids=["ControlInputs.kp", "ControlInputs.p_bar", "ControlInputs.tau_max",
+        "SlipParams.k", "ApexState", "StanceState", "check_flight",
+        "check_stance"])
+def test_int_too_large_for_a_float_is_a_value_error(name, build):
+    # float() of such an int raises OverflowError; the checks name the
+    # field instead, as for any other value that is not a finite float
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got an "
+                                         "int too large for a float$"):
+        build()
 
 
 # (state type, fields in order, the field that must be > 0, its message)

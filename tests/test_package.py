@@ -74,6 +74,30 @@ def test_maps_load_the_stance_kernel_and_the_recorder_on_first_use():
              "['sliphop.stance', 'sliphop.trajectory']\n")
 
 
+def test_src_imports_the_standard_library_alone():
+    # site may preload packages (a setuptools hook, certifi), so only the
+    # modules that sliphop's imports and its first maps load are counted
+    assert _fresh_stdout("""
+        import sys
+        before = set(sys.modules)
+        import sliphop
+        import sliphop.cli
+        import sliphop.harness
+        from sliphop import (ControlInputs, DEFAULT_PARAMS,
+                             closed_form_fixed_point, return_map_analytic,
+                             return_map_numeric)
+
+        inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
+        apex = closed_form_fixed_point(-1.0, 0.5, DEFAULT_PARAMS).apex
+        return_map_analytic(apex, inputs, DEFAULT_PARAMS)
+        return_map_numeric(apex, inputs, DEFAULT_PARAMS, record=True)
+        assert "sliphop.stance" in sys.modules
+        assert "sliphop.trajectory" in sys.modules
+        print(sorted({m.partition(".")[0] for m in set(sys.modules) - before}
+                     - set(sys.stdlib_module_names) - {"sliphop"}))
+    """) == "[]\n"
+
+
 def _resolves_to_its_module(name):
     want = getattr(LAZY_NAMES[name], name)
     assert getattr(sliphop, name) is want

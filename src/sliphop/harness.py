@@ -6,7 +6,9 @@ return map and tolerance; the sweep and the CLI both call it. A sweep
 evaluates the requested pipelines over a (p_bar, k_theta) grid in
 ALL_PIPELINES order, cheapest first, records per-point results or
 phase-tagged failures, and aggregates the apex speed and height errors
-of each pipeline against each costlier one (RMS and percent RMS).
+of each pipeline against each costlier one (RMS and percent RMS). Each
+simulator Newton solve starts from the same cell's analytic-numeric
+fixed point, which the sweep solves whether or not it writes it.
 
 Output files are deterministic: fixed column order, fixed grid order.
 Every table (sweep.csv, errors.csv, hops.csv) goes through _write_csv,
@@ -118,6 +120,9 @@ class SweepConfig:
                 raise ValueError(f"pipeline {pipeline!r} repeated")
         if not self.pipelines:
             raise ValueError("at least one pipeline required")
+        if not isinstance(self.seed_chaining, bool):
+            raise ValueError(f"seed_chaining must be a bool, got "
+                             f"{self.seed_chaining!r}")
         _check_count("workers", self.workers)
         check_steps(self.dt, self.control_dt)
 
@@ -209,9 +214,13 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
     map at dt/control_dt, which has none and takes central differences.
     Broyden's matrix starts from jacobian, a map Jacobian at or near
     seed (the map's own Jacobian at seed when None). Without a seed,
-    both come from the closed form: its apex and its analytic-map
-    Jacobian there. Raises SlipError when the gait has no fixed point
-    there, ValueError when the steps fail simulate.check_steps.
+    analytic-numeric starts from the closed form: its apex and its
+    analytic-map Jacobian there. Simulator-numeric starts from the
+    cell's analytic-numeric fixed point and its exact Jacobian, and
+    from the closed form when that solve fails or the simulator solve
+    from it does, as a sweep does. Raises SlipError when the gait has
+    no fixed point there, ValueError when the steps fail
+    simulate.check_steps.
     """
     if pipeline not in ALL_PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
@@ -222,6 +231,15 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
         if pipeline == fp.CLOSED_FORM:
             return closed
         seed, jacobian = closed.apex, closed.jacobian
+        if pipeline == fp.SIMULATOR_NUMERIC:
+            try:
+                anchor = solve_point(fp.ANALYTIC_NUMERIC, inputs, params,
+                                     seed, jacobian=jacobian)
+                return solve_point(pipeline, inputs, params, anchor.apex,
+                                   jacobian=anchor.jacobian, dt=dt,
+                                   control_dt=control_dt)
+            except SlipError:
+                pass  # from the closed form, below
     if pipeline == fp.SIMULATOR_NUMERIC:
         return_map = functools.partial(simulator_return_map, dt=dt,
                                        control_dt=control_dt)
@@ -253,33 +271,60 @@ def _solve_cell(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
     return out
 
 
+def _solve_seeded(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
+                  seed: fp.FixedPointResult | None,
+                  closed: PointOutcome) -> PointOutcome:
+    """A Newton cell from seed, or from the closed form when seed is None;
+    a seed that fails is retried once from the closed form."""
+    point = _solve_cell(cfg, inputs, pipeline, seed or closed.result)
+    if point.result is None and seed is not None:
+        point = _solve_cell(cfg, inputs, pipeline, closed.result)
+    return point
+
+
 def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
     """Evaluate one constant-p_bar row, pipelines in ALL_PIPELINES order.
 
-    Newton seeds, apex and Jacobian, come from every cell's closed form;
-    with seed chaining on, the previous k_theta point's fixed point
-    takes over once available (row-local, so results do not depend on
-    the worker count).
+    The closed form is solved at every cell. Analytic-numeric starts from
+    the closed form's apex and Jacobian; with seed chaining on, from the
+    previous k_theta point's analytic fixed point once available. It is
+    solved wherever a Newton pipeline is requested, and written only
+    when analytic-numeric is. Simulator-numeric starts from the same
+    cell's analytic fixed point and its exact Jacobian; with seed
+    chaining on, that apex is shifted by the row's last offset, the
+    simulator root minus the analytic root (unless the shift would put
+    it at or below the ground). It starts from the closed form when the
+    cell's analytic solve failed. A seed other than the closed form
+    that fails is retried once from it. Every seed is row-local, so
+    results do not depend on the worker count.
     """
     rows: list[PointOutcome] = []
-    chain: dict[str, fp.FixedPointResult] = {}
+    chained = None  # the last analytic fixed point of the row
+    dx = dy = 0.0  # the last simulator root minus its analytic root
+    newton = cfg.pipelines != (fp.CLOSED_FORM,)  # a Newton pipeline asked
     for k_theta in cfg.k_theta_values():
         inputs = cfg.inputs(p_bar, k_theta)
         closed = _solve_cell(cfg, inputs, fp.CLOSED_FORM)
-        for pipeline in ALL_PIPELINES:
-            if pipeline not in cfg.pipelines:
-                continue
-            if pipeline == fp.CLOSED_FORM:
-                rows.append(closed)
-                continue
-            seed = chain.get(pipeline) if cfg.seed_chaining else None
-            point = _solve_cell(cfg, inputs, pipeline, seed or closed.result)
-            if point.result is None and seed is not None:
-                # chained seed failed; retry once from the closed form
-                point = _solve_cell(cfg, inputs, pipeline, closed.result)
-            rows.append(point)
-            if point.result is not None:
-                chain[pipeline] = point.result
+        cells = {fp.CLOSED_FORM: closed}
+        if newton:
+            cells[fp.ANALYTIC_NUMERIC] = _solve_seeded(
+                cfg, inputs, fp.ANALYTIC_NUMERIC,
+                chained if cfg.seed_chaining else None, closed)
+            anchor = cells[fp.ANALYTIC_NUMERIC].result
+            chained = anchor or chained
+        if fp.SIMULATOR_NUMERIC in cfg.pipelines:
+            seed = anchor
+            if (cfg.seed_chaining and anchor is not None
+                    and anchor.apex.y + dy > 0.0):
+                seed = anchor._replace(apex=ApexState(
+                    anchor.apex.x_dot + dx, anchor.apex.y + dy))
+            sim = _solve_seeded(cfg, inputs, fp.SIMULATOR_NUMERIC, seed,
+                                closed)
+            cells[fp.SIMULATOR_NUMERIC] = sim
+            if anchor is not None and sim.result is not None:
+                dx = sim.result.apex.x_dot - anchor.apex.x_dot
+                dy = sim.result.apex.y - anchor.apex.y
+        rows += [cells[p] for p in ALL_PIPELINES if p in cfg.pipelines]
     return rows
 
 

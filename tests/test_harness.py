@@ -100,6 +100,10 @@ class TestSweepConfig:
         pytest.param("workers", sys.maxsize + 1,
                      f"^workers must be <= {sys.maxsize}, got",
                      id="workers-above_maxsize"),
+        # a truthy string chained, and report.json echoed it
+        pytest.param("seed_chaining", "false",
+                     "^seed_chaining must be a bool, got 'false'$",
+                     id="seed_chaining-string"),
     ])
     def test_rejects_bad_grid_up_front(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -205,9 +209,11 @@ class TestRunSweep:
     def test_simulator_pipeline_writes_the_golden_bytes(self, params,
                                                         tmp_path):
         # sweep.csv and errors.csv of the closed form and Newton on the
-        # full simulator at the four corners of criterion 1's ranges,
-        # each solve started at its closed-form apex, as the stance loop
-        # wrote them when it took each full step inline
+        # full simulator at the four corners of criterion 1's ranges.
+        # Unchained, each simulator solve starts at its own cell's
+        # analytic-numeric fixed point (solved from the closed form, not
+        # written), with that point's exact Jacobian as Broyden's start
+        # matrix. The stance kernel's bytes are pinned by TestStanceKernel
         run_sweep(SweepConfig(params=params, p_bar_range=(-1.55, -0.5, 2),
                               k_theta_range=(0.3, 0.75, 2),
                               pipelines=(CLOSED_FORM, SIMULATOR_NUMERIC),
@@ -355,6 +361,146 @@ class TestRunSweep:
                      o.result.newton_steps) for o in report.outcomes]
 
         assert cells(got) == cells(want)
+
+    def test_failed_analytic_seed_retries_from_closed_form(self, params,
+                                                           monkeypatch):
+        # unchained, each simulator solve starts at its cell's analytic
+        # fixed point; one that fails there is retried from the closed form
+        cfg = SweepConfig(params=params, p_bar_range=(-1.0, -1.0, 1),
+                          k_theta_range=(0.45, 0.55, 2),
+                          pipelines=(CLOSED_FORM, SIMULATOR_NUMERIC),
+                          seed_chaining=False)
+        closed = {k: closed_form_fixed_point(-1.0, k, params)
+                  for k in (0.45, 0.55)}
+        anchor = {k: solve_point(ANALYTIC_NUMERIC, ControlInputs(-1.0, k),
+                                 params).apex for k in (0.45, 0.55)}
+        want = [solve_point(SIMULATOR_NUMERIC, ControlInputs(-1.0, k),
+                            params, seed=c.apex, jacobian=c.jacobian)
+                for k, c in closed.items()]
+        seeds = []
+        real = harness.solve_point
+
+        def analytic_seed_fails(pipeline, inputs, params, seed=None, **kw):
+            if pipeline == SIMULATOR_NUMERIC:
+                seeds.append((inputs.k_theta, seed))
+                if seed != closed[inputs.k_theta].apex:
+                    raise SlipError("injected")
+            return real(pipeline, inputs, params, seed, **kw)
+
+        monkeypatch.setattr(harness, "solve_point", analytic_seed_fails)
+        got = run_sweep(cfg)
+        assert seeds == [(k, s) for k in (0.45, 0.55)
+                         for s in (anchor[k], closed[k].apex)]
+        assert [o.result for o in got.outcomes[1::2]] == want
+
+    def test_failed_analytic_solve_seeds_simulator_from_closed_form(
+            self, params, monkeypatch):
+        closed = {k: closed_form_fixed_point(-1.0, k, params)
+                  for k in (0.45, 0.55)}
+        seeds = []
+        real = harness.solve_point
+
+        def analytic_fails(pipeline, inputs, params, seed=None,
+                           jacobian=None, **kw):
+            if pipeline == ANALYTIC_NUMERIC:
+                raise SlipError("injected")
+            if pipeline == SIMULATOR_NUMERIC and seed is not None:
+                seeds.append((inputs.k_theta, seed, jacobian))
+            return real(pipeline, inputs, params, seed, jacobian, **kw)
+
+        monkeypatch.setattr(harness, "solve_point", analytic_fails)
+        report = run_sweep(SweepConfig(
+            params=params, p_bar_range=(-1.0, -1.0, 1),
+            k_theta_range=(0.45, 0.55, 2),
+            pipelines=(CLOSED_FORM, SIMULATOR_NUMERIC)))
+        want = [(k, c.apex, c.jacobian) for k, c in closed.items()]
+        assert seeds == want
+        assert [o.status for o in report.outcomes] == ["converged"] * 4
+        # so does solve_point without a seed, as the CLI calls it
+        assert harness.solve_point(SIMULATOR_NUMERIC,
+                                   ControlInputs(-1.0, 0.45),
+                                   params) == report.outcomes[1].result
+
+    def test_chained_simulator_seed_is_shifted_by_the_row_offset(
+            self, params, monkeypatch):
+        # the second cell starts at its analytic fixed point moved by the
+        # first cell's simulator root minus its analytic root, with the
+        # analytic point's Jacobian
+        seeds = []
+        real = harness.solve_point
+
+        def recorded(pipeline, inputs, params, seed=None, jacobian=None,
+                     **kw):
+            if pipeline == SIMULATOR_NUMERIC:
+                seeds.append((seed, jacobian))
+            return real(pipeline, inputs, params, seed, jacobian, **kw)
+
+        monkeypatch.setattr(harness, "solve_point", recorded)
+        report = run_sweep(SweepConfig(
+            params=params, p_bar_range=(-1.0, -1.0, 1),
+            k_theta_range=(0.45, 0.55, 2), pipelines=harness.ALL_PIPELINES))
+        _, first, sim, _, second, _ = (o.result for o in report.outcomes)
+        shifted = ApexState(
+            second.apex.x_dot + (sim.apex.x_dot - first.apex.x_dot),
+            second.apex.y + (sim.apex.y - first.apex.y))
+        assert seeds == [(first.apex, first.jacobian),
+                         (shifted, second.jacobian)]
+
+    def test_offset_below_the_ground_is_not_applied(self, params,
+                                                     monkeypatch):
+        # a first analytic root 5 m up makes the offset about -4.8 m; the
+        # second cell's seed would lie below the ground, so it starts at
+        # its analytic fixed point unmoved, and the sweep does not raise
+        seeds = []
+        real = harness.solve_point
+
+        def high_first_root(pipeline, inputs, params, seed=None, **kw):
+            if pipeline == SIMULATOR_NUMERIC:
+                seeds.append(seed)
+            res = real(pipeline, inputs, params, seed, **kw)
+            if pipeline == ANALYTIC_NUMERIC and inputs.k_theta == 0.45:
+                res = res._replace(apex=ApexState(res.apex.x_dot, 5.0))
+            return res
+
+        monkeypatch.setattr(harness, "solve_point", high_first_root)
+        report = run_sweep(SweepConfig(
+            params=params, p_bar_range=(-1.0, -1.0, 1),
+            k_theta_range=(0.45, 0.55, 2), pipelines=harness.ALL_PIPELINES))
+        assert seeds[-1] == report.outcomes[4].result.apex
+        assert [o.status for o in report.outcomes] == ["converged"] * 6
+
+    def test_simulator_sweep_writes_no_analytic_cell(self, params, tmp_path):
+        # the default grid's cell (-1.3842..., 0.3), where analytic-numeric
+        # fails (GaitFailure@aoa), is solved but neither written nor counted
+        p_bar = harness._grid(-1.55, -0.5, 20)[3]
+        run_sweep(SweepConfig(params=params, p_bar_range=(p_bar, p_bar, 1),
+                              k_theta_range=(0.3, 0.75, 2),
+                              pipelines=(CLOSED_FORM, SIMULATOR_NUMERIC),
+                              out_dir=str(tmp_path)))
+        rows = _read_csv(tmp_path / "sweep.csv")[1:]
+        assert [(row[2], row[-1]) for row in rows] == [
+            (CLOSED_FORM, "converged"), (SIMULATOR_NUMERIC, "converged")] * 2
+        assert {tuple(row[:2]) for row in _read_csv(
+            tmp_path / "errors.csv")[1:]} == {(CLOSED_FORM,
+                                               SIMULATOR_NUMERIC)}
+        report = json.loads((tmp_path / "report.json").read_text())
+        for key in ("points_per_pipeline", "converged_per_pipeline"):
+            assert report[key] == {CLOSED_FORM: 2, SIMULATOR_NUMERIC: 2}
+        assert report["failures"] == {}
+
+    @pytest.mark.parametrize("seed_chaining", [True, False])
+    def test_simulator_sweep_takes_44_maps(self, params, monkeypatch,
+                                           seed_chaining):
+        # the four corners of criterion 1's ranges, each simulator solve
+        # started at its cell's analytic fixed point: 44 simulator maps
+        # with chaining on or off; from the closed form or the previous
+        # cell's simulator root they took 49 chained and 47 unchained
+        maps = _count_map_calls(monkeypatch)
+        run_sweep(SweepConfig(params=params, p_bar_range=(-1.55, -0.5, 2),
+                              k_theta_range=(0.3, 0.75, 2),
+                              pipelines=(CLOSED_FORM, SIMULATOR_NUMERIC),
+                              seed_chaining=seed_chaining))
+        assert len(maps) == 44
 
     @pytest.mark.parametrize("pipelines", [
         order for n in (2, 3)
@@ -924,12 +1070,20 @@ class TestSolvePoint:
         # from the closed form: 1 + one per Broyden step + 4 for
         # stability, with no start differences (Broyden starts from the
         # closed form's Jacobian); 10-13 here. Differences at the seed
-        # took up to 16, Newton with a fresh Jacobian each step up to 23
+        # took up to 16, Newton with a fresh Jacobian each step up to 23.
+        # From the analytic fixed point and its exact Jacobian, as
+        # solve_point starts without a seed: 10-12
         maps = _count_map_calls(monkeypatch)
-        res = solve_point(SIMULATOR_NUMERIC, ControlInputs(p_bar, k_theta),
-                          params)
+        inputs = ControlInputs(p_bar, k_theta)
+        closed = closed_form_fixed_point(p_bar, k_theta, params)
+        res = solve_point(SIMULATOR_NUMERIC, inputs, params, seed=closed.apex,
+                          jacobian=closed.jacobian)
         assert res.residual <= harness.SIM_TOL
         assert len(maps) <= 13
+        maps.clear()
+        res = solve_point(SIMULATOR_NUMERIC, inputs, params)
+        assert res.residual <= harness.SIM_TOL
+        assert len(maps) <= 12
 
     @pytest.mark.parametrize("p_bar,k_theta", [
         (-1.0, 0.5), (-1.55, 0.75),
@@ -945,7 +1099,9 @@ class TestSolvePoint:
         # differences, lie 4.8e-10 apart, above 2*SIM_TOL/(1 - rho) =
         # 4.1e-10 and inside 2*SIM_TOL*||(I - J)^-1||_inf = 1.25e-9
         inputs = ControlInputs(p_bar, k_theta)
-        closed = solve_point(SIMULATOR_NUMERIC, inputs, params)
+        start = closed_form_fixed_point(p_bar, k_theta, params)
+        closed = solve_point(SIMULATOR_NUMERIC, inputs, params,
+                             seed=start.apex, jacobian=start.jacobian)
         seed = solve_point(ANALYTIC_NUMERIC, inputs, params).apex
         other = solve_point(SIMULATOR_NUMERIC, inputs, params, seed=seed)
         bound = 2.0 * harness.SIM_TOL / (1.0 - closed.spectral_radius)
@@ -954,9 +1110,8 @@ class TestSolvePoint:
 
         near = solve_point(SIMULATOR_NUMERIC,
                            ControlInputs(p_bar, k_theta - 0.45 / 19), params)
-        roots = [other, solve_point(
-            SIMULATOR_NUMERIC, inputs, params,
-            seed=closed_form_fixed_point(p_bar, k_theta, params).apex)]
+        roots = [other, solve_point(SIMULATOR_NUMERIC, inputs, params,
+                                    seed=start.apex)]
         roots += [solve_point(SIMULATOR_NUMERIC, inputs, params,
                               seed=near.apex, jacobian=jacobian)
                   for jacobian in (near.jacobian, None)]
@@ -1056,11 +1211,11 @@ class TestCli:
         assert main(argv + ["--dt", "5e-4"]) == 0
         halved = json.loads(capsys.readouterr().out)
         sim_map = functools.partial(simulator_return_map, dt=5e-4)
-        closed = closed_form_fixed_point(-1.0, 0.5, params)
-        want = numeric_fixed_point(sim_map, closed.apex,
-                                   ControlInputs(p_bar=-1.0, k_theta=0.5),
-                                   params, tol=harness.SIM_TOL,
-                                   jacobian=closed.jacobian)
+        inputs = ControlInputs(p_bar=-1.0, k_theta=0.5)
+        anchor = solve_point(ANALYTIC_NUMERIC, inputs, params)
+        want = numeric_fixed_point(sim_map, anchor.apex, inputs, params,
+                                   tol=harness.SIM_TOL,
+                                   jacobian=anchor.jacobian)
         assert halved["apex"] == {"x_dot": want.apex.x_dot,
                                   "y": want.apex.y}
         assert halved["apex"] != default["apex"]

@@ -102,18 +102,19 @@ def test_analytic_sweep_counts_map_and_angle_spans():
 
 def test_simulator_sweep_counts_closed_form_and_newton_spans():
     with tracing.Tracer() as tracer:
-        harness.run_sweep(SweepConfig(p_bar_range=(-1.0, -1.0, 1),
-                                      k_theta_range=(0.45, 0.55, 2),
-                                      pipelines=(CLOSED_FORM,
-                                                 SIMULATOR_NUMERIC)))
+        report = harness.run_sweep(SweepConfig(
+            p_bar_range=(-1.0, -1.0, 1), k_theta_range=(0.45, 0.55, 2),
+            pipelines=(CLOSED_FORM, SIMULATOR_NUMERIC)))
     calls = _span_counts(tracer)
     closed = calls.get("fixedpoint.closed_form_fixed_point", 0)
     assert calls.get("analytic.simplified_map_constants", 0) == closed > 0
     assert calls.get("simulate.return_map_numeric", 0) > 0
-    solves = [span for span in tracer.spans
+    # each cell solves the analytic map first, as the simulator's seed
+    solves = [span.info["pipeline"] for span in tracer.spans
               if span.name == "fixedpoint.numeric_fixed_point"]
-    assert solves
-    assert all(span.info["pipeline"] == "sim" for span in solves)
+    assert solves == ["analytic", "sim"] * 2
+    assert [o.pipeline for o in report.outcomes] == [
+        CLOSED_FORM, SIMULATOR_NUMERIC] * 2
 
 
 def test_single_hop_correctness_pass_checks_every_hop(tmp_path):

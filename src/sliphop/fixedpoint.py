@@ -252,6 +252,26 @@ def energy_speed_constraints(candidate: TouchdownFixedPoint, p_bar: float,
     return e_td - e_lo, x_td - x_lo
 
 
+def _fresh_step(map_jacobian: MapJacobian, z: ApexState,
+                inputs: ControlInputs, params: SlipParams, rx: float,
+                ry: float):
+    """J - I from the Jacobian at z, as (a, b, c, d), and the step it
+    gives for the residual (rx, ry)."""
+    try:
+        (a, b), (c, d) = map_jacobian(z, inputs, params)
+    except SlipError as err:
+        raise GaitFailure(f"Jacobian evaluation failed: {err}",
+                          phase=err.phase) from err
+    jm = (a - 1.0, b, c, d - 1.0)
+    if not all(map(math.isfinite, jm)):
+        raise IllConditioned(
+            f"map Jacobian not finite at z = ({z.x_dot:.4f}, {z.y:.4f})")
+    try:
+        return jm, solve_2x2(*jm, rx, ry)
+    except ZeroDivisionError as err:
+        raise IllConditioned("singular Newton system") from err
+
+
 def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
                         inputs: ControlInputs, params: SlipParams,
                         tol: float = 1e-9, max_steps: int = 50,
@@ -297,54 +317,28 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
     """
     if map_jacobian is None:
         map_jacobian = partial(_fd_jacobian, return_map)
-
-    def try_eval(x: float, y: float):
-        """(P(x, y), None), or (None, phase) when the evaluation fails."""
-        try:
-            nxt = return_map(ApexState(x, y), inputs, params)
-        except (SlipError, ValueError) as err:
-            return None, getattr(err, "phase", None)
-        return (nxt.x_dot, nxt.y), None
-
-    def fresh_step(x: float, y: float, rx: float, ry: float):
-        """J - I from the Jacobian at (x, y), and the step it gives."""
-        try:
-            (a, b), (c, d) = map_jacobian(ApexState(x, y), inputs, params)
-        except SlipError as err:
-            raise GaitFailure(f"Jacobian evaluation failed: {err}",
-                              phase=err.phase) from err
-        jm = (a - 1.0, b, c, d - 1.0)
-        if not all(map(math.isfinite, jm)):
-            raise IllConditioned(
-                f"map Jacobian not finite at z = ({x:.4f}, {y:.4f})")
-        try:
-            return jm, solve_2x2(*jm, rx, ry)
-        except ZeroDivisionError as err:
-            raise IllConditioned("singular Newton system") from err
-
-    x, y = float(seed.x_dot), float(seed.y)
+    z = ApexState(float(seed.x_dot), float(seed.y))
     try:
-        nxt = return_map(ApexState(x, y), inputs, params)
+        nxt = return_map(z, inputs, params)
     except SlipError as err:
         raise GaitFailure(
-            f"map evaluation failed at z = ({x:.4f}, {y:.4f}): {err}",
-            phase=err.phase) from err
-    mapped = nxt.x_dot, nxt.y  # P(x, y); later set by each accepted step
+            f"map evaluation failed at z = ({z.x_dot:.4f}, {z.y:.4f}): "
+            f"{err}", phase=err.phase) from err
+    # P(z) - z and its 2-norm; then those of each accepted candidate
+    rx, ry = nxt.x_dot - z.x_dot, nxt.y - z.y
+    res_len = math.hypot(rx, ry)
     jm = None  # Broyden's J - I as (a, b, c, d); None: take it afresh
     if jacobian is not None:
         (a, b), (c, d) = jacobian
         if all(map(math.isfinite, (a, b, c, d))):
             jm = (float(a) - 1.0, float(b), float(c), float(d) - 1.0)
     stalls = 0  # consecutive accepted steps that did not reduce F
-    steps = 0
     for steps in range(max_steps + 1):
-        rx, ry = mapped[0] - x, mapped[1] - y
         res_norm = max(abs(rx), abs(ry))
         if res_norm <= tol:
-            z_star = ApexState(x, y)
-            jac, rho, stable = _stability_or_nan(return_map, z_star,
-                                                 inputs, params, map_jacobian)
-            return FixedPointResult(apex=z_star, touchdown=None,
+            jac, rho, stable = _stability_or_nan(return_map, z, inputs,
+                                                 params, map_jacobian)
+            return FixedPointResult(apex=z, touchdown=None,
                                     jacobian=jac, spectral_radius=rho,
                                     stable=stable, provenance=provenance,
                                     residual=res_norm, newton_steps=steps)
@@ -354,31 +348,35 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
                 "consecutive Newton steps did not reduce it")
         if steps == max_steps:
             break
-        if jm is None:
-            jm, (sx, sy) = fresh_step(x, y, rx, ry)
-        else:
+        if jm is not None:
             try:
                 sx, sy = solve_2x2(*jm, rx, ry)
             except ZeroDivisionError:  # the last update made A singular
-                jm, (sx, sy) = fresh_step(x, y, rx, ry)
-        res_len = math.hypot(rx, ry)
+                jm = None
+        if jm is None:
+            jm, (sx, sy) = _fresh_step(map_jacobian, z, inputs, params, rx, ry)
         lam = 1.0
         for _ in range(8):
-            cx, cy = x - lam * sx, y - lam * sy
-            mapped, phase = try_eval(cx, cy)
-            if mapped is not None:
-                nrx, nry = mapped[0] - cx, mapped[1] - cy
-                reduced = math.hypot(nrx, nry) < res_len
+            cx, cy = z.x_dot - lam * sx, z.y - lam * sy
+            try:
+                cand = ApexState(cx, cy)
+                nxt = return_map(cand, inputs, params)
+            except (SlipError, ValueError) as err:
+                phase = getattr(err, "phase", None)
+            else:
+                nrx, nry = nxt.x_dot - cx, nxt.y - cy
+                new_len = math.hypot(nrx, nry)
+                reduced = new_len < res_len
                 if reduced or lam <= 0.25:
                     break
             lam *= 0.5
         else:
             raise GaitFailure(
-                f"no acceptable Newton step from z = ({x:.4f}, {y:.4f})",
-                phase=phase)
+                f"no acceptable Newton step from z = ({z.x_dot:.4f}, "
+                f"{z.y:.4f})", phase=phase)
         stalls = 0 if reduced else stalls + 1
         if reduced:  # Broyden's update; dz != 0, as the residual moved
-            dx, dy = cx - x, cy - y
+            dx, dy = cx - z.x_dot, cy - z.y
             dz2 = dx * dx + dy * dy
             a, b, c, d = jm
             ux = (nrx - rx - a * dx - b * dy) / dz2
@@ -386,6 +384,6 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
             jm = (a + ux * dx, b + ux * dy, c + uy * dx, d + uy * dy)
         else:
             jm = None
-        x, y = cx, cy
+        z, rx, ry, res_len = cand, nrx, nry, new_len
     raise NoConvergence(
         f"residual {res_norm:.2e} > {tol:.1e} after {max_steps} Newton steps")

@@ -8,7 +8,8 @@ ALL_PIPELINES order, cheapest first, records per-point results or
 phase-tagged failures, and aggregates the apex speed and height errors
 of each pipeline against each costlier one (RMS and percent RMS). Each
 simulator Newton solve starts from the same cell's analytic-numeric
-fixed point, which the sweep solves whether or not it writes it.
+fixed point and its exact Jacobian, which the sweep solves whether or
+not it writes them, and seed chaining chains the analytic seeds only.
 
 Output files are deterministic: fixed column order, fixed grid order.
 Every table (sweep.csv, errors.csv, hops.csv) goes through _write_csv,
@@ -218,9 +219,9 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
     analytic-map Jacobian there. Simulator-numeric starts from the
     cell's analytic-numeric fixed point and its exact Jacobian, and
     from the closed form when that solve fails or the simulator solve
-    from it does, as a sweep does. Raises SlipError when the gait has
-    no fixed point there, ValueError when the steps fail
-    simulate.check_steps.
+    from it does, as a sweep does with seed chaining on or off. Raises
+    SlipError when the gait has no fixed point there, ValueError when
+    the steps fail simulate.check_steps.
     """
     if pipeline not in ALL_PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
@@ -275,7 +276,9 @@ def _solve_seeded(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
                   seed: fp.FixedPointResult | None,
                   closed: PointOutcome) -> PointOutcome:
     """A Newton cell from seed, or from the closed form when seed is None;
-    a seed that fails is retried once from the closed form."""
+    a seed that fails is retried once from the closed form. The seed is
+    an analytic fixed point: the previous cell's for a chained analytic
+    cell, the same cell's for a simulator cell."""
     point = _solve_cell(cfg, inputs, pipeline, seed or closed.result)
     if point.result is None and seed is not None:
         point = _solve_cell(cfg, inputs, pipeline, closed.result)
@@ -290,17 +293,14 @@ def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
     previous k_theta point's analytic fixed point once available. It is
     solved wherever a Newton pipeline is requested, and written only
     when analytic-numeric is. Simulator-numeric starts from the same
-    cell's analytic fixed point and its exact Jacobian; with seed
-    chaining on, that apex is shifted by the row's last offset, the
-    simulator root minus the analytic root (unless the shift would put
-    it at or below the ground). It starts from the closed form when the
-    cell's analytic solve failed. A seed other than the closed form
-    that fails is retried once from it. Every seed is row-local, so
-    results do not depend on the worker count.
+    cell's analytic fixed point and its exact Jacobian, chained or not,
+    and from the closed form when the cell's analytic solve failed. A
+    seed other than the closed form that fails is retried once from it.
+    Every seed is row-local, so results do not depend on the worker
+    count.
     """
     rows: list[PointOutcome] = []
     chained = None  # the last analytic fixed point of the row
-    dx = dy = 0.0  # the last simulator root minus its analytic root
     newton = cfg.pipelines != (fp.CLOSED_FORM,)  # a Newton pipeline asked
     for k_theta in cfg.k_theta_values():
         inputs = cfg.inputs(p_bar, k_theta)
@@ -313,17 +313,8 @@ def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
             anchor = cells[fp.ANALYTIC_NUMERIC].result
             chained = anchor or chained
         if fp.SIMULATOR_NUMERIC in cfg.pipelines:
-            seed = anchor
-            if (cfg.seed_chaining and anchor is not None
-                    and anchor.apex.y + dy > 0.0):
-                seed = anchor._replace(apex=ApexState(
-                    anchor.apex.x_dot + dx, anchor.apex.y + dy))
-            sim = _solve_seeded(cfg, inputs, fp.SIMULATOR_NUMERIC, seed,
-                                closed)
-            cells[fp.SIMULATOR_NUMERIC] = sim
-            if anchor is not None and sim.result is not None:
-                dx = sim.result.apex.x_dot - anchor.apex.x_dot
-                dy = sim.result.apex.y - anchor.apex.y
+            cells[fp.SIMULATOR_NUMERIC] = _solve_seeded(
+                cfg, inputs, fp.SIMULATOR_NUMERIC, anchor, closed)
         rows += [cells[p] for p in ALL_PIPELINES if p in cfg.pipelines]
     return rows
 

@@ -421,11 +421,10 @@ class TestRunSweep:
                                    ControlInputs(-1.0, 0.45),
                                    params) == report.outcomes[1].result
 
-    def test_chained_simulator_seed_is_shifted_by_the_row_offset(
+    def test_chained_simulator_seed_is_its_own_cells_analytic_root(
             self, params, monkeypatch):
-        # the second cell starts at its analytic fixed point moved by the
-        # first cell's simulator root minus its analytic root, with the
-        # analytic point's Jacobian
+        # with chaining on, each simulator solve of a row starts at its
+        # own cell's analytic fixed point and that point's Jacobian
         seeds = []
         real = harness.solve_point
 
@@ -438,36 +437,12 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "solve_point", recorded)
         report = run_sweep(SweepConfig(
             params=params, p_bar_range=(-1.0, -1.0, 1),
-            k_theta_range=(0.45, 0.55, 2), pipelines=harness.ALL_PIPELINES))
-        _, first, sim, _, second, _ = (o.result for o in report.outcomes)
-        shifted = ApexState(
-            second.apex.x_dot + (sim.apex.x_dot - first.apex.x_dot),
-            second.apex.y + (sim.apex.y - first.apex.y))
-        assert seeds == [(first.apex, first.jacobian),
-                         (shifted, second.jacobian)]
-
-    def test_offset_below_the_ground_is_not_applied(self, params,
-                                                     monkeypatch):
-        # a first analytic root 5 m up makes the offset about -4.8 m; the
-        # second cell's seed would lie below the ground, so it starts at
-        # its analytic fixed point unmoved, and the sweep does not raise
-        seeds = []
-        real = harness.solve_point
-
-        def high_first_root(pipeline, inputs, params, seed=None, **kw):
-            if pipeline == SIMULATOR_NUMERIC:
-                seeds.append(seed)
-            res = real(pipeline, inputs, params, seed, **kw)
-            if pipeline == ANALYTIC_NUMERIC and inputs.k_theta == 0.45:
-                res = res._replace(apex=ApexState(res.apex.x_dot, 5.0))
-            return res
-
-        monkeypatch.setattr(harness, "solve_point", high_first_root)
-        report = run_sweep(SweepConfig(
-            params=params, p_bar_range=(-1.0, -1.0, 1),
-            k_theta_range=(0.45, 0.55, 2), pipelines=harness.ALL_PIPELINES))
-        assert seeds[-1] == report.outcomes[4].result.apex
-        assert [o.status for o in report.outcomes] == ["converged"] * 6
+            k_theta_range=(0.45, 0.65, 3), pipelines=harness.ALL_PIPELINES))
+        assert report.config.seed_chaining
+        assert [o.status for o in report.outcomes] == ["converged"] * 9
+        anchors = [o.result for o in report.outcomes
+                   if o.pipeline == ANALYTIC_NUMERIC]
+        assert seeds == [(a.apex, a.jacobian) for a in anchors]
 
     def test_simulator_sweep_writes_no_analytic_cell(self, params, tmp_path):
         # the default grid's cell (-1.3842..., 0.3), where analytic-numeric
@@ -492,9 +467,8 @@ class TestRunSweep:
     def test_simulator_sweep_takes_44_maps(self, params, monkeypatch,
                                            seed_chaining):
         # the four corners of criterion 1's ranges, each simulator solve
-        # started at its cell's analytic fixed point: 44 simulator maps
-        # with chaining on or off; from the closed form or the previous
-        # cell's simulator root they took 49 chained and 47 unchained
+        # started at its own cell's analytic fixed point, chained or not:
+        # 44 simulator maps either way
         maps = _count_map_calls(monkeypatch)
         run_sweep(SweepConfig(params=params, p_bar_range=(-1.55, -0.5, 2),
                               k_theta_range=(0.3, 0.75, 2),

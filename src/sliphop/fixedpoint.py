@@ -13,7 +13,9 @@ held as a pair of float rows: the exact Jacobian of the analytic map
 analytic-numeric, central finite differences for a map without a
 Jacobian function, such as the simulator's. Every FixedPointResult
 carries it, so a result seeds the next solve with its apex and a start
-matrix for Broyden's method.
+matrix for Broyden's method. A start matrix borrowed from another map,
+such as the analytic Jacobian a simulator solve starts from, gives way
+to the secant fit of two steps once they span the plane.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ MapJacobian = Callable[[ApexState, ControlInputs, SlipParams], Jacobian]
 
 FD_STEP = 1e-6  # map Jacobian step: h = max(FD_STEP, FD_STEP*|z_i|)
 MAX_STALLS = 3  # consecutive non-reducing Newton steps before giving up
+SECANT_SPAN = 1e-3  # least |sin| between two steps that fit J - I to both
 
 
 @dataclass(frozen=True)
@@ -272,6 +275,25 @@ def _fresh_step(map_jacobian: MapJacobian, z: ApexState,
         raise IllConditioned("singular Newton system") from err
 
 
+def _two_step_fit(jm: tuple[float, ...], last: tuple[float, ...],
+                  dx: float, dy: float, fx: float, fy: float):
+    """J - I fitted to the last step and this one, and this step's pair.
+
+    last is the previous accepted step and its residual change
+    (dx, dy, fx, fy), () before the first. When the two steps span the
+    plane (|sin| of their angle at least SECANT_SPAN), J - I is the one
+    matrix that maps both to their residual changes; otherwise jm, the
+    rank-1 update, stands.
+    """
+    if last:
+        px, py, pfx, pfy = last
+        det = px * dy - py * dx
+        if abs(det) >= SECANT_SPAN * math.hypot(px, py) * math.hypot(dx, dy):
+            jm = ((pfx * dy - fx * py) / det, (fx * px - pfx * dx) / det,
+                  (pfy * dy - fy * py) / det, (fy * px - pfy * dx) / det)
+    return jm, (dx, dy, fx, fy)
+
+
 def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
                         inputs: ControlInputs, params: SlipParams,
                         tol: float = 1e-9, max_steps: int = 50,
@@ -294,10 +316,16 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
     A += ((dF - A dz) dz^T) / (dz . dz), from the step dz actually taken
     and the change dF of the residual that the line search computed
     (C. G. Broyden, Math. Comp. 19, 1965), so an update costs no map
-    evaluation. The Jacobian is taken afresh at the new iterate when a
-    step did not reduce the residual, and at the current one when A is
-    singular (a singular start matrix included). newton_steps counts the
-    steps taken.
+    evaluation. A jacobian given for a map without map_jacobian belongs
+    to another map (the simulator's solves start from the analytic
+    map's), and the rank-1 update keeps its error in every direction not
+    yet stepped along; so there, once two consecutive steps span the
+    plane (|sin| of their angle at least SECANT_SPAN), A is set to the
+    one matrix that maps both to their dF (J. G. P. Barnes, Comput. J. 8,
+    1965). The Jacobian is taken afresh at the new iterate when a step
+    did not reduce the residual, and at the current one when A is
+    singular (a singular start matrix included); that ends the two-step
+    fit for the rest of the solve. newton_steps counts the steps taken.
 
     A backtracking halver guards steps that leave the gait's domain: a
     candidate is accepted when its residual's Euclidean norm falls (or
@@ -315,8 +343,13 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
     IllConditioned when a freshly taken Jacobian is not finite or
     leaves J - I singular.
     """
+    # while A descends from a jacobian borrowed for a map that has no
+    # Jacobian function: the last step and its residual change, () before
+    # the first; None otherwise, and after any fresh Jacobian
+    secant = None
     if map_jacobian is None:
         map_jacobian = partial(_fd_jacobian, return_map)
+        secant = ()
     z = ApexState(float(seed.x_dot), float(seed.y))
     try:
         nxt = return_map(z, inputs, params)
@@ -354,6 +387,7 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
             except ZeroDivisionError:  # the last update made A singular
                 jm = None
         if jm is None:
+            secant = None
             jm, (sx, sy) = _fresh_step(map_jacobian, z, inputs, params, rx, ry)
         lam = 1.0
         for _ in range(8):
@@ -382,6 +416,9 @@ def numeric_fixed_point(return_map: ReturnMap, seed: ApexState,
             ux = (nrx - rx - a * dx - b * dy) / dz2
             uy = (nry - ry - c * dx - d * dy) / dz2
             jm = (a + ux * dx, b + ux * dy, c + uy * dx, d + uy * dy)
+            if secant is not None:
+                jm, secant = _two_step_fit(jm, secant, dx, dy, nrx - rx,
+                                           nry - ry)
         else:
             jm = None
         z, rx, ry, res_len = cand, nrx, nry, new_len

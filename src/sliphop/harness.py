@@ -214,7 +214,9 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
     start, the refreshes and stability, or to SIM_TOL on the simulator
     map at dt/control_dt, which has none and takes central differences.
     Broyden's matrix starts from jacobian, a map Jacobian at or near
-    seed (the map's own Jacobian at seed when None). Without a seed,
+    seed (the map's own Jacobian at seed when None); on the simulator
+    map, a given jacobian gives way to the secant fit of two steps once
+    they span the plane (fixedpoint.numeric_fixed_point). Without a seed,
     analytic-numeric starts from the closed form: its apex and its
     analytic-map Jacobian there. Simulator-numeric starts from the
     cell's analytic-numeric fixed point and its exact Jacobian, and

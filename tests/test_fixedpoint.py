@@ -365,6 +365,52 @@ class TestNumericFixedPoint:
         assert got == warm
         assert type(got.apex.x_dot) is float and type(got.apex.y) is float
 
+    def test_borrowed_jacobian_is_refitted_after_two_steps(self, params):
+        # a linear map started from another map's Jacobian: the first two
+        # steps span the plane, so J - I is refitted to both and the third
+        # step lands on the root. P(seed), 3 steps and the 4-point
+        # stability Jacobian; the rank-1 update alone takes 4 steps
+        x_star, y_star = 2.0, 0.3
+
+        def linear_map(apex, inputs, params):
+            dx, dy = apex.x_dot - x_star, apex.y - y_star
+            return ApexState(x_star + 0.5 * dx + 0.2 * dy,
+                             y_star - 0.3 * dx + 0.4 * dy)
+
+        def exact_jacobian(apex, inputs, params):
+            return (0.5, 0.2), (-0.3, 0.4)
+
+        inputs = ControlInputs(-1.0, 0.5)
+        wrong = ((0.2, 0.0), (0.0, 0.2))
+        seen = []
+        res = numeric_fixed_point(_counted(linear_map, seen),
+                                  ApexState(2.5, 0.2), inputs, params,
+                                  jacobian=wrong)
+        assert res.newton_steps == 3 and len(seen) == 8
+        assert res.residual <= 1e-9
+        assert res.apex.x_dot == pytest.approx(x_star, abs=1e-12)
+        assert res.apex.y == pytest.approx(y_star, abs=1e-12)
+        # a map with its own Jacobian function keeps the rank-1 update
+        seen.clear()
+        res = numeric_fixed_point(_counted(linear_map, seen),
+                                  ApexState(2.5, 0.2), inputs, params,
+                                  jacobian=wrong,
+                                  map_jacobian=exact_jacobian)
+        assert res.newton_steps == 4 and len(seen) == 5
+
+    def test_two_step_fit_needs_steps_that_span_the_plane(self):
+        # J - I = [[1, 2], [3, 4]] maps each step to its residual change
+        rank1 = (9.0, 9.0, 9.0, 9.0)
+        first = (1.0, 0.0, 1.0, 3.0)
+        jm, last = fixedpoint._two_step_fit(rank1, first, 1.0, 1.0, 3.0, 7.0)
+        assert jm == (1.0, 2.0, 3.0, 4.0) and last == (1.0, 1.0, 3.0, 7.0)
+        # no earlier step, or one within SECANT_SPAN of parallel: rank 1
+        assert fixedpoint._two_step_fit(rank1, (), 1.0, 1.0, 3.0, 7.0)[0] \
+            == rank1
+        s = 0.5 * fixedpoint.SECANT_SPAN
+        assert fixedpoint._two_step_fit(rank1, first, 1.0, s, 1.0 + 2.0 * s,
+                                        3.0 + 4.0 * s)[0] == rank1
+
     def test_nan_map_jacobian_is_ill_conditioned(self, params):
         # a Jacobian function that gives no finite Jacobian ends the solve
         # with a SlipError, and no differences are taken

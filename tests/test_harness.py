@@ -33,6 +33,9 @@ from _oracles import _write_csv as reference_write_csv
 GOLDEN_ANALYTIC_SWEEP = Path(__file__).parent / "data" / "analytic_sweep_5x5"
 GOLDEN_SIM_SWEEP = Path(__file__).parent / "data" / "sim_sweep_2x2"
 GOLDEN_SINGLE = Path(__file__).parent / "data" / "single_2hops"
+# simulator maps of the closed-form + simulator sweep over the four
+# corners of criterion 1's ranges, as README "Numerical contracts" says
+CORNER_SWEEP_MAPS = 40
 
 
 def _read_csv(path):
@@ -213,7 +216,8 @@ class TestRunSweep:
         # Unchained, each simulator solve starts at its own cell's
         # analytic-numeric fixed point (solved from the closed form, not
         # written), with that point's exact Jacobian as Broyden's start
-        # matrix. The stance kernel's bytes are pinned by TestStanceKernel
+        # matrix until two steps refit it. The stance kernel's bytes are
+        # pinned by TestStanceKernel
         run_sweep(SweepConfig(params=params, p_bar_range=(-1.55, -0.5, 2),
                               k_theta_range=(0.3, 0.75, 2),
                               pipelines=(CLOSED_FORM, SIMULATOR_NUMERIC),
@@ -464,17 +468,18 @@ class TestRunSweep:
         assert report["failures"] == {}
 
     @pytest.mark.parametrize("seed_chaining", [True, False])
-    def test_simulator_sweep_takes_44_maps(self, params, monkeypatch,
+    def test_simulator_sweep_takes_40_maps(self, params, monkeypatch,
                                            seed_chaining):
         # the four corners of criterion 1's ranges, each simulator solve
-        # started at its own cell's analytic fixed point, chained or not:
-        # 44 simulator maps either way
+        # started at its own cell's analytic fixed point, chained or not,
+        # and Broyden's matrix refitted to two steps: 40 simulator maps
+        # either way
         maps = _count_map_calls(monkeypatch)
         run_sweep(SweepConfig(params=params, p_bar_range=(-1.55, -0.5, 2),
                               k_theta_range=(0.3, 0.75, 2),
                               pipelines=(CLOSED_FORM, SIMULATOR_NUMERIC),
                               seed_chaining=seed_chaining))
-        assert len(maps) == 44
+        assert len(maps) == CORNER_SWEEP_MAPS
 
     @pytest.mark.parametrize("pipelines", [
         order for n in (2, 3)
@@ -1043,21 +1048,22 @@ class TestSolvePoint:
                                                    p_bar, k_theta):
         # from the closed form: 1 + one per Broyden step + 4 for
         # stability, with no start differences (Broyden starts from the
-        # closed form's Jacobian); 10-13 here. Differences at the seed
+        # closed form's Jacobian, refitted to two steps); 10-12 here, and
+        # 10-13 with the rank-1 update alone. Differences at the seed
         # took up to 16, Newton with a fresh Jacobian each step up to 23.
         # From the analytic fixed point and its exact Jacobian, as
-        # solve_point starts without a seed: 10-12
+        # solve_point starts without a seed: 9-11
         maps = _count_map_calls(monkeypatch)
         inputs = ControlInputs(p_bar, k_theta)
         closed = closed_form_fixed_point(p_bar, k_theta, params)
         res = solve_point(SIMULATOR_NUMERIC, inputs, params, seed=closed.apex,
                           jacobian=closed.jacobian)
         assert res.residual <= harness.SIM_TOL
-        assert len(maps) <= 13
+        assert len(maps) <= 12
         maps.clear()
         res = solve_point(SIMULATOR_NUMERIC, inputs, params)
         assert res.residual <= harness.SIM_TOL
-        assert len(maps) <= 12
+        assert len(maps) <= 11
 
     @pytest.mark.parametrize("p_bar,k_theta", [
         (-1.0, 0.5), (-1.55, 0.75),
@@ -1070,8 +1076,10 @@ class TestSolvePoint:
         # agree within twice that. 1/(1 - rho) is that norm only for a
         # normal J: at (-0.942, 0.608) the roots from the neighbouring
         # cell's fixed point, started from its Jacobian and from
-        # differences, lie 4.8e-10 apart, above 2*SIM_TOL/(1 - rho) =
-        # 4.1e-10 and inside 2*SIM_TOL*||(I - J)^-1||_inf = 1.25e-9
+        # differences, lay 4.8e-10 apart with the rank-1 update alone,
+        # above 2*SIM_TOL/(1 - rho) = 4.1e-10 and inside
+        # 2*SIM_TOL*||(I - J)^-1||_inf = 1.25e-9 (8.8e-12 with the
+        # start Jacobian refitted to two steps)
         inputs = ControlInputs(p_bar, k_theta)
         start = closed_form_fixed_point(p_bar, k_theta, params)
         closed = solve_point(SIMULATOR_NUMERIC, inputs, params,

@@ -1,6 +1,7 @@
 """The README's library quickstart runs as written, its config block
-lists the CLI's keys with the library's defaults, and its Layout block
-names the package's modules."""
+lists the CLI's keys with the library's defaults, its Layout block
+names the package's modules, and its numerical contracts quote the map
+count the harness tests pin."""
 
 import dataclasses
 import inspect
@@ -11,6 +12,8 @@ import sliphop
 from sliphop import (ControlInputs, DEFAULT_PARAMS, SlipParams, SweepConfig,
                      cli, harness)
 from sliphop.harness import ALL_PIPELINES
+
+from test_harness import CORNER_SWEEP_MAPS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -76,3 +79,11 @@ def test_readme_layout_names_every_module():
     package = Path(sliphop.__file__).parent
     modules = [p.name for p in package.glob("*.py") if p.name != "__init__.py"]
     assert sorted(shown) == sorted(modules)
+
+
+def test_readme_quotes_the_corner_sweep_map_count():
+    section = README.read_text().split("## Numerical contracts\n", 1)[1]
+    text = " ".join(section.split("\n## ", 1)[0].split())
+    [count] = re.findall(r"simulator sweep over those corners takes "
+                         r"(\d+) simulator maps", text)
+    assert int(count) == CORNER_SWEEP_MAPS

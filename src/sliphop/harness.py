@@ -256,50 +256,40 @@ def solve_point(pipeline: str, inputs: ControlInputs, params: SlipParams,
 
 
 def _solve_cell(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
-                seed: fp.FixedPointResult | None = None) -> PointOutcome:
-    """One cell; a Newton pipeline starts from seed's apex and Jacobian."""
+                *seeds: fp.FixedPointResult | None) -> PointOutcome:
+    """One cell. Without seeds (the closed form), one solve_point call
+    from its own start. A Newton pipeline runs solve_point from each seed
+    in turn, a fixed point whose apex and Jacobian start Broyden, until
+    one converges; a None seed reads NoSeed, and the cell keeps the
+    status of its last attempt."""
     out = PointOutcome(inputs.p_bar, inputs.k_theta, pipeline)
-    if seed is None and pipeline != fp.CLOSED_FORM:
-        out.status = "NoSeed"
-        return out
-    apex = jacobian = None
-    if seed is not None:
-        apex, jacobian = seed.apex, seed.jacobian
-    try:
-        out.result = solve_point(pipeline, inputs, cfg.params, apex,
-                                 jacobian=jacobian, dt=cfg.dt,
-                                 control_dt=cfg.control_dt)
-    except SlipError as err:
-        out.status = _fail_status(err)
+    for seed in seeds or (None,):
+        if seed is None and seeds:
+            out.status = "NoSeed"
+            continue
+        try:
+            out.result = solve_point(pipeline, inputs, cfg.params,
+                                     seed and seed.apex,
+                                     jacobian=seed and seed.jacobian,
+                                     dt=cfg.dt, control_dt=cfg.control_dt)
+        except SlipError as err:
+            out.status = _fail_status(err)
+        else:
+            out.status = "converged"
+            break
     return out
-
-
-def _solve_seeded(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
-                  seed: fp.FixedPointResult | None,
-                  closed: PointOutcome) -> PointOutcome:
-    """A Newton cell from seed, or from the closed form when seed is None;
-    a seed that fails is retried once from the closed form. The seed is
-    an analytic fixed point: the previous cell's for a chained analytic
-    cell, the same cell's for a simulator cell."""
-    point = _solve_cell(cfg, inputs, pipeline, seed or closed.result)
-    if point.result is None and seed is not None:
-        point = _solve_cell(cfg, inputs, pipeline, closed.result)
-    return point
 
 
 def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
     """Evaluate one constant-p_bar row, pipelines in ALL_PIPELINES order.
 
-    The closed form is solved at every cell. Analytic-numeric starts from
-    the closed form's apex and Jacobian; with seed chaining on, from the
-    previous k_theta point's analytic fixed point once available. It is
+    The closed form is solved at every cell and is each Newton cell's
+    last seed. Analytic-numeric's first seed is the row's last analytic
+    fixed point when seed chaining is on, and none when it is off; it is
     solved wherever a Newton pipeline is requested, and written only
-    when analytic-numeric is. Simulator-numeric starts from the same
-    cell's analytic fixed point and its exact Jacobian, chained or not,
-    and from the closed form when the cell's analytic solve failed. A
-    seed other than the closed form that fails is retried once from it.
-    Every seed is row-local, so results do not depend on the worker
-    count.
+    when analytic-numeric is. Simulator-numeric's first seed is the same
+    cell's analytic fixed point, chained or not. Every seed is
+    row-local, so results do not depend on the worker count.
     """
     rows: list[PointOutcome] = []
     chained = None  # the last analytic fixed point of the row
@@ -309,14 +299,14 @@ def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
         closed = _solve_cell(cfg, inputs, fp.CLOSED_FORM)
         cells = {fp.CLOSED_FORM: closed}
         if newton:
-            cells[fp.ANALYTIC_NUMERIC] = _solve_seeded(
+            cells[fp.ANALYTIC_NUMERIC] = _solve_cell(
                 cfg, inputs, fp.ANALYTIC_NUMERIC,
-                chained if cfg.seed_chaining else None, closed)
+                chained if cfg.seed_chaining else None, closed.result)
             anchor = cells[fp.ANALYTIC_NUMERIC].result
             chained = anchor or chained
         if fp.SIMULATOR_NUMERIC in cfg.pipelines:
-            cells[fp.SIMULATOR_NUMERIC] = _solve_seeded(
-                cfg, inputs, fp.SIMULATOR_NUMERIC, anchor, closed)
+            cells[fp.SIMULATOR_NUMERIC] = _solve_cell(
+                cfg, inputs, fp.SIMULATOR_NUMERIC, anchor, closed.result)
         rows += [cells[p] for p in ALL_PIPELINES if p in cfg.pipelines]
     return rows
 

@@ -36,6 +36,9 @@ GOLDEN_SINGLE = Path(__file__).parent / "data" / "single_2hops"
 # simulator maps of the closed-form + simulator sweep over the four
 # corners of criterion 1's ranges, as README "Numerical contracts" says
 CORNER_SWEEP_MAPS = 40
+# analytic maps of the default 20x20 closed-form + analytic-numeric
+# sweep, seed chaining on, the closed form's 400 residuals included
+ANALYTIC_SWEEP_MAPS = 2546
 
 
 def _read_csv(path):
@@ -397,6 +400,33 @@ class TestRunSweep:
                          for s in (anchor[k], closed[k].apex)]
         assert [o.result for o in got.outcomes[1::2]] == want
 
+    @pytest.mark.parametrize("failing", [ANALYTIC_NUMERIC, SIMULATOR_NUMERIC])
+    def test_failed_seed_where_the_closed_form_failed_is_no_seed(
+            self, params, monkeypatch, failing):
+        # at k_theta 0.55 the closed form fails, and so does the first
+        # seed of one Newton cell: the chained analytic fixed point, or
+        # the simulator's anchor. No seed is left to retry from, so that
+        # cell, and a simulator cell without an anchor, reads NoSeed
+        calls = []
+        real = harness.solve_point
+
+        def injected(pipeline, inputs, params, seed=None, **kw):
+            calls.append((inputs.k_theta, pipeline))
+            if inputs.k_theta == 0.55 and pipeline in (CLOSED_FORM, failing):
+                raise SlipError("injected")
+            return real(pipeline, inputs, params, seed, **kw)
+
+        monkeypatch.setattr(harness, "solve_point", injected)
+        report = run_sweep(SweepConfig(
+            params=params, p_bar_range=(-1.0, -1.0, 1),
+            k_theta_range=(0.45, 0.55, 2), pipelines=harness.ALL_PIPELINES))
+        assert report.config.seed_chaining
+        analytic = "NoSeed" if failing == ANALYTIC_NUMERIC else "converged"
+        assert [o.status for o in report.outcomes] == [
+            "converged"] * 3 + ["SlipError", analytic, "NoSeed"]
+        assert calls[3:] == [(0.55, CLOSED_FORM), (0.55, ANALYTIC_NUMERIC)] \
+            + [(0.55, SIMULATOR_NUMERIC)] * (failing == SIMULATOR_NUMERIC)
+
     def test_failed_analytic_solve_seeds_simulator_from_closed_form(
             self, params, monkeypatch):
         closed = {k: closed_form_fixed_point(-1.0, k, params)
@@ -480,6 +510,23 @@ class TestRunSweep:
                               pipelines=(CLOSED_FORM, SIMULATOR_NUMERIC),
                               seed_chaining=seed_chaining))
         assert len(maps) == CORNER_SWEEP_MAPS
+
+    def test_analytic_sweep_takes_2546_maps(self, params, monkeypatch):
+        # each analytic-numeric solve chained from the row's last
+        # analytic fixed point, retried from the closed form where that
+        # fails; counted through a wrapped fixedpoint.return_map_analytic
+        maps = []
+        real_map = fixedpoint.return_map_analytic
+
+        def counted(*args):
+            maps.append(args[0])
+            return real_map(*args)
+
+        monkeypatch.setattr(fixedpoint, "return_map_analytic", counted)
+        report = run_sweep(SweepConfig(params=params, pipelines=(
+            CLOSED_FORM, ANALYTIC_NUMERIC)))
+        assert report.status_counts()[ANALYTIC_NUMERIC]["converged"] == 398
+        assert len(maps) == ANALYTIC_SWEEP_MAPS
 
     @pytest.mark.parametrize("pipelines", [
         order for n in (2, 3)

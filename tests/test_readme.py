@@ -1,7 +1,7 @@
 """The README's library quickstart runs as written, its config block
 lists the CLI's keys with the library's defaults, its Layout block
 names the package's modules, and its numerical contracts quote the map
-count the harness tests pin."""
+counts the harness tests pin."""
 
 import dataclasses
 import inspect
@@ -13,7 +13,7 @@ from sliphop import (ControlInputs, DEFAULT_PARAMS, SlipParams, SweepConfig,
                      cli, harness)
 from sliphop.harness import ALL_PIPELINES
 
-from test_harness import CORNER_SWEEP_MAPS
+from test_harness import ANALYTIC_SWEEP_MAPS, CORNER_SWEEP_MAPS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -81,9 +81,18 @@ def test_readme_layout_names_every_module():
     assert sorted(shown) == sorted(modules)
 
 
-def test_readme_quotes_the_corner_sweep_map_count():
+def _contracts_text() -> str:
     section = README.read_text().split("## Numerical contracts\n", 1)[1]
-    text = " ".join(section.split("\n## ", 1)[0].split())
+    return " ".join(section.split("\n## ", 1)[0].split())
+
+
+def test_readme_quotes_the_corner_sweep_map_count():
     [count] = re.findall(r"simulator sweep over those corners takes "
-                         r"(\d+) simulator maps", text)
+                         r"(\d+) simulator maps", _contracts_text())
     assert int(count) == CORNER_SWEEP_MAPS
+
+
+def test_readme_quotes_the_analytic_sweep_map_count():
+    [count] = re.findall(r"analytic-numeric sweep, seed chaining on, "
+                         r"takes (\d+) analytic maps", _contracts_text())
+    assert int(count) == ANALYTIC_SWEEP_MAPS

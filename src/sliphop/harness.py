@@ -17,9 +17,11 @@ whose one cell rule writes each cell by its type's % conversion
 (9-significant-digit floats, "" for None and NaN, CRLF line ends);
 trajectory.csv is written by sliphop.trajectory.write_trajectory_csv,
 next to the samples' layout rule. Every JSON document, the CLI's
-included, goes through to_json. A hops.csv row is a HopSummary, whose
-fields are the columns; the JSON objects of parameters, control inputs
-and apex states are their dataclass fields.
+included, goes through to_json. A hops.csv row is a HopSummary and an
+errors.csv row an ErrorStats, whose fields are the columns; the JSON
+objects of parameters, control inputs and apex states are their
+dataclass fields. Every result record (PointOutcome, SweepReport, ...)
+is a named tuple, built once from finished values and never assigned to.
 
 `import sliphop` does not load this module: the package's batch names
 (SweepConfig, run_sweep, ...) import it on first use, so a fresh
@@ -40,7 +42,7 @@ import math
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -138,8 +140,7 @@ class SweepConfig:
         return _grid(*self.k_theta_range)
 
 
-@dataclass
-class PointOutcome:
+class PointOutcome(NamedTuple):
     """One (grid point, pipeline) cell: a result or a tagged failure."""
 
     p_bar: float
@@ -149,8 +150,7 @@ class PointOutcome:
     status: str = "converged"
 
 
-@dataclass
-class ErrorStats:
+class ErrorStats(NamedTuple):
     """Apex prediction error of one pipeline against a reference."""
 
     predicted: str
@@ -162,8 +162,7 @@ class ErrorStats:
     rms_over_mean_ref: float  # rms / mean(|ref|) * 100
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     config: SweepConfig
     outcomes: list[PointOutcome]
     error_stats: list[ErrorStats]
@@ -171,8 +170,7 @@ class SweepReport:
 
     def converged(self, pipeline: str) -> dict[tuple[float, float],
                                                fp.FixedPointResult]:
-        return {(o.p_bar, o.k_theta): o.result for o in self.outcomes
-                if o.pipeline == pipeline and o.result is not None}
+        return _converged(self.outcomes, pipeline)
 
     def status_counts(self) -> dict[str, Counter]:
         """Per requested pipeline, how many cells ended in each status
@@ -181,6 +179,11 @@ class SweepReport:
         for o in self.outcomes:
             counts[o.pipeline][o.status] += 1
         return counts
+
+
+def _converged(outcomes: list[PointOutcome], pipeline: str) -> dict:
+    return {(o.p_bar, o.k_theta): o.result for o in outcomes
+            if o.pipeline == pipeline and o.result is not None}
 
 
 def _fail_status(err: SlipError) -> str:
@@ -262,22 +265,22 @@ def _solve_cell(cfg: SweepConfig, inputs: ControlInputs, pipeline: str,
     in turn, a fixed point whose apex and Jacobian start Broyden, until
     one converges; a None seed reads NoSeed, and the cell keeps the
     status of its last attempt."""
-    out = PointOutcome(inputs.p_bar, inputs.k_theta, pipeline)
+    result = None
     for seed in seeds or (None,):
         if seed is None and seeds:
-            out.status = "NoSeed"
+            status = "NoSeed"
             continue
         try:
-            out.result = solve_point(pipeline, inputs, cfg.params,
-                                     seed and seed.apex,
-                                     jacobian=seed and seed.jacobian,
-                                     dt=cfg.dt, control_dt=cfg.control_dt)
+            result = solve_point(pipeline, inputs, cfg.params,
+                                 seed and seed.apex,
+                                 jacobian=seed and seed.jacobian,
+                                 dt=cfg.dt, control_dt=cfg.control_dt)
         except SlipError as err:
-            out.status = _fail_status(err)
+            status = _fail_status(err)
         else:
-            out.status = "converged"
+            status = "converged"
             break
-    return out
+    return PointOutcome(inputs.p_bar, inputs.k_theta, pipeline, result, status)
 
 
 def _sweep_row(cfg: SweepConfig, p_bar: float) -> list[PointOutcome]:
@@ -317,15 +320,16 @@ def _mean(xs: list[float]) -> float:
     return math.fsum(xs) / len(xs)
 
 
-def _error_stats(report: SweepReport) -> list[ErrorStats]:
+def _error_stats(cfg: SweepConfig,
+                 outcomes: list[PointOutcome]) -> list[ErrorStats]:
     """Each pipeline against each costlier one, costliest reference first."""
-    ranked = [p for p in ALL_PIPELINES if p in report.config.pipelines]
+    ranked = [p for p in ALL_PIPELINES if p in cfg.pipelines]
     pairs = [(pred, ranked[i]) for i in reversed(range(len(ranked)))
              for pred in ranked[:i]]
     stats: list[ErrorStats] = []
     for pred_name, ref_name in pairs:
-        pred = report.converged(pred_name)
-        ref = report.converged(ref_name)
+        pred = _converged(outcomes, pred_name)
+        ref = _converged(outcomes, ref_name)
         keys = sorted(set(pred) & set(ref))
         if not keys:
             continue
@@ -346,9 +350,10 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 
     Rows (constant p_bar) are independent work units; with workers > 1
     they run in parallel and are reassembled in grid order, so output is
-    identical to a serial run. cfg.out_dir, when set, is created before
-    the first cell, so a path that cannot be a directory raises OSError
-    before any work.
+    identical to a serial run. The report is built once, from the
+    cells, their error statistics and the measured runtime. cfg.out_dir,
+    when set, is created before the first cell, so a path that cannot be
+    a directory raises OSError before any work.
     """
     t0 = time.perf_counter()
     if cfg.out_dir is not None:
@@ -362,11 +367,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             per_row = list(pool.map(_sweep_row, [cfg] * len(p_bars), p_bars))
     else:
         per_row = [_sweep_row(cfg, pb) for pb in p_bars]
-    report = SweepReport(config=cfg,
-                         outcomes=[o for row in per_row for o in row],
-                         error_stats=[], runtime_s=0.0)
-    report.error_stats = _error_stats(report)
-    report.runtime_s = time.perf_counter() - t0
+    outcomes = [o for row in per_row for o in row]
+    report = SweepReport(cfg, outcomes, _error_stats(cfg, outcomes),
+                         time.perf_counter() - t0)
     if cfg.out_dir is not None:
         write_sweep_outputs(report, Path(cfg.out_dir))
     return report
@@ -386,8 +389,7 @@ class HopSummary(NamedTuple):
     r_lo: float
 
 
-@dataclass
-class SingleRunReport:
+class SingleRunReport(NamedTuple):
     hops: list[HopSummary]
     trajectory: HybridTrajectory
     final_apex: ApexState
@@ -492,7 +494,7 @@ def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:
     _write_csv(out_dir / "errors.csv",
                ("predicted", "reference", "quantity", "n_points", "rms",
                 "percent_rms", "rms_over_mean_ref"),
-               map(astuple, report.error_stats))
+               report.error_stats)
     cfg = report.config
     counts = report.status_counts()
     doc = {
@@ -512,7 +514,7 @@ def write_sweep_outputs(report: SweepReport, out_dir: Path) -> None:
                                    for p, c in counts.items()},
         "failures": {p: {s: n for s, n in c.items() if s != "converged"}
                      for p, c in counts.items() if c.total() > c["converged"]},
-        "error_stats": [asdict(s) for s in report.error_stats],
+        "error_stats": [s._asdict() for s in report.error_stats],
     }
     (out_dir / "report.json").write_text(to_json(doc))
 

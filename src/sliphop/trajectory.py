@@ -23,10 +23,9 @@ records a hop, so a process that never records compiles none of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .model import (ApexState, SlipParams, StanceState, liftoff_reset,
                     polar_to_cartesian)
@@ -125,12 +124,11 @@ def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
         fh.writelines(texts)
 
 
-@dataclass
-class HybridTrajectory:
+class HybridTrajectory(NamedTuple):
     """Time-stamped hop record: 1 kHz samples plus the hybrid event log."""
 
-    samples: list[TrajectorySample] = field(default_factory=list)
-    events: list[TrajectoryEvent] = field(default_factory=list)
+    samples: Sequence[TrajectorySample] = ()
+    events: Sequence[TrajectoryEvent] = ()
 
     def validate(self) -> None:
         """Check the samples against phase_runs' layout rule and the

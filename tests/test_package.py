@@ -3,7 +3,10 @@ first stance and the first recorded hop load, the names it hands on to
 sliphop.harness and sliphop.trajectory, and the record types."""
 
 import dataclasses
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -16,7 +19,7 @@ from sliphop import harness, trajectory
 from sliphop.analytic import StanceMapConstants
 from sliphop.fixedpoint import FixedPointResult
 from sliphop.simulate import StanceSegment
-from sliphop.trajectory import TrajectoryEvent
+from sliphop.trajectory import HybridTrajectory, TrajectoryEvent
 
 BATCH_NAMES = ("SweepConfig", "SweepReport", "run_single", "run_sweep",
                "simulator_return_map", "solve_point")
@@ -130,6 +133,19 @@ def test_value_types_stay_dataclasses(cls):
     assert dataclasses.is_dataclass(cls)
 
 
+def test_only_the_value_types_are_dataclasses():
+    # results are records (named tuples, below), built once and never
+    # assigned to; a dataclass under src/ is one of the value types
+    modules = [importlib.import_module(f"sliphop.{m.name}")
+               for m in pkgutil.iter_modules(sliphop.__path__)]
+    found = {name for mod in modules
+             for name, cls in inspect.getmembers(mod, inspect.isclass)
+             if cls.__module__ == mod.__name__
+             and dataclasses.is_dataclass(cls)}
+    assert found == {"SlipParams", "ControlInputs", "StanceState",
+                     "ApexState", "TouchdownFixedPoint", "SweepConfig"}
+
+
 @pytest.mark.parametrize("cls,fields,defaults", [
     (TrajectoryEvent, ("name", "t", "state"), {"state": None}),
     (StanceSegment, ("t_liftoff", "t_bottom", "p_liftoff", "samples"), {}),
@@ -137,6 +153,16 @@ def test_value_types_stay_dataclasses(cls):
     (FixedPointResult, ("apex", "touchdown", "jacobian", "spectral_radius",
                         "stable", "provenance", "residual", "newton_steps"),
      {"newton_steps": 0}),
+    (harness.PointOutcome, ("p_bar", "k_theta", "pipeline", "result",
+                            "status"),
+     {"result": None, "status": "converged"}),
+    (harness.ErrorStats, ("predicted", "reference", "quantity", "n", "rms",
+                          "percent_rms", "rms_over_mean_ref"), {}),
+    (harness.SweepReport, ("config", "outcomes", "error_stats",
+                           "runtime_s"), {}),
+    (harness.SingleRunReport, ("hops", "trajectory", "final_apex",
+                               "failure"), {"failure": None}),
+    (HybridTrajectory, ("samples", "events"), {"samples": (), "events": ()}),
 ])
 def test_records_are_named_tuples(cls, fields, defaults):
     assert issubclass(cls, tuple)

@@ -27,11 +27,13 @@ is a named tuple, built once from finished values and never assigned to.
 (SweepConfig, run_sweep, ...) import it on first use, so a fresh
 process that only evaluates maps or solves fixed points compiles none
 of it. Importing it loads the hop recorder (sliphop.trajectory): run_single
-builds its records, and write_single_outputs calls its
-write_trajectory_csv through this module's global of that name. It loads
-no process pool and no statistics module: run_sweep imports the pool
-only when it runs more than one worker, and the stance kernel loads with
-the first stance integration.
+builds its records, joining each hop's phase runs into one
+RecordedSamples, so no sample row is built unless a caller reads one,
+and write_single_outputs calls its write_trajectory_csv through this
+module's global of that name. It loads no process pool and no
+statistics module: run_sweep imports the pool only when it runs more
+than one worker, and the stance kernel loads with the first stance
+integration.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from .errors import SlipError
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
 from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, check_steps,
                        return_map_numeric)
-from .trajectory import HybridTrajectory, write_trajectory_csv
+from .trajectory import (HybridTrajectory, RecordedSamples,
+                         write_trajectory_csv)
 
 ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
 SIM_TOL = 1e-10
@@ -403,11 +406,12 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
     """Chain the simulator return map for n_hops, recording everything.
 
     k_theta_step = (hop_index, new_value) switches the touchdown gain
-    from that hop onward; a hop_index that is not an integer >= 0 or a
-    new_value that ControlInputs rejects raises ValueError before any
-    hop, and so does an out_dir that cannot be created (OSError). Stops
-    at the first gait failure, keeping the partial trajectory and a
-    failure record.
+    from that hop onward; a hop_index that is not an integer >= 0 and
+    < n_hops or a new_value that ControlInputs rejects raises ValueError
+    before any hop, and so does an out_dir that cannot be created
+    (OSError). Stops at the first gait failure, keeping the partial
+    trajectory and a failure record. The trajectory's samples are the
+    hops' phase runs in one RecordedSamples.
     """
     _check_count("n_hops", n_hops)
     check_steps(dt, control_dt)
@@ -415,10 +419,13 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
     if k_theta_step is not None:
         step_hop, k_theta = k_theta_step
         _check_count("k_theta_step hop", step_hop, least=0)
+        if step_hop >= n_hops:
+            raise ValueError(f"k_theta_step hop must be < n_hops = {n_hops}, "
+                             f"got {step_hop}")
         stepped = replace(inputs, k_theta=k_theta)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    samples, events = [], []
+    runs, events = [], []
     hops: list[HopSummary] = []
     failure = None
     t, x = 0.0, 0.0
@@ -432,7 +439,7 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
         except SlipError as err:
             failure = f"hop {hop}: {_fail_status(err)}: {err}"
             break
-        samples += hop_traj.samples
+        runs += hop_traj.samples.runs
         events += hop_traj.events
         by_name = {e.name: e for e in hop_traj.events}
         td, lo = by_name["touchdown"].state, by_name["liftoff"].state
@@ -442,7 +449,8 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
         t, x = by_name["apex"].t, by_name["apex"].state["x"]
         current = nxt
     report = SingleRunReport(hops=hops,
-                             trajectory=HybridTrajectory(samples, events),
+                             trajectory=HybridTrajectory(
+                                 RecordedSamples(runs), events),
                              final_apex=current, failure=failure)
     if out_dir is not None:
         write_single_outputs(report, inputs, params, Path(out_dir))

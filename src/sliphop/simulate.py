@@ -19,7 +19,8 @@ ApexState at the end is built, and a failed state check leaves the
 chain as a phase-tagged InvalidState. Each law is one function, which
 the chain and the hop recorder (sliphop.trajectory, imported by the
 first recorded hop) both call; the stance stepper's samples, kept for
-a recorded hop only, are a list of tuples.
+a recorded hop only, are a list of tuples, which the recorder turns
+into the columns of the hop's stance run.
 """
 
 from __future__ import annotations

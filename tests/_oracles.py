@@ -20,6 +20,10 @@ flow_coeffs and stance_flow are the package's own closed-form flow by
 name and as a StanceState (they are not independent); the flow tests
 check it against taylor_flow_oracle, and its liftoff time against
 liftoff_time_bisect, which bisects the leg force on the flow.
+reference_hop_rows is the hop recorder as a row builder, one
+TrajectorySample per 1 kHz row, from the package's own flight times and
+coordinate change; the recorder's samples must read as its rows bit for
+bit.
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ from sliphop import (ApexState, ControlInputs, DescendingAtLiftoff,
 from sliphop.control import (AOA_MAX_ITER, AOA_THETA_MAX, AOA_TOL, _phi,
                              solve_aoa_approx, solve_aoa_implicit,
                              vertical_energy)
-from sliphop.model import TOUCHDOWN_TOL, check_flight, polar_to_cartesian
+from sliphop.model import (TOUCHDOWN_TOL, check_flight, liftoff_reset,
+                           polar_to_cartesian)
 from sliphop.simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT,
-                              integrate_stance)
+                              ascent_time, descent_time, integrate_stance)
+from sliphop.trajectory import TrajectorySample
 
 
 def _linear_coeffs(m, k, b, r0, g, p_bar):
@@ -722,3 +728,38 @@ def reference_return_map_numeric(apex: ApexState, inputs: ControlInputs,
     return _compose_return_map(apex, inputs, params, solve_aoa_implicit,
                                stance_map)
 
+
+
+def _reference_flight_rows(t0, duration, x0, x_dot, y0, y_dot0, g, phase,
+                           sample_dt):
+    return [TrajectorySample(t0 + t, phase, None, None, None, None,
+                             x0 + x_dot * t,
+                             y0 + y_dot0 * t - 0.5 * g * t * t, x_dot,
+                             y_dot0 - g * t, None)
+            for i in range(int(math.floor(duration / sample_dt)) + 1)
+            if (t := i * sample_dt) <= duration]
+
+
+def reference_hop_rows(apex, next_apex, s_td, s_lo, seg, params, control_dt,
+                       t0, x0) -> list[TrajectorySample]:
+    """The rows of one recorded hop, from record_hop's arguments: descent
+    and ascent sampled every control_dt, each flight row holding its
+    run's one launch speed object, and the stance rows moved about the
+    toe."""
+    t_td = descent_time(apex, s_td.theta, params)
+    x_dot_lo, y_lo, y_dot_lo = liftoff_reset(s_lo.r, s_lo.r_dot, s_lo.theta,
+                                             s_lo.theta_dot)
+    t_touch = t0 + t_td
+    toe_x = x0 + apex.x_dot * t_td - polar_to_cartesian(
+        s_td.r, s_td.r_dot, s_td.theta, s_td.theta_dot)[0]
+    rows = _reference_flight_rows(t0, t_td, x0, apex.x_dot, apex.y, 0.0,
+                                  params.g, "descent", control_dt)
+    for t, r, dr, th, dth, tau in seg.samples:
+        x, y, x_dot, y_dot = polar_to_cartesian(r, dr, th, dth)
+        rows.append(TrajectorySample(t_touch + t, "stance", r, dr, th, dth,
+                                     toe_x + x, y, x_dot, y_dot, tau))
+    x_lo = toe_x + polar_to_cartesian(s_lo.r, s_lo.r_dot, s_lo.theta,
+                                      s_lo.theta_dot)[0]
+    return rows + _reference_flight_rows(
+        t_touch + seg.t_liftoff, ascent_time(y_dot_lo, params), x_lo,
+        x_dot_lo, y_lo, y_dot_lo, params.g, "ascent", control_dt)

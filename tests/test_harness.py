@@ -24,8 +24,8 @@ from sliphop import (ApexState, ControlInputs, InvalidState, SlipError,
 from sliphop.cli import main, parse_config_file
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
-from sliphop.trajectory import (HybridTrajectory, TrajectorySample,
-                                phase_runs)
+from sliphop.trajectory import (HybridTrajectory, RecordedSamples,
+                                TrajectorySample, phase_runs)
 
 from _oracles import _write_csv as reference_write_csv
 
@@ -660,6 +660,11 @@ class TestRunSingle:
         ((5, 1.5), "^k_theta must be in"),
         ((-3, 0.5), "^k_theta_step hop must be >= 0"),
         ((2.5, 0.7), "^k_theta_step hop must be an integer, got 2.5$"),
+        # a step at or past the last hop would never apply
+        pytest.param((20, 0.7), "^k_theta_step hop must be < n_hops = 20, "
+                     "got 20$", id="hop-at-n_hops"),
+        pytest.param((35, 0.7), "^k_theta_step hop must be < n_hops = 20, "
+                     "got 35$", id="hop-past-n_hops"),
     ])
     def test_rejects_bad_gain_step_before_any_hop(self, params, monkeypatch,
                                                   step, message):
@@ -932,6 +937,85 @@ class TestCsvWriter:
             ("ascent", False, True)] * 2
         assert isinstance(_traj_bytes(tmp_path, report.trajectory.samples),
                           bytes)
+
+    @pytest.mark.parametrize("inputs, n_hops, k_theta_step, hops", [
+        (ControlInputs(p_bar=-1.0, k_theta=0.5), 3, None, 3),
+        (ControlInputs(p_bar=-1.55, k_theta=0.75), 3, None, 3),
+        (ControlInputs(p_bar=-0.5, k_theta=0.3), 3, None, 3),
+        (ControlInputs(p_bar=-1.0, k_theta=0.5), 4, (2, 0.7), 4),
+        # fails in stance at hop 4: the runs of the hops before it
+        (ControlInputs(p_bar=0.0, k_theta=0.64), 6, None, 4),
+    ])
+    def test_row_path_gives_the_recorded_runs(self, params, inputs, n_hops,
+                                              k_theta_step, hops):
+        # phase_runs turns the rows a recorded trajectory reads as back
+        # into the runs the recorder keeps, floats and totals bit for bit
+        report = run_single(ApexState(1.5, 0.24), inputs, params,
+                            n_hops=n_hops, k_theta_step=k_theta_step)
+        assert len(report.hops) == hops
+        assert (report.failure is None) == (hops == n_hops)
+        assert report.failure is None or "@stance" in report.failure
+
+        def bits(runs):
+            return [(phase, None if speed is None else speed.hex(),
+                     [[c.hex() for c in col] for col in floats], total.hex())
+                    for phase, speed, floats, total in runs]
+
+        samples = report.trajectory.samples
+        recorded = list(phase_runs(samples))
+        assert len(recorded) == 3 * hops
+        assert [(phase, speed, floats) for phase, speed, floats, _
+                in recorded] == list(samples.runs)
+        assert {(type(floats), *map(type, floats))
+                for _, _, floats, _ in recorded} <= {
+            (tuple,) * 5, (tuple,) * 11}
+        assert bits(phase_runs(list(samples))) == bits(recorded)
+
+    def test_recorded_runs_stay_checked(self, params, tmp_path):
+        # the recorder's runs pass the checks a list of rows passes: the
+        # event order, the phase cycle and a number in every float cell;
+        # a NaN float cell is written empty, as the reference writes it
+        traj = run_single(ApexState(1.5, 0.24),
+                          ControlInputs(p_bar=-1.0, k_theta=0.5), params,
+                          n_hops=2).trajectory
+        traj.validate()
+        late = traj._replace(events=traj.events[::-1])
+        for check in (late.validate, functools.partial(
+                harness.write_trajectory_csv, late, tmp_path / "late.csv")):
+            with pytest.raises(ValueError,
+                               match="^event times not increasing"):
+                check()
+        assert not (tmp_path / "late.csv").exists()
+        descent, stance, ascent, *rest = traj.samples.runs
+        t_ascent = ascent[2][0][0]
+
+        def replaced(run, col, value):
+            phase, speed, floats = run
+            cells = list(floats[col])
+            cells[2] = value
+            return phase, speed, (*floats[:col], tuple(cells),
+                                  *floats[col + 1:])
+
+        for name, runs, message in [
+            ("cycle", (stance, descent, ascent, *rest),
+             "phase 'stance' -> 'descent' breaks the descent->stance->ascent "
+             "cycle"),
+            ("phase", (descent, ("hover", *stance[1:]), ascent, *rest),
+             f"unknown phase 'hover' at t = {stance[2][0][0]}"),
+            ("cell", (descent, stance, replaced(ascent, 2, None), *rest),
+             f"ascent run at t = {t_ascent} breaks its phase's layout"),
+            ("speed", (descent, stance, ("ascent", math.nan, ascent[2]),
+                       *rest),
+             f"ascent run at t = {t_ascent} breaks its phase's layout"),
+        ]:
+            (tmp_path / name).mkdir()
+            err = _traj_bytes(tmp_path / name, RecordedSamples(runs))
+            assert str(err) == message
+        (tmp_path / "nan").mkdir()
+        runs = (descent, replaced(stance, 6, math.nan), ascent, *rest)
+        written = _traj_bytes(tmp_path / "nan", RecordedSamples(runs))
+        row = written.splitlines()[1 + len(descent[2][0]) + 2].split(b",")
+        assert (row[1], row[7]) == (b"stance", b"")
 
     def test_infinities_of_both_signs_blank_nothing(self, tmp_path):
         # the run's float sum is NaN, but it holds no NaN cell to blank
@@ -1374,7 +1458,10 @@ class TestCli:
         assert "must be given together" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("hop,value", [("5", "1.5"), ("-3", "0.5")])
+    @pytest.mark.parametrize("hop,value", [
+        ("5", "1.5"), ("-3", "0.5"),
+        pytest.param("20", "0.7", id="hop-at-n_hops"),
+    ])
     def test_bad_gain_step_exits_before_any_hop(self, hop, value, tmp_path,
                                                 monkeypatch, capsys):
         maps = _count_map_calls(monkeypatch)

@@ -16,11 +16,12 @@ from sliphop.analytic import flow_liftoff
 from sliphop.model import liftoff_reset
 from sliphop.simulate import DEFAULT_DT, ascend, check_steps, descend
 from sliphop.stance import _locate, _scaled_tableau, _step
-from sliphop.trajectory import (HybridTrajectory, TrajectoryEvent,
-                                TrajectorySample)
+from sliphop import trajectory
+from sliphop.trajectory import (HybridTrajectory, RecordedSamples,
+                                TrajectoryEvent, TrajectorySample)
 
-from _oracles import (full_stance_oracle, rk4_step, rk6_tableau_step,
-                      stance_rhs, stance_step)
+from _oracles import (full_stance_oracle, reference_hop_rows, rk4_step,
+                      rk6_tableau_step, stance_rhs, stance_step)
 
 
 def stance_energy(params, r, r_dot, theta, theta_dot):
@@ -693,6 +694,74 @@ class TestTrajectoryValidate:
         with pytest.raises(ValueError,
                            match="^event times not increasing: 0.1 >= 0.1$"):
             traj.validate()
+
+
+def _bits(row):
+    """A row's cells with each float as its hex text: equal bit for bit."""
+    return tuple(c.hex() if type(c) is float else c for c in row)
+
+
+class TestRecordedSamples:
+    @pytest.fixture
+    def recorded(self, params, monkeypatch):
+        """One recorded hop's samples and the rows of the reference row
+        builder from the recorder's own arguments."""
+        calls = []
+        real = trajectory.record_hop
+
+        def kept(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(trajectory, "record_hop", kept)
+        _, traj = return_map_numeric(ApexState(x_dot=1.2, y=0.24),
+                                     ControlInputs(p_bar=-0.9, k_theta=0.55),
+                                     params, t0=0.5, x0=-0.25)
+        [args] = calls
+        return traj.samples, reference_hop_rows(*args), args
+
+    def test_rows_are_the_row_builders_bit_for_bit(self, recorded):
+        samples, rows, (apex, *_) = recorded
+        assert type(samples) is RecordedSamples
+        assert [p for p, _, _ in samples.runs] == [
+            "descent", "stance", "ascent"]
+        assert len(samples) == len(rows) > 200
+        got = list(samples)
+        assert {type(s) for s in got} == {TrajectorySample}
+        assert list(map(_bits, got)) == list(map(_bits, rows))
+        # each flight run holds one launch speed object, as the row
+        # builder's do: in descent the apex's own
+        for phase in ("descent", "ascent"):
+            assert len({id(s.x_dot) for s in got if s.phase == phase}) == 1
+        assert got[0].x_dot is apex.x_dot
+
+    def test_indexing_reads_like_the_rows(self, recorded):
+        samples, rows, _ = recorded
+        n = len(rows)
+        for i in [0, 1, n // 2, n - 1, -1, -2, -n]:
+            assert _bits(samples[i]) == _bits(rows[i]), i
+            assert type(samples[i]) is TrajectorySample
+        for i in range(-n, n, 7):
+            assert _bits(samples[i]) == _bits(rows[i]), i
+        for sl in [slice(None), slice(3, -2), slice(None, None, -1),
+                   slice(5, n, 37), slice(-10, None), slice(n - 1, 2, -50),
+                   slice(100, 50), slice(n, None)]:
+            got = samples[sl]
+            assert type(got) is list
+            assert list(map(_bits, got)) == list(map(_bits, rows[sl])), sl
+        assert samples[-1].x_dot is samples[-2].x_dot is samples.runs[-1][1]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                samples[i]
+        with pytest.raises(TypeError):
+            samples[1.0]
+
+    def test_samples_are_read_only(self, recorded):
+        samples, _, _ = recorded
+        with pytest.raises(TypeError):
+            samples[0] = samples[1]
+        with pytest.raises(AttributeError):
+            samples.extra = 1
 
 
 class TestScalarType:

@@ -20,9 +20,10 @@ numerics, control, simulate, analytic and fixedpoint. The stance kernel
 recorder (sliphop.trajectory) with the first recorded hop. The batch
 front end's names (SweepConfig, SweepReport, run_single, run_sweep,
 simulator_return_map, solve_point) load sliphop.harness on first use,
-and the trajectory records (HybridTrajectory, TrajectorySample,
-TrajectoryEvent) and their writer (write_trajectory_csv)
-sliphop.trajectory; _LAZY maps each such name to its module.
+and the trajectory records (HybridTrajectory, a recorded trajectory's
+phase runs and events, and TrajectoryEvent) and their writer
+(write_trajectory_csv) sliphop.trajectory; _LAZY maps each such name to
+its module.
 """
 
 from .errors import (DegenerateQuadratic, DescendingAtLiftoff, FailedLiftoff,
@@ -50,9 +51,8 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(("SweepConfig", "SweepReport", "run_single", "run_sweep",
                      "simulator_return_map", "solve_point"), "harness"),
-    **dict.fromkeys(("HybridTrajectory", "TrajectorySample",
-                     "TrajectoryEvent", "write_trajectory_csv"),
-                    "trajectory"),
+    **dict.fromkeys(("HybridTrajectory", "TrajectoryEvent",
+                     "write_trajectory_csv"), "trajectory"),
 }
 
 

@@ -16,7 +16,7 @@ Every table (sweep.csv, errors.csv, hops.csv) goes through _write_csv,
 whose one cell rule writes each cell by its type's % conversion
 (9-significant-digit floats, "" for None and NaN, CRLF line ends);
 trajectory.csv is written by sliphop.trajectory.write_trajectory_csv,
-next to the samples' layout rule. Every JSON document, the CLI's
+next to the runs' layout rule. Every JSON document, the CLI's
 included, goes through to_json. A hops.csv row is a HopSummary and an
 errors.csv row an ErrorStats, whose fields are the columns; the JSON
 objects of parameters, control inputs and apex states are their
@@ -27,10 +27,9 @@ is a named tuple, built once from finished values and never assigned to.
 (SweepConfig, run_sweep, ...) import it on first use, so a fresh
 process that only evaluates maps or solves fixed points compiles none
 of it. Importing it loads the hop recorder (sliphop.trajectory): run_single
-builds its records, joining each hop's phase runs into one
-RecordedSamples, so no sample row is built unless a caller reads one,
-and write_single_outputs calls its write_trajectory_csv through this
-module's global of that name. It loads no process pool and no
+builds its records, joining each hop's phase runs and events into one
+HybridTrajectory, and write_single_outputs calls its write_trajectory_csv
+through this module's global of that name. It loads no process pool and no
 statistics module: run_sweep imports the pool only when it runs more
 than one worker, and the stance kernel loads with the first stance
 integration.
@@ -54,8 +53,7 @@ from .errors import SlipError
 from .model import ApexState, ControlInputs, DEFAULT_PARAMS, SlipParams
 from .simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT, check_steps,
                        return_map_numeric)
-from .trajectory import (HybridTrajectory, RecordedSamples,
-                         write_trajectory_csv)
+from .trajectory import HybridTrajectory, write_trajectory_csv
 
 ALL_PIPELINES = (fp.CLOSED_FORM, fp.ANALYTIC_NUMERIC, fp.SIMULATOR_NUMERIC)
 SIM_TOL = 1e-10
@@ -104,6 +102,10 @@ class SweepConfig:
     control_dt: float = DEFAULT_CONTROL_DT
 
     def __post_init__(self):
+        # kept as tuples, so a config given lists compares, hashes and
+        # runs as its tuple form does
+        for name in ("p_bar_range", "k_theta_range", "pipelines"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("p_bar_range", "k_theta_range"):
             lo, hi, n = getattr(self, name)
             _check_count(f"{name} count", n)
@@ -410,8 +412,8 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
     < n_hops or a new_value that ControlInputs rejects raises ValueError
     before any hop, and so does an out_dir that cannot be created
     (OSError). Stops at the first gait failure, keeping the partial
-    trajectory and a failure record. The trajectory's samples are the
-    hops' phase runs in one RecordedSamples.
+    trajectory and a failure record. The trajectory holds the hops'
+    phase runs and events in time order.
     """
     _check_count("n_hops", n_hops)
     check_steps(dt, control_dt)
@@ -439,7 +441,7 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
         except SlipError as err:
             failure = f"hop {hop}: {_fail_status(err)}: {err}"
             break
-        runs += hop_traj.samples.runs
+        runs += hop_traj.runs
         events += hop_traj.events
         by_name = {e.name: e for e in hop_traj.events}
         td, lo = by_name["touchdown"].state, by_name["liftoff"].state
@@ -449,8 +451,8 @@ def run_single(apex: ApexState, inputs: ControlInputs, params: SlipParams,
         t, x = by_name["apex"].t, by_name["apex"].state["x"]
         current = nxt
     report = SingleRunReport(hops=hops,
-                             trajectory=HybridTrajectory(
-                                 RecordedSamples(runs), events),
+                             trajectory=HybridTrajectory(tuple(runs),
+                                                         events),
                              final_apex=current, failure=failure)
     if out_dir is not None:
         write_single_outputs(report, inputs, params, Path(out_dir))

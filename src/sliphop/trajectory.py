@@ -1,23 +1,24 @@
 """The hop recorder: 1 kHz samples, the hybrid event log and their checks.
 
 record_hop turns one simulator hop, its touchdown and liftoff states and
-its recorded stance, into a HybridTrajectory: descent and ascent are
-sampled in closed form at the control period, the stance rows are the
-stance loop's own, moved to Cartesian coordinates about the toe, and
-the events carry the states the hop passed through. A trajectory.csv
-row is a TrajectorySample. The recorder keeps no rows: its samples are
-RecordedSamples, the hop's three phase runs as float columns, which
-read as a sequence of TrajectorySample rows built only when read.
+its recorded stance, into a HybridTrajectory: the hop's phase runs and
+its events. A phase run is (phase, launch_speed, floats), floats the
+float columns of the run's trajectory.csv rows: in stance the ten
+columns but the phase, launch_speed None; in flight t, x, y and y_dot,
+the leg state and tau empty and x_dot the run's one launch speed.
+Descent and ascent are sampled in closed form at the control period,
+the stance rows are the stance loop's own, transposed once and moved to
+Cartesian coordinates about the toe, and the events carry the states
+the hop passed through.
 
-phase_runs, the samples' one layout rule, checks each phase run and
-yields its float columns: a list of rows is turned into runs there and
-nowhere else, and RecordedSamples hand over the runs they keep.
-HybridTrajectory.validate and write_trajectory_csv both run it, so this
-is the one module that knows a sample's columns. The writer formats
-each run with one % of the row format its phase fixes, taking the float
-cells alone: the phase, flight's empty cells and a flight run's launch
-speed are literal text, so "nan" shows only in a NaN float cell, and
-only a run whose float sum is NaN is searched for it, to write it empty.
+phase_runs, the runs' one layout rule, checks each run and yields it
+with its float sum. HybridTrajectory.validate and write_trajectory_csv
+both run it, so this is the one module that knows a run's columns. The
+writer formats each run with one % of the row format its phase fixes,
+taking the float cells alone: the phase, flight's empty cells and a
+flight run's launch speed are literal text, so "nan" shows only in a
+NaN float cell, and only a run whose float sum is NaN is searched for
+it, to write it empty.
 
 simulate.return_map_numeric imports this module the first time it
 records a hop, so a process that never records compiles none of it.
@@ -26,34 +27,12 @@ records a hop, so a process that never records compiles none of it.
 from __future__ import annotations
 
 import math
-from bisect import bisect
 from collections.abc import Sequence
-from itertools import accumulate, chain, groupby, islice, repeat, starmap
-from operator import itemgetter
 from typing import NamedTuple
 
 from .model import (ApexState, SlipParams, StanceState, liftoff_reset,
                     polar_to_cartesian)
 from .simulate import StanceSegment, ascent_time, descent_time
-
-
-class TrajectorySample(NamedTuple):
-    """One 1 kHz row of trajectory.csv, its fields the columns in order.
-    Its phase fixes its layout (phase_runs): in flight the leg state and
-    hip torque tau are None and x_dot is the run's one launch speed;
-    each other cell but the phase is a float."""
-
-    t: float
-    phase: str  # "descent" | "stance" | "ascent"
-    r: float | None
-    r_dot: float | None
-    theta: float | None
-    theta_dot: float | None
-    x: float
-    y: float
-    x_dot: float
-    y_dot: float
-    tau: float | None
 
 
 class TrajectoryEvent(NamedTuple):
@@ -63,114 +42,41 @@ class TrajectoryEvent(NamedTuple):
 
 
 _PHASE_NEXT = {"descent": "stance", "stance": "ascent", "ascent": "descent"}
-# the launch speed of a run of rows that breaks its flight layout
-_BROKEN = object()
+_WIDTH = {"descent": 4, "stance": 10, "ascent": 4}  # float columns per run
 
 
-def _row_runs(samples):
-    """Each phase run of the sample rows as (phase, launch_speed, floats),
-    the rows turned into columns: in stance launch_speed is None and
-    floats are the ten float columns; in flight floats are t, x, y and
-    y_dot and launch_speed is the run's x_dot, or _BROKEN, with t alone
-    in floats, where the leg-state and tau columns are not all None or
-    x_dot does not hold one float launch speed, zeros of one sign;
-    phase_runs checks that the speed is not NaN."""
-    for phase, run in groupby(samples, itemgetter(1)):
-        columns = tuple(zip(*run))
-        t, x_dot = columns[0], columns[8]
-        n, v = len(t), x_dot[0]
-        if phase == "stance":
-            yield phase, None, columns[:1] + columns[2:]
-        # count matches by identity first and 0.0 == -0.0, so a NaN and
-        # the signs of a zero speed are checked apart
-        elif (any(col.count(None) < n for col in columns[2:6] + columns[10:])
-              or type(v) is not float or x_dot.count(v) < n
-              or not v and len({*map(math.copysign, repeat(1.0), x_dot)}) > 1):
-            yield phase, _BROKEN, (t,)
-        else:
-            yield phase, v, (t, *columns[6:8], columns[9])
-
-
-def phase_runs(samples):
-    """Each phase run of samples as (phase, launch_speed, floats, total),
+def phase_runs(runs):
+    """Each phase run (phase, launch_speed, floats) of runs with total,
     once the run is checked: its phase is one of the cycle's and follows
-    the previous run's, its float cells are real numbers (float() of
-    their sum raises no TypeError; NaN and infinities are numbers), and
-    in flight its leg-state and tau columns are all None and x_dot holds
-    one float launch speed, not NaN, zeros of one sign. floats are the
-    run's float columns in row order, launch_speed is the flight run's
-    one x_dot (None in stance) and total is float() of the floats' sum,
-    NaN where a cell is NaN or infinities of both signs meet. Raises
-    ValueError naming the first run that breaks this rule.
-
-    The runs of RecordedSamples are taken as they are kept, not rebuilt
-    from rows: a run of columns has no leg-state, tau or x_dot cells to
-    check, and its phase, launch speed and float sum are checked as a
-    row run's are."""
+    the previous run's; floats are its phase's float columns (ten in
+    stance, four in flight), of one length of at least one row, and
+    their cells are real numbers (float() of their sum raises no
+    TypeError or OverflowError; NaN and infinities are numbers);
+    launch_speed is None in stance and a float, not NaN, in flight.
+    total is float() of the floats' sum, NaN where a cell is NaN or
+    infinities of both signs meet. Raises ValueError naming the first
+    run that breaks this rule, by its index in runs."""
     prev = None
-    runs = (samples.runs if isinstance(samples, RecordedSamples)
-            else _row_runs(samples))
-    for phase, v, floats in runs:
-        t0 = floats[0][0]
+    for i, (phase, v, floats) in enumerate(runs):
         if phase not in _PHASE_NEXT:
-            raise ValueError(f"unknown phase {phase!r} at t = {t0}")
+            raise ValueError(f"unknown phase {phase!r} in run {i}")
         if prev is not None and phase != _PHASE_NEXT[prev]:
             raise ValueError(f"phase {prev!r} -> {phase!r} breaks the "
                              "descent->stance->ascent cycle")
         prev = phase
         try:
+            (n,) = {*map(len, floats)}  # the rows, one count for all
             total = float(sum(map(sum, floats)))
-        except TypeError:
-            v = _BROKEN
-        # a flight run's launch speed is a float, not NaN
-        if v is _BROKEN or (phase != "stance"
-                            and (type(v) is not float or v != v)):
-            raise ValueError(f"{phase} run at t = {t0} breaks its "
-                             "phase's layout")
+        except (TypeError, ValueError, OverflowError):
+            n = 0
+        if (not n or len(floats) != _WIDTH[phase]
+                or (v is not None if phase == "stance" else
+                    type(v) is not float or v != v)):
+            raise ValueError(f"{phase} run {i} breaks its phase's layout")
         yield phase, v, floats, total
 
 
-def _run_cells(phase, speed, floats):
-    """The cells of each row of one run, in column order."""
-    if speed is None:
-        return zip(floats[0], repeat(phase), *floats[1:])
-    t, x, y, y_dot = floats
-    none = repeat(None)
-    return zip(t, repeat(phase), none, none, none, none, x, y, repeat(speed),
-               y_dot, none)
-
-
-class RecordedSamples(Sequence):
-    """The samples of a recorded trajectory, kept as its phase runs
-    (phase, launch_speed, floats), the first three items phase_runs
-    yields: float columns, not rows. A read-only sequence of
-    TrajectorySample rows, each built when it is read; a flight row's
-    x_dot is its run's one launch speed object."""
-
-    __slots__ = ("runs", "_starts")
-
-    def __init__(self, runs):
-        self.runs = tuple(runs)
-        self._starts = [0, *accumulate(len(f[0]) for _, _, f in self.runs)]
-
-    def __len__(self):
-        return self._starts[-1]
-
-    def __getitem__(self, i):
-        rows = range(len(self))[i]  # one row's index, or a range for a slice
-        if isinstance(rows, range):
-            return list(map(self.__getitem__, rows))
-        k = bisect(self._starts, rows) - 1
-        cells = _run_cells(*self.runs[k])
-        return tuple.__new__(TrajectorySample, next(
-            islice(cells, rows - self._starts[k], None)))
-
-    def __iter__(self):
-        return map(tuple.__new__, repeat(TrajectorySample),
-                   chain.from_iterable(starmap(_run_cells, self.runs)))
-
-
-_HEADER = ",".join(TrajectorySample._fields) + "\r\n"
+_HEADER = "t,phase,r,r_dot,theta,theta_dot,x,y,x_dot,y_dot,tau\r\n"
 _STANCE_ROW = "%.9g,stance" + ",%.9g" * 9 + "\r\n"
 
 
@@ -184,13 +90,13 @@ def _check_event_times(events) -> None:
 
 def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
     """Write the 1 kHz sample rows; 9 significant digits, '.' decimal,
-    NaN empty, lines ended by CRLF. The samples (phase_runs) and the
+    NaN empty, lines ended by CRLF. The runs (phase_runs) and the
     event times are checked as validate() checks them, before the file
     is opened: a trajectory that validate() rejects raises its
     ValueError and writes nothing. An int or a bool in a float cell is
     written as %.9g writes it."""
     texts = [_HEADER]
-    for phase, speed, floats, total in phase_runs(traj.samples):
+    for phase, speed, floats, total in phase_runs(traj.runs):
         fmt = (_STANCE_ROW if speed is None else
                f"%.9g,{phase},,,,,%.9g,%.9g,{speed:.9g},%.9g,\r\n")
         n, k = len(floats[0]), len(floats)
@@ -205,15 +111,17 @@ def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
 
 
 class HybridTrajectory(NamedTuple):
-    """Time-stamped hop record: 1 kHz samples plus the hybrid event log."""
+    """Time-stamped hop record: the 1 kHz samples as phase runs
+    (phase, launch_speed, floats), in time order, plus the hybrid event
+    log."""
 
-    samples: Sequence[TrajectorySample] = ()
+    runs: Sequence[tuple] = ()
     events: Sequence[TrajectoryEvent] = ()
 
     def validate(self) -> None:
-        """Check the samples against phase_runs' layout rule and the
-        event times for strict increase; raise ValueError otherwise."""
-        for _ in phase_runs(self.samples):
+        """Check the runs against phase_runs' layout rule and the event
+        times for strict increase; raise ValueError otherwise."""
+        for _ in phase_runs(self.runs):
             pass
         _check_event_times(self.events)
 
@@ -240,8 +148,7 @@ def record_hop(apex: ApexState, next_apex: ApexState, s_td: StanceState,
     stance seg: samples every control_dt in flight, the stance rows,
     and the touchdown, bottom (when found), liftoff and apex events, in
     absolute time from t0 with the fore-aft position starting at x0.
-    The samples are RecordedSamples of the descent, stance and ascent
-    runs."""
+    Its runs are the descent, stance and ascent runs."""
     t_td = descent_time(apex, s_td.theta, params)
     x_dot_lo, y_lo, y_dot_lo = liftoff_reset(s_lo.r, s_lo.r_dot, s_lo.theta,
                                              s_lo.theta_dot)
@@ -258,12 +165,12 @@ def record_hop(apex: ApexState, next_apex: ApexState, s_td: StanceState,
                      y_dot, tau))
     x_lo = toe_x + polar_to_cartesian(s_lo.r, s_lo.r_dot, s_lo.theta,
                                       s_lo.theta_dot)[0]
-    samples = RecordedSamples([
+    runs = (
         _flight_run(t0, t_td, x0, apex.x_dot, apex.y, 0.0, params.g,
                     "descent", control_dt),
         ("stance", None, tuple(zip(*rows))),
         _flight_run(t_lift, t_up, x_lo, x_dot_lo, y_lo, y_dot_lo, params.g,
-                    "ascent", control_dt)])
+                    "ascent", control_dt))
     events = [TrajectoryEvent("touchdown", t_touch, {**vars(s_td)})]
     if seg.t_bottom is not None:
         events.append(TrajectoryEvent("bottom", t_touch + seg.t_bottom))
@@ -272,4 +179,4 @@ def record_hop(apex: ApexState, next_apex: ApexState, s_td: StanceState,
                         {**vars(s_lo), "p_theta": seg.p_liftoff}),
         TrajectoryEvent("apex", t_lift + t_up,
                         {**vars(next_apex), "x": x_lo + x_dot_lo * t_up})]
-    return HybridTrajectory(samples, events)
+    return HybridTrajectory(runs, events)

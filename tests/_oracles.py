@@ -21,9 +21,10 @@ name and as a StanceState (they are not independent); the flow tests
 check it against taylor_flow_oracle, and its liftoff time against
 liftoff_time_bisect, which bisects the leg force on the flow.
 reference_hop_rows is the hop recorder as a row builder, one
-TrajectorySample per 1 kHz row, from the package's own flight times and
-coordinate change; the recorder's samples must read as its rows bit for
-bit.
+TrajectoryRow per 1 kHz row of trajectory.csv, from the package's own
+flight times and coordinate change; trajectory_rows transposes phase
+runs into those rows, and the recorder's runs must transpose into the
+builder's rows bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from sliphop.model import (TOUCHDOWN_TOL, check_flight, liftoff_reset,
                            polar_to_cartesian)
 from sliphop.simulate import (DEFAULT_CONTROL_DT, DEFAULT_DT,
                               ascent_time, descent_time, integrate_stance)
-from sliphop.trajectory import TrajectorySample
 
 
 def _linear_coeffs(m, k, b, r0, g, p_bar):
@@ -730,18 +730,57 @@ def reference_return_map_numeric(apex: ApexState, inputs: ControlInputs,
 
 
 
+class TrajectoryRow(NamedTuple):
+    """One row of trajectory.csv, its fields the columns in order: in
+    flight the leg state and tau are None and x_dot is the run's launch
+    speed."""
+
+    t: float
+    phase: str
+    r: float | None
+    r_dot: float | None
+    theta: float | None
+    theta_dot: float | None
+    x: float
+    y: float
+    x_dot: float
+    y_dot: float
+    tau: float | None
+
+
+def trajectory_rows(runs) -> list[TrajectoryRow]:
+    """The rows of phase runs (phase, launch_speed, floats): a stance
+    run's ten float columns about its phase, a flight run's t, x, y and
+    y_dot with its launch speed as x_dot and None in the leg and tau
+    cells."""
+    rows = []
+    for phase, speed, floats in runs:
+        for t, *cells in zip(*floats):
+            if speed is None:
+                rows.append(TrajectoryRow(t, phase, *cells))
+            else:
+                x, y, y_dot = cells
+                rows.append(TrajectoryRow(t, phase, None, None, None, None,
+                                          x, y, speed, y_dot, None))
+    return rows
+
+
+def hex_cells(row) -> tuple:
+    """A row's cells with each float as its hex text: equal bit for bit."""
+    return tuple(c.hex() if type(c) is float else c for c in row)
+
+
 def _reference_flight_rows(t0, duration, x0, x_dot, y0, y_dot0, g, phase,
                            sample_dt):
-    return [TrajectorySample(t0 + t, phase, None, None, None, None,
-                             x0 + x_dot * t,
-                             y0 + y_dot0 * t - 0.5 * g * t * t, x_dot,
-                             y_dot0 - g * t, None)
+    return [TrajectoryRow(t0 + t, phase, None, None, None, None,
+                          x0 + x_dot * t, y0 + y_dot0 * t - 0.5 * g * t * t,
+                          x_dot, y_dot0 - g * t, None)
             for i in range(int(math.floor(duration / sample_dt)) + 1)
             if (t := i * sample_dt) <= duration]
 
 
 def reference_hop_rows(apex, next_apex, s_td, s_lo, seg, params, control_dt,
-                       t0, x0) -> list[TrajectorySample]:
+                       t0, x0) -> list[TrajectoryRow]:
     """The rows of one recorded hop, from record_hop's arguments: descent
     and ascent sampled every control_dt, each flight row holding its
     run's one launch speed object, and the stance rows moved about the
@@ -756,8 +795,8 @@ def reference_hop_rows(apex, next_apex, s_td, s_lo, seg, params, control_dt,
                                   params.g, "descent", control_dt)
     for t, r, dr, th, dth, tau in seg.samples:
         x, y, x_dot, y_dot = polar_to_cartesian(r, dr, th, dth)
-        rows.append(TrajectorySample(t_touch + t, "stance", r, dr, th, dth,
-                                     toe_x + x, y, x_dot, y_dot, tau))
+        rows.append(TrajectoryRow(t_touch + t, "stance", r, dr, th, dth,
+                                  toe_x + x, y, x_dot, y_dot, tau))
     x_lo = toe_x + polar_to_cartesian(s_lo.r, s_lo.r_dot, s_lo.theta,
                                       s_lo.theta_dot)[0]
     return rows + _reference_flight_rows(

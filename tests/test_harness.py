@@ -24,9 +24,11 @@ from sliphop import (ApexState, ControlInputs, InvalidState, SlipError,
 from sliphop.cli import main, parse_config_file
 from sliphop.fixedpoint import (ANALYTIC_NUMERIC, CLOSED_FORM,
                                 SIMULATOR_NUMERIC)
-from sliphop.trajectory import (HybridTrajectory, RecordedSamples,
-                                TrajectorySample, phase_runs)
+from sliphop import trajectory
+from sliphop.trajectory import HybridTrajectory, phase_runs
 
+from _oracles import (TrajectoryRow, hex_cells, reference_hop_rows,
+                      trajectory_rows)
 from _oracles import _write_csv as reference_write_csv
 
 
@@ -114,6 +116,37 @@ class TestSweepConfig:
     def test_rejects_bad_grid_up_front(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             SweepConfig(**{field: value})
+
+    def test_lists_are_kept_as_tuples(self, tmp_path, monkeypatch):
+        # a config given lists equals, hashes and runs as its tuple form;
+        # the closed form alone solves no Newton fixed point
+        solves = []
+        real = fixedpoint.numeric_fixed_point
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fixedpoint, "numeric_fixed_point", counted)
+        grid = {"p_bar_range": (-1.2, -0.8, 3), "k_theta_range": (0.4, 0.6, 3)}
+        for pipelines, n_solves in [((CLOSED_FORM,), 0),
+                                    ((CLOSED_FORM, ANALYTIC_NUMERIC), 9)]:
+            listed = SweepConfig(**{k: list(v) for k, v in grid.items()},
+                                 pipelines=list(pipelines))
+            tupled = SweepConfig(**grid, pipelines=pipelines)
+            assert listed == tupled and hash(listed) == hash(tupled)
+            assert {type(getattr(listed, k)) for k in (*grid, "pipelines")
+                    } == {tuple}
+            texts = []
+            for name, cfg in [("list", listed), ("tuple", tupled)]:
+                out = tmp_path / f"{len(pipelines)}-{name}"
+                solves.clear()
+                report = run_sweep(dataclasses.replace(cfg, out_dir=str(out)))
+                assert len(solves) == n_solves
+                texts.append([repr(report.outcomes)] + [
+                    (out / f).read_bytes()
+                    for f in ("sweep.csv", "errors.csv", "report.json")])
+            assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("workers", [2.0, 2.5])
     def test_rejects_a_fractional_worker_count_up_front(self, tmp_path,
@@ -613,7 +646,7 @@ class TestRunSingle:
                        + 0.5 * params.k * (s.r - params.r0) ** 2
                        for s in samples)
 
-        stance = [s for s in report.trajectory.samples
+        stance = [s for s in trajectory_rows(report.trajectory.runs)
                   if s.phase == "stance"]
         pre = peak_radial_energy([s for s in stance if s.t < t_split])
         post = peak_radial_energy([s for s in stance if s.t > t_split])
@@ -696,7 +729,7 @@ class TestRunSingle:
         rows = _read_csv(tmp_path / "trajectory.csv")
         header, rows = rows[0], rows[1:]
         assert header[-1] == "tau"
-        samples = report.trajectory.samples
+        samples = trajectory_rows(report.trajectory.runs)
         assert len(rows) == len(samples)
         for row, s in zip(rows, samples):
             assert row[:-1] == [cell(getattr(s, col)) for col in header[:-1]]
@@ -738,31 +771,25 @@ _CSV_NUMBERS = st.one_of(st.floats(allow_nan=False),
                          st.sampled_from(_CSV_SPECIAL_FLOATS))
 
 
-def _sample(phase, cells):
-    """A TrajectorySample of phase from its ten other cells in order."""
-    return TrajectorySample(cells[0], phase, *cells[1:])
-
-
 @st.composite
 def _phase_run(draw, phase):
-    """1-8 samples of phase. Three runs in four hold no NaN, and three
-    in four keep their phase's layout: floats, and None for a flight
-    sample's leg state and tau; the fourth may hold a None in a float
-    cell or a float in a None cell. Three flight runs in four hold one
-    launch speed, one float object in every x_dot cell as the recorder
-    writes it."""
+    """A phase run (phase, launch_speed, floats) of 1-8 rows. Three runs
+    in four hold no NaN, and three in four keep their phase's layout:
+    its float columns of one length, and in flight a float launch
+    speed; the fourth may hold a None in a float cell or for the flight
+    speed, a float speed in stance, one column too many or too few, or
+    a last column of another length."""
     floats = draw(st.sampled_from((_CSV_NUMBERS,) * 3 + (_CSV_FLOATS,)))
-    none = st.none()
+    width, speed = (10, st.none()) if phase == "stance" else (4, floats)
+    n = last = draw(st.integers(1, 8))
     if draw(st.sampled_from((False,) * 3 + (True,))):
-        floats = none = st.one_of(floats, none)
-    if phase == "stance":
-        cells = (floats,) * 10
-    else:
-        shared = draw(st.sampled_from((True,) * 3 + (False,)))
-        x_dot = st.just(draw(floats)) if shared else floats
-        cells = (floats, *[none] * 4, floats, floats, x_dot, floats, none)
-    rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=8))
-    return [_sample(phase, row) for row in rows]
+        floats = st.one_of(floats, st.none())
+        speed = st.one_of(speed, floats)
+        width += draw(st.integers(-1, 1))
+        last = draw(st.integers(0, 8))
+    columns = tuple(tuple(draw(st.lists(floats, min_size=k, max_size=k)))
+                    for k in [n] * (width - 1) + [last])
+    return phase, draw(speed), columns
 
 
 _CYCLE = ("descent", "stance", "ascent")
@@ -770,10 +797,9 @@ _CYCLE = ("descent", "stance", "ascent")
 
 @st.composite
 def _trajectory_runs(draw):
-    """Up to 5 consecutive phase runs of samples, as in trajectory.csv. In
-    three lists in four the phases follow the cycle from any phase; in
-    the fourth they come in any order, and adjacent runs of one phase
-    make one run."""
+    """Up to 5 phase runs, as in trajectory.csv. In three lists in four
+    the phases follow the cycle from any phase; in the fourth they come
+    in any order."""
     if draw(st.sampled_from((True,) * 3 + (False,))):
         start = draw(st.integers(0, 2))
         phases = [_CYCLE[(start + i) % 3] for i in range(5)]
@@ -781,19 +807,20 @@ def _trajectory_runs(draw):
         phases = draw(st.lists(st.sampled_from(_CYCLE), min_size=5,
                                max_size=5))
     n_runs = draw(st.integers(0, 5))
-    return [s for phase in phases[:n_runs] for s in draw(_phase_run(phase))]
+    return [draw(_phase_run(phase)) for phase in phases[:n_runs]]
 
 
 _TRAJECTORY_RUNS = _trajectory_runs()
 
 
-def _traj_bytes(out, samples):
-    """The bytes that write_trajectory_csv writes for samples into
-    the directory out, checked against HybridTrajectory.validate: where
-    validate accepts the samples, they are the reference writer's bytes;
-    where validate raises a ValueError, the writer raises the same one
-    and writes no file, and that error is returned instead."""
-    traj, path = HybridTrajectory(samples), out / "new.csv"
+def _traj_bytes(out, runs):
+    """The bytes that write_trajectory_csv writes for runs into the
+    directory out, checked against HybridTrajectory.validate: where
+    validate accepts the runs, they are the reference writer's bytes for
+    the runs' rows; where validate raises a ValueError, the writer
+    raises the same one and writes no file, and that error is returned
+    instead."""
+    traj, path = HybridTrajectory(runs), out / "new.csv"
     try:
         traj.validate()
     except ValueError as err:
@@ -804,19 +831,21 @@ def _traj_bytes(out, samples):
         assert not path.exists()
         return err
     harness.write_trajectory_csv(traj, path)
-    reference_write_csv(out / "ref.csv", TrajectorySample._fields, samples)
+    reference_write_csv(out / "ref.csv", TrajectoryRow._fields,
+                        trajectory_rows(runs))
     assert path.read_bytes() == (out / "ref.csv").read_bytes()
     return path.read_bytes()
 
 
-def _flight(phase, t, v):
-    """A flight sample at time t whose other float cells are v."""
-    return _sample(phase, (t, None, None, None, None, v, v, v, v, None))
+def _flight(phase, ts, v, speed):
+    """A flight run at the times ts whose other float cells are v."""
+    n = len(ts)
+    return phase, speed, (tuple(ts), (v,) * n, (v,) * n, (v,) * n)
 
 
-def _stance(t, v):
-    """A stance sample at time t whose other cells are v."""
-    return _sample("stance", (t,) + (v,) * 9)
+def _stance(ts, v):
+    """A stance run at the times ts whose other float cells are v."""
+    return "stance", None, (tuple(ts),) + ((v,) * len(ts),) * 9
 
 
 class TestCsvWriter:
@@ -834,20 +863,17 @@ class TestCsvWriter:
         assert (out / "new.csv").read_bytes() == (
             out / "ref.csv").read_bytes()
 
-    @given(samples=_TRAJECTORY_RUNS)
-    @example(samples=[  # a NaN run between two clean ones
-        _sample("descent", (0.0, None, None, None, None, 1.0, 2.0, 3.0, 4.0,
-                            None)),
-        _sample("stance", (1.0, 0.2, -1.0, 0.3, math.nan, 5.0, 0.1, 2.0,
-                           -1.0, 3.0)),
-        _sample("stance", (2.0, 0.2, -1.0, 0.3, -3.0, 5.0, 0.1, 2.0, -1.0,
-                           3.0)),
-        _sample("ascent", (3.0, None, None, None, None, 6.0, 0.2, 2.0, 1.0,
-                           None))])
+    @given(runs=_TRAJECTORY_RUNS)
+    @example(runs=[  # a NaN run between two clean ones
+        ("descent", 3.0, ((0.0,), (1.0,), (2.0,), (4.0,))),
+        ("stance", None, ((1.0, 2.0), (0.2, 0.2), (-1.0, -1.0), (0.3, 0.3),
+                          (math.nan, -3.0), (5.0, 5.0), (0.1, 0.1),
+                          (2.0, 2.0), (-1.0, -1.0), (3.0, 3.0))),
+        ("ascent", 2.0, ((3.0,), (6.0,), (0.2,), (1.0,)))])
     def test_trajectory_runs_match_the_reference_writer(
-            self, tmp_path_factory, samples):
-        # the writer writes exactly the sample lists that validate accepts
-        _traj_bytes(tmp_path_factory.mktemp("traj"), samples)
+            self, tmp_path_factory, runs):
+        # the writer writes exactly the runs that validate accepts
+        _traj_bytes(tmp_path_factory.mktemp("traj"), runs)
 
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, -0.0,
                                    5e-324, 1e300, -1e300])
@@ -855,14 +881,15 @@ class TestCsvWriter:
         # one-row runs of a hop and the next hop's descent (an ascent to
         # descent boundary), every float cell v: a NaN is written empty,
         # but a NaN launch speed breaks the flight layout
-        samples = [_flight("descent", 0.0, v), _stance(1.0, v),
-                   _flight("ascent", 2.0, v), _flight("descent", 3.0, v)]
-        written = _traj_bytes(tmp_path, samples)
+        def runs(speed):
+            return [_flight("descent", (0.0,), v, speed), _stance((1.0,), v),
+                    _flight("ascent", (2.0,), v, speed),
+                    _flight("descent", (3.0,), v, speed)]
+
+        written = _traj_bytes(tmp_path, runs(v))
         assert isinstance(written, bytes) == (v == v)
         (tmp_path / "speed").mkdir()
-        samples = [s._replace(x_dot=1.5) if s.phase != "stance" else s
-                   for s in samples]
-        assert isinstance(_traj_bytes(tmp_path / "speed", samples), bytes)
+        assert isinstance(_traj_bytes(tmp_path / "speed", runs(1.5)), bytes)
 
     def test_empty_trajectory_writes_the_header(self, tmp_path):
         assert _traj_bytes(tmp_path, []) == (
@@ -872,50 +899,87 @@ class TestCsvWriter:
                                        "tau"])
     def test_flight_sample_with_a_leg_value_is_rejected(self, tmp_path,
                                                          field):
-        odd = _flight("ascent", 0.001, 1.5)._replace(**{field: 0.25})
-        samples = [_stance(0.0, 2.0), _flight("ascent", 0.0005, 1.5), odd,
-                   _flight("ascent", 0.002, 1.5)]
-        err = _traj_bytes(tmp_path, samples)
-        assert str(err) == "ascent run at t = 0.0005 breaks its phase's layout"
+        # a flight run carrying the leg columns up to field, in header
+        # order, has 5 to 9 float columns instead of t, x, y and y_dot
+        leg = ("r", "r_dot", "theta", "theta_dot", "tau")
+        kept = {"t", "x", "y", "y_dot", *leg[:leg.index(field) + 1]}
+        columns = tuple((0.25,) * 3 for name in TrajectoryRow._fields
+                        if name in kept)
+        assert len(columns) == 5 + leg.index(field)
+        err = _traj_bytes(tmp_path, [_stance((0.0,), 2.0),
+                                     ("ascent", 1.5, columns)])
+        assert str(err) == "ascent run 1 breaks its phase's layout"
 
     def test_stance_sample_without_tau_is_rejected(self, tmp_path):
-        samples = [_flight("descent", 0.0, 1.5), _stance(0.001, 2.0),
-                   _stance(0.002, 2.0)._replace(tau=None)]
-        err = _traj_bytes(tmp_path, samples)
-        assert str(err) == "stance run at t = 0.001 breaks its phase's layout"
+        _, _, columns = _stance((0.001, 0.002), 2.0)
+        err = _traj_bytes(tmp_path, [_flight("descent", (0.0,), 1.5, 1.5),
+                                     ("stance", None, columns[:-1])])
+        assert str(err) == "stance run 1 breaks its phase's layout"
 
-    @pytest.mark.parametrize("cell", ["2.0", 2j])
+    @pytest.mark.parametrize("run", [
+        pytest.param(("stance", None, ((0.0, 0.001),) + ((2.0, 2.0),) * 8
+                      + ((2.0,),)), id="stance-column-a-row-short"),
+        pytest.param(("stance", None, ((0.0,),) + ((2.0,),) * 8),
+                     id="stance-9-columns"),
+        pytest.param(("stance", None, ((0.0,),) + ((2.0,),) * 10),
+                     id="stance-11-columns"),
+        pytest.param(("descent", 1.5, ((0.0,), (2.0,), (2.0,))),
+                     id="flight-3-columns"),
+        pytest.param(("descent", 1.5, ((0.0, 0.001), (2.0,), (2.0, 2.0),
+                                       (2.0, 2.0))),
+                     id="flight-column-a-row-short"),
+        pytest.param(("stance", None, ((),) * 10), id="stance-no-rows"),
+        pytest.param(("descent", 1.5, ((),) * 4), id="flight-no-rows"),
+        pytest.param(("descent", 1.5, ()), id="no-columns"),
+        pytest.param(("descent", 1.5, (0.0, 2.0, 2.0, 2.0)),
+                     id="cells-for-columns"),
+        pytest.param(("descent", 1.5, None), id="none-for-columns"),
+        pytest.param(("stance", 1.5, ((0.0,),) + ((2.0,),) * 9),
+                     id="stance-with-a-launch-speed"),
+    ])
+    def test_run_of_the_wrong_shape_is_rejected(self, tmp_path, run):
+        # a stance run has 10 float columns and a flight run 4, all of
+        # one length of at least one row: validate() and the writer
+        # both raise ValueError, and the writer writes no file
+        err = _traj_bytes(tmp_path, [run])
+        assert str(err) == f"{run[0]} run 0 breaks its phase's layout"
+
+    @pytest.mark.parametrize("cell", [
+        "2.0", 2j, pytest.param(10 ** 400, id="int-too-large-for-a-float")])
     def test_float_cell_that_percent_g_cannot_write_is_rejected(
             self, tmp_path, cell):
-        samples = [_stance(0.0, 2.0), _flight("ascent", 0.001, 1.5),
-                   _flight("ascent", 0.002, 1.5)._replace(y=cell)]
-        err = _traj_bytes(tmp_path, samples)
-        assert str(err) == "ascent run at t = 0.001 breaks its phase's layout"
+        ascent = ("ascent", 1.5, ((0.001, 0.002), (1.5, 1.5), (1.5, cell),
+                                  (1.5, 1.5)))
+        err = _traj_bytes(tmp_path, [_stance((0.0,), 2.0), ascent])
+        assert str(err) == "ascent run 1 breaks its phase's layout"
 
     def test_stance_run_then_descent_is_rejected(self, tmp_path):
-        samples = [_stance(0.0, 2.0), _flight("descent", 0.001, 1.5)]
-        err = _traj_bytes(tmp_path, samples)
+        err = _traj_bytes(tmp_path, [_stance((0.0,), 2.0),
+                                     _flight("descent", (0.001,), 1.5, 1.5)])
         assert str(err) == ("phase 'stance' -> 'descent' breaks the "
                             "descent->stance->ascent cycle")
 
     @pytest.mark.parametrize("speeds, accepted", [
-        ((0.0, -0.0, 0.0), False),  # equal, but written 0 and -0
+        ((0.0, -0.0, 0.0), True),  # each run writes its own zero's sign
         ((-0.0,) * 3, True),
-        ((math.nan,) * 3, False),  # one object: count finds it in each row
-        ((1.5, 1.5, 2.5), False),
+        ((math.nan,) * 3, False),
+        ((1.5, 1.5, 2.5), True),  # each flight run its own speed
         ((2, 2, 2), False),  # an int speed
     ])
     def test_flight_run_launch_speed(self, tmp_path, speeds, accepted):
-        # a flight run holds one float launch speed, which every row
-        # prints the same
-        samples = [_flight("descent", 0.001 * i, 1.25)._replace(x_dot=v)
-                   for i, v in enumerate(speeds)]
-        written = _traj_bytes(tmp_path, samples)
+        # each flight run holds one float launch speed, not NaN, which
+        # every row of the run prints the same
+        d1, a, d2 = speeds
+        runs = [_flight("descent", (0.0, 0.001), 1.25, d1),
+                _stance((0.002,), 1.25),
+                _flight("ascent", (0.003, 0.004), 1.25, a),
+                _flight("descent", (0.005, 0.006), 1.25, d2)]
+        written = _traj_bytes(tmp_path, runs)
         if accepted:
-            assert written.count(b",-0,") == 3
+            assert [row.split(b",")[8] for row in written.splitlines()[1:]
+                    ] == [b"%.9g" % v for v in (d1, d1, 1.25, a, a, d2, d2)]
         else:
-            assert str(written) == ("descent run at t = 0.0 breaks its "
-                                    "phase's layout")
+            assert str(written) == "descent run 0 breaks its phase's layout"
 
     def test_recorded_runs_take_one_format_each(self, params, tmp_path):
         # every phase run the recorder writes keeps its phase's layout,
@@ -925,18 +989,15 @@ class TestCsvWriter:
                             ControlInputs(p_bar=-1.0, k_theta=0.5), params,
                             n_hops=2)
         assert report.failure is None
-        runs = [(phase, list(run)) for phase, run in itertools.groupby(
-            report.trajectory.samples, lambda s: s.phase)]
-        assert [phase for phase, _ in runs] == [
+        runs = report.trajectory.runs
+        assert [phase for phase, _, _ in runs] == [
             "descent", "stance", "ascent"] * 2
-        assert min(len(run) for _, run in runs) > 1
+        assert min(len(floats[0]) for _, _, floats in runs) > 1
         assert [(phase, speed is None, math.isfinite(total))
-                for phase, speed, _, total in phase_runs(
-                    report.trajectory.samples)] == [
+                for phase, speed, _, total in phase_runs(runs)] == [
             ("descent", False, True), ("stance", True, True),
             ("ascent", False, True)] * 2
-        assert isinstance(_traj_bytes(tmp_path, report.trajectory.samples),
-                          bytes)
+        assert isinstance(_traj_bytes(tmp_path, runs), bytes)
 
     @pytest.mark.parametrize("inputs, n_hops, k_theta_step, hops", [
         (ControlInputs(p_bar=-1.0, k_theta=0.5), 3, None, 3),
@@ -946,35 +1007,41 @@ class TestCsvWriter:
         # fails in stance at hop 4: the runs of the hops before it
         (ControlInputs(p_bar=0.0, k_theta=0.64), 6, None, 4),
     ])
-    def test_row_path_gives_the_recorded_runs(self, params, inputs, n_hops,
-                                              k_theta_step, hops):
-        # phase_runs turns the rows a recorded trajectory reads as back
-        # into the runs the recorder keeps, floats and totals bit for bit
+    def test_row_path_gives_the_recorded_runs(self, params, monkeypatch,
+                                              inputs, n_hops, k_theta_step,
+                                              hops):
+        # the reference row builder, given each recorded hop's own
+        # arguments, gives the rows of the runs run_single joins, bit for
+        # bit; phase_runs yields those runs as they are, with their sums
+        calls = []
+        real = trajectory.record_hop
+
+        def kept(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(trajectory, "record_hop", kept)
         report = run_single(ApexState(1.5, 0.24), inputs, params,
                             n_hops=n_hops, k_theta_step=k_theta_step)
-        assert len(report.hops) == hops
+        assert len(report.hops) == len(calls) == hops
         assert (report.failure is None) == (hops == n_hops)
         assert report.failure is None or "@stance" in report.failure
-
-        def bits(runs):
-            return [(phase, None if speed is None else speed.hex(),
-                     [[c.hex() for c in col] for col in floats], total.hex())
-                    for phase, speed, floats, total in runs]
-
-        samples = report.trajectory.samples
-        recorded = list(phase_runs(samples))
-        assert len(recorded) == 3 * hops
-        assert [(phase, speed, floats) for phase, speed, floats, _
-                in recorded] == list(samples.runs)
+        runs = report.trajectory.runs
+        rows = [row for args in calls for row in reference_hop_rows(*args)]
+        assert list(map(hex_cells, trajectory_rows(runs))) == list(
+            map(hex_cells, rows))
+        checked = list(phase_runs(runs))
+        assert len(checked) == 3 * hops
+        assert all(run == got[:3] and run[2] is got[2]
+                   and math.isfinite(got[3])
+                   for run, got in zip(runs, checked))
         assert {(type(floats), *map(type, floats))
-                for _, _, floats, _ in recorded} <= {
-            (tuple,) * 5, (tuple,) * 11}
-        assert bits(phase_runs(list(samples))) == bits(recorded)
+                for _, _, floats in runs} == {(tuple,) * 5, (tuple,) * 11}
 
     def test_recorded_runs_stay_checked(self, params, tmp_path):
-        # the recorder's runs pass the checks a list of rows passes: the
-        # event order, the phase cycle and a number in every float cell;
-        # a NaN float cell is written empty, as the reference writes it
+        # the recorder's runs pass the checks any runs pass: the event
+        # order, the phase cycle and a number in every float cell; a NaN
+        # float cell is written empty, as the reference writes it
         traj = run_single(ApexState(1.5, 0.24),
                           ControlInputs(p_bar=-1.0, k_theta=0.5), params,
                           n_hops=2).trajectory
@@ -986,8 +1053,7 @@ class TestCsvWriter:
                                match="^event times not increasing"):
                 check()
         assert not (tmp_path / "late.csv").exists()
-        descent, stance, ascent, *rest = traj.samples.runs
-        t_ascent = ascent[2][0][0]
+        descent, stance, ascent, *rest = traj.runs
 
         def replaced(run, col, value):
             phase, speed, floats = run
@@ -1001,42 +1067,43 @@ class TestCsvWriter:
              "phase 'stance' -> 'descent' breaks the descent->stance->ascent "
              "cycle"),
             ("phase", (descent, ("hover", *stance[1:]), ascent, *rest),
-             f"unknown phase 'hover' at t = {stance[2][0][0]}"),
+             "unknown phase 'hover' in run 1"),
             ("cell", (descent, stance, replaced(ascent, 2, None), *rest),
-             f"ascent run at t = {t_ascent} breaks its phase's layout"),
+             "ascent run 2 breaks its phase's layout"),
             ("speed", (descent, stance, ("ascent", math.nan, ascent[2]),
                        *rest),
-             f"ascent run at t = {t_ascent} breaks its phase's layout"),
+             "ascent run 2 breaks its phase's layout"),
         ]:
             (tmp_path / name).mkdir()
-            err = _traj_bytes(tmp_path / name, RecordedSamples(runs))
+            err = _traj_bytes(tmp_path / name, runs)
             assert str(err) == message
         (tmp_path / "nan").mkdir()
         runs = (descent, replaced(stance, 6, math.nan), ascent, *rest)
-        written = _traj_bytes(tmp_path / "nan", RecordedSamples(runs))
+        written = _traj_bytes(tmp_path / "nan", runs)
         row = written.splitlines()[1 + len(descent[2][0]) + 2].split(b",")
         assert (row[1], row[7]) == (b"stance", b"")
 
     def test_infinities_of_both_signs_blank_nothing(self, tmp_path):
         # the run's float sum is NaN, but it holds no NaN cell to blank
-        samples = [_stance(0.0, 2.0)._replace(r=math.inf, tau=-math.inf),
-                   _stance(0.001, 2.0)]
-        [(phase, speed, floats, total)] = phase_runs(samples)
+        _, _, (t, r, *cells, tau) = _stance((0.0, 0.001), 2.0)
+        run = ("stance", None, (t, (math.inf, 2.0), *cells, (-math.inf, 2.0)))
+        [(phase, speed, floats, total)] = phase_runs([run])
         assert (phase, speed, len(floats), total != total) == (
             "stance", None, 10, True)
-        assert _traj_bytes(tmp_path, samples).splitlines()[1:] == [
+        assert _traj_bytes(tmp_path, [run]).splitlines()[1:] == [
             b"0,stance,inf,2,2,2,2,2,2,2,-inf",
             b"0.001,stance,2,2,2,2,2,2,2,2,2"]
 
     @pytest.mark.parametrize("sample, row", [
-        (_stance(0.0, 2.0)._replace(r=math.nan, r_dot=math.inf),
+        (("stance", None, ((0.0,), (math.nan,), (math.inf,))
+          + ((2.0,),) * 7),
          b"0,stance,,inf,2,2,2,2,2,2,2"),
-        (_flight("ascent", 0.0, 2.0)._replace(x=-math.inf, y=math.nan,
-                                              x_dot=1.5),
+        (("ascent", 1.5, ((0.0,), (-math.inf,), (math.nan,), (2.0,))),
          b"0,ascent,,,,,-inf,,1.5,2,"),
     ])
     def test_nan_next_to_an_infinity_is_blanked(self, tmp_path, sample,
                                                 row):
+        # sample: a one-row run
         assert _traj_bytes(tmp_path, [sample]).splitlines()[1:] == [row]
 
     @pytest.mark.parametrize("cell", [True, False])
@@ -1061,7 +1128,7 @@ class TestCsvWriter:
                                 n_hops=n_hops, k_theta_step=k_theta_step)
             assert len(report.hops) == hops
             assert (report.failure is None) == (hops == n_hops)
-            samples = report.trajectory.samples
+            samples = trajectory_rows(report.trajectory.runs)
             assert {s.phase for s in samples} == {
                 "descent", "stance", "ascent"}
             if inputs.tau_max is not None:
@@ -1071,7 +1138,7 @@ class TestCsvWriter:
             harness.write_trajectory_csv(report.trajectory,
                                          tmp_path / "new.csv")
             reference_write_csv(tmp_path / "ref.csv",
-                                TrajectorySample._fields, samples)
+                                TrajectoryRow._fields, samples)
             assert (tmp_path / "new.csv").read_bytes() == (
                 tmp_path / "ref.csv").read_bytes(), (inputs, k_theta_step)
 
@@ -1098,7 +1165,7 @@ class TestCsvWriter:
         report = run_single(ApexState(1.5, 0.24),
                             ControlInputs(p_bar=-1.0, k_theta=0.5), params,
                             n_hops=1)
-        hop_phases = {s.phase for s in report.trajectory.samples}
+        hop_phases = {phase for phase, _, _ in report.trajectory.runs}
         fail_phases = ("aoa", "descent", "touchdown", "stance", "ascent",
                        None)
         statuses = {harness._fail_status(cls("failed", phase=phase))

@@ -23,7 +23,7 @@ from sliphop.trajectory import HybridTrajectory, TrajectoryEvent
 
 BATCH_NAMES = ("SweepConfig", "SweepReport", "run_single", "run_sweep",
                "simulator_return_map", "solve_point")
-TRAJECTORY_NAMES = ("HybridTrajectory", "TrajectorySample", "TrajectoryEvent",
+TRAJECTORY_NAMES = ("HybridTrajectory", "TrajectoryEvent",
                     "write_trajectory_csv")
 # each name the package loads on first use, and the module that owns it
 LAZY_NAMES = {**dict.fromkeys(BATCH_NAMES, harness),
@@ -162,7 +162,7 @@ def test_only_the_value_types_are_dataclasses():
                            "runtime_s"), {}),
     (harness.SingleRunReport, ("hops", "trajectory", "final_apex",
                                "failure"), {"failure": None}),
-    (HybridTrajectory, ("samples", "events"), {"samples": (), "events": ()}),
+    (HybridTrajectory, ("runs", "events"), {"runs": (), "events": ()}),
 ])
 def test_records_are_named_tuples(cls, fields, defaults):
     assert issubclass(cls, tuple)

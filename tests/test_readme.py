@@ -1,7 +1,8 @@
 """The README's library quickstart runs as written, its config block
 lists the CLI's keys with the library's defaults, its Layout block
-names the package's modules, and its numerical contracts quote the map
-counts the harness tests pin."""
+names the package's modules, its trajectory.csv columns are the
+writer's header, and its numerical contracts quote the map counts the
+harness tests pin."""
 
 import dataclasses
 import inspect
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import sliphop
 from sliphop import (ControlInputs, DEFAULT_PARAMS, SlipParams, SweepConfig,
-                     cli, harness)
+                     cli, harness, trajectory)
 from sliphop.harness import ALL_PIPELINES
 
 from test_harness import ANALYTIC_SWEEP_MAPS, CORNER_SWEEP_MAPS
@@ -79,6 +80,15 @@ def test_readme_layout_names_every_module():
     package = Path(sliphop.__file__).parent
     modules = [p.name for p in package.glob("*.py") if p.name != "__init__.py"]
     assert sorted(shown) == sorted(modules)
+
+
+def test_readme_trajectory_columns_are_the_writers_header():
+    # the column list of trajectory.csv, and a stance run's float
+    # columns, which are those columns but the phase
+    text = README.read_text()
+    header = trajectory._HEADER.removesuffix("\r\n")
+    assert re.findall(r"`(t,phase,[\w,]*)`", text) == [header]
+    assert f"`{header.replace(',phase', '')}`" in text
 
 
 def _contracts_text() -> str:

@@ -17,11 +17,11 @@ from sliphop.model import liftoff_reset
 from sliphop.simulate import DEFAULT_DT, ascend, check_steps, descend
 from sliphop.stance import _locate, _scaled_tableau, _step
 from sliphop import trajectory
-from sliphop.trajectory import (HybridTrajectory, RecordedSamples,
-                                TrajectoryEvent, TrajectorySample)
+from sliphop.trajectory import HybridTrajectory, TrajectoryEvent
 
-from _oracles import (full_stance_oracle, reference_hop_rows, rk4_step,
-                      rk6_tableau_step, stance_rhs, stance_step)
+from _oracles import (full_stance_oracle, hex_cells, reference_hop_rows,
+                      rk4_step, rk6_tableau_step, stance_rhs, stance_step,
+                      trajectory_rows)
 
 
 def stance_energy(params, r, r_dot, theta, theta_dot):
@@ -532,8 +532,8 @@ class TestReturnMap:
         traj.validate()
         names = [e.name for e in traj.events]
         assert names == ["touchdown", "bottom", "liftoff", "apex"]
-        phases = {s.phase for s in traj.samples}
-        assert phases == {"descent", "stance", "ascent"}
+        phases = [phase for phase, _, _ in traj.runs]
+        assert phases == ["descent", "stance", "ascent"]
         assert nxt.y > params.r_g
 
     def test_reset_continuity(self, params):
@@ -541,7 +541,8 @@ class TestReturnMap:
         inputs = ControlInputs(p_bar=-0.9, k_theta=0.55)
         _, traj = return_map_numeric(apex, inputs, params)
         td_event = traj.events[0]
-        first_stance = next(s for s in traj.samples if s.phase == "stance")
+        first_stance = next(s for s in trajectory_rows(traj.runs)
+                            if s.phase == "stance")
         # stance start equals the event-localized touchdown state
         assert first_stance.r == pytest.approx(td_event.state["r"], abs=1e-12)
         # Cartesian velocity continuous through the touchdown reset
@@ -603,14 +604,15 @@ class TestReturnMap:
 
         toe = apex.x_dot * events["touchdown"].t + params.r0 * math.sin(
             td.theta)
-        stance = [s for s in traj.samples if s.phase == "stance"]
+        rows = trajectory_rows(traj.runs)
+        stance = [s for s in rows if s.phase == "stance"]
         assert len(stance) == len(seg.samples)
         for s in stance:
             x_dot, y, y_dot = liftoff_reset(s.r, s.r_dot, s.theta,
                                             s.theta_dot)
             assert (s.y, s.x_dot, s.y_dot) == (y, x_dot, y_dot)
             assert s.x == toe - s.r * math.sin(s.theta)
-        first_ascent = next(s for s in traj.samples if s.phase == "ascent")
+        first_ascent = next(s for s in rows if s.phase == "ascent")
         assert first_ascent.t == events["liftoff"].t
         assert first_ascent.x == toe - lo.r * math.sin(lo.theta)
 
@@ -639,8 +641,8 @@ class TestReturnMap:
 class TestTrajectoryValidate:
     @staticmethod
     def flight(t, phase):
-        return TrajectorySample(t, phase, None, None, None, None, 0.0, 0.2,
-                                1.0, 0.0, None)
+        """A one-row flight run at time t."""
+        return phase, 1.0, ((t,), (0.0,), (0.2,), (0.0,))
 
     def test_rejects_a_phase_out_of_cycle(self):
         traj = HybridTrajectory([self.flight(0.0, "descent"),
@@ -649,44 +651,50 @@ class TestTrajectoryValidate:
                                              "breaks the"):
             traj.validate()
         # a phase outside the cycle, alone or followed by one in it
-        for samples in ([self.flight(0.0, "hover")],
-                        [self.flight(0.0, "hover"),
-                         self.flight(0.001, "descent")]):
-            with pytest.raises(ValueError, match="^unknown phase 'hover' at "
-                                                 "t = 0.0$"):
-                HybridTrajectory(samples).validate()
+        for runs in ([self.flight(0.0, "hover")],
+                     [self.flight(0.0, "hover"),
+                      self.flight(0.001, "descent")]):
+            with pytest.raises(ValueError, match="^unknown phase 'hover' in "
+                                                 "run 0$"):
+                HybridTrajectory(runs).validate()
 
     def test_rejects_a_sample_out_of_its_layout(self):
-        # a descent sample with a leg length and a torque, then a stance
-        # sample without a torque: each breaks its phase run's layout
-        descent = self.flight(0.0, "descent")._replace(r=0.2, tau=5.0)
-        stance = TrajectorySample(0.001, "stance", 0.2, -1.0, 0.3, -2.0,
-                                  0.0, 0.2, 1.0, 0.0, None)
-        for samples in ([descent, stance], [stance]):
+        # a descent run with a leg length and a torque column, then a
+        # stance run without its torque column: each breaks its phase
+        # run's layout
+        descent = ("descent", 1.0, ((0.0,), (0.2,), (0.0,), (0.2,), (0.0,),
+                                    (5.0,)))
+        stance = ("stance", None, ((0.001,), (0.2,), (-1.0,), (0.3,),
+                                   (-2.0,), (0.0,), (0.2,), (1.0,), (0.0,)))
+        for runs in ([descent, stance], [stance]):
             with pytest.raises(ValueError, match=(
-                    f"^{samples[0].phase} run at t = {samples[0].t} "
-                    "breaks its phase's layout$")):
-                HybridTrajectory(samples).validate()
-        HybridTrajectory([stance._replace(tau=0.5)]).validate()
+                    f"^{runs[0][0]} run 0 breaks its phase's layout$")):
+                HybridTrajectory(runs).validate()
+        HybridTrajectory([("stance", None,
+                           stance[2] + ((0.5,),))]).validate()
 
     def test_rejects_a_flight_speed_that_changes(self):
-        samples = [self.flight(0.0, "ascent"), self.flight(0.001, "ascent"),
-                   self.flight(0.002, "ascent")._replace(x_dot=1.5)]
-        HybridTrajectory(samples[:2]).validate()
-        with pytest.raises(ValueError, match="^ascent run at t = 0.0 breaks "
-                                             "its phase's layout$"):
-            HybridTrajectory(samples).validate()
+        # a flight run holds one launch speed, so a speed that changes
+        # in flight needs a second run of the phase, out of the cycle
+        runs = [("ascent", 1.0, ((0.0, 0.001), (0.0, 0.001), (0.2, 0.2),
+                                 (0.0, 0.0))),
+                ("ascent", 1.5, ((0.002,), (0.0015,), (0.2,), (0.0,)))]
+        HybridTrajectory(runs[:1]).validate()
+        with pytest.raises(ValueError, match="^phase 'ascent' -> 'ascent' "
+                                             "breaks the"):
+            HybridTrajectory(runs).validate()
 
     def test_a_recorded_trajectory_validates(self, params):
-        _, traj = return_map_numeric(ApexState(x_dot=1.2, y=0.24),
+        apex = ApexState(x_dot=1.2, y=0.24)
+        _, traj = return_map_numeric(apex,
                                      ControlInputs(p_bar=-0.9, k_theta=0.55),
                                      params)
         traj.validate()
-        # one launch speed in each flight run: the one float object
-        assert {(s.phase, id(s.x_dot)) for s in traj.samples
-                if s.phase != "stance"} == {
-            ("descent", id(traj.samples[0].x_dot)),
-            ("ascent", id(traj.samples[-1].x_dot))}
+        # one float launch speed in each flight run: in descent the
+        # apex's own
+        assert [(phase, type(speed)) for phase, speed, _ in traj.runs] == [
+            ("descent", float), ("stance", type(None)), ("ascent", float)]
+        assert traj.runs[0][1] is apex.x_dot
 
     def test_rejects_event_times_not_increasing(self):
         traj = HybridTrajectory(events=[TrajectoryEvent("touchdown", 0.1),
@@ -696,15 +704,10 @@ class TestTrajectoryValidate:
             traj.validate()
 
 
-def _bits(row):
-    """A row's cells with each float as its hex text: equal bit for bit."""
-    return tuple(c.hex() if type(c) is float else c for c in row)
-
-
 class TestRecordedSamples:
     @pytest.fixture
     def recorded(self, params, monkeypatch):
-        """One recorded hop's samples and the rows of the reference row
+        """One recorded hop's phase runs and the rows of the reference row
         builder from the recorder's own arguments."""
         calls = []
         real = trajectory.record_hop
@@ -718,50 +721,27 @@ class TestRecordedSamples:
                                      ControlInputs(p_bar=-0.9, k_theta=0.55),
                                      params, t0=0.5, x0=-0.25)
         [args] = calls
-        return traj.samples, reference_hop_rows(*args), args
+        return traj.runs, reference_hop_rows(*args), args
 
     def test_rows_are_the_row_builders_bit_for_bit(self, recorded):
-        samples, rows, (apex, *_) = recorded
-        assert type(samples) is RecordedSamples
-        assert [p for p, _, _ in samples.runs] == [
-            "descent", "stance", "ascent"]
-        assert len(samples) == len(rows) > 200
-        got = list(samples)
-        assert {type(s) for s in got} == {TrajectorySample}
-        assert list(map(_bits, got)) == list(map(_bits, rows))
-        # each flight run holds one launch speed object, as the row
-        # builder's do: in descent the apex's own
-        for phase in ("descent", "ascent"):
-            assert len({id(s.x_dot) for s in got if s.phase == phase}) == 1
-        assert got[0].x_dot is apex.x_dot
-
-    def test_indexing_reads_like_the_rows(self, recorded):
-        samples, rows, _ = recorded
-        n = len(rows)
-        for i in [0, 1, n // 2, n - 1, -1, -2, -n]:
-            assert _bits(samples[i]) == _bits(rows[i]), i
-            assert type(samples[i]) is TrajectorySample
-        for i in range(-n, n, 7):
-            assert _bits(samples[i]) == _bits(rows[i]), i
-        for sl in [slice(None), slice(3, -2), slice(None, None, -1),
-                   slice(5, n, 37), slice(-10, None), slice(n - 1, 2, -50),
-                   slice(100, 50), slice(n, None)]:
-            got = samples[sl]
-            assert type(got) is list
-            assert list(map(_bits, got)) == list(map(_bits, rows[sl])), sl
-        assert samples[-1].x_dot is samples[-2].x_dot is samples.runs[-1][1]
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                samples[i]
-        with pytest.raises(TypeError):
-            samples[1.0]
+        runs, rows, (apex, *_) = recorded
+        assert [p for p, _, _ in runs] == ["descent", "stance", "ascent"]
+        got = trajectory_rows(runs)
+        assert len(got) == len(rows) > 200
+        assert list(map(hex_cells, got)) == list(map(hex_cells, rows))
+        # the columns are exact tuples of floats, and the descent's
+        # launch speed is the apex's own
+        assert all(type(col) is tuple and {*map(type, col)} == {float}
+                   for _, _, floats in runs for col in floats)
+        assert runs[0][1] is apex.x_dot
 
     def test_samples_are_read_only(self, recorded):
-        samples, _, _ = recorded
+        runs, _, _ = recorded
+        assert type(runs) is tuple
         with pytest.raises(TypeError):
-            samples[0] = samples[1]
-        with pytest.raises(AttributeError):
-            samples.extra = 1
+            runs[0] = runs[1]
+        with pytest.raises(TypeError):
+            runs[1][2][0][0] = 0.0
 
 
 class TestScalarType:
@@ -803,7 +783,7 @@ class TestCsvExport:
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text().splitlines()
         assert lines[0] == "t,phase,r,r_dot,theta,theta_dot,x,y,x_dot,y_dot,tau"
-        assert len(lines) == len(traj.samples) + 1
+        assert len(lines) == len(trajectory_rows(traj.runs)) + 1
         first_flight = lines[1].split(",")
         assert first_flight[1] == "descent"
         assert first_flight[2] == ""   # no leg state in flight
@@ -815,6 +795,7 @@ class TestCsvExport:
         apex = ApexState(x_dot=1.2, y=0.24)
         inputs = ControlInputs(p_bar=-0.9, k_theta=0.55)
         _, traj = return_map_numeric(apex, inputs, params)
-        stance_t = [s.t for s in traj.samples if s.phase == "stance"]
+        [stance_t] = [floats[0] for phase, _, floats in traj.runs
+                      if phase == "stance"]
         dts = np.diff(stance_t)
         assert np.allclose(dts, 1e-3, atol=1e-12)
